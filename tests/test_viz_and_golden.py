@@ -1,16 +1,17 @@
-"""ASCII viz tests + golden cycle-count regression net.
+"""ASCII viz tests + golden Stats regression net.
 
-The golden numbers freeze the timing model's behaviour for the kernel
-suite at a fixed machine shape.  If a core change shifts any of them,
-the test fails and the new numbers must be reviewed (and EXPERIMENTS.md
-re-measured) deliberately rather than silently drifting.
+The golden records freeze the cycle core's full statistics and final
+architectural state over the kernel suite and the parity matrices.  If a
+core change shifts any of them, the test fails and the new numbers must
+be reviewed (and EXPERIMENTS.md re-measured) deliberately rather than
+silently drifting.
 """
 
 import pytest
 
 from repro.bench import bar_chart, line_chart, sparkline
-from repro.core import ProcessorConfig
-from repro.programs import ALL_KERNEL_BUILDERS, run_kernel
+from repro.programs import ALL_KERNEL_BUILDERS
+from tests.golden import cases, load_golden, record
 
 
 class TestBarChart:
@@ -61,43 +62,37 @@ class TestSparkline:
         assert sparkline([]) == ""
 
 
-# Golden cycle counts at the reference shape: p=32, T=16 (fine), W=16,
-# default kernels.  Regenerate with tools/update_golden.py after an
-# intentional timing-model change.
-GOLDEN_CYCLES = {
-    "assoc_max_extract": 196,
-    "count_matches": 12,
-    "database_query": 30,
-    "histogram": 138,
-    "image_threshold": 129,
-    "knn_search": 156,
-    "mst_prim": 459,
-    "multiword_add": 17,
-    "reduction_storm": 235,
-    "skyline_2d": 259,
-    "string_match": 25,
-    "vector_mac": 133,
-}
+# The golden net (tests/golden.py): full Stats plus an architectural-state
+# digest per case, frozen in tests/data/golden_stats.json.  Regenerate
+# with tools/update_golden.py after an intentional timing-model change.
+GOLDEN = load_golden()
+CASES = cases()
 
 
-def build(name):
-    builder = ALL_KERNEL_BUILDERS[name]
-    if name == "reduction_storm":
-        return builder(32, total_iters=32, threads=4)
-    if name == "mst_prim":
-        return builder(32, n=12)
-    return builder(32)
+def check_golden(case_id):
+    measured = record(CASES[case_id]())
+    expected = GOLDEN[case_id]
+    changed = {k: (expected["stats"][k], v)
+               for k, v in measured["stats"].items()
+               if expected["stats"].get(k) != v}
+    assert measured == expected, (
+        f"{case_id}: golden run changed (stats {changed}, arch digest "
+        f"{'same' if measured['arch'] == expected['arch'] else 'differs'})"
+        f"; if intentional, run tools/update_golden.py and re-measure "
+        f"EXPERIMENTS.md")
 
 
 class TestGoldenCycles:
-    @pytest.mark.parametrize("name", sorted(GOLDEN_CYCLES))
+    @pytest.mark.parametrize("name", sorted(ALL_KERNEL_BUILDERS))
     def test_cycle_count_frozen(self, name):
-        cfg = ProcessorConfig(num_pes=32, num_threads=16, word_width=16)
-        run = run_kernel(build(name), cfg)
-        assert run.cycles == GOLDEN_CYCLES[name], (
-            f"{name}: cycles changed {GOLDEN_CYCLES[name]} -> "
-            f"{run.cycles}; if intentional, update GOLDEN_CYCLES and "
-            f"re-measure EXPERIMENTS.md")
+        check_golden(f"reference/{name}")
+
+    @pytest.mark.parametrize(
+        "case_id", sorted(c for c in CASES if not c.startswith("reference/")))
+    def test_stats_frozen(self, case_id):
+        check_golden(case_id)
 
     def test_golden_covers_all_kernels(self):
-        assert set(GOLDEN_CYCLES) == set(ALL_KERNEL_BUILDERS)
+        assert set(GOLDEN) == set(CASES)
+        assert {c.split("/")[1] for c in CASES
+                if c.startswith("reference/")} == set(ALL_KERNEL_BUILDERS)

@@ -1,45 +1,32 @@
 #!/usr/bin/env python
-"""Recompute the golden cycle counts in tests/test_viz_and_golden.py.
+"""Regenerate tests/data/golden_stats.json, the golden Stats net.
 
-Run after an *intentional* timing-model change, review the diff, and
-re-measure EXPERIMENTS.md:  python tools/update_golden.py
+Each case (see tests/golden.py) records the full Stats and a digest of
+the final architectural state of one cycle-core run.  Run after an
+*intentional* timing-model change, review the diff, and re-measure
+EXPERIMENTS.md:  python tools/update_golden.py
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
-import re
+import sys
 
-from repro.core import ProcessorConfig
-from repro.programs import ALL_KERNEL_BUILDERS, run_kernel
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-
-def build(name: str):
-    builder = ALL_KERNEL_BUILDERS[name]
-    if name == "reduction_storm":
-        return builder(32, total_iters=32, threads=4)
-    if name == "mst_prim":
-        return builder(32, n=12)
-    return builder(32)
+from tests.golden import GOLDEN_PATH, cases, record  # noqa: E402
 
 
 def main() -> None:
-    cfg = ProcessorConfig(num_pes=32, num_threads=16, word_width=16)
-    golden = {name: run_kernel(build(name), cfg).cycles
-              for name in sorted(ALL_KERNEL_BUILDERS)}
-    block = "GOLDEN_CYCLES = {\n" + "".join(
-        f'    "{name}": {cycles},\n' for name, cycles in golden.items()
-    ) + "}"
-    path = (pathlib.Path(__file__).resolve().parent.parent
-            / "tests" / "test_viz_and_golden.py")
-    text = path.read_text()
-    new_text, count = re.subn(r"GOLDEN_CYCLES = \{[^}]*\}", block, text)
-    if count != 1:
-        raise SystemExit("could not locate GOLDEN_CYCLES block")
-    path.write_text(new_text)
-    print(f"updated {path}:")
-    for name, cycles in golden.items():
-        print(f"  {name:20s} {cycles}")
+    golden = {case_id: record(build())
+              for case_id, build in sorted(cases().items())}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True)
+                           + "\n")
+    print(f"updated {GOLDEN_PATH}: {len(golden)} cases")
+    for case_id, rec in golden.items():
+        print(f"  {case_id:40s} {rec['stats']['cycles']}")
 
 
 if __name__ == "__main__":
