@@ -112,9 +112,11 @@ def test_backend_throughput():
     exact* — the full Stats dataclass, not just the headline count,
     equals the cycle backend's — and the scalar-heavy workload (the
     fast path's design target) must clear a 10x throughput bar.  The
-    mixed and multithreaded rows are reported for honesty: their cost
-    is genuine numpy datapath work and co-simulation, so the speedup
-    is real but smaller.
+    mixed row is reported for honesty: its cost is genuine numpy
+    datapath work, so the speedup is real but smaller.  The
+    multithreaded row compares the cycle core with itself: the fast
+    backend runs spawning programs on the core, so its "speedup" is
+    about 1x by construction and only measures noise.
     """
     workloads = []
     for name, source, pes, threads in (
@@ -149,8 +151,8 @@ def test_backend_throughput():
     exp.finding(
         "fast backend is cycle-exact on every workload; scalar-heavy "
         f"speedup {speedups['scalar_heavy'][1]:.1f}x, mixed "
-        f"{speedups['mixed_parallel'][1]:.1f}x, multithreaded co-sim "
-        f"{speedups['reduction_storm_mt'][1]:.1f}x")
+        f"{speedups['mixed_parallel'][1]:.1f}x, multithreaded (the cycle "
+        f"core on both backends) {speedups['reduction_storm_mt'][1]:.1f}x")
     exp.report()
 
     # Exactness is the hard guarantee: every row, full Stats equality.

@@ -75,9 +75,7 @@ from repro.analysis.lint import (
 )
 from repro.analysis.timing import (
     BlockSummary,
-    InstrTiming,
     TimingAnalysis,
-    TimingModel,
     check_static_timing_bound,
     check_unreachable_block,
 )
@@ -116,9 +114,7 @@ __all__ = [
     "LintReport",
     "lint_program",
     "BlockSummary",
-    "InstrTiming",
     "TimingAnalysis",
-    "TimingModel",
     "check_static_timing_bound",
     "check_unreachable_block",
 ]

@@ -8,7 +8,6 @@ from repro.assoc.fastpath import (
     run_fast,
 )
 from repro.assoc.functional import (
-    BlockTraceRecorder,
     FunctionalDeadlock,
     FunctionalError,
     FunctionalMachine,
@@ -22,7 +21,6 @@ __all__ = [
     "AscError",
     "FieldExpr",
     "Responders",
-    "BlockTraceRecorder",
     "FastMachine",
     "FastPathError",
     "FastRunResult",

@@ -9,13 +9,8 @@ results for any data-race-free program; the integration tests assert
 exactly that (timing-independence of results).
 
 Also useful on its own as a fast interpreter when only results matter,
-and as the execution half of the fast-path backend
-(:mod:`repro.assoc.fastpath`): a :class:`BlockTraceRecorder` passed to
-:meth:`FunctionalMachine.run` captures, per thread, exactly the dynamic
-facts static timing cannot know — branch outcomes, ``jr`` targets,
-spawned thread ids, and ``tput``/``tjoin`` target threads — so
-:mod:`repro.analysis.timing` can replay cycle-exact timing over the
-recorded block path without stepping the pipeline.
+and as the state holder of the fast-path backend
+(:mod:`repro.assoc.fastpath`) for spawn-free programs.
 """
 
 from __future__ import annotations
@@ -26,10 +21,9 @@ import numpy as np
 
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
-from repro.core.execute import ExecResult, Executor
+from repro.core.execute import Executor
 from repro.core.memory import ScalarMemory
-from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
-from repro.isa.instruction import Instruction
+from repro.core.thread import ThreadState, ThreadStatusTable
 from repro.pe.pe_array import PEArray
 
 
@@ -43,67 +37,6 @@ class FunctionalRunaway(FunctionalError):
 
 class FunctionalDeadlock(FunctionalError):
     """Every live thread is blocked in ``tjoin``."""
-
-
-class BlockTraceRecorder:
-    """Captures the dynamic control/thread events of a functional run.
-
-    One event stream per hardware thread, in that thread's program
-    order; each event is a plain ``int`` whose meaning is fixed by the
-    instruction kind at the recording pc (the static timing replay
-    knows the kind, so no tags are needed):
-
-    * branch — 1 if taken else 0;
-    * ``jr`` — the resolved next pc;
-    * ``tspawn`` — the child tid, or -1 when the thread table was full;
-    * ``tput`` — the target tid (``rd % num_threads``), read *after*
-      the delivery executes, because that is when the cycle core reads
-      the handle again to note the delivery in the receiver's
-      scoreboard (a self-delivery into ``rd`` changes the answer, and
-      timing parity requires mirroring the quirk);
-    * ``tjoin`` — the target tid, recorded only when the join actually
-      executes (a gated join that put the thread to sleep records
-      nothing).
-
-    Everything else — straight-line code, ``j``/``jal`` (static
-    targets), ``tget``, ``halt``, ``texit`` — needs no event: the block
-    path is fully determined by the events above plus the program text.
-    """
-
-    __slots__ = ("events", "spawned_any", "_interesting", "_num_threads")
-
-    def __init__(self, program: Program, num_threads: int) -> None:
-        self._interesting = [
-            ins.spec.is_branch
-            or ins.mnemonic in ("jr", "tspawn", "tput", "tjoin")
-            for ins in program.instructions]
-        self.events: list[list[int]] = [[] for _ in range(num_threads)]
-        self.spawned_any = False
-        self._num_threads = num_threads
-
-    def step(self, executor: Executor, thread: ThreadContext,
-             instr: Instruction, steps: int) -> ExecResult:
-        """Execute one instruction, recording its event if it has one."""
-        if not self._interesting[thread.pc]:
-            return executor.execute(instr, thread, steps)
-        m = instr.mnemonic
-        ev = 0
-        outcome = executor.execute(instr, thread, steps)
-        spec = instr.spec
-        if spec.is_branch:
-            ev = 1 if outcome.taken else 0
-        elif m == "tput":
-            ev = thread.read_sreg(instr.rd) % self._num_threads
-        elif m == "jr":
-            ev = outcome.next_pc
-        elif m == "tspawn":
-            ev = -1 if outcome.spawned is None else outcome.spawned
-            if outcome.spawned is not None:
-                self.spawned_any = True
-        elif m == "tjoin":
-            ev = thread.read_sreg(instr.rs) % self._num_threads
-        self.events[thread.tid].append(ev)
-        return outcome
 
 
 @dataclass
@@ -153,8 +86,7 @@ class FunctionalMachine:
         self.threads.allocate(program.entry, start_cycle=0)
 
     def run(self, program: Program | None = None,
-            max_steps: int = 10_000_000,
-            recorder: BlockTraceRecorder | None = None) -> FunctionalResult:
+            max_steps: int = 10_000_000) -> FunctionalResult:
         if program is not None:
             self.load(program)
         assert self.program is not None, "no program loaded"
@@ -189,10 +121,7 @@ class FunctionalMachine:
                         thread.state = ThreadState.JOINING
                         thread.join_target = target.tid
                         continue
-                if recorder is None:
-                    outcome = executor.execute(instr, thread, steps)
-                else:
-                    outcome = recorder.step(executor, thread, instr, steps)
+                outcome = executor.execute(instr, thread, steps)
                 thread.pc = outcome.next_pc
                 if outcome.halt:
                     self.halted = True

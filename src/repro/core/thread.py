@@ -14,10 +14,8 @@ they are the paper's *instruction status table*.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.isa import registers
-from repro.isa.opcodes import OpSpec
 
 
 class ThreadState(enum.Enum):
@@ -27,20 +25,14 @@ class ThreadState(enum.Enum):
     EXITED = "exited"      # transient: texit issued, context about to free
 
 
-@dataclass
-class RegScore:
-    """Scoreboard entry for one in-flight register write."""
-
-    result_cycle: int      # cycle the value first exists on a bypass path
-    writeback_cycle: int   # architectural WB (WAW ordering)
-    producer: OpSpec       # for hazard classification in statistics
+_LIVE_STATES = (ThreadState.RUNNABLE, ThreadState.JOINING)
 
 
 class ThreadContext:
     """One hardware thread: PC, scalar registers, scoreboard, status."""
 
     __slots__ = ("tid", "state", "pc", "sregs", "min_issue", "last_issue",
-                 "join_target", "score", "instructions_issued")
+                 "join_target", "score", "ready", "instructions_issued")
 
     def __init__(self, tid: int) -> None:
         self.tid = tid
@@ -50,9 +42,13 @@ class ThreadContext:
         self.min_issue = 0       # earliest next issue (control bubbles etc.)
         self.last_issue = -1
         self.join_target: int | None = None
-        # Scoreboard: regfile -> {reg index -> RegScore}.
-        self.score: dict[str, dict[int, RegScore]] = {
-            "s": {}, "p": {}, "f": {}}
+        # Scoreboard: register key (repro.core.timing.reg_key) ->
+        # (result cycle, writeback cycle, producer class) of the last
+        # write, kept for hazard detection.
+        self.score: dict[int, tuple[int, int, int]] = {}
+        # The issue loop's cached (ready, cause, base, unit) for the next
+        # instruction, or None once an event may have moved it.
+        self.ready: tuple[int, str | None, int, int] | None = None
         self.instructions_issued = 0
 
     def activate(self, pc: int, start_cycle: int) -> None:
@@ -63,7 +59,8 @@ class ThreadContext:
         self.min_issue = start_cycle
         self.last_issue = start_cycle - 1
         self.join_target = None
-        self.score = {"s": {}, "p": {}, "f": {}}
+        self.score = {}
+        self.ready = None
 
     def read_sreg(self, idx: int) -> int:
         return 0 if idx == registers.ZERO_REG else self.sregs[idx]
@@ -71,20 +68,6 @@ class ThreadContext:
     def write_sreg(self, idx: int, value: int, word_mask: int) -> None:
         if idx != registers.ZERO_REG:
             self.sregs[idx] = value & word_mask
-
-    def note_write(self, regfile: str, idx: int, result_cycle: int,
-                   writeback_cycle: int, producer: OpSpec) -> None:
-        """Record an in-flight write for hazard detection."""
-        self.score[regfile][idx] = RegScore(result_cycle, writeback_cycle,
-                                            producer)
-
-    def prune_score(self, cycle: int) -> None:
-        """Drop entries that can no longer delay any consumer."""
-        for table in self.score.values():
-            dead = [idx for idx, e in table.items()
-                    if e.result_cycle < cycle and e.writeback_cycle < cycle]
-            for idx in dead:
-                del table[idx]
 
 
 class ThreadStatusTable:
@@ -112,8 +95,7 @@ class ThreadStatusTable:
         self.contexts[tid].state = ThreadState.FREE
 
     def live_threads(self) -> list[ThreadContext]:
-        return [c for c in self.contexts
-                if c.state in (ThreadState.RUNNABLE, ThreadState.JOINING)]
+        return [c for c in self.contexts if c.state in _LIVE_STATES]
 
     def runnable_threads(self) -> list[ThreadContext]:
         return [c for c in self.contexts if c.state is ThreadState.RUNNABLE]

@@ -9,8 +9,9 @@ as a sequential unit".
 The PE array operates in lockstep, so each *kind* of sequential unit is a
 single shared resource from the issue logic's point of view: while any
 thread's sequential multiply is in flight, no other multiply may begin.
-:class:`SequentialUnit` tracks the busy window; the scheduler consults
-:meth:`ready_at` before issuing and calls :meth:`occupy` at issue.
+The cycle core keeps one busy-until cycle per kind of unit (see
+:data:`repro.core.timing.UNIT_NAMES`); :class:`SequentialUnit` is the
+same busy-window bookkeeping as a standalone object.
 """
 
 from __future__ import annotations

@@ -194,12 +194,14 @@ class TestThreadStatusTable:
         table.allocate(pc=3, start_cycle=4)
         ctx = table[0]
         ctx.sregs[5] = 99
-        ctx.note_write("s", 5, 10, 11, None)
+        ctx.score[5] = (10, 11, 0)
+        ctx.ready = (12, None, 11, -1)
         table.release(0)
         table.allocate(pc=7, start_cycle=9)
         assert ctx.pc == 7
         assert ctx.sregs[5] == 0
-        assert not ctx.score["s"]
+        assert not ctx.score
+        assert ctx.ready is None
 
     def test_live_and_runnable(self):
         table = ThreadStatusTable(3)
@@ -208,15 +210,6 @@ class TestThreadStatusTable:
         table[1].state = ThreadState.JOINING
         assert len(table.live_threads()) == 2
         assert len(table.runnable_threads()) == 1
-
-    def test_prune_score(self):
-        ctx = ThreadContext(0)
-        ctx.note_write("s", 1, result_cycle=5, writeback_cycle=6,
-                       producer=None)
-        ctx.prune_score(4)
-        assert 1 in ctx.score["s"]
-        ctx.prune_score(7)
-        assert 1 not in ctx.score["s"]
 
     def test_zero_register_reads_zero(self):
         ctx = ThreadContext(0)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import MTMode, ProcessorConfig
+from repro.asm import assemble
+from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.debugger import Debugger, DebuggerError
+from tests.golden import ASM_DIR, VARIANTS, arch_digest
 
 PROGRAM = """
 .text
@@ -156,3 +158,23 @@ work:
         assert db.scalar(2, thread=1) == 7
         final = db.run()
         assert not final.paused
+
+    @pytest.mark.parametrize("variant", ["fine-rot", "coarse-rot", "smt2"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_stepping_matches_uninterrupted_run(self, k, variant):
+        """Each context's cached ready time survives a pause: stepping
+        k instructions at a time to the end gives the same Stats and
+        final state as one uninterrupted run."""
+        cfg = ProcessorConfig(num_pes=16, num_threads=4, **VARIANTS[variant])
+        program = assemble((ASM_DIR / "spawn_pipeline.s").read_text(),
+                           word_width=cfg.word_width)
+        whole = Processor(cfg).run(program)
+        db = Debugger(cfg)
+        db.load(program)
+        pauses = 0
+        while not db.finished:
+            if db.step_instructions(k).paused:
+                pauses += 1
+        assert pauses >= 1
+        assert db.proc.stats == whole.stats
+        assert arch_digest(db.proc) == arch_digest(whole.processor)
