@@ -26,11 +26,7 @@ from repro.isa.instruction import Instruction
 from repro.network import reduction as red
 from repro.pe.alu import _MAX_SHIFT, CMP_OPS, FLAG_OPS, INT_OPS
 from repro.pe.pe_array import PEArray
-from repro.util.bitops import (
-    mask_for_width,
-    to_signed,
-    to_unsigned,
-)
+from repro.util.bitops import mask_for_width, to_unsigned
 
 
 class ExecutionError(RuntimeError):
@@ -157,11 +153,20 @@ _SCALAR_INT = {
     "slli": ("sll", "imm"), "srli": ("srl", "imm"), "srai": ("sra", "imm"),
 }
 
+
+def _signed_order(v: int, w: int) -> int:
+    """Flipping the sign bit maps two's-complement order onto unsigned
+    order: ``to_signed(v, w) + 2**(w-1)``, without the calls."""
+    return (v ^ (1 << (w - 1))) & ((1 << w) - 1)
+
+
+# Branch conditions on w-bit words: beq/bne compare the words unsigned,
+# blt/bge compare them two's-complement.  Hot in every backend.
 _BRANCHES = {
-    "beq": lambda a, b, w: to_unsigned(a, w) == to_unsigned(b, w),
-    "bne": lambda a, b, w: to_unsigned(a, w) != to_unsigned(b, w),
-    "blt": lambda a, b, w: to_signed(a, w) < to_signed(b, w),
-    "bge": lambda a, b, w: to_signed(a, w) >= to_signed(b, w),
+    "beq": lambda a, b, w: not (a - b) & ((1 << w) - 1),
+    "bne": lambda a, b, w: bool((a - b) & ((1 << w) - 1)),
+    "blt": lambda a, b, w: _signed_order(a, w) < _signed_order(b, w),
+    "bge": lambda a, b, w: _signed_order(a, w) >= _signed_order(b, w),
 }
 
 # Parallel mnemonic -> (base op, B-source) where B-source is
