@@ -242,6 +242,27 @@ a:  addi s3, s3, 2
         b = run1(src, branch_policy=BranchPolicy.PREDICT_NOT_TAKEN)
         assert a.scalar(3) == b.scalar(3) == 12
 
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_branch_conditions_match_word_semantics(self, width):
+        """The branch table's closed forms against the bitops reference:
+        beq/bne on unsigned words, blt/bge on two's-complement words."""
+        from repro.core.execute import _BRANCHES
+        from repro.util.bitops import to_signed, to_unsigned
+
+        reference = {
+            "beq": lambda a, b: to_unsigned(a, width) == to_unsigned(b, width),
+            "bne": lambda a, b: to_unsigned(a, width) != to_unsigned(b, width),
+            "blt": lambda a, b: to_signed(a, width) < to_signed(b, width),
+            "bge": lambda a, b: to_signed(a, width) >= to_signed(b, width),
+        }
+        half, span = 1 << (width - 1), 1 << width
+        values = [0, 1, 2, half - 1, half, half + 1, span - 1, span, -1,
+                  -half, 3 * span + 5]
+        for a in values:
+            for b in values:
+                for m, ref in reference.items():
+                    assert _BRANCHES[m](a, b, width) is ref(a, b), (m, a, b)
+
 
 class TestPipelineInvariants:
     def test_single_issue_stage_occupancy_unique(self):
