@@ -30,7 +30,6 @@ from repro.serve import BatchRunner, Dispatcher, Job, ResultCache
 from repro.serve.net import (
     DeficitRoundRobin,
     NetServer,
-    ShardedResultCache,
     deterministic_projection,
 )
 
@@ -78,9 +77,8 @@ def stdio_replies(lines: str) -> bytes:
     from repro.serve import serve_forever
 
     out = io.StringIO()
-    serve_forever(stdin=io.StringIO(lines), stdout=out,
-                  session=Dispatcher(
-                      runner=BatchRunner(cache=ResultCache.disabled())))
+    serve_forever(Dispatcher(runner=BatchRunner(cache=ResultCache.disabled())),
+                  stdin=io.StringIO(lines), stdout=out)
     return out.getvalue().encode()
 
 
@@ -226,7 +224,7 @@ def test_serve_load(once, tmp_path):
             f"{serial.elapsed_s:.3f}s, parallel {parallel.elapsed_s:.3f}s"
 
     # --- load: concurrent multi-tenant TCP against a sharded cache --
-    cache = ShardedResultCache(cache_dir=tmp_path / "shards", shards=4)
+    cache = ResultCache(cache_dir=tmp_path / "shards", shards=4)
     dispatcher = Dispatcher(runner=BatchRunner(cache=cache))
     elapsed, served, metrics_text = run_tcp_load(dispatcher)
     answered = sum(served.values())

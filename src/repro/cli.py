@@ -64,6 +64,31 @@ from repro.isa.opcodes import OPCODES
 from repro.util.tables import format_table
 
 
+class _InputFileError(Exception):
+    """An input file could not be read or parsed; :func:`main` exits 1."""
+
+
+def _read_input(command: str, path, parse_json: bool = False):
+    """The text of ``path`` (parsed as JSON with ``parse_json``).
+
+    Failures raise :class:`_InputFileError` with a one-line diagnostic.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _InputFileError(
+            f"{command}: cannot read {path}: {reason}") from exc
+    if not parse_json:
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _InputFileError(
+            f"{command}: {path} is not valid JSON: {exc}") from exc
+
+
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pes", type=int, default=16,
                         help="number of processing elements (default 16)")
@@ -105,7 +130,7 @@ def _config_from_args(args: argparse.Namespace) -> ProcessorConfig:
 
 
 def cmd_asm(args: argparse.Namespace) -> int:
-    source = open(args.file).read()
+    source = _read_input("asm", args.file)
     try:
         program = assemble(source, word_width=args.width)
     except AsmError as exc:
@@ -126,7 +151,8 @@ def cmd_asm(args: argparse.Namespace) -> int:
 
 def cmd_disasm(args: argparse.Namespace) -> int:
     words = []
-    for lineno, line in enumerate(open(args.file), start=1):
+    text = _read_input("disasm", args.file)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#")[0].strip()
         if not line:
             continue
@@ -160,7 +186,7 @@ def _load_lmem_args(proc: Processor, args: argparse.Namespace,
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    source = open(args.file).read()
+    source = _read_input("run", args.file)
     try:
         program = assemble(source, word_width=cfg.word_width)
     except AsmError as exc:
@@ -249,7 +275,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import CycleProfiler, render_report, write_trace
 
     cfg = _config_from_args(args)
-    source = open(args.file).read()
+    source = _read_input("profile", args.file)
     try:
         program = assemble(source, word_width=cfg.word_width)
     except AsmError as exc:
@@ -358,7 +384,7 @@ def _collect_targets(args: argparse.Namespace, cfg: ProcessorConfig,
     """Assemble the (file and/or --kernels) targets for lint/verify.
 
     Returns None after printing a diagnostic when any input cannot be
-    read or assembled — callers translate that into exit code 1.
+    assembled — callers translate that into exit code 1.
     """
     targets: list[tuple[str, object, ProcessorConfig]] = []
     if args.kernels:
@@ -378,12 +404,7 @@ def _collect_targets(args: argparse.Namespace, cfg: ProcessorConfig,
             targets.append((kern.name, program, kcfg))
     if args.files:
         for path in args.files:
-            try:
-                source = open(path).read()
-            except OSError as exc:
-                print(f"{command}: cannot read {path}: {exc.strerror}",
-                      file=sys.stderr)
-                return None
+            source = _read_input(command, path)
             try:
                 program = assemble(source, word_width=cfg.word_width)
             except AsmError as exc:
@@ -494,12 +515,14 @@ def _build_cache(args: argparse.Namespace):
     from repro.obs import DEFAULT_REGISTRY
     from repro.serve.cache import ResultCache, default_cache_dir
 
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return ResultCache.disabled()
     cache_dir = args.cache_dir or default_cache_dir()
     # CLI entry points publish into the process-wide registry so one
     # snapshot (`serve` stats reply) covers every layer.
-    return ResultCache(cache_dir=cache_dir, registry=DEFAULT_REGISTRY)
+    return ResultCache(cache_dir=cache_dir,
+                       shards=getattr(args, "shards", 1),
+                       registry=DEFAULT_REGISTRY)
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -509,14 +532,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     from repro.serve.jobs import JobError, jobs_from_json
 
     path = pathlib.Path(args.jobs_file)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        print(f"batch: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"batch: {path} is not valid JSON: {exc}", file=sys.stderr)
-        return 1
+    payload = _read_input("batch", path, parse_json=True)
     try:
         jobs = jobs_from_json(payload, base_dir=path.parent)
     except JobError as exc:
@@ -547,21 +563,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_dse(args: argparse.Namespace) -> int:
-    import pathlib
-
     from repro.dse import DseRunner, DseSpecError, SweepSpec
     from repro.obs import DEFAULT_REGISTRY
     from repro.serve.batch import BatchRunner
+    from repro.serve.jobs import JobError
 
-    path = pathlib.Path(args.spec_file)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        print(f"dse: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"dse: {path} is not valid JSON: {exc}", file=sys.stderr)
-        return 1
+    payload = _read_input("dse", args.spec_file, parse_json=True)
     try:
         spec = SweepSpec.from_json(payload)
     except DseSpecError as exc:
@@ -571,7 +578,11 @@ def cmd_dse(args: argparse.Namespace) -> int:
         BatchRunner(cache=_build_cache(args), jobs=args.jobs,
                     registry=DEFAULT_REGISTRY, deadline_s=args.deadline),
         registry=DEFAULT_REGISTRY)
-    report = runner.sweep(spec)
+    try:
+        report = runner.sweep(spec)
+    except JobError as exc:
+        print(f"dse: {exc}", file=sys.stderr)
+        return 1
     # The JSON payload is deterministic (byte-identical across re-runs
     # of the same spec); operational counters go to --ops-json/stderr.
     text = (json.dumps(report.to_json(), indent=2, sort_keys=True)
@@ -593,20 +604,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
               f"{', '.join(errored)}", file=sys.stderr)
         return 2
     return 0
-
-
-def _build_serve_cache(args: argparse.Namespace):
-    shards = getattr(args, "shards", 1) or 1
-    if shards > 1:
-        from repro.obs import DEFAULT_REGISTRY
-        from repro.serve.cache import default_cache_dir
-        from repro.serve.net.shards import ShardedResultCache
-
-        cache_dir = (None if getattr(args, "no_cache", False)
-                     else (args.cache_dir or default_cache_dir()))
-        return ShardedResultCache(cache_dir=cache_dir, shards=shards,
-                                  registry=DEFAULT_REGISTRY)
-    return _build_cache(args)
 
 
 def _build_governor(args: argparse.Namespace):
@@ -633,6 +630,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.dispatch import Dispatcher
     from repro.serve.service import serve_forever
 
+    if args.shards < 1:
+        print("serve: --shards must be >= 1", file=sys.stderr)
+        return 1
     try:
         governor = _build_governor(args)
     except ValueError as exc:
@@ -648,7 +648,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"serve: cannot open request log "
                   f"{args.request_log}: {exc}", file=sys.stderr)
             return 1
-    runner = BatchRunner(cache=_build_serve_cache(args), jobs=args.jobs,
+    runner = BatchRunner(cache=_build_cache(args), jobs=args.jobs,
                          registry=DEFAULT_REGISTRY,
                          deadline_s=args.deadline)
     session = Dispatcher(runner=runner, max_pending=args.max_pending,
@@ -677,7 +677,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return asyncio.run(serve_net(
                 session, host=host, port=port,
                 drr_quantum=args.drr_quantum, ready=_ready))
-        return serve_forever(session=session, handle_signals=True)
+        return serve_forever(session, handle_signals=True)
     finally:
         if request_log is not None:
             request_log.close()
@@ -984,9 +984,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "GET /healthz) instead of stdio; port 0 "
                               "picks a free port, printed to stderr")
     p_serve.add_argument("--shards", type=int, default=1,
-                         help="split the result cache into N rendezvous-"
-                              "hashed partitions, each with its own LRU, "
-                              "disk dir, and circuit breaker (default 1)")
+                         help="split the disk cache into N rendezvous-"
+                              "hashed directories, each with its own "
+                              "circuit breaker (default 1)")
     p_serve.add_argument("--request-log", default=None, metavar="PATH",
                          help="append every request/reply to this JSONL "
                               "journal (replayable with 'repro replay')")
@@ -1068,6 +1068,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _InputFileError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except BrokenPipeError:   # e.g. `repro isa | head`
         return 0
 

@@ -523,6 +523,8 @@ def knn_search(num_pes: int, k: int = 4, query: int | None = None,
     are extracted by the canonical associative loop: rminu → pceqs →
     rfirst → rget → retire.  Distances land in scalar memory.
     """
+    if num_pes < k:
+        raise ValueError(f"need at least k={k} PEs, got {num_pes}")
     points = wl.random_field(num_pes, width, seed=seed, low=0, high=2000)
     if query is None:
         query = int(points[0]) + 3

@@ -16,7 +16,12 @@ memory-only under I/O storms, and a deterministic chaos harness
 """
 
 from repro.serve.batch import BatchReport, BatchRunner, JobResult
-from repro.serve.cache import CacheStats, ResultCache, default_cache_dir
+from repro.serve.cache import (
+    CacheStats,
+    ResultCache,
+    default_cache_dir,
+    rendezvous_shard,
+)
 from repro.serve.chaos import (
     ChaosError,
     ChaosKind,
@@ -30,9 +35,12 @@ from repro.serve.chaos import (
 from repro.serve.dispatch import (
     DEFAULT_TENANT,
     DETERMINISTIC_OPS,
+    SHED_OLDEST,
+    SHED_REFUSE,
     Dispatcher,
     LineAssembler,
     SloTracker,
+    canonical_reply,
 )
 from repro.serve.identity import (
     CACHE_SCHEMA_VERSION,
@@ -70,12 +78,7 @@ from repro.serve.resilience import (
     Quarantine,
     deadline,
 )
-from repro.serve.service import (
-    SHED_OLDEST,
-    SHED_REFUSE,
-    ServeSession,
-    serve_forever,
-)
+from repro.serve.service import serve_forever
 from repro.serve.snapshot import (
     CorruptSnapshot,
     ResultSnapshot,
@@ -91,6 +94,7 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "default_cache_dir",
+    "rendezvous_shard",
     "ChaosError",
     "ChaosKind",
     "ChaosPlane",
@@ -104,6 +108,7 @@ __all__ = [
     "Dispatcher",
     "LineAssembler",
     "SloTracker",
+    "canonical_reply",
     "CACHE_SCHEMA_VERSION",
     "canonical_json",
     "config_fingerprint",
@@ -134,7 +139,6 @@ __all__ = [
     "deadline",
     "SHED_OLDEST",
     "SHED_REFUSE",
-    "ServeSession",
     "serve_forever",
     "CorruptSnapshot",
     "ResultSnapshot",

@@ -244,7 +244,7 @@ class BatchRunner:
         report.cache_stats = self.cache.stats.to_json()
         report.resilience = {
             "quarantine": self.quarantine.to_json(),
-            "breaker": self.cache.breaker.to_json(),
+            "breaker": self.cache.breaker_json(),
         }
         self._batches.inc()
         for result in report.results:

@@ -2,9 +2,10 @@
 
 Tier 1 is an in-process LRU of :class:`~repro.serve.snapshot.ResultSnapshot`
 objects; tier 2 is an on-disk store of checksummed snapshot envelopes
-laid out by key prefix::
+laid out by key prefix, optionally split across ``shards`` directories::
 
-    <cache_dir>/<key[:2]>/<key>.pkl
+    <cache_dir>/<key[:2]>/<key>.pkl                  (one shard)
+    <cache_dir>/shard-NN/<key[:2]>/<key>.pkl         (N shards)
 
 Keys are :func:`~repro.serve.identity.job_key` digests, so the store is
 content-addressed and self-invalidating: anything that changes the
@@ -22,12 +23,17 @@ Robustness rules:
 * disk reads tolerate corruption — a damaged entry is counted, deleted
   best-effort, and reported as a miss, which makes the cache strictly an
   optimization: the caller recomputes and overwrites;
-* the disk tier sits behind a :class:`~repro.serve.resilience.
-  CircuitBreaker`: an I/O-error/corruption storm trips it open and the
-  cache degrades to memory-only (skipped operations are counted as
-  ``disk_skips``), probing its way back closed once the storm passes;
-* all traffic is counted in :class:`CacheStats` so batch reports can
+* each disk shard sits behind its own :class:`~repro.serve.resilience.
+  CircuitBreaker`: an I/O-error/corruption storm trips that shard open
+  and its keys degrade to memory-only (skipped operations are counted
+  as ``disk_skips``), probing their way back closed once the storm
+  passes, while the other shards keep their disk tier;
+* all traffic is counted in one :class:`CacheStats` so batch reports can
   show exactly where results came from.
+
+Keys are placed on shards by **rendezvous hashing**
+(:func:`rendezvous_shard`): stable across restarts, and changing the
+shard count moves only the ~``1/N`` of keys whose owner changed.
 
 The default store location is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
 pass ``cache_dir=None`` for a memory-only cache (used by tests and the
@@ -39,6 +45,7 @@ inject torn writes and fsync failures; the hook sits behind an
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pathlib
 import tempfile
@@ -46,7 +53,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.serve.chaos import ChaosKind
-from repro.serve.resilience import BREAKER_CLOSED, CircuitBreaker
+from repro.serve.resilience import (
+    BREAKER_CLOSED,
+    BREAKER_HALF_OPEN,
+    BREAKER_OPEN,
+    CircuitBreaker,
+)
 from repro.serve.snapshot import (
     CorruptSnapshot,
     ResultSnapshot,
@@ -61,6 +73,24 @@ def default_cache_dir() -> pathlib.Path:
     if env:
         return pathlib.Path(env)
     return pathlib.Path.home() / ".cache" / "repro"
+
+
+def rendezvous_shard(key: str, shards: int) -> int:
+    """Highest-random-weight owner of ``key`` among ``shards`` buckets."""
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    if shards == 1:
+        return 0
+    best, best_weight = 0, b""
+    for i in range(shards):
+        weight = hashlib.sha256(f"{i}|{key}".encode()).digest()
+        if weight > best_weight:
+            best, best_weight = i, weight
+    return best
+
+
+# Breaker states in escalation order (the worst shard names the cache's).
+_SEVERITY = (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN)
 
 
 @dataclass
@@ -119,23 +149,31 @@ class CacheStats:
 
 
 class ResultCache:
-    """In-memory LRU over an optional on-disk content-addressed store."""
+    """In-memory LRU over an optional on-disk content-addressed store.
+
+    ``shards`` splits the disk tier into that many directories, each
+    behind its own breaker (``cache_disk``, or ``cache_disk_s00`` ...).
+    """
 
     def __init__(self, cache_dir: pathlib.Path | str | None = None,
-                 mem_entries: int = 256, registry=None,
-                 breaker: CircuitBreaker | None = None,
+                 mem_entries: int = 256, shards: int = 1, registry=None,
                  chaos=None) -> None:
         if mem_entries < 1:
             raise ValueError("mem_entries must be >= 1")
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
         self.cache_dir = (pathlib.Path(cache_dir)
                           if cache_dir is not None else None)
         self.mem_entries = mem_entries
         self.stats = CacheStats()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.breakers = [CircuitBreaker(name="cache_disk" if shards == 1
+                                        else f"cache_disk_s{i:02d}")
+                         for i in range(shards)]
         self.chaos = chaos
         if registry is not None:
             self.stats.bind(registry)
-            self.breaker.bind(registry)
+            for breaker in self.breakers:
+                breaker.bind(registry)
         self._mem: OrderedDict[str, ResultSnapshot] = OrderedDict()
 
     @classmethod
@@ -145,20 +183,31 @@ class ResultCache:
 
     @property
     def degraded(self) -> bool:
-        """True while the disk tier is tripped out (memory-only mode)."""
+        """True while any disk shard is tripped out (memory-only mode)."""
         return (self.cache_dir is not None
-                and self.breaker.state != BREAKER_CLOSED)
+                and any(b.state != BREAKER_CLOSED for b in self.breakers))
+
+    def breaker_json(self) -> dict:
+        """Worst shard state, total opens, and every shard's breaker."""
+        return {"state": max((b.state for b in self.breakers),
+                             key=_SEVERITY.index),
+                "opens": sum(b.opens for b in self.breakers),
+                "shards": [b.to_json() for b in self.breakers]}
 
     def health(self) -> dict:
         """Operational state for the service ``health`` surface."""
         return {"disk_tier": self.cache_dir is not None,
                 "degraded": self.degraded,
-                "breaker": self.breaker.to_json(),
+                "breaker": self.breaker_json(),
                 "stats": self.stats.to_json()}
 
-    def _path(self, key: str) -> pathlib.Path:
+    def _route(self, key: str) -> tuple[pathlib.Path, CircuitBreaker]:
+        """The disk path and breaker of ``key``'s shard."""
         assert self.cache_dir is not None
-        return self.cache_dir / key[:2] / f"{key}.pkl"
+        shard = rendezvous_shard(key, len(self.breakers))
+        directory = (self.cache_dir if len(self.breakers) == 1
+                     else self.cache_dir / f"shard-{shard:02d}")
+        return directory / key[:2] / f"{key}.pkl", self.breakers[shard]
 
     # -- lookups -------------------------------------------------------------
 
@@ -178,8 +227,9 @@ class ResultCache:
             self.stats.bump("mem_hits")
             return hit, "memory"
         if self.cache_dir is not None:
-            if self.breaker.allow():
-                snap = self._read_disk(key)
+            path, breaker = self._route(key)
+            if breaker.allow():
+                snap = self._read_disk(path, breaker)
                 if snap is not None:
                     self.stats.bump("disk_hits")
                     self._remember(key, snap)
@@ -189,18 +239,18 @@ class ResultCache:
         self.stats.bump("misses")
         return None, "miss"
 
-    def _read_disk(self, key: str) -> ResultSnapshot | None:
+    def _read_disk(self, path: pathlib.Path,
+                   breaker: CircuitBreaker) -> ResultSnapshot | None:
         """One breaker-admitted disk read; reports its outcome."""
-        path = self._path(key)
         try:
             if not path.exists():
-                self.breaker.ok()
+                breaker.ok()
                 return None
             snap = unpack_snapshot(path.read_bytes())
         except CorruptSnapshot:
             # Torn/garbage/foreign entry: drop it and recompute.
             self.stats.bump("corrupt_entries")
-            self.breaker.fail()
+            breaker.fail()
             try:
                 path.unlink()
             except OSError:
@@ -208,9 +258,9 @@ class ResultCache:
             return None
         except OSError:
             self.stats.bump("disk_errors")
-            self.breaker.fail()
+            breaker.fail()
             return None
-        self.breaker.ok()
+        breaker.ok()
         return snap
 
     # -- stores --------------------------------------------------------------
@@ -219,8 +269,9 @@ class ResultCache:
         """Store a snapshot under ``key`` in both tiers."""
         self._remember(key, snap)
         if self.cache_dir is not None:
-            if self.breaker.allow():
-                self._write_disk(key, snap)
+            path, breaker = self._route(key)
+            if breaker.allow():
+                self._write_disk(path, breaker, snap)
             else:
                 self.stats.bump("disk_skips")
         self.stats.bump("stores")
@@ -232,9 +283,9 @@ class ResultCache:
             self._mem.popitem(last=False)
             self.stats.bump("evictions")
 
-    def _write_disk(self, key: str, snap: ResultSnapshot) -> None:
+    def _write_disk(self, path: pathlib.Path, breaker: CircuitBreaker,
+                    snap: ResultSnapshot) -> None:
         """One breaker-admitted disk write; reports its outcome."""
-        path = self._path(key)
         blob = pack_snapshot(snap)
         action = (self.chaos.next_write_action()
                   if self.chaos is not None else None)
@@ -262,9 +313,9 @@ class ResultCache:
             # Disk tier is best-effort: a failed publish must not fail
             # the batch, the result is still returned from memory.
             self.stats.bump("disk_errors")
-            self.breaker.fail()
+            breaker.fail()
             return
-        self.breaker.ok()
+        breaker.ok()
 
     # -- maintenance ---------------------------------------------------------
 

@@ -427,7 +427,7 @@ def run_chaos_campaign(jobs_count: int = 100, seed: int = 0,
         "cache_corrupt_entries":
             chaotic_runner.cache.stats.corrupt_entries,
         "cache_disk_errors": chaotic_runner.cache.stats.disk_errors,
-        "breaker_opens": chaotic_runner.cache.breaker.opens,
+        "breaker_opens": chaotic_runner.cache.breaker_json()["opens"],
         "quarantine": chaotic_runner.quarantine.to_json(),
     }
     return report

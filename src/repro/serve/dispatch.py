@@ -5,16 +5,19 @@ JSON request protocol — op routing, per-line hardening, load shedding,
 tenant quotas, SLO accounting, and the append-only request log — and
 exposes exactly one entry point, :meth:`Dispatcher.handle_line`.  The
 stdio loop (``repro.serve.service``) and the asyncio network front end
-(``repro.serve.net``) both feed lines through this same code path, which
-is what makes the transport-parity guarantee testable: a given request
-line produces byte-identical reply JSON no matter how it arrived.
+(``repro.serve.net``) both frame bytes into lines with the same
+:class:`LineAssembler`, feed them through this same code path, and
+encode replies with the same :func:`canonical_reply`, which is what
+makes the transport-parity guarantee testable: a given request line
+produces byte-identical reply JSON no matter how it arrived.
 
 The hardening contract (one bad client line costs one error reply,
 never the process) lives here:
 
-* oversized lines are refused before parsing (:meth:`oversized_reply` is
-  public so a streaming transport can refuse a too-long line it chose
-  not to buffer — it only needs the length);
+* oversized lines are refused before parsing, measured in UTF-8 bytes
+  (:meth:`oversized_reply` is public so a streaming transport can
+  refuse a too-long line it chose not to buffer — it only needs the
+  length);
 * malformed JSON, non-object payloads, and internal dispatch bugs all
   become error replies;
 * past ``max_pending`` the shed policy decides (refuse the batch, or
@@ -24,7 +27,7 @@ never the process) lives here:
 
 :class:`LineAssembler` is the matching transport helper: an incremental
 byte-stream → line splitter that counts (rather than buffers) oversized
-lines, shared by the TCP reader and the signal-aware stdio drain loop.
+lines, shared by the TCP reader and the stdio loop.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.serve.jobs import JobError, jobs_from_json
 #: Refuse batches larger than this many jobs (queue bound).
 DEFAULT_MAX_PENDING = 256
 
-#: Refuse request lines longer than this many characters: a malformed
+#: Refuse request lines longer than this many UTF-8 bytes: a malformed
 #: client (or a binary stream pointed at the socket) must cost one error
 #: reply, not an unbounded json.loads.
 DEFAULT_MAX_LINE_BYTES = 1 << 20
@@ -64,6 +67,11 @@ DETERMINISTIC_OPS = ("batch", "dse", "ping", "run")
 SLO_WINDOW = 4096
 
 
+def canonical_reply(reply: dict) -> str:
+    """The exact text every transport writes for ``reply`` (sans newline)."""
+    return json.dumps(reply, sort_keys=True)
+
+
 def _job_name(obj) -> str:
     """Best-effort display name for a job object we will not run."""
     if isinstance(obj, dict):
@@ -77,9 +85,9 @@ class LineAssembler:
     """Incremental newline framing with oversized-line *counting*.
 
     Feed raw byte chunks in; complete lines come out as
-    ``(text, length)`` pairs where ``length`` counts characters
-    including the newline (matching ``for line in stdin`` framing).  A
-    line longer than ``max_line_bytes`` is emitted as ``(None, length)``
+    ``(text, length)`` pairs where ``length`` counts bytes including the
+    newline.  A line longer than ``max_line_bytes`` is emitted as
+    ``(None, length)``
     — its bytes are discarded as they stream past, so a hostile client
     paying one error reply cannot also cost unbounded memory.
     """
@@ -233,11 +241,11 @@ class Dispatcher:
     # -- request handling -----------------------------------------------------
 
     def oversized_reply(self, length: int) -> dict:
-        """The error reply for a line of ``length`` chars (> the bound).
+        """The error reply for a line of ``length`` bytes (> the bound).
 
         Public so streaming transports that count-and-discard oversized
-        lines (:class:`LineAssembler`) produce byte-identical replies to
-        the buffered stdio path.
+        lines (:class:`LineAssembler`) give the same reply
+        :meth:`handle_line` gives a direct caller.
         """
         self.requests += 1
         self._line_errors.inc(reason="oversized")
@@ -252,8 +260,9 @@ class Dispatcher:
         payloads, and internal dispatch failures all become error
         replies, so one bad client line can never kill the service.
         """
-        if len(line) > self.max_line_bytes:
-            return self.oversized_reply(len(line))
+        size = len(line.encode("utf-8", "surrogatepass"))
+        if size > self.max_line_bytes:
+            return self.oversized_reply(size)
         line = line.strip()
         if not line:
             return None
@@ -310,11 +319,13 @@ class Dispatcher:
         if op == "ping":
             return {"ok": True, "pong": True}
         if op == "stats":
+            cache = self.runner.cache
             return {"ok": True, "requests": self.requests,
-                    "cache": self.runner.cache.stats.to_json(),
+                    "cache": cache.stats.to_json(),
+                    "shards": [{"shard": i, "breaker": b.state}
+                               for i, b in enumerate(cache.breakers)],
                     "metrics": self.registry.snapshot(),
-                    "slo": self.slo_json(),
-                    **self._shard_section()}
+                    "slo": self.slo_json()}
         if op == "health":
             return {"ok": True, "health": self.health()}
         if op == "shutdown":
@@ -334,10 +345,6 @@ class Dispatcher:
         if op == "dse":
             return self._run_sweep(request.get("spec"), tenant=tenant)
         return {"ok": False, "error": f"unknown op {op!r}"}
-
-    def _shard_section(self) -> dict:
-        breakdown = getattr(self.runner.cache, "shard_breakdown", None)
-        return {"shards": breakdown()} if callable(breakdown) else {}
 
     def slo_json(self) -> dict:
         """Latency percentiles + warm-traffic summary for ``stats``."""
@@ -375,16 +382,24 @@ class Dispatcher:
         if self.request_log is not None:
             self.request_log.flush()
 
+    def _over_quota(self, tenant: str, njobs: int) -> dict | None:
+        """The refusal for ``njobs`` more jobs from ``tenant``, if any."""
+        if self.governor is None:
+            return None
+        retry_after = self.governor.admit(tenant, njobs)
+        if retry_after <= 0:
+            return None
+        self._tenant_rejected.inc(tenant=tenant, reason="quota")
+        return {"ok": False,
+                "error": f"quota exceeded for tenant {tenant!r}",
+                "tenant": tenant,
+                "retry_after_s": round(retry_after, 3)}
+
     def _run_jobs(self, raw_jobs: list, single: bool,
                   tenant: str = DEFAULT_TENANT) -> dict:
-        if self.governor is not None:
-            retry_after = self.governor.admit(tenant, len(raw_jobs))
-            if retry_after > 0:
-                self._tenant_rejected.inc(tenant=tenant, reason="quota")
-                return {"ok": False,
-                        "error": f"quota exceeded for tenant {tenant!r}",
-                        "tenant": tenant,
-                        "retry_after_s": round(retry_after, 3)}
+        refusal = self._over_quota(tenant, len(raw_jobs))
+        if refusal is not None:
+            return refusal
         shed_replies: list[dict] = []
         if len(raw_jobs) > self.max_pending:
             if single or self.shed == SHED_REFUSE:
@@ -445,21 +460,19 @@ class Dispatcher:
         except DseSpecError as exc:
             return {"ok": False, "error": str(exc)}
         njobs = spec.num_points() * len(spec.kernels)
-        if self.governor is not None:
-            retry_after = self.governor.admit(tenant, njobs)
-            if retry_after > 0:
-                self._tenant_rejected.inc(tenant=tenant, reason="quota")
-                return {"ok": False,
-                        "error": f"quota exceeded for tenant {tenant!r}",
-                        "tenant": tenant,
-                        "retry_after_s": round(retry_after, 3)}
+        refusal = self._over_quota(tenant, njobs)
+        if refusal is not None:
+            return refusal
         if njobs > self.max_pending:
             self._tenant_rejected.inc(tenant=tenant, reason="overload")
             return {"ok": False, "error": "overloaded",
                     "max_pending": self.max_pending, "requested": njobs}
         if self._dse is None:
             self._dse = DseRunner(self.runner, registry=self.registry)
-        report = self._dse.sweep(spec)
+        try:
+            report = self._dse.sweep(spec)
+        except JobError as exc:
+            return {"ok": False, "error": str(exc)}
         self._tenant_jobs.inc(njobs, tenant=tenant)
         return {"ok": report.ok, "sweep": report.to_json()}
 
@@ -475,4 +488,5 @@ __all__ = [
     "SHED_POLICIES",
     "SHED_REFUSE",
     "SloTracker",
+    "canonical_reply",
 ]

@@ -1,31 +1,31 @@
 """Deterministic job identity: canonical content hashes for simulations.
 
-A simulation is a pure function of ``(assembled Program, ProcessorConfig,
-PE local-memory image, optional FaultSpec, cycle limit)`` — the simulator
-draws no randomness and reads no ambient state.  That purity is what
-makes result caching sound: two jobs with the same :func:`job_key` are
-*the same computation* and must produce bit-identical results.
+A simulation is a pure function of its
+:class:`~repro.serve.jobs.PreparedJob` — the assembled program, the
+config, the local-memory image, the fault, the cycle limit and the run
+flags; the simulator draws no randomness and reads no ambient state.
+That purity is what makes result caching sound: two jobs with the same
+:func:`job_key` are *the same computation* and must produce
+bit-identical results.
 
-The key is a SHA-256 over a canonical JSON payload:
+The key is a SHA-256 over a canonical JSON payload holding every
+``PreparedJob`` field except ``name`` and ``key`` (display name and the
+key itself), plus :data:`CACHE_SCHEMA_VERSION`.  Four fields go through
+a fingerprint first:
 
-* the program's encoded machine words, ``.data`` image and entry point
-  (exactly the bits the hardware would see — symbols and source maps are
-  debug metadata and deliberately excluded);
-* every :class:`~repro.core.config.ProcessorConfig` field, with enums
-  flattened to their values;
-* the local-memory columns, sorted by column index;
-* the fault spec (minus its display label), if any;
-* the effective cycle limit (it changes where ``SimTimeout`` fires);
-* whether the race sanitizer is attached (it adds a ``races`` section
-  to the snapshot, so sanitized and unsanitized runs are distinct
-  cached artifacts even though the architectural outcome matches);
-* whether the job demands a validated schedule (``verify``): the pool
-  then runs the translation-validated scheduler output, a different
-  instruction order with a different cycle count, and the snapshot
-  gains a ``verify`` section;
-* :data:`CACHE_SCHEMA_VERSION`, so bumping the snapshot schema retires
-  every previously cached entry at the key level — stale entries are
-  simply never addressed again.
+* ``program`` — the encoded machine words, ``.data`` image and entry
+  point (exactly the bits the hardware would see; symbols and source
+  maps are debug metadata and deliberately excluded);
+* ``config`` — every :class:`~repro.core.config.ProcessorConfig` field,
+  with enums flattened to their values;
+* ``lmem`` — the local-memory columns, sorted by column index;
+* ``fault`` — the fault spec minus its display label.
+
+Every other field (``max_cycles``, ``sanitize``, ``profile``,
+``verify``, ``backend``) hashes as it is, so a field added to
+``PreparedJob`` enters the key without an edit here.  The schema version
+retires every previously cached entry at the key level when bumped —
+stale entries are simply never addressed again.
 """
 
 from __future__ import annotations
@@ -34,10 +34,14 @@ import dataclasses
 import enum
 import hashlib
 import json
+from typing import TYPE_CHECKING
 
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
 from repro.faults.spec import FaultSpec
+
+if TYPE_CHECKING:
+    from repro.serve.jobs import PreparedJob
 
 # Bump when the snapshot layout or simulator-visible semantics change in
 # a way that makes old cached results unusable.
@@ -98,27 +102,27 @@ def fault_fingerprint(fault: FaultSpec | None) -> dict | None:
     return payload
 
 
-def job_key(program: Program, cfg: ProcessorConfig,
-            lmem: dict | None = None,
-            fault: FaultSpec | None = None,
-            max_cycles: int | None = None,
-            sanitize: bool = False,
-            profile: bool = False,
-            verify: bool = False,
-            backend: str = "cycle",
+#: Fields that hash through a fingerprint; the rest hash as they are.
+_FINGERPRINTS = {
+    "program": program_fingerprint,
+    "config": config_fingerprint,
+    "lmem": lmem_fingerprint,
+    "fault": fault_fingerprint,
+}
+
+#: ``PreparedJob`` fields that do not identify the computation.
+_NOT_IDENTITY = ("name", "key")
+
+
+def job_key(prepared: PreparedJob,
             schema_version: int = CACHE_SCHEMA_VERSION) -> str:
     """Content hash identifying one simulation. Equal key == same result."""
-    payload = {
-        "schema": schema_version,
-        "program": program_fingerprint(program),
-        "config": config_fingerprint(cfg),
-        "lmem": lmem_fingerprint(lmem),
-        "fault": fault_fingerprint(fault),
-        "max_cycles": max_cycles,
-        "sanitize": bool(sanitize),
-        "profile": bool(profile),
-        "verify": bool(verify),
-        "backend": str(backend),
-    }
+    payload = {"schema": schema_version}
+    for f in dataclasses.fields(prepared):
+        if f.name in _NOT_IDENTITY:
+            continue
+        value = getattr(prepared, f.name)
+        fingerprint = _FINGERPRINTS.get(f.name)
+        payload[f.name] = fingerprint(value) if fingerprint else value
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
     return digest.hexdigest()

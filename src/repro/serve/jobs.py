@@ -99,7 +99,11 @@ def config_from_json(spec: dict | None) -> ProcessorConfig:
 
 @dataclass
 class PreparedJob:
-    """A job resolved to the exact computation the pool executes."""
+    """A job resolved to the exact computation the pool executes.
+
+    :func:`~repro.serve.identity.job_key` hashes every field but ``name``
+    and ``key``.
+    """
 
     name: str
     key: str
@@ -219,6 +223,10 @@ class Job:
                 raise JobError(
                     f"job {self.name!r}: bad kernel_args for "
                     f"{self.kernel!r}: {exc}") from exc
+            except ValueError as exc:
+                raise JobError(
+                    f"job {self.name!r}: cannot build kernel "
+                    f"{self.kernel!r} at {cfg.num_pes} PEs: {exc}") from exc
             cfg = dataclasses.replace(cfg, word_width=kern.word_width)
             source = kern.source
             for col, values in kern.lmem.items():
@@ -230,15 +238,13 @@ class Job:
         except Exception as exc:
             raise JobError(f"job {self.name!r}: assembly failed: {exc}") \
                 from exc
-        key = job_key(program, cfg, lmem=lmem, fault=self.fault,
-                      max_cycles=self.max_cycles, sanitize=self.sanitize,
-                      profile=self.profile, verify=self.verify,
-                      backend=self.backend)
-        return PreparedJob(name=self.name, key=key, program=program,
-                           config=cfg, lmem=lmem,
-                           max_cycles=self.max_cycles, fault=self.fault,
-                           sanitize=self.sanitize, profile=self.profile,
-                           verify=self.verify, backend=self.backend)
+        prepared = PreparedJob(
+            name=self.name, key="", program=program, config=cfg, lmem=lmem,
+            max_cycles=self.max_cycles, fault=self.fault,
+            sanitize=self.sanitize, profile=self.profile, verify=self.verify,
+            backend=self.backend)
+        prepared.key = job_key(prepared)
+        return prepared
 
 
 def jobs_from_json(payload, base_dir=None) -> list[Job]:

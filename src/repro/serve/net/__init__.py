@@ -10,9 +10,6 @@ Pieces (each its own module, composable without the server):
 
 * :mod:`~repro.serve.net.tenancy` — token-bucket quotas + deficit-
   round-robin fair queueing (the no-starvation guarantee);
-* :mod:`~repro.serve.net.shards` — the result cache split across N
-  rendezvous-hashed partitions, each with its own LRU, disk directory,
-  and circuit breaker;
 * :mod:`~repro.serve.net.reqlog` — append-only request journal +
   ``repro replay`` byte-identity oracle;
 * :mod:`~repro.serve.net.http11` — minimal HTTP/1.1 framing for the
@@ -20,7 +17,9 @@ Pieces (each its own module, composable without the server):
 * :mod:`~repro.serve.net.server` — the :class:`NetServer` event loop
   tying them together (protocol sniffing, pipelining, graceful drain).
 
-See docs/SERVE.md ("Network serving", "Tenancy & fairness").
+The sharded result cache behind ``repro serve --shards N`` is the one
+:class:`~repro.serve.cache.ResultCache` with ``shards=N``.  See
+docs/SERVE.md ("Network serving", "Tenancy & fairness").
 """
 
 from repro.serve.net.http11 import (
@@ -34,13 +33,11 @@ from repro.serve.net.reqlog import (
     ReplayMismatch,
     ReplayReport,
     RequestLog,
-    canonical_reply,
     deterministic_projection,
     read_log,
     replay_log,
 )
 from repro.serve.net.server import NetServer, serve_net
-from repro.serve.net.shards import ShardedResultCache, rendezvous_shard
 from repro.serve.net.tenancy import (
     DeficitRoundRobin,
     TenantGovernor,
@@ -57,14 +54,11 @@ __all__ = [
     "ReplayMismatch",
     "ReplayReport",
     "RequestLog",
-    "canonical_reply",
     "deterministic_projection",
     "read_log",
     "replay_log",
     "NetServer",
     "serve_net",
-    "ShardedResultCache",
-    "rendezvous_shard",
     "DeficitRoundRobin",
     "TenantGovernor",
     "TenantQuota",

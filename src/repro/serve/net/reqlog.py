@@ -29,8 +29,8 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
+from repro.serve.dispatch import DETERMINISTIC_OPS, canonical_reply
 from repro.serve.identity import CACHE_SCHEMA_VERSION
-from repro.serve.dispatch import DETERMINISTIC_OPS
 
 #: Bumped when the log record shape changes.
 LOG_FORMAT_VERSION = 1
@@ -41,21 +41,15 @@ LOG_FORMAT_VERSION = 1
 OPERATIONAL_KEYS = ("origin", "origins", "metrics")
 
 #: Error prefixes that make an otherwise-deterministic op's reply
-#: operational: quota verdicts depend on wall-clock token refill, and
-#: the shutting-down fallback on drain timing.
-NONDETERMINISTIC_ERRORS = ("quota exceeded", "shutting down")
-
-
-def canonical_reply(reply: dict) -> str:
-    """The exact bytes a transport writes for ``reply`` (sans newline)."""
-    return json.dumps(reply, sort_keys=True)
+#: operational: quota verdicts depend on wall-clock token refill.
+NONDETERMINISTIC_ERRORS = ("quota exceeded",)
 
 
 def deterministic_projection(reply: dict) -> str:
     """Reply bytes with the operational envelope stripped."""
     trimmed = {k: v for k, v in reply.items()
                if k not in OPERATIONAL_KEYS}
-    return json.dumps(trimmed, sort_keys=True)
+    return canonical_reply(trimmed)
 
 
 class RequestLog:
@@ -193,7 +187,6 @@ __all__ = [
     "ReplayMismatch",
     "ReplayReport",
     "RequestLog",
-    "canonical_reply",
     "deterministic_projection",
     "read_log",
     "replay_log",

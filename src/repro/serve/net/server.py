@@ -39,7 +39,12 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.serve.dispatch import DEFAULT_TENANT, Dispatcher, LineAssembler
+from repro.serve.dispatch import (
+    DEFAULT_TENANT,
+    Dispatcher,
+    LineAssembler,
+    canonical_reply,
+)
 from repro.serve.net.http11 import (
     HttpError,
     HttpParser,
@@ -65,7 +70,7 @@ class _Work:
 
 def _reply_bytes(reply: dict) -> bytes:
     """The canonical JSON-lines wire form — shared with stdio verbatim."""
-    return (json.dumps(reply, sort_keys=True) + "\n").encode("utf-8")
+    return (canonical_reply(reply) + "\n").encode("utf-8")
 
 
 def _http_status(reply: dict) -> int:
@@ -73,7 +78,7 @@ def _http_status(reply: dict) -> int:
     if reply.get("ok"):
         return 200
     error = str(reply.get("error", ""))
-    if error == "overloaded" or error == "shutting down":
+    if error == "overloaded":
         return 503
     if error.startswith("quota exceeded"):
         return 429
@@ -350,8 +355,7 @@ class NetServer:
             except HttpError as exc:
                 writer.write(render_response(
                     exc.status,
-                    json.dumps({"ok": False, "error": exc.message},
-                               sort_keys=True) + "\n",
+                    _reply_bytes({"ok": False, "error": exc.message}),
                     keep_alive=False))
                 await writer.drain()
                 return
@@ -449,8 +453,7 @@ class NetServer:
 
     @staticmethod
     def _http_error(status: int, message: str):
-        body = json.dumps({"ok": False, "error": message},
-                          sort_keys=True) + "\n"
+        body = _reply_bytes({"ok": False, "error": message})
         return status, body, "application/json", None
 
 

@@ -26,9 +26,11 @@ breaker state, the poison-job quarantine book, and shed counters —
 supervisor can alert on one field.
 
 The protocol engine itself lives in :mod:`repro.serve.dispatch` — this
-module is only the stdio transport.  The asyncio network front end
-(:mod:`repro.serve.net`) drives the *same* :class:`Dispatcher`, so every
-hardening behaviour documented here holds byte-identically over TCP.
+module is only the stdio transport.  It frames stdin in bytes with the
+same :class:`~repro.serve.dispatch.LineAssembler` the asyncio network
+front end (:mod:`repro.serve.net`) uses, and both drive the *same*
+:class:`~repro.serve.dispatch.Dispatcher`, so every hardening behaviour
+documented here holds byte-identically over TCP.
 
 Scale behaviour:
 
@@ -51,147 +53,84 @@ Scale behaviour:
 
 from __future__ import annotations
 
-import json
 import os
 import select
 import signal
 import sys
 
-from repro.serve.batch import BatchRunner
-from repro.serve.dispatch import (
-    DEFAULT_MAX_LINE_BYTES,
-    DEFAULT_MAX_PENDING,
-    SHED_OLDEST,
-    SHED_POLICIES,
-    SHED_REFUSE,
-    Dispatcher,
-    LineAssembler,
-)
+from repro.serve.dispatch import Dispatcher, LineAssembler, canonical_reply
 
-__all__ = ["DEFAULT_MAX_LINE_BYTES", "DEFAULT_MAX_PENDING", "SHED_OLDEST",
-           "SHED_POLICIES", "SHED_REFUSE", "ServeSession", "serve_forever"]
+__all__ = ["serve_forever"]
+
+_READ_CHUNK = 1 << 16
 
 
-class ServeSession(Dispatcher):
-    """Back-compat name for the transport-agnostic :class:`Dispatcher`.
-
-    Historically the protocol engine and the stdio loop lived together;
-    the engine moved to :mod:`repro.serve.dispatch` when the network
-    tier arrived.  Existing imports and subclasses keep working.
-    """
-
-
-def _write_reply(stdout, reply: dict) -> None:
-    stdout.write(json.dumps(reply, sort_keys=True) + "\n")
-    stdout.flush()
-
-
-def _pump_signal_aware(stdin, stdout, session: Dispatcher,
-                       stop_signals=(signal.SIGINT, signal.SIGTERM)) -> int:
-    """Line pump that drains gracefully on SIGINT/SIGTERM.
-
-    A blocking ``for line in stdin`` cannot observe a signal flag until
-    the *next* line arrives, so this path reads the underlying fd
-    through ``select`` with a short poll interval and frames lines with
-    the shared :class:`LineAssembler`.  On a stop signal it answers
-    every fully-buffered line, flushes the request log, and exits 0 —
-    no accepted request is left unanswered.
-    """
-    stopping = False
-
-    def _on_signal(signum, frame) -> None:
-        nonlocal stopping
-        stopping = True
-
-    previous = {s: signal.signal(s, _on_signal) for s in stop_signals}
-    fd = stdin.fileno()
-    assembler = LineAssembler(session.max_line_bytes)
-    try:
-        eof = False
-        while not eof and not stopping and not session.shutdown:
-            try:
-                ready, _, _ = select.select([fd], [], [], 0.1)
-            except InterruptedError:
-                continue
-            if not ready:
-                continue
-            data = os.read(fd, 1 << 16)
-            if not data:
-                eof = True
-                lines = assembler.finish()
-            else:
-                lines = assembler.feed(data)
-            for text, length in lines:
-                reply = (session.oversized_reply(length) if text is None
-                         else session.handle_line(text))
-                if reply is not None:
-                    _write_reply(stdout, reply)
-                if session.shutdown:
-                    break
-        if stopping and not eof and not session.shutdown:
-            # Drain: slurp whatever the client already wrote without
-            # blocking and answer every *complete* line.  An
-            # unterminated tail is a request still being written — it
-            # gets no reply (unlike EOF, where the writer is gone and
-            # the tail is final).
-            while True:
-                ready, _, _ = select.select([fd], [], [], 0)
-                if not ready:
-                    break
-                data = os.read(fd, 1 << 16)
-                if not data:
-                    break
-                for text, length in assembler.feed(data):
-                    reply = (session.oversized_reply(length)
-                             if text is None
-                             else session.handle_line(text))
-                    if reply is not None:
-                        _write_reply(stdout, reply)
-        session.drain()
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    return 0
-
-
-def serve_forever(stdin=None, stdout=None,
-                  runner: BatchRunner | None = None,
-                  max_pending: int = DEFAULT_MAX_PENDING,
-                  full_results: bool = False, registry=None,
-                  shed: str = SHED_REFUSE,
-                  max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-                  session: Dispatcher | None = None,
+def serve_forever(dispatcher: Dispatcher, stdin=None, stdout=None,
                   handle_signals: bool = False) -> int:
     """Pump the JSON-lines protocol until EOF or a shutdown request.
 
-    A final line without a trailing newline (mid-line EOF) is handled
-    like any other line: it gets a reply, then the loop ends at EOF.
+    Lines are framed in bytes by a :class:`LineAssembler`, exactly as
+    the TCP transport frames a socket: a stream with a file descriptor
+    is read with ``os.read``, any other with ``read()`` encoded as
+    UTF-8.  A final line without a newline (mid-line EOF) still gets a
+    reply; lines after a ``shutdown`` request get none.
 
-    With ``handle_signals=True`` (the CLI path) SIGINT/SIGTERM also end
-    the loop — gracefully: in-flight work completes, buffered lines are
-    answered, and the request log is flushed before exit.  Pass a
-    pre-built ``session`` to share a :class:`Dispatcher` (quotas,
-    request log, sharded cache) with other transports.
+    With ``handle_signals=True`` (the CLI path) the descriptor is
+    polled with ``select`` so SIGINT/SIGTERM end the loop between
+    lines — gracefully: every complete line already written is answered
+    (an unterminated tail is still being written and gets no reply),
+    and the request log is flushed before exit.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    if session is None:
-        session = ServeSession(runner=runner, max_pending=max_pending,
-                               full_results=full_results, registry=registry,
-                               shed=shed, max_line_bytes=max_line_bytes)
-    if handle_signals and hasattr(stdin, "fileno"):
-        try:
-            stdin.fileno()
-        except (OSError, ValueError):
-            pass
+    try:
+        fd = stdin.fileno()
+    except (AttributeError, OSError, ValueError):   # in-memory stream
+        fd = None
+    assembler = LineAssembler(dispatcher.max_line_bytes)
+    stopping = False
+
+    def on_signal(signum, frame) -> None:
+        nonlocal stopping
+        stopping = True
+
+    def answer(lines) -> None:
+        for text, length in lines:
+            if dispatcher.shutdown:
+                return
+            reply = (dispatcher.oversized_reply(length) if text is None
+                     else dispatcher.handle_line(text))
+            if reply is not None:
+                stdout.write(canonical_reply(reply) + "\n")
+                stdout.flush()
+
+    def readable(timeout: float) -> bool:
+        assert fd is not None
+        return bool(select.select([fd], [], [], timeout)[0])
+
+    poll = handle_signals and fd is not None
+    previous = ({s: signal.signal(s, on_signal)
+                 for s in (signal.SIGINT, signal.SIGTERM)} if poll else {})
+    try:
+        while not (stopping or dispatcher.shutdown):
+            if poll and not readable(0.1):
+                continue
+            data = (os.read(fd, _READ_CHUNK) if fd is not None
+                    else stdin.read(_READ_CHUNK).encode("utf-8"))
+            if not data:
+                answer(assembler.finish())
+                break
+            answer(assembler.feed(data))
         else:
-            return _pump_signal_aware(stdin, stdout, session)
-    for line in stdin:
-        reply = session.handle_line(line)
-        if reply is None:
-            continue
-        _write_reply(stdout, reply)
-        if session.shutdown:
-            break
-    session.drain()
+            # Stopped by a signal: answer what the client already wrote,
+            # without blocking and without the unterminated tail.
+            while stopping and readable(0):
+                data = os.read(fd, _READ_CHUNK)
+                if not data:
+                    break
+                answer(assembler.feed(data))
+        dispatcher.drain()
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return 0

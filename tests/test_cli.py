@@ -190,3 +190,21 @@ class TestIsa:
         assert "106 instructions" in out
         assert "rfirst" in out and "resolver" in out
         assert "tspawn" in out
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["run", "asm", "profile", "disasm"])
+    def test_missing_file_is_one_line_and_exit_1(self, command, tmp_path,
+                                                 capsys):
+        missing = tmp_path / "missing.s"
+        assert main([command, str(missing)]) == 1
+        assert capsys.readouterr().err == \
+            f"{command}: cannot read {missing}: No such file or directory\n"
+
+    def test_non_text_file_is_one_line_and_exit_1(self, tmp_path, capsys):
+        blob = tmp_path / "blob.s"
+        blob.write_bytes(b"\xff\xfe\x00")
+        assert main(["run", str(blob)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"run: cannot read {blob}: ")
+        assert err.count("\n") == 1

@@ -46,8 +46,8 @@ from repro.obs.chrome_trace import PID_STAGES, PID_THREADS
 from repro.obs.profiler import K_ISSUE
 from repro.serve.batch import BatchRunner
 from repro.serve.cache import ResultCache
+from repro.serve.dispatch import Dispatcher
 from repro.serve.jobs import Job
-from repro.serve.service import ServeSession
 from repro.serve.snapshot import ResultSnapshot
 
 EXAMPLES = sorted(
@@ -539,8 +539,8 @@ class TestRegistryIntegration:
 
     def test_serve_stats_reply_carries_snapshot(self):
         reg = MetricsRegistry()
-        session = ServeSession(runner=BatchRunner(registry=reg),
-                               registry=reg)
+        session = Dispatcher(runner=BatchRunner(registry=reg),
+                             registry=reg)
         job = {"source": INLINE,
                "config": {"num_pes": 4, "num_threads": 2,
                           "word_width": 16},

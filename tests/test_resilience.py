@@ -345,8 +345,9 @@ class TestCacheCorruptionRecovery:
     def test_breaker_degrades_to_memory_only_then_recovers(self, snapshot,
                                                            tmp_path):
         chaos = ChaosPlane([ChaosSpec(ChaosKind.FSYNC_FAIL, op=0)])
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_ops=2)
-        cache = ResultCache(cache_dir=tmp_path, breaker=breaker, chaos=chaos)
+        cache = ResultCache(cache_dir=tmp_path, chaos=chaos)
+        cache.breakers[0] = CircuitBreaker(failure_threshold=1,
+                                           cooldown_ops=2)
 
         cache.put("b" * 64, snapshot)       # write 0: fsync fails -> open
         assert cache.degraded

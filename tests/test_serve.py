@@ -25,11 +25,12 @@ from repro.faults import FaultKind, FaultSite, FaultSpec, run_campaign
 from repro.serve import (
     BatchRunner,
     CACHE_SCHEMA_VERSION,
+    Dispatcher,
     Job,
     JobError,
+    PreparedJob,
     ResultCache,
     ResultSnapshot,
-    ServeSession,
     job_key,
     jobs_from_json,
 )
@@ -58,6 +59,11 @@ def assemble_demo(cfg=SMALL):
     from repro.asm import assemble
 
     return assemble(DEMO, word_width=cfg.word_width)
+
+
+def prepared_demo(**fields):
+    return PreparedJob(name="demo", key="", program=assemble_demo(),
+                       config=SMALL, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +106,61 @@ class TestJobIdentity:
                     cycle=2, pe=1, reg=1, bit=0)
         a = FaultSpec(label="one name", **spec)
         b = FaultSpec(label="another", **spec)
-        program = assemble_demo()
-        assert job_key(program, SMALL, fault=a) == \
-            job_key(program, SMALL, fault=b)
+        assert job_key(prepared_demo(fault=a)) == \
+            job_key(prepared_demo(fault=b))
+
+    def test_keys_are_pinned(self):
+        # Literal keys of the same jobs before the key was derived from
+        # PreparedJob's fields: a moved key would orphan every entry of
+        # every existing cache, so any change here needs a schema bump.
+        inline = {"source": DEMO, "config": {
+            "num_pes": 4, "num_threads": 2, "lmem_words": 64,
+            "scalar_mem_words": 128}}
+        fault = {"site": "pe_reg", "kind": "transient", "cycle": 2,
+                 "pe": 1, "reg": 1, "bit": 0, "label": "x"}
+        jobs = {
+            "kernel": {"kernel": "count_matches"},
+            "inline": inline,
+            "fault": {**inline, "fault": fault},
+            "sanitize": {**inline, "sanitize": True},
+            "profile": {**inline, "profile": True},
+            "verify": {**inline, "verify": True},
+            "max_cycles": {**inline, "max_cycles": 500},
+            "lmem": {**inline, "lmem": {"0": [1, 2, 3]}},
+            "kernel_args": {"kernel": "vector_mac",
+                            "kernel_args": {"width": 8}},
+            "fast": {"kernel": "count_matches", "backend": "fast",
+                     "config": {"num_pes": 8}},
+        }
+        keys = {name: Job.from_json(obj).prepare().key
+                for name, obj in jobs.items()}
+        assert CACHE_SCHEMA_VERSION == 6
+        assert keys == {
+            "kernel": "b9feccc16db777b5a26323498df40d48"
+                      "d0e3cdcaf286cbd1f19e52c8bd11b525",
+            "inline": "df6c0097529475b43ed065d69ffb2b58"
+                      "7c8903ae8b8387fc2d1ef483352ca50c",
+            "fault": "8cc32662d9617af56844eeaa2a4fb43b"
+                     "4e357a875773c9325fb6c728d8bc2515",
+            "sanitize": "f7a4f587959744d7e6f20deb3594cd8d"
+                        "58dd4fbf9d2749f0aea88ec7635854e3",
+            "profile": "32af2fe2baad59aa04058ad19412b235"
+                       "986986027f450c2d06b760ab3af694a9",
+            "verify": "92005e4bca1cda2f24de16977b590da6"
+                      "fff01cd27996acde47b1ece63850d620",
+            "max_cycles": "a3e063cc7887923614121f31e8a93113"
+                          "47deffa2349690f3b1940f6256b1d68a",
+            "lmem": "7a91fc06381977d2a35c449c7f46833d"
+                    "925b40dafe758ad1d9b9dacb203bbe0e",
+            "kernel_args": "4a3c99d741eb7e419bb999c293aad0f5"
+                           "ebd3707e969bf183439525fb882606ad",
+            "fast": "2040d431dcb77c4591ff4c1156a2a8d9"
+                    "1da5b232f32cb4a73a0d9e1fb0e45e0b",
+        }
 
     def test_schema_version_invalidates_keys(self):
-        program = assemble_demo()
-        assert job_key(program, SMALL) != \
-            job_key(program, SMALL,
+        assert job_key(prepared_demo()) != \
+            job_key(prepared_demo(),
                     schema_version=CACHE_SCHEMA_VERSION + 1)
 
 
@@ -227,7 +280,7 @@ class TestResultCache:
     def test_corrupted_entry_falls_back_to_miss(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
         cache.put("c" * 64, self.snap())
-        path = cache._path("c" * 64)
+        path = cache._route("c" * 64)[0]
         path.write_bytes(b"not a pickle at all")
         fresh = ResultCache(cache_dir=tmp_path)
         assert fresh.get("c" * 64) is None
@@ -239,7 +292,7 @@ class TestResultCache:
 
     def test_wrong_typed_entry_is_corruption(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
-        path = cache._path("d" * 64)
+        path = cache._route("d" * 64)[0]
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps({"not": "a snapshot"}))
         assert cache.get("d" * 64) is None
@@ -247,11 +300,11 @@ class TestResultCache:
 
     def test_version_bump_retires_old_entries(self, tmp_path):
         """A schema bump changes keys, so old entries are unreachable."""
-        program = assemble_demo()
         cache = ResultCache(cache_dir=tmp_path)
-        old_key = job_key(program, SMALL, schema_version=CACHE_SCHEMA_VERSION)
+        old_key = job_key(prepared_demo(),
+                          schema_version=CACHE_SCHEMA_VERSION)
         cache.put(old_key, self.snap())
-        new_key = job_key(program, SMALL,
+        new_key = job_key(prepared_demo(),
                           schema_version=CACHE_SCHEMA_VERSION + 1)
         assert cache.get(new_key) is None
 
@@ -337,6 +390,17 @@ class TestJobParsing:
         with pytest.raises(JobError, match="unknown kernel"):
             Job.from_json({"kernel": "nope"}).prepare()
 
+    @pytest.mark.parametrize("kernel, pes", [("string_match", 4),
+                                             ("knn_search", 2)])
+    def test_kernel_too_big_for_the_machine_is_a_job_error(self, kernel,
+                                                           pes):
+        job = Job.from_json({"name": "small", "kernel": kernel,
+                             "config": {"num_pes": pes}})
+        with pytest.raises(JobError,
+                           match=f"job 'small': cannot build kernel "
+                                 f"'{kernel}' at {pes} PEs"):
+            job.prepare()
+
     def test_file_jobs_resolve_against_base_dir(self, tmp_path):
         (tmp_path / "prog.s").write_text(DEMO)
         job = Job.from_json({"file": "prog.s",
@@ -376,7 +440,7 @@ class TestParallelFaultCampaign:
 
 class TestServeSession:
     def session(self, **kwargs):
-        return ServeSession(
+        return Dispatcher(
             runner=BatchRunner(cache=ResultCache.disabled()), **kwargs)
 
     def job_obj(self, name="x"):
@@ -444,8 +508,8 @@ class TestServeSession:
             '{"op": "ping"}',          # never reached
         ]) + "\n"
         out = io.StringIO()
-        rc = serve_forever(stdin=io.StringIO(lines), stdout=out,
-                           runner=BatchRunner(cache=ResultCache.disabled()))
+        rc = serve_forever(self.session(), stdin=io.StringIO(lines),
+                           stdout=out)
         replies = [json.loads(ln) for ln in out.getvalue().splitlines()]
         assert rc == 0
         assert len(replies) == 3       # shutdown stopped the loop
@@ -456,7 +520,7 @@ class TestServeHardening:
     """One bad client line must cost one error reply, never the service."""
 
     def session(self, **kwargs):
-        return ServeSession(
+        return Dispatcher(
             runner=BatchRunner(cache=ResultCache.disabled()), **kwargs)
 
     def job_obj(self, name="x"):
@@ -497,10 +561,29 @@ class TestServeHardening:
 
         out = io.StringIO()
         # Final line has no trailing newline: a client died mid-write.
-        rc = serve_forever(stdin=io.StringIO('{"op": "ping"}'), stdout=out,
-                           runner=BatchRunner(cache=ResultCache.disabled()))
+        rc = serve_forever(self.session(),
+                           stdin=io.StringIO('{"op": "ping"}'), stdout=out)
         assert rc == 0
         assert json.loads(out.getvalue())["pong"] is True
+
+    def test_unbuildable_kernel_is_a_job_error_not_internal(self):
+        ses = self.session()
+        run = ses.handle_line(json.dumps(
+            {"op": "run", "job": {"kernel": "knn_search",
+                                  "config": {"num_pes": 2}}}))
+        sweep = ses.handle_line(json.dumps(
+            {"op": "dse", "spec": {"axes": {"num_pes": [4]},
+                                   "kernels": ["string_match"]}}))
+        assert run == {"ok": False, "error":
+                       "job 'knn_search': cannot build kernel "
+                       "'knn_search' at 2 PEs: need at least k=4 PEs, "
+                       "got 2"}
+        assert sweep == {"ok": False, "error":
+                         "job 'p4/string_match': cannot build kernel "
+                         "'string_match' at 4 PEs: too many occurrences "
+                         "to plant disjointly"}
+        assert ses.registry.get("serve_line_errors_total") \
+            .value(reason="internal") == 0
 
     def test_health_surface(self):
         ses = self.session()
@@ -608,6 +691,24 @@ class TestServeCli:
               "max_cycles": 100}]))
         assert main(["batch", str(jobs_file), "--no-cache"]) == 2
         assert "1 job(s) failed" in capsys.readouterr().err
+
+    def test_unbuildable_kernel_exits_1_with_one_line(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+
+        jobs_file = tmp_path / "jobs.json"
+        jobs_file.write_text(json.dumps(
+            [{"kernel": "string_match", "config": {"num_pes": 4}}]))
+        spec_file = tmp_path / "sweep.json"
+        spec_file.write_text(json.dumps(
+            {"axes": {"num_pes": [2, 16]}, "kernels": ["knn_search"]}))
+        for argv, command in ((["batch", str(jobs_file)], "batch"),
+                              (["dse", str(spec_file)], "dse")):
+            assert main([*argv, "--no-cache"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command}: job ")
+            assert "cannot build kernel" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_faultsim_jobs_flag_identical_output(self, tmp_path, capsys):
         from repro.cli import main

@@ -35,18 +35,17 @@ from repro.serve import (
     Job,
     LineAssembler,
     ResultCache,
+    rendezvous_shard,
     serve_forever,
 )
 from repro.serve.net import (
     DeficitRoundRobin,
     NetServer,
     RequestLog,
-    ShardedResultCache,
     TenantGovernor,
     TenantQuota,
     TokenBucket,
     read_log,
-    rendezvous_shard,
     replay_log,
 )
 from repro.serve.net.http11 import HttpError, HttpParser, sniff_http
@@ -79,8 +78,7 @@ def make_dispatcher(**kwargs):
 def stdio_exchange(dispatcher, payload: str) -> bytes:
     """Drive the stdio transport; return the raw reply bytes."""
     out = io.StringIO()
-    serve_forever(stdin=io.StringIO(payload), stdout=out,
-                  session=dispatcher)
+    serve_forever(dispatcher, stdin=io.StringIO(payload), stdout=out)
     return out.getvalue().encode("utf-8")
 
 
@@ -310,7 +308,7 @@ class TestShardedResultCache:
 
     def test_bit_identical_to_single_cache(self, tmp_path):
         plain = self.run_once(ResultCache(cache_dir=tmp_path / "flat"))
-        sharded = self.run_once(ShardedResultCache(
+        sharded = self.run_once(ResultCache(
             cache_dir=tmp_path / "sharded", shards=4))
         import pickle
 
@@ -318,11 +316,9 @@ class TestShardedResultCache:
             pickle.dumps(sharded.results[0].snapshot)
 
     def test_disk_tier_survives_restart_per_shard(self, tmp_path):
-        cold = self.run_once(ShardedResultCache(cache_dir=tmp_path,
-                                                shards=3))
+        cold = self.run_once(ResultCache(cache_dir=tmp_path, shards=3))
         assert cold.results[0].origin == "computed"
-        warm = self.run_once(ShardedResultCache(cache_dir=tmp_path,
-                                                shards=3))
+        warm = self.run_once(ResultCache(cache_dir=tmp_path, shards=3))
         assert warm.results[0].origin == "disk-cache"
         assert warm.results[0].snapshot.cycles == \
             cold.results[0].snapshot.cycles
@@ -330,42 +326,62 @@ class TestShardedResultCache:
         subdirs = {p.name for p in tmp_path.iterdir() if p.is_dir()}
         assert subdirs <= {f"shard-{i:02d}" for i in range(3)}
 
-    def test_keys_distribute_across_shards(self):
-        cache = ShardedResultCache(cache_dir=None, shards=4,
-                                   mem_entries=400)
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_disk_layout_is_pinned(self, tmp_path, shards):
+        # Existing caches stay warm only while these paths and breaker
+        # names hold.
+        cache = ResultCache(cache_dir=tmp_path, shards=shards)
+        report = self.run_once(cache)
+        key = report.results[0].key
+        owner = rendezvous_shard(key, shards)
+        shard_dir = (tmp_path if shards == 1
+                     else tmp_path / f"shard-{owner:02d}")
+        assert sorted(tmp_path.rglob("*.pkl")) == \
+            [shard_dir / key[:2] / f"{key}.pkl"]
+        assert [b.name for b in cache.breakers] == (
+            ["cache_disk"] if shards == 1
+            else [f"cache_disk_s{i:02d}" for i in range(shards)])
+
+    def test_keys_distribute_across_shards(self, tmp_path):
+        cache = ResultCache(cache_dir=tmp_path, shards=4, mem_entries=400)
         runner = BatchRunner(cache=cache)
         jobs = [Job(name=f"j{n}", source=DEMO,
                     config=dataclasses.replace(SMALL, max_cycles=200 + n))
                 for n in range(12)]
         runner.run(jobs)
-        populated = sum(1 for shard in cache.shards if len(shard))
+        populated = sum(1 for shard in tmp_path.iterdir()
+                        if any(shard.rglob("*.pkl")))
         assert populated >= 2
         assert len(cache) == 12
         assert cache.stats.stores == 12
 
     def test_one_tripped_shard_degrades_alone(self, tmp_path):
-        cache = ShardedResultCache(cache_dir=tmp_path, shards=3)
-        victim = cache.shards[1]
-        for _ in range(victim.breaker.failure_threshold):
-            victim.breaker.fail()
-        assert victim.degraded
+        snapshot = self.run_once(ResultCache.disabled()).results[0].snapshot
+        cache = ResultCache(cache_dir=tmp_path, shards=3)
+        victim = cache.breakers[1]
+        for _ in range(victim.failure_threshold):
+            victim.fail()
         assert cache.degraded
-        assert cache.breaker.state == "open"
-        breakdown = cache.shard_breakdown()
-        assert [row["breaker"] for row in breakdown] == \
-            ["closed", "open", "closed"]
         health = cache.health()
         assert health["degraded"] is True
-        assert health["breaker"]["shards"] == ["closed", "open", "closed"]
-
-    def test_aggregate_stats_sum_shards(self):
-        cache = ShardedResultCache(cache_dir=None, shards=2)
-        cache.shards[0].stats.bump("misses")
-        cache.shards[1].stats.bump("misses", 2)
-        assert cache.stats.misses == 3
+        assert health["breaker"]["state"] == "open"
+        assert health["breaker"]["opens"] == 1
+        assert [b["state"] for b in health["breaker"]["shards"]] == \
+            ["closed", "open", "closed"]
+        # Keys of the tripped shard go memory-only; the others still
+        # reach their disk directory.
+        keys = [f"{n:02x}" * 32 for n in range(64)]
+        healthy = next(k for k in keys if rendezvous_shard(k, 3) == 0)
+        tripped = next(k for k in keys if rendezvous_shard(k, 3) == 1)
+        cache.put(healthy, snapshot)
+        cache.put(tripped, snapshot)
+        assert cache._route(healthy)[0].exists()
+        assert not cache._route(tripped)[0].exists()
+        assert cache.stats.disk_skips == 1
+        assert cache.get(tripped) == snapshot     # memory still serves
 
     def test_clear_memory_and_len(self):
-        cache = ShardedResultCache(cache_dir=None, shards=2)
+        cache = ResultCache(cache_dir=None, shards=2)
         self_runner = BatchRunner(cache=cache)
         self_runner.run([Job(name="demo", source=DEMO, config=SMALL)])
         assert len(cache) == 1
@@ -374,7 +390,7 @@ class TestShardedResultCache:
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
-            ShardedResultCache(shards=0)
+            ResultCache(shards=0)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +443,22 @@ class TestTransportParity:
         assert reply["ok"] is False
         assert f"line too long ({len(payload)} > 64 bytes)" \
             == reply["error"]
+
+    def test_oversized_non_ascii_line_counts_bytes(self):
+        # 56 characters but 86 UTF-8 bytes: every transport, and a
+        # direct handle_line caller such as `repro replay`, measures
+        # the bytes.
+        payload = '{"op": "ping", "pad": "' + "\u00e9" * 30 + '"}\n'
+        out = self.parity(payload, max_line_bytes=64)
+        reply = json.loads(out)
+        assert reply == {"ok": False,
+                         "error": "line too long (86 > 64 bytes)"}
+        direct = make_dispatcher(max_line_bytes=64).handle_line(payload)
+        assert direct == reply
+        # A lone surrogate (a hand-edited request log can carry one) is
+        # measured, never an encoding crash.
+        assert make_dispatcher().handle_line(
+            '{"op": "ping", "pad": "\udc80"}')["pong"] is True
 
     def test_oversized_line_then_normal_line(self):
         payload = ("y" * 100 + "\n" + '{"op": "ping", "id": 2}\n')
@@ -593,18 +625,17 @@ class TestStatsSlo:
         assert snapshot["series"]["op=run"]["count"] == 1
 
     def test_shard_breakdown_in_stats(self):
-        cache = ShardedResultCache(cache_dir=None, shards=3)
+        cache = ResultCache(cache_dir=None, shards=3)
         session = make_dispatcher(runner=BatchRunner(cache=cache))
         session.handle_line(json.dumps({"op": "run", "job": job_obj()}))
         stats = session.handle_line('{"op": "stats"}')
-        assert len(stats["shards"]) == 3
-        assert sum(row["stats"]["stores"]
-                   for row in stats["shards"]) == 1
-        assert {row["breaker"] for row in stats["shards"]} == {"closed"}
+        assert stats["shards"] == [{"shard": i, "breaker": "closed"}
+                                   for i in range(3)]
+        assert stats["cache"]["stores"] == 1
 
-    def test_unsharded_stats_has_no_shard_section(self):
+    def test_unsharded_stats_has_one_shard_row(self):
         stats = make_dispatcher().handle_line('{"op": "stats"}')
-        assert "shards" not in stats
+        assert stats["shards"] == [{"shard": 0, "breaker": "closed"}]
 
 
 # ---------------------------------------------------------------------------
@@ -991,6 +1022,7 @@ class TestGracefulShutdown:
             assert proc.wait(timeout=30) == 0
         finally:
             proc.kill()
+            proc.stderr.close()
 
 
 # ---------------------------------------------------------------------------
