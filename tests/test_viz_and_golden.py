@@ -1,11 +1,13 @@
 """ASCII viz tests + golden Stats regression net.
 
-The golden records freeze the cycle core's full statistics and final
-architectural state over the kernel suite and the parity matrices.  If a
-core change shifts any of them, the test fails and the new numbers must
-be reviewed (and EXPERIMENTS.md re-measured) deliberately rather than
-silently drifting.
+The golden records freeze the cycle core's full statistics, final
+architectural state and result-snapshot JSON over the kernel suite and
+the parity matrices.  If a core change shifts any of them, the test
+fails and the new numbers must be reviewed (and EXPERIMENTS.md
+re-measured) deliberately rather than silently drifting.
 """
+
+import functools
 
 import pytest
 
@@ -62,20 +64,28 @@ class TestSparkline:
         assert sparkline([]) == ""
 
 
-# The golden net (tests/golden.py): full Stats plus an architectural-state
-# digest per case, frozen in tests/data/golden_stats.json.  Regenerate
-# with tools/update_golden.py after an intentional timing-model change.
+# The golden net (tests/golden.py): full Stats, an architectural-state
+# digest and a snapshot-JSON digest per case, frozen in
+# tests/data/golden_stats.json.  Regenerate with tools/update_golden.py
+# after an intentional timing-model change.
 GOLDEN = load_golden()
 CASES = cases()
 
 
+@functools.cache
+def measure(case_id):
+    """One cycle-core run per case, shared by the Stats and JSON tests."""
+    return record(CASES[case_id]())
+
+
 def check_golden(case_id):
-    measured = record(CASES[case_id]())
+    measured = measure(case_id)
     expected = GOLDEN[case_id]
     changed = {k: (expected["stats"][k], v)
                for k, v in measured["stats"].items()
                if expected["stats"].get(k) != v}
-    assert measured == expected, (
+    assert (measured["stats"], measured["arch"]) == \
+        (expected["stats"], expected["arch"]), (
         f"{case_id}: golden run changed (stats {changed}, arch digest "
         f"{'same' if measured['arch'] == expected['arch'] else 'differs'})"
         f"; if intentional, run tools/update_golden.py and re-measure "
@@ -96,3 +106,13 @@ class TestGoldenCycles:
         assert set(GOLDEN) == set(CASES)
         assert {c.split("/")[1] for c in CASES
                 if c.startswith("reference/")} == set(ALL_KERNEL_BUILDERS)
+
+
+class TestGoldenSnapshots:
+    @pytest.mark.parametrize("case_id", sorted(CASES))
+    def test_snapshot_json_frozen(self, case_id):
+        """The snapshot JSON a reply carries is frozen byte for byte."""
+        assert measure(case_id)["snapshot_json"] == \
+            GOLDEN[case_id]["snapshot_json"], (
+                f"{case_id}: result-snapshot JSON changed; replies of "
+                f"'repro run --json' and 'serve' would differ")

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Regenerate tests/data/golden_stats.json, the golden Stats net.
 
-Each case (see tests/golden.py) records the full Stats and a digest of
-the final architectural state of one cycle-core run.  Run after an
+Each case (see tests/golden.py) records the full Stats, a digest of the
+final architectural state and a digest of the result-snapshot JSON of
+one cycle-core run.  Run after an
 *intentional* timing-model change, review the diff, and re-measure
 EXPERIMENTS.md:  python tools/update_golden.py
 """
