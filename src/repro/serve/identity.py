@@ -59,7 +59,10 @@ if TYPE_CHECKING:
 #    record which backend produced them.  The fast path is validated
 #    bit-identical, but the key keeps the runs distinguishable so a
 #    backend bug can never poison cycle-backend cache entries.
-CACHE_SCHEMA_VERSION = 6
+# 7: ResultSnapshot holds typed numpy arrays (W-bit registers and memory,
+#    bool flags, 32-bit scalars) instead of nested lists of ints; the
+#    JSON rendering is unchanged, but list-form pickles are not read.
+CACHE_SCHEMA_VERSION = 7
 
 
 def canonical_json(payload) -> str:

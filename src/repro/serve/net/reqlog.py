@@ -17,6 +17,8 @@ stripping the operational envelope: the top-level ``origin`` /
 cycle counts, error text, result payloads — must match byte-for-byte,
 making the log a regression oracle for the whole serving stack:
 *the service, replayed against itself, must tell the same story*.
+A log written under another cache schema is refused before anything is
+replayed: job keys hash the schema, so every run reply would differ.
 
 ``stats`` / ``health`` / ``shutdown`` records replay (they exercise the
 dispatcher) but are compared only for reply *shape* (``ok`` and error
@@ -95,7 +97,11 @@ class RequestLog:
 
 
 def read_log(path: pathlib.Path | str) -> list[dict]:
-    """Parse a request log; returns the request records (header checked)."""
+    """Parse a request log; returns the request records (header checked).
+
+    Raises ``ValueError`` unless the header names this log format and
+    this build's :data:`~repro.serve.identity.CACHE_SCHEMA_VERSION`.
+    """
     path = pathlib.Path(path)
     records: list[dict] = []
     with open(path, encoding="utf-8") as fh:
@@ -107,6 +113,13 @@ def read_log(path: pathlib.Path | str) -> list[dict]:
             raise ValueError(
                 f"{path}: not a v{LOG_FORMAT_VERSION} request log "
                 f"(header {header_line.strip()!r})")
+        # Job keys hash the cache schema, so a log written under another
+        # one would replay as a mismatch on every run and batch reply.
+        if header.get("cache_schema") != CACHE_SCHEMA_VERSION:
+            raise ValueError(
+                f"{path}: written under cache schema "
+                f"{header.get('cache_schema')}, this build uses "
+                f"{CACHE_SCHEMA_VERSION}; its replies cannot be replayed")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue

@@ -5,45 +5,53 @@ A :class:`~repro.core.processor.RunResult` holds the live
 microarchitectural state, but that makes it the wrong thing to cache or
 ship between processes: it drags the whole machine (scoreboards, fault
 plane, fetch buffers) along and its identity is tied to one Python
-process.  A :class:`ResultSnapshot` is the portable form — the complete
-*architectural* outcome of a run (statistics, every thread's scalar
-registers, the PE register and flag files, scalar data memory) captured
-into plain Python containers.
+process.  A :class:`ResultSnapshot` is the portable form: the
+architectural outcome a reply or an oracle reads (statistics, every
+thread's scalar registers, the PE register and flag files, scalar data
+memory), captured into typed numpy arrays by buffer copies.  PE local
+memory and thread states are not captured.
 
-Snapshots are value objects: dataclass equality is element-wise, a
-pickle round-trip reproduces an equal object (asserted by tests), and a
-cache hit therefore hands back a result bit-identical to re-simulating.
-The accessor surface (``scalar`` / ``pe_reg`` / ``pe_flag`` /
-``memory`` / ``cycles``) mirrors ``RunResult`` so downstream consumers —
-output extraction, oracles, the batch service — accept either.
+Snapshots are value objects: equality compares every field, arrays by
+dtype, shape and contents; a pickle round-trip reproduces an equal
+object with the same pickle bytes (asserted by tests), and a cache hit
+therefore hands back a result bit-identical to re-simulating.  The
+accessor surface (``scalar`` / ``pe_reg`` / ``pe_flag`` / ``memory`` /
+``cycles``) mirrors ``RunResult`` so downstream consumers — output
+extraction, oracles, the batch service — accept either.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.memory import check_dump
 from repro.core.stats import ALL_STALL_CAUSES, Stats
+
+#: Fields held as numpy arrays; equality compares dtype, shape, contents.
+_ARRAY_FIELDS = ("scalars", "pe_regs", "pe_flags", "mem_words")
 
 
 @dataclass
 class ResultSnapshot:
     """Architectural outcome of one completed simulation.
 
-    ``scalars`` is indexed ``[thread][reg]``; ``pe_regs`` and
-    ``pe_flags`` are indexed ``[thread][reg][pe]``; ``mem_words`` is the
-    full scalar data memory.  All cells are plain Python ints so
-    equality, JSON rendering, and pickling are exact.
+    * ``scalars`` — ``uint32``, shape ``(threads, regs)``.  Not W-bit:
+      ``jal`` writes a full-width PC into the link register.
+    * ``pe_regs`` — unsigned W-bit, shape ``(threads, regs, pes)``.
+    * ``pe_flags`` — ``bool``, shape ``(threads, flags, pes)``.
+    * ``mem_words`` — unsigned W-bit, the full scalar data memory.
     """
 
     stats: Stats
-    scalars: list = field(default_factory=list)
-    pe_regs: list = field(default_factory=list)
-    pe_flags: list = field(default_factory=list)
-    mem_words: list = field(default_factory=list)
+    scalars: np.ndarray
+    pe_regs: np.ndarray
+    pe_flags: np.ndarray
+    mem_words: np.ndarray
     # Sanitizer race reports as JSON-safe dicts; None when the run was
     # not sanitized (distinct from [], a sanitized-and-clean run).
     races: list | None = None
@@ -67,31 +75,48 @@ class ResultSnapshot:
                     backend: str = "cycle") -> "ResultSnapshot":
         """Capture a finished ``RunResult`` (or compatible object)."""
         proc = result.processor
+        # The memory buffer's dtype is the machine's unsigned W-bit word.
+        mem_words = proc.mem.dump_array()
         return cls(
             stats=result.stats,
-            scalars=[[int(v) for v in ctx.sregs] for ctx in proc.threads],
-            pe_regs=proc.pe.regs.tolist(),
-            pe_flags=proc.pe.flags.astype(np.int64).tolist(),
-            mem_words=[int(w) for w in proc.mem.dump(0, proc.mem.words)],
+            scalars=np.array([ctx.sregs for ctx in proc.threads],
+                             dtype=np.uint32),
+            pe_regs=proc.pe.regs.astype(mem_words.dtype),
+            pe_flags=proc.pe.flags.copy(),
+            mem_words=mem_words,
             races=races,
             profile=profile,
             verify=verify,
             backend=backend,
         )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultSnapshot):
+            return NotImplemented
+        for f in dataclasses.fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name in _ARRAY_FIELDS:
+                if (mine.dtype != theirs.dtype
+                        or not np.array_equal(mine, theirs)):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
     # -- RunResult-compatible accessors -------------------------------------
 
     def scalar(self, reg: int, thread: int = 0) -> int:
-        return self.scalars[thread][reg]
+        return int(self.scalars[thread, reg])
 
     def pe_reg(self, reg: int, thread: int = 0) -> np.ndarray:
-        return np.asarray(self.pe_regs[thread][reg], dtype=np.int64)
+        return self.pe_regs[thread, reg].astype(np.int64)
 
     def pe_flag(self, flag: int, thread: int = 0) -> np.ndarray:
-        return np.asarray(self.pe_flags[thread][flag], dtype=bool)
+        return self.pe_flags[thread, flag].copy()
 
     def memory(self, base: int, count: int) -> list:
-        return self.mem_words[base:base + count]
+        check_dump(base, count, len(self.mem_words))
+        return self.mem_words[base:base + count].tolist()
 
     @property
     def cycles(self) -> int:
@@ -107,17 +132,17 @@ class ResultSnapshot:
             "stats": stats_to_json(self.stats),
             "scalars": {
                 f"t{t}": {f"s{i}": v for i, v in enumerate(regs) if v}
-                for t, regs in enumerate(self.scalars)
+                for t, regs in enumerate(self.scalars.tolist())
                 if any(regs)
             },
             "pe_regs": {
-                f"t{t}": {f"p{i}": list(col)
+                f"t{t}": {f"p{i}": col
                           for i, col in enumerate(regs) if any(col)}
-                for t, regs in enumerate(self.pe_regs)
+                for t, regs in enumerate(self.pe_regs.tolist())
                 if any(any(col) for col in regs)
             },
-            "memory_nonzero": {str(i): w for i, w in enumerate(self.mem_words)
-                               if w},
+            "memory_nonzero": {str(i): w for i, w
+                               in enumerate(self.mem_words.tolist()) if w},
         }
         if self.races is not None:
             out["races"] = self.races

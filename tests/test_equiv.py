@@ -331,6 +331,8 @@ class TestServeVerify:
         assert outcome.snapshot.to_json()["verify"] == verify
 
     def test_verified_job_matches_plain_outputs(self):
+        import numpy as np
+
         from repro.serve.jobs import Job
         from repro.serve.pool import execute_prepared
 
@@ -339,8 +341,10 @@ class TestServeVerify:
         verified = execute_prepared(
             Job(name="a", source=DEPENDENT_CHAIN, verify=True).prepare())
         assert plain.ok and verified.ok
-        assert verified.snapshot.scalars == plain.snapshot.scalars
-        assert verified.snapshot.mem_words == plain.snapshot.mem_words
+        assert np.array_equal(verified.snapshot.scalars,
+                              plain.snapshot.scalars)
+        assert np.array_equal(verified.snapshot.mem_words,
+                              plain.snapshot.mem_words)
 
     def test_refuted_job_fails_with_report(self, broken_scheduler):
         from repro.serve.jobs import Job

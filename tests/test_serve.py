@@ -15,13 +15,22 @@ import dataclasses
 import json
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.assoc.fastpath import run_fast
 from repro.core import ProcessorConfig, Stats, run_program
+from repro.core.memory import ScalarMemoryFault
 from repro.core.stats import ALL_STALL_CAUSES
 from repro.faults import FaultKind, FaultSite, FaultSpec, run_campaign
+from repro.isa.registers import (
+    LINK_REG,
+    NUM_FLAG_REGS,
+    NUM_PARALLEL_REGS,
+    NUM_SCALAR_REGS,
+)
 from repro.serve import (
     BatchRunner,
     CACHE_SCHEMA_VERSION,
@@ -48,6 +57,26 @@ main:
 
 SMALL = ProcessorConfig(num_pes=4, num_threads=2, lmem_words=64,
                         scalar_mem_words=128)
+
+# Stores all-ones words to scalar memory and a PE register, sets flags,
+# and executes jal from past pc 256, so the link value needs > 8 bits.
+WIDE_WORDS = """
+.text
+main:
+    addi   s1, s0, -1
+    sw     s1, 5(s0)
+    sw     s1, 127(s0)
+    pbcast p3, s1
+    pceqs  f2, p3, s1
+    fset   f5
+    j      far
+""" + "    nop\n" * 300 + """
+far:
+    jal    done
+    halt
+done:
+    halt
+"""
 
 
 def demo_job(name="demo", **cfg_overrides):
@@ -134,28 +163,28 @@ class TestJobIdentity:
         }
         keys = {name: Job.from_json(obj).prepare().key
                 for name, obj in jobs.items()}
-        assert CACHE_SCHEMA_VERSION == 6
+        assert CACHE_SCHEMA_VERSION == 7
         assert keys == {
-            "kernel": "b9feccc16db777b5a26323498df40d48"
-                      "d0e3cdcaf286cbd1f19e52c8bd11b525",
-            "inline": "df6c0097529475b43ed065d69ffb2b58"
-                      "7c8903ae8b8387fc2d1ef483352ca50c",
-            "fault": "8cc32662d9617af56844eeaa2a4fb43b"
-                     "4e357a875773c9325fb6c728d8bc2515",
-            "sanitize": "f7a4f587959744d7e6f20deb3594cd8d"
-                        "58dd4fbf9d2749f0aea88ec7635854e3",
-            "profile": "32af2fe2baad59aa04058ad19412b235"
-                       "986986027f450c2d06b760ab3af694a9",
-            "verify": "92005e4bca1cda2f24de16977b590da6"
-                      "fff01cd27996acde47b1ece63850d620",
-            "max_cycles": "a3e063cc7887923614121f31e8a93113"
-                          "47deffa2349690f3b1940f6256b1d68a",
-            "lmem": "7a91fc06381977d2a35c449c7f46833d"
-                    "925b40dafe758ad1d9b9dacb203bbe0e",
-            "kernel_args": "4a3c99d741eb7e419bb999c293aad0f5"
-                           "ebd3707e969bf183439525fb882606ad",
-            "fast": "2040d431dcb77c4591ff4c1156a2a8d9"
-                    "1da5b232f32cb4a73a0d9e1fb0e45e0b",
+            "kernel": "91e1673a60de88a1e09fb2d219dee1e1"
+                      "9c42941d90790ef3bccd5c6e5736d2c4",
+            "inline": "7a523253009c880b92033521692ca0d3"
+                      "9f41caa2f1d954584f24590c0c9e9939",
+            "fault": "4ce7341066b9790db1b5df3071113899"
+                     "9c32130d62a97ff3927644f48736cd3a",
+            "sanitize": "c3039055dc9f9d6b478d87458c625e2b"
+                        "eabc3214009d4d09c8f7ce31116ef686",
+            "profile": "d08263afa9b086caaa1c43950274616f"
+                       "3a9c4a82e63fc48301ebd190f63f2c2d",
+            "verify": "0b55585cbb62659915ae2d7e552ecba4"
+                      "beeac206e4c3970e0804246992e70827",
+            "max_cycles": "25689eb04b0c52276448b54768996f20"
+                          "c8c28c4ff3aab4f03627a03747e959d8",
+            "lmem": "202613806f70f1293514635fac40a23b"
+                    "8758f56c84ea6e68f033b6fafee56a6d",
+            "kernel_args": "1e3e80f545b580673dde0985486d791b"
+                           "937f37020390a94d92c1bd70fd7bb588",
+            "fast": "8c9244bf148b9834159fe1c981caca48"
+                    "6a2e1e3fefd3bcc5c4dbc0c4b1311aee",
         }
 
     def test_schema_version_invalidates_keys(self):
@@ -183,6 +212,56 @@ class TestSnapshot:
         clone = pickle.loads(pickle.dumps(snap))
         assert clone == snap
         assert pickle.dumps(clone) == pickle.dumps(snap)
+
+    @pytest.mark.parametrize("width", [8, 16, 32])
+    def test_every_word_width_survives_a_snapshot(self, width, tmp_path):
+        """W-bit words and the PC-wide link register, fresh and stored."""
+        cfg = dataclasses.replace(SMALL, word_width=width)
+        result = run_program(WIDE_WORDS, cfg)
+        mask = (1 << width) - 1
+        assert result.scalar(LINK_REG) > 0xFF           # jal from pc > 256
+        assert result.memory(127, 1) == [mask]
+        assert (result.pe_reg(3) == mask).all()
+        assert result.pe_flag(2).all() and result.pe_flag(5).all()
+        fresh = ResultSnapshot.from_result(result)
+        ResultCache(cache_dir=tmp_path).put("a" * 64, fresh)
+        stored, tier = ResultCache(cache_dir=tmp_path).lookup("a" * 64)
+        assert tier == "disk"
+        words = cfg.scalar_mem_words
+        for snap in (fresh, pickle.loads(pickle.dumps(fresh)), stored):
+            assert snap.pe_regs.dtype == np.dtype(f"uint{width}")
+            assert snap.mem_words.dtype == np.dtype(f"uint{width}")
+            assert snap.scalars.dtype == np.uint32
+            assert snap.pe_flags.dtype == bool
+            for t in range(cfg.num_threads):
+                for reg in range(NUM_SCALAR_REGS):
+                    assert snap.scalar(reg, t) == result.scalar(reg, t)
+                for reg in range(NUM_PARALLEL_REGS):
+                    got, want = snap.pe_reg(reg, t), result.pe_reg(reg, t)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                for flag in range(NUM_FLAG_REGS):
+                    got = snap.pe_flag(flag, t)
+                    want = result.pe_flag(flag, t)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+            assert snap.memory(0, words) == result.memory(0, words)
+            assert snap == fresh
+
+    @pytest.mark.parametrize("base,count", [
+        (0, 128), (126, 2), (127, 1), (5, 0), (126, 4), (-2, 2), (5, -1),
+        (128, 1), (128, 0)])
+    def test_memory_ranges_match_run_results(self, base, count):
+        """Snapshot, RunResult and FastRunResult agree, faults included."""
+        results = [run_program(DEMO, SMALL), run_fast(DEMO, SMALL)]
+        results.append(ResultSnapshot.from_result(results[0]))
+        outcomes = []
+        for result in results:
+            try:
+                outcomes.append(result.memory(base, count))
+            except ScalarMemoryFault as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     @settings(max_examples=15, deadline=None)
     @given(cfg=machine_configs(max_pes=8))

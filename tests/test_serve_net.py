@@ -753,6 +753,33 @@ class TestRequestLogReplay:
         assert main(["replay", str(log_path)]) == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_replay_refuses_a_log_of_another_cache_schema(self, tmp_path,
+                                                          capsys):
+        from repro.cli import main
+        from repro.serve.identity import CACHE_SCHEMA_VERSION
+
+        log_path = self.drive(
+            tmp_path, [json.dumps({"op": "run", "id": 1,
+                                   "job": job_obj()})])
+        lines = log_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["cache_schema"] = CACHE_SCHEMA_VERSION - 1
+        lines[0] = json.dumps(header, sort_keys=True)
+        log_path.write_text("\n".join(lines) + "\n")
+
+        class NeverDriven:
+            def handle_line(self, line):
+                raise AssertionError(f"re-drove {line!r}")
+
+        with pytest.raises(ValueError, match=(
+                f"schema {CACHE_SCHEMA_VERSION - 1}, this build uses "
+                f"{CACHE_SCHEMA_VERSION}")):
+            replay_log(log_path, NeverDriven())
+        assert main(["replay", str(log_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
 
 # ---------------------------------------------------------------------------
 # HTTP surface

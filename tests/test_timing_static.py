@@ -23,7 +23,6 @@ to that promise three ways:
   cycle core can be made to confirm.
 """
 
-import dataclasses
 import pathlib
 
 import numpy as np
@@ -490,4 +489,4 @@ def test_fast_snapshot_roundtrip():
     snap_c = capture(Processor)
     snap_f = capture(FastMachine)
     assert snap_f.schema == 5
-    assert dataclasses.asdict(snap_c) == dataclasses.asdict(snap_f)
+    assert snap_c == snap_f
