@@ -45,6 +45,8 @@ reserved assembler temporary):
 from __future__ import annotations
 
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.asm.program import Program, SourceLine
@@ -289,35 +291,36 @@ class Assembler:
     # -- pass 2: resolve symbols, build instructions --------------------------
 
     def _pass2(self, items: list[_Item], symbols: dict[str, int]) -> Program:
-        program = Program(symbols=dict(symbols))
         data_len = 0
         for item in items:
             if item.kind != "instr":
                 data_len = max(data_len, item.address
                                + (len(item.exprs) if item.kind == "word"
                                   else item.count))
-        program.data = [0] * data_len
+        data = [0] * data_len
+        instructions: list[Instruction] = []
+        source_map: dict[int, SourceLine] = {}
 
         for item in items:
             if item.kind == "word":
                 for i, expr in enumerate(item.exprs):
-                    program.data[item.address + i] = self._eval(
+                    data[item.address + i] = self._eval(
                         expr, symbols, item.lineno, item.text)
             elif item.kind == "space":
                 pass  # already zero-filled
             else:
                 instr = self._build(item, symbols)
-                assert item.address == len(program.instructions), (
+                assert item.address == len(instructions), (
                     "pass-1/pass-2 address mismatch")
-                program.source_map[item.address] = SourceLine(
+                source_map[item.address] = SourceLine(
                     item.lineno, item.text, item.expansion)
-                program.instructions.append(instr)
+                instructions.append(instr)
         # Invariant: every emitted instruction — pseudo-op expansions
         # included — carries source provenance.
-        assert set(program.source_map) == set(
-            range(len(program.instructions))), \
+        assert set(source_map) == set(range(len(instructions))), \
             "assembler source_map does not cover every instruction"
-        return program
+        return Program(instructions=instructions, data=data,
+                       symbols=dict(symbols), source_map=source_map)
 
     def _build(self, item: _Item, symbols: dict[str, int]) -> Instruction:
         spec = OPCODES[item.mnemonic]
@@ -335,7 +338,7 @@ class Assembler:
         if item.mask is not None:
             fields["mf"] = registers.parse_flag_reg(item.mask)
         try:
-            return Instruction(item.mnemonic, **fields)
+            return Instruction(spec.mnemonic, **fields)
         except IsaError as exc:
             raise AsmError(str(exc), item.lineno, item.text)
 
@@ -450,6 +453,86 @@ class Assembler:
                        lineno, raw)
 
 
+#: Retention budget of the program memo behind :func:`assemble`, in
+#: instructions (a kernel-library instruction, with its source line and
+#: fingerprint, holds about 420 B, so about 1.7 MiB).  An entry costs its
+#: instructions plus one unit per 16 data words, or one unit per 64 bytes
+#: of source text when that is more, and at least one unit: a long
+#: comment or a large ``.space`` cannot pin memory its instruction count
+#: does not show.
+MEMO_BUDGET = 4096
+
+
+class ProgramMemo:
+    """Bounded LRU of assembled programs.
+
+    Keyed by ``(source, word_width)``, the assembler's only inputs, so
+    every caller that assembles the same text gets the same immutable
+    :class:`Program`; :data:`PROGRAM_MEMO` is the process-wide instance.
+    Least recently used entries are evicted first once the retained cost
+    passes ``budget``; a program that costs more than the whole budget is
+    returned but not kept.
+    """
+
+    def __init__(self, budget: int = MEMO_BUDGET) -> None:
+        self.budget = budget
+        self._entries: OrderedDict[tuple[str, int], tuple[Program, int]] = \
+            OrderedDict()
+        self._lock = threading.Lock()
+        self._cost = 0
+        self.instructions = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def assemble(self, source: str, word_width: int) -> Program:
+        key = (source, word_width)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[0]
+            self.misses += 1
+        program = Assembler(word_width=word_width).assemble(source)
+        cost = max(1, len(program) + len(program.data) // 16,
+                   len(source) // 64)
+        if cost > self.budget:
+            return program
+        with self._lock:
+            raced = self._entries.get(key)
+            if raced is not None:      # another thread assembled it first
+                return raced[0]
+            self._entries[key] = (program, cost)
+            self._cost += cost
+            self.instructions += len(program)
+            while self._cost > self.budget:
+                _, (old, old_cost) = self._entries.popitem(last=False)
+                self._cost -= old_cost
+                self.instructions -= len(old)
+                self.evictions += 1
+        return program
+
+    def stats(self) -> dict:
+        """Counters plus what is retained now, as a JSON-safe dict."""
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "evictions": self.evictions,
+                    "programs": len(self._entries),
+                    "instructions": self.instructions,
+                    "budget": self.budget}
+
+
+#: The memo :func:`assemble` consults.
+PROGRAM_MEMO = ProgramMemo()
+
+
 def assemble(source: str, word_width: int = 8) -> Program:
-    """Convenience one-shot assembly."""
-    return Assembler(word_width=word_width).assemble(source)
+    """Assemble ``source``; returns a shared, immutable :class:`Program`.
+
+    Each distinct ``(source, word_width)`` is assembled once per process
+    and served from :data:`PROGRAM_MEMO` after that, so callers must not
+    expect a fresh object.  ``Assembler(word_width).assemble(source)``
+    always builds a new (equal) one.
+    """
+    return PROGRAM_MEMO.assemble(source, word_width)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.core.config import MTMode, ProcessorConfig
 from repro.fpga.devices import Device, device_by_name
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
-from repro.serve.jobs import config_from_json
+from repro.serve.jobs import JobError, check_max_cycles, config_from_json
 
 #: Sweepable ProcessorConfig fields, in canonical expansion order.
 AXIS_ORDER = ("num_pes", "num_threads", "word_width", "broadcast_arity",
@@ -90,8 +90,10 @@ class SweepSpec:
             raise DseSpecError(
                 f"backend must be one of {', '.join(BACKEND_POLICIES)}; "
                 f"got {self.backend!r}")
-        if self.max_cycles is not None and self.max_cycles < 1:
-            raise DseSpecError("max_cycles must be >= 1")
+        try:
+            check_max_cycles(self.max_cycles)
+        except JobError as exc:
+            raise DseSpecError(str(exc)) from None
 
     # -- validation ----------------------------------------------------------
 

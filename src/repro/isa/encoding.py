@@ -18,6 +18,8 @@ complement in the imm field and sign-extended on decode, so the
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.isa.instruction import Instruction, IsaError
 from repro.isa.opcodes import Format, ImmKind, lookup
 from repro.util.bitops import sign_extend, wrap_to_width
@@ -34,8 +36,11 @@ def _imm_is_signed(kind: ImmKind | None) -> bool:
 
 
 def encode(instr: Instruction) -> int:
-    """Pack an :class:`Instruction` into its 32-bit machine word."""
-    instr.validate()
+    """Pack an :class:`Instruction` into its 32-bit machine word.
+
+    Instructions validate their fields when built and are immutable, so
+    every field is in range here.
+    """
     spec = instr.spec
     word = (spec.opcode & 0x3F) << 26
     if spec.fmt is Format.R:
@@ -72,44 +77,35 @@ def decode(word: int) -> Instruction:
             f"undefined instruction word {word:#010x} "
             f"(opcode={opcode}, funct={funct})"
         )
-    instr = Instruction.__new__(Instruction)
-    instr.mnemonic = spec.mnemonic
-    instr.rd = instr.rs = instr.rt = 0
-    instr.mf = 0
-    instr.imm = 0
-    instr.target = 0
+    rd, rs = (word >> 21) & 0x1F, (word >> 16) & 0x1F
+    signed = _imm_is_signed(spec.imm_kind)
+    fields: dict[str, int]
     if spec.fmt is Format.R:
-        instr.rd = (word >> 21) & 0x1F
-        instr.rs = (word >> 16) & 0x1F
-        instr.rt = (word >> 11) & 0x1F
-        instr.mf = (word >> 8) & 0x7
+        fields = dict(rd=rd, rs=rs, rt=(word >> 11) & 0x1F,
+                      mf=(word >> 8) & 0x7)
     elif spec.fmt is Format.I:
-        instr.rd = (word >> 21) & 0x1F
-        instr.rs = (word >> 16) & 0x1F
         raw = word & 0xFFFF
-        instr.imm = sign_extend(raw, 16) if _imm_is_signed(spec.imm_kind) else raw
+        fields = dict(rd=rd, rs=rs,
+                      imm=sign_extend(raw, 16) if signed else raw)
     elif spec.fmt is Format.IP:
-        instr.rd = (word >> 21) & 0x1F
-        instr.rs = (word >> 16) & 0x1F
-        instr.mf = (word >> 13) & 0x7
         raw = word & 0x1FFF
-        instr.imm = sign_extend(raw, 13) if _imm_is_signed(spec.imm_kind) else raw
+        fields = dict(rd=rd, rs=rs, mf=(word >> 13) & 0x7,
+                      imm=sign_extend(raw, 13) if signed else raw)
     elif spec.fmt is Format.J:
-        instr.target = word & 0x3FFFFFF
+        fields = dict(target=word & 0x3FFFFFF)
     else:  # pragma: no cover
         raise AssertionError(spec.fmt)
     try:
-        instr.validate()
+        return Instruction(spec.mnemonic, **fields)
     except IsaError as exc:
         raise DecodeError(f"word {word:#010x} decodes to invalid fields: {exc}")
-    return instr
 
 
-def encode_program(instructions: list[Instruction]) -> list[int]:
+def encode_program(instructions: Sequence[Instruction]) -> list[int]:
     """Encode a whole instruction sequence."""
     return [encode(i) for i in instructions]
 
 
-def decode_program(words: list[int]) -> list[Instruction]:
+def decode_program(words: Sequence[int]) -> list[Instruction]:
     """Decode a whole word sequence."""
     return [decode(w) for w in words]

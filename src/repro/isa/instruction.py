@@ -9,7 +9,7 @@ unpacks a word), and the pipeline (which reads its hazard roles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.isa import registers
 from repro.isa.opcodes import OPCODES, ExecClass, Format, ImmKind, OpSpec
@@ -19,18 +19,27 @@ class IsaError(ValueError):
     """Raised for malformed instructions (bad fields, unknown mnemonics)."""
 
 
-_FIELD_NAMES = ("rd", "rs", "rt", "mf")
+#: One shared ``(regfile, index)`` tuple per register: interned programs
+#: keep their instructions for the life of the process, so their hazard
+#: roles point at these instead of each holding copies.
+_REGS = {(regfile, index): (regfile, index)
+         for regfile, size in registers.REGFILE_SIZES.items()
+         for index in range(size)}
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Instruction:
-    """One decoded instruction.
+    """One decoded instruction; immutable once constructed.
 
     ``rd``/``rs``/``rt`` are register-field values (interpretation depends
     on the opcode: scalar, parallel or flag index — see the OpSpec operand
     table).  ``mf`` is the mask-flag field.  ``imm`` holds the semantic
     immediate (already sign-extended where the kind is signed).  ``target``
     holds an absolute instruction address for J-format.
+
+    Assembled programs are interned and shared by every job that
+    assembled the same text, so no field may change after construction;
+    the hazard roles are computed once, here, for the same reason.
     """
 
     mnemonic: str
@@ -40,11 +49,29 @@ class Instruction:
     mf: int = registers.ALWAYS_FLAG
     imm: int = 0
     target: int = 0
+    _dest: tuple[str, int] | None = field(
+        init=False, repr=False, compare=False)
+    _srcs: tuple[tuple[str, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mnemonic not in OPCODES:
             raise IsaError(f"unknown mnemonic: {self.mnemonic!r}")
         self.validate()
+        spec = self.spec
+        if spec.dest is not None:
+            regfile, fname = spec.dest
+            dest = _REGS[regfile, self._field(fname)]
+        elif spec.implicit_dest is not None:
+            dest = _REGS["s", spec.implicit_dest]
+        else:
+            dest = None
+        srcs = [_REGS[regfile, self._field(fname)]
+                for regfile, fname in spec.srcs]
+        if spec.masked:
+            srcs.append(_REGS["f", self.mf])
+        object.__setattr__(self, "_dest", dest)
+        object.__setattr__(self, "_srcs", tuple(srcs))
 
     # -- static metadata ---------------------------------------------------
 
@@ -69,40 +96,16 @@ class Instruction:
         Writes to the hardwired-zero registers (s0/p0) and to f0 are
         architectural no-ops but are still reported here; the register
         files themselves ignore them.
-
-        Cached: hazard roles are consulted every cycle by the issue
-        logic, and instructions are immutable once assembled/decoded.
         """
-        cached = getattr(self, "_dest_cache", False)
-        if cached is not False:
-            return cached
-        spec = self.spec
-        if spec.dest is not None:
-            regfile, fname = spec.dest
-            dest = (regfile, self._field(fname))
-        elif spec.implicit_dest is not None:
-            dest = ("s", spec.implicit_dest)
-        else:
-            dest = None
-        self._dest_cache = dest
-        return dest
+        return self._dest
 
-    def src_regs(self) -> list[tuple[str, int]]:
+    def src_regs(self) -> tuple[tuple[str, int], ...]:
         """All (regfile, index) pairs this instruction reads.
 
         Includes the mask flag for masked instructions (the mask is a true
-        data dependency: it is read in the PR stage).  Cached, like
-        :meth:`dest_reg`.
+        data dependency: it is read in the PR stage).
         """
-        cached = getattr(self, "_srcs_cache", None)
-        if cached is not None:
-            return cached
-        spec = self.spec
-        out = [(regfile, self._field(fname)) for regfile, fname in spec.srcs]
-        if spec.masked:
-            out.append(("f", self.mf))
-        self._srcs_cache = out
-        return out
+        return self._srcs
 
     # -- validation ---------------------------------------------------------
 

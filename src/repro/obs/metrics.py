@@ -137,6 +137,15 @@ class Counter(_Metric):
             raise MetricError(f"{self.name}: counters only go up")
         self._bump(_check_labels(self.labels, labels, self.name), amount)
 
+    def sync(self, total: float, **labels) -> None:
+        """Set one series to ``total``, a count kept outside the registry.
+
+        For collectors that mirror a monotonic count each time the
+        registry is read (see :meth:`MetricsRegistry.add_collector`).
+        """
+        self._bump(_check_labels(self.labels, labels, self.name), total,
+                   replace=True)
+
 
 class Gauge(_Metric):
     """A value that can go up and down (queue depth, last batch size)."""
@@ -249,6 +258,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, object] = {}
+        self._collectors: list = []
         self._lock = threading.Lock()
 
     def _register(self, cls, name: str, help_text: str, labels: tuple,
@@ -289,6 +299,22 @@ class MetricsRegistry:
                               f"different buckets")
         return metric
 
+    def add_collector(self, collect) -> None:
+        """Call ``collect(registry)`` before every snapshot and export.
+
+        For values kept outside the registry, such as a process-wide
+        memo's counters: the collector copies them in when the registry
+        is read, so the hot path that counts them stays registry-free.
+        Adding the same callable again is a no-op.
+        """
+        with self._lock:
+            if collect not in self._collectors:
+                self._collectors.append(collect)
+
+    def _collect(self) -> None:
+        for collect in list(self._collectors):
+            collect(self)
+
     def get(self, name: str):
         """The registered metric, or None."""
         return self._metrics.get(name)
@@ -298,11 +324,13 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Every metric rendered to a deterministic JSON-safe dict."""
+        self._collect()
         return {name: self._metrics[name].snapshot()
                 for name in self.names()}
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format for every metric."""
+        self._collect()
         lines: list[str] = []
         for name in self.names():
             lines.extend(self._metrics[name].render_prometheus())

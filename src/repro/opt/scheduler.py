@@ -171,16 +171,11 @@ class ListScheduler:
                     new_source_map.pop(block.start + slot, None)
         return Program(
             instructions=new_instrs,
-            data=list(program.data),
+            data=program.data,
             symbols=dict(program.symbols),
             source_map=new_source_map,
             entry=program.entry,
         )
-
-    def schedule_block_instrs(self, instrs: list[Instruction],
-                              ) -> list[Instruction]:
-        """Schedule one block, keeping control/barrier placement legal."""
-        return schedule_block(instrs, self.cfg)
 
 
 def schedule_program(program: Program, cfg: ProcessorConfig) -> Program:

@@ -4,7 +4,6 @@ from repro.pe.pe_array import MemoryFault, PEArray
 from repro.pe.alu import CMP_OPS, FLAG_OPS, INT_OPS
 from repro.pe.seq_units import (
     PIPELINED_MUL_LATENCY,
-    SequentialUnit,
     sequential_div_latency,
     sequential_mul_latency,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "FLAG_OPS",
     "INT_OPS",
     "PIPELINED_MUL_LATENCY",
-    "SequentialUnit",
     "sequential_div_latency",
     "sequential_mul_latency",
 ]

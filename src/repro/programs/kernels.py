@@ -42,14 +42,6 @@ class Kernel:
     notes: str = ""
 
 
-def _pad(values: np.ndarray, num_pes: int, fill: int = 0) -> np.ndarray:
-    """Pad / truncate a value vector to one entry per PE."""
-    out = np.full(num_pes, fill, dtype=np.int64)
-    n = min(len(values), num_pes)
-    out[:n] = values[:n]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # 1. vector_mac — pure data-parallel multiply-accumulate (no reductions)
 # ---------------------------------------------------------------------------

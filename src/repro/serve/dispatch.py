@@ -36,6 +36,7 @@ import json
 import time
 from collections import deque
 
+from repro.asm.assembler import PROGRAM_MEMO
 from repro.serve.batch import BatchRunner
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobError, jobs_from_json
@@ -65,6 +66,29 @@ DETERMINISTIC_OPS = ("batch", "dse", "ping", "run")
 #: Request latencies kept for the stats SLO section (a sliding window,
 #: so a long-lived service reports recent behaviour, not its lifetime).
 SLO_WINDOW = 4096
+
+
+def _publish_program_memo(registry) -> None:
+    """Copy the process-wide program memo's counters into ``registry``.
+
+    A registry collector (:meth:`MetricsRegistry.add_collector`): it runs
+    whenever the registry is read, so ``stats`` and ``/metrics`` see
+    current values and :func:`~repro.asm.assembler.assemble` never
+    touches a registry.
+    """
+    stats = PROGRAM_MEMO.stats()
+    for outcome, what in (("hits", "assemble() calls served from"),
+                          ("misses", "assemble() calls not found in"),
+                          ("evictions", "programs evicted from")):
+        registry.counter(f"program_memo_{outcome}_total",
+                         f"{what} the process-wide program memo",
+                         ).sync(stats[outcome])
+    registry.gauge("program_memo_instructions",
+                   "instructions retained by the program memo",
+                   ).set(stats["instructions"])
+    registry.gauge("program_memo_programs",
+                   "programs retained by the program memo",
+                   ).set(stats["programs"])
 
 
 def canonical_reply(reply: dict) -> str:
@@ -231,6 +255,7 @@ class Dispatcher:
         self._latency = self.registry.histogram(
             "serve_request_seconds", "request handling latency, by op",
             labels=("op",))
+        self.registry.add_collector(_publish_program_memo)
         self.slo = SloTracker()
         self._dse = None        # lazy DseRunner (instruments register once)
         self.requests = 0

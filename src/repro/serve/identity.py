@@ -80,12 +80,13 @@ def config_fingerprint(cfg: ProcessorConfig) -> dict:
 
 
 def program_fingerprint(program: Program) -> dict:
-    """The execution-relevant bits of an assembled program."""
-    return {
-        "words": program.encode(),
-        "data": [int(w) for w in program.data],
-        "entry": program.entry,
-    }
+    """The execution-relevant bits of an assembled program.
+
+    Computed once per program and kept with it
+    (:attr:`~repro.asm.program.Program.fingerprint`): interned programs
+    are shared, so only the first job to key a program encodes it.
+    """
+    return program.fingerprint
 
 
 def lmem_fingerprint(lmem: dict | None) -> dict:

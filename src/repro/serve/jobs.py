@@ -78,6 +78,31 @@ class JobError(ValueError):
     """A job description is malformed or names unknown entities."""
 
 
+def check_max_cycles(value: object) -> None:
+    """Reject a cycle limit that is neither null nor an int >= 1.
+
+    The one rule for ``max_cycles`` in job and sweep documents; bools are
+    ints to Python but not cycle counts.
+    """
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int) or value < 1):
+        raise JobError(f"max_cycles must be null or an integer >= 1, "
+                       f"got {value!r}")
+
+
+#: JSON job fields that must have one type when present (not null).
+_FIELD_TYPES = {
+    "source": (str, "a string of assembly source"),
+    "file": (str, "a path string"),
+    "kernel": (str, "a kernel name string"),
+    "kernel_args": (dict, "an object of keyword arguments for the kernel "
+                          "builder"),
+    "config": (dict, "an object of ProcessorConfig fields"),
+    "lmem": (dict, "an object mapping columns to value lists"),
+    "fault": (dict, "a fault object"),
+}
+
+
 def config_from_json(spec: dict | None) -> ProcessorConfig:
     """Build a :class:`ProcessorConfig` from a JSON dict of field values."""
     spec = dict(spec or {})
@@ -142,6 +167,10 @@ class Job:
         if self.kernel_args and self.kernel is None:
             raise JobError(
                 f"job {self.name!r}: kernel_args requires a kernel job")
+        try:
+            check_max_cycles(self.max_cycles)
+        except JobError as exc:
+            raise JobError(f"job {self.name!r}: {exc}") from None
         if self.backend not in ("cycle", "fast"):
             raise JobError(
                 f"job {self.name!r}: backend must be 'cycle' or 'fast', "
@@ -169,8 +198,13 @@ class Job:
         unknown = sorted(set(obj) - known)
         if unknown:
             raise JobError(f"unknown job field(s): {', '.join(unknown)}")
+        for fname, (kind, what) in _FIELD_TYPES.items():
+            value = obj.get(fname)
+            if value is not None and not isinstance(value, kind):
+                raise JobError(f"'{fname}' must be {what}, "
+                               f"got {type(value).__name__}")
         source = obj.get("source")
-        if "file" in obj:
+        if obj.get("file") is not None:
             if source is not None:
                 raise JobError("give either 'source' or 'file', not both")
             path = pathlib.Path(obj["file"])
@@ -195,9 +229,6 @@ class Job:
         name = obj.get("name") or obj.get("kernel") or obj.get("file") \
             or "inline"
         kernel_args = obj.get("kernel_args") or {}
-        if not isinstance(kernel_args, dict):
-            raise JobError("'kernel_args' must be an object of keyword "
-                           "arguments for the kernel builder")
         return cls(name=str(name), source=source, kernel=obj.get("kernel"),
                    kernel_args={str(k): v for k, v in kernel_args.items()},
                    config=config_from_json(obj.get("config")),
@@ -219,7 +250,7 @@ class Job:
             try:
                 kern = ALL_KERNEL_BUILDERS[self.kernel](
                     cfg.num_pes, **self.kernel_args)
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 raise JobError(
                     f"job {self.name!r}: bad kernel_args for "
                     f"{self.kernel!r}: {exc}") from exc

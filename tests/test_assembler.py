@@ -133,12 +133,12 @@ tab: .word 1, 2, 3
 .text
 halt
 """)
-        assert prog.data == [1, 2, 3]
+        assert prog.data == (1, 2, 3)
         assert prog.symbols["tab"] == 0
 
     def test_space(self):
         prog = assemble(".data\na: .word 9\nb: .space 3\nc: .word 7\n.text\nhalt\n")
-        assert prog.data == [9, 0, 0, 0, 7]
+        assert prog.data == (9, 0, 0, 0, 7)
         assert prog.symbols["c"] == 4
 
     def test_equ(self):

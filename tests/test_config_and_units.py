@@ -1,4 +1,4 @@
-"""Config validation, sequential units, scalar memory, stats, scheduler."""
+"""Config validation, scalar memory, stats, scheduler."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.core.memory import ScalarMemory, ScalarMemoryFault
 from repro.core.scheduler import ThreadScheduler
 from repro.core.stats import Stats
 from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
-from repro.pe.seq_units import SequentialUnit
 
 
 class TestConfigValidation:
@@ -62,36 +61,6 @@ class TestConfigValidation:
         deep = ProcessorConfig(num_pes=256, broadcast_arity=2)
         shallow = ProcessorConfig(num_pes=256, broadcast_arity=16)
         assert shallow.broadcast_depth < deep.broadcast_depth
-
-
-class TestSequentialUnit:
-    def test_occupy_and_release(self):
-        unit = SequentialUnit("mul", latency=8)
-        done = unit.occupy(10)
-        assert done == 18
-        assert not unit.is_free(17)
-        assert unit.is_free(18)
-
-    def test_ready_at(self):
-        unit = SequentialUnit("mul", latency=4)
-        unit.occupy(0)
-        assert unit.ready_at(1) == 4
-        assert unit.ready_at(9) == 9
-
-    def test_double_occupy_rejected(self):
-        unit = SequentialUnit("div", latency=4)
-        unit.occupy(0)
-        with pytest.raises(RuntimeError):
-            unit.occupy(2)
-
-    def test_statistics(self):
-        unit = SequentialUnit("mul", latency=3)
-        unit.occupy(0)
-        unit.occupy(5)
-        assert unit.uses == 2
-        assert unit.busy_cycles_total == 6
-        unit.reset()
-        assert unit.uses == 0 and unit.busy_until == 0
 
 
 class TestScalarMemory:

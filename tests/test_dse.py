@@ -262,6 +262,18 @@ class TestSweepSpec:
         with pytest.raises(DseSpecError, match="'axes'"):
             SweepSpec.from_json({"axes": [4, 8]})
 
+    @pytest.mark.parametrize("value", ["abc", -5, 0, 1.5, True])
+    def test_max_cycles_must_be_null_or_a_positive_int(self, value):
+        doc = {"axes": {"num_pes": [4]}, "kernels": ["vector_mac"],
+               "max_cycles": value}
+        error = f"max_cycles must be null or an integer >= 1, got {value!r}"
+        with pytest.raises(DseSpecError) as info:
+            SweepSpec.from_json(doc)
+        assert str(info.value) == error
+        reply = Dispatcher().handle_line(json.dumps({"op": "dse",
+                                                     "spec": doc}))
+        assert reply == {"ok": False, "error": error}
+
     def test_from_json_defaults(self):
         spec = SweepSpec.from_json({"axes": {"num_pes": [4]}})
         assert spec.kernels == tuple(DEFAULT_KERNELS)

@@ -394,4 +394,4 @@ class TestRefactorEquivalence:
                         [block_in[i] for i in perm]
             finally:
                 S.build_dag = orig
-            assert sched.instructions == ref_instrs, kernel.name
+            assert list(sched.instructions) == ref_instrs, kernel.name

@@ -664,6 +664,43 @@ class TestServeHardening:
         assert ses.registry.get("serve_line_errors_total") \
             .value(reason="internal") == 0
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("kernel", ["vector_mac"], "'kernel' must be a kernel name string"),
+        ("config", [1], "'config' must be an object"),
+        ("config", "x", "'config' must be an object"),
+        ("lmem", [1], "'lmem' must be an object"),
+        ("fault", 5, "'fault' must be a fault object"),
+        ("kernel_args", {"width": 64},
+         "job 'vector_mac': bad kernel_args for 'vector_mac'"),
+        ("source", 5, "'source' must be a string"),
+        ("file", 5, "'file' must be a path string"),
+    ])
+    def test_wrong_typed_job_field_is_a_job_error(self, field, value, error):
+        ses = self.session()
+        job = {"kernel": "vector_mac"}
+        if field in ("source", "file"):
+            job = {}
+        job[field] = value
+        reply = ses.handle_line(json.dumps({"op": "run", "job": job}))
+        assert reply["ok"] is False
+        assert reply["error"].startswith(error), reply["error"]
+        assert ses.registry.get("serve_line_errors_total") \
+            .value(reason="internal") == 0
+
+    @pytest.mark.parametrize("value", ["abc", -5, 0, 1.5, True])
+    def test_max_cycles_must_be_null_or_a_positive_int(self, value):
+        reply = self.session().handle_line(json.dumps(
+            {"op": "run", "job": {**self.job_obj(), "max_cycles": value}}))
+        assert reply == {"ok": False, "error":
+                         f"job 'x': max_cycles must be null or an integer "
+                         f">= 1, got {value!r}"}
+
+    @pytest.mark.parametrize("value", [None, 500])
+    def test_legal_max_cycles_run(self, value):
+        reply = self.session().handle_line(json.dumps(
+            {"op": "run", "job": {**self.job_obj(), "max_cycles": value}}))
+        assert reply["ok"] is True and reply["status"] == "ok"
+
     def test_health_surface(self):
         ses = self.session()
         reply = ses.handle_line('{"op": "health"}')
