@@ -77,6 +77,14 @@ _TOKEN_RE = re.compile(
 )
 
 
+def li_representable(value: int, word_width: int) -> bool:
+    """Whether ``li`` can load the literal ``value`` at ``word_width``:
+    any imm16 pattern (``ori``/``addi``) and, at W = 32, any 32-bit
+    pattern (``lui`` + ``ori``)."""
+    return (-0x8000 <= value <= 0xFFFF
+            or (word_width == 32 and -(1 << 31) <= value < (1 << 32)))
+
+
 @dataclass
 class _Item:
     """One source statement surviving to pass 2."""
@@ -274,19 +282,19 @@ class Assembler:
             # Symbolic (possibly forward-referenced): addresses and .equ
             # constants are required to fit in an unsigned imm16.
             return [("ori", [rd, "s0", expr], None)]
+        if not li_representable(value, self.word_width):
+            raise AsmError(
+                f"li value {value} not representable at word width "
+                f"{self.word_width}", lineno, raw)
         if 0 <= value <= 0xFFFF:
             return [("ori", [rd, "s0", str(value)], None)]
         if -0x8000 <= value < 0:
             return [("addi", [rd, "s0", str(value)], None)]
-        if self.word_width == 32 and -(1 << 31) <= value < (1 << 32):
-            uval = value & 0xFFFFFFFF
-            return [
-                ("lui", [rd, str((uval >> 16) & 0xFFFF)], None),
-                ("ori", [rd, rd, str(uval & 0xFFFF)], None),
-            ]
-        raise AsmError(
-            f"li value {value} not representable at word width "
-            f"{self.word_width}", lineno, raw)
+        uval = value & 0xFFFFFFFF
+        return [
+            ("lui", [rd, str((uval >> 16) & 0xFFFF)], None),
+            ("ori", [rd, rd, str(uval & 0xFFFF)], None),
+        ]
 
     # -- pass 2: resolve symbols, build instructions --------------------------
 

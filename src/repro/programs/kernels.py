@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.asm.assembler import li_representable
 from repro.network import reduction as red
 from repro.programs import workloads as wl
 from repro.util.bitops import mask_for_width
@@ -42,6 +43,14 @@ class Kernel:
     notes: str = ""
 
 
+def _li_count(name: str, value: int, width: int) -> None:
+    """Reject a loop count the program's ``li`` could not load, before a
+    reference loop runs over it."""
+    if not li_representable(value, width):
+        raise ValueError(f"{name}={value} is not representable by li at "
+                         f"word width {width}")
+
+
 # ---------------------------------------------------------------------------
 # 1. vector_mac — pure data-parallel multiply-accumulate (no reductions)
 # ---------------------------------------------------------------------------
@@ -53,6 +62,7 @@ def vector_mac(num_pes: int, iters: int = 16, a: int = 3, b: int = 5,
     Exercises the parallel pipeline and the (pipelined) multiplier with
     zero reduction traffic until the final checksum.
     """
+    _li_count("iters", iters, width)
     values = wl.random_field(num_pes, width, seed=seed, high=100)
     mask = mask_for_width(width)
     x = values.copy()
@@ -94,6 +104,7 @@ def assoc_max_extract(num_pes: int, rounds: int = 8, width: int = 16,
     Every round is rmaxu → consume → pceqs → rfirst → masked clear, so
     the kernel is reduction-hazard-bound on a single thread.
     """
+    _li_count("rounds", rounds, width)
     values = wl.random_field(num_pes, width, seed=seed, low=1,
                              high=min(5000, mask_for_width(width)))
     mask = mask_for_width(width)
@@ -454,6 +465,7 @@ def reduction_storm(num_pes: int, total_iters: int = 64, threads: int = 1,
     iters = total_iters // threads
     if iters < 1:
         raise ValueError("fewer iterations than threads")
+    _li_count("iters", iters, width)
     mask = mask_for_width(width)
 
     def worker_checksum() -> int:

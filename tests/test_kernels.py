@@ -116,6 +116,24 @@ class TestKernelGuards:
         with pytest.raises(KernelSetupError):
             run_kernel(kernel, small)
 
+    @pytest.mark.parametrize("build, count", [
+        (lambda count: vector_mac(16, iters=count), "iters"),
+        (lambda count: assoc_max_extract(16, rounds=count), "rounds"),
+        (lambda count: reduction_storm(16, total_iters=2 * count,
+                                       threads=2), "iters"),
+    ], ids=["vector_mac", "assoc_max_extract", "reduction_storm"])
+    def test_loop_count_li_cannot_load_is_rejected_up_front(self, build,
+                                                            count):
+        """A count past the width's ``li`` range fails before the
+        builder's reference loop runs over it (10**9 iterations would
+        otherwise hold the caller for minutes)."""
+        build(0xFFFF)
+        with pytest.raises(ValueError, match=f"{count}=65536 is not "
+                                             "representable by li"):
+            build(1 << 16)
+        with pytest.raises(ValueError, match="not representable by li"):
+            build(10 ** 9)
+
 
 class TestMstKernel:
     def test_matches_networkx(self):

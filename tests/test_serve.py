@@ -480,6 +480,13 @@ class TestJobParsing:
                                  f"'{kernel}' at {pes} PEs"):
             job.prepare()
 
+    def test_unloadable_loop_count_is_a_job_error(self):
+        job = Job.from_json({"name": "long", "kernel": "vector_mac",
+                             "kernel_args": {"iters": 10 ** 9}})
+        with pytest.raises(JobError, match="iters=1000000000 is not "
+                                           "representable by li"):
+            job.prepare()
+
     def test_file_jobs_resolve_against_base_dir(self, tmp_path):
         (tmp_path / "prog.s").write_text(DEMO)
         job = Job.from_json({"file": "prog.s",
