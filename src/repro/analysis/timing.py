@@ -402,14 +402,6 @@ class TimingAnalysis:
         stats.reduction_unit_uses = runits
         return stats
 
-    # -- pure-static bound ---------------------------------------------------
-
-    def static_bound(self) -> int | None:
-        """Sound path-free worst-case cycle bound (None if unbounded)."""
-        from repro.analysis.absint import static_cycle_bound
-
-        return static_cycle_bound(self.program, self.config, self.cfg)
-
 
 # ---------------------------------------------------------------------------
 # Lint checks (registered in repro.analysis.lint.ALL_CHECKS)
