@@ -10,7 +10,11 @@ and statistics:
   ``jr`` targets, ``tput``/``tjoin`` targets); the recorded block path
   is then folded through the compositional block summaries of
   :class:`repro.analysis.timing.TimingAnalysis` — timing is recovered
-  per *block* (memoized on pipeline state), not per instruction.
+  per *block* (memoized on pipeline state), not per instruction.  The
+  interpreter calls the same compiled ops as the cycle core
+  (:func:`repro.core.execute.compile_ops`), except that each straight-line
+  run of scalar register writes runs as one generated function
+  (:func:`repro.core.execute.fuse_scalar_runs`).
 
 * **Spawning programs** run on the cycle core itself
   (:class:`repro.core.processor.Processor`), whose issue loop caches
@@ -36,15 +40,20 @@ from repro.analysis.timing import TimingAnalysis
 from repro.asm.program import Program
 from repro.assoc.functional import FunctionalMachine
 from repro.core.config import ProcessorConfig
-from repro.core.execute import (
-    _BRANCHES,
-    _SCALAR_INT,
-    Executor,
-    make_scalar_int_ops,
-)
+from repro.core.execute import fuse_scalar_runs
 from repro.core.processor import Processor, SimulationError
 from repro.core.stats import Stats
 from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
+from repro.core.timing import (
+    K_BRANCH,
+    K_HALT,
+    K_JR,
+    K_PLAIN,
+    K_TJOIN,
+    K_TPUT,
+)
+
+FusedRuns = list[tuple[Callable[[ThreadContext], None], int] | None]
 
 __all__ = [
     "FastMachine",
@@ -89,90 +98,6 @@ class FastRunResult:
         return self.stats.cycles
 
 
-# -- scalar micro-op compiler -------------------------------------------------
-#
-# The functional Executor pays a Python dispatch (mnemonic lookup, spec
-# attribute reads, an ExecResult allocation) on every instruction.  For
-# the scalar ALU/branch subset — the bulk of dynamic instructions in
-# control- and address-arithmetic-heavy code — that outcome is statically
-# known, so each pc compiles once into a closure over the *same* integer
-# op tables the Executor dispatches through: arithmetic is identical by
-# construction, only the dispatch disappears.
-
-PlainOp = Callable[[ThreadContext], None]
-PlainRun = tuple[PlainOp, ...]
-BranchOp = Callable[[ThreadContext], bool]
-
-# Longest chain of plain ops dispatched as one run (keeps compiling
-# linear in the program size).
-_MAX_RUN = 32
-
-
-def _compile_fastops(
-    program: Program, executor: Executor,
-) -> tuple[list[PlainRun | None], list[BranchOp | None]]:
-    """Per-pc closures for the scalar hot path.
-
-    ``plain[pc]`` replaces ``Executor.execute`` for the run of scalar
-    ALU / ``lui`` instructions starting at ``pc`` (control outcome
-    statically the next pc), one closure per instruction;
-    ``branch[pc]`` evaluates a branch condition.  Every other pc gets
-    ``None`` and falls back to the Executor.
-    """
-    int_ops = make_scalar_int_ops(executor.width)
-    mask = executor.word_mask
-    width = executor.width
-    n = len(program.instructions)
-    plain: list[PlainOp | None] = [None] * n
-    branch: list[BranchOp | None] = [None] * n
-    for pc, instr in enumerate(program.instructions):
-        m = instr.mnemonic
-        pair = _SCALAR_INT.get(m)
-        if pair is not None:
-            op = int_ops[pair[0]]
-            if pair[1] == "rt":
-                def f_rr(t: ThreadContext, rd: int = instr.rd,
-                         rs: int = instr.rs, rt: int = instr.rt,
-                         op: Callable[[int, int], int] = op,
-                         mask: int = mask) -> None:
-                    s = t.sregs
-                    v = op(s[rs] if rs else 0, s[rt] if rt else 0)
-                    if rd:
-                        s[rd] = v & mask
-                plain[pc] = f_rr
-            else:
-                def f_ri(t: ThreadContext, rd: int = instr.rd,
-                         rs: int = instr.rs, imm: int = instr.imm,
-                         op: Callable[[int, int], int] = op,
-                         mask: int = mask) -> None:
-                    s = t.sregs
-                    v = op(s[rs] if rs else 0, imm)
-                    if rd:
-                        s[rd] = v & mask
-                plain[pc] = f_ri
-        elif m == "lui":
-            def f_lui(t: ThreadContext, rd: int = instr.rd,
-                      val: int = (instr.imm << 16) & mask) -> None:
-                if rd:
-                    t.sregs[rd] = val
-            plain[pc] = f_lui
-        elif m in _BRANCHES:
-            def f_br(t: ThreadContext, rd: int = instr.rd,
-                     rs: int = instr.rs,
-                     cmp: Callable[[int, int, int], bool] = _BRANCHES[m],
-                     w: int = width) -> bool:
-                s = t.sregs
-                return cmp(s[rd] if rd else 0, s[rs] if rs else 0, w)
-            branch[pc] = f_br
-    runs: list[PlainRun | None] = [None] * (n + 1)
-    for pc in range(n - 1, -1, -1):
-        f = plain[pc]
-        if f is not None:
-            rest = runs[pc + 1]
-            runs[pc] = (f,) + rest[:_MAX_RUN - 1] if rest else (f,)
-    return runs[:n], branch
-
-
 class FastMachine:
     """One configured fast-path machine.  Reusable across programs."""
 
@@ -185,9 +110,7 @@ class FastMachine:
         self._machine: FunctionalMachine | Processor = self._fm
         self._analysis: TimingAnalysis | None = None
         self._analysis_program: Program | None = None
-        self._plain: list[PlainRun | None] = []
-        self._branch: list[BranchOp | None] = []
-        self._ops_program: Program | None = None
+        self._fused: FusedRuns = []
 
     # Architectural state lives in the engine; the accessors mirror
     # Processor's attributes for snapshot/tooling code.
@@ -205,10 +128,6 @@ class FastMachine:
         return self._machine.threads
 
     @property
-    def executor(self) -> Executor:
-        return self._machine.executor
-
-    @property
     def program(self) -> Program | None:
         return self._machine.program
 
@@ -223,6 +142,7 @@ class FastMachine:
             self._machine = self._core
         else:
             self._machine = self._fm
+            self._fused = fuse_scalar_runs(program, self.cfg.word_width)
         self._machine.load(program)
 
     def _timing(self, program: Program) -> TimingAnalysis:
@@ -230,14 +150,6 @@ class FastMachine:
             self._analysis = TimingAnalysis(program, self.cfg)
             self._analysis_program = program
         return self._analysis
-
-    def _ops(self, program: Program,
-             ) -> tuple[list[PlainRun | None], list[BranchOp | None]]:
-        if self._ops_program is not program:
-            self._plain, self._branch = _compile_fastops(
-                program, self._fm.executor)
-            self._ops_program = program
-        return self._plain, self._branch
 
     def run(self, program: Program | None = None,
             max_cycles: int | None = None) -> FastRunResult:
@@ -267,9 +179,9 @@ class FastMachine:
         """Single-thread functional execution, recording fold events.
 
         A spawn-free program has exactly one live thread forever, so
-        the round-robin scheduler collapses to straight interpretation —
-        compiled scalar micro-ops where available, the Executor for
-        everything else.  Returns the main thread's event stream in the
+        the round-robin scheduler collapses to straight interpretation:
+        fused scalar runs where one starts, the compiled op of the pc
+        everywhere else.  Returns the main thread's event stream in the
         format :meth:`TimingAnalysis.fold` reads; a truncated stream
         (watchdog) is fine because the fold re-raises the core's timeout
         exactly.
@@ -277,8 +189,8 @@ class FastMachine:
         fm = self._fm
         thread = fm.threads[0]
         instructions = prog.instructions
-        plain, branch = self._ops(prog)
-        executor = fm.executor
+        ops, kinds = fm.ops, fm.kinds
+        fused = self._fused
         events: list[int] = []
         append = events.append
         num_threads = self.cfg.num_threads
@@ -289,48 +201,44 @@ class FastMachine:
         pc = thread.pc
         n = len(instructions)
         while 0 <= pc < n and steps <= max_steps:
-            run = plain[pc]
+            run = fused[pc]
             if run is not None:
-                for f in run:
-                    f(thread)
-                pc += len(run)
-                steps += len(run)
+                run[0](thread)
+                pc += run[1]
+                steps += run[1]
                 continue
-            g = branch[pc]
-            if g is not None:
-                if g(thread):
-                    append(1)
-                    pc += 1 + instructions[pc].imm
-                else:
+            kind = kinds[pc]
+            steps += 1
+            if kind == K_PLAIN:
+                ops[pc](thread)
+                pc += 1
+                continue
+            if kind == K_BRANCH:
+                next_pc = ops[pc](thread)
+                if next_pc is None:
                     append(0)
                     pc += 1
-                steps += 1
+                else:
+                    append(1)
+                    pc = next_pc
                 continue
-            thread.pc = pc
-            instr = instructions[pc]
-            m = instr.mnemonic
-            if m == "tjoin":
+            if kind == K_TJOIN:
                 target = fm.threads[
-                    thread.read_sreg(instr.rs) % num_threads]
+                    thread.read_sreg(instructions[pc].rs) % num_threads]
                 if target.state is not ThreadState.FREE:
                     # The only live thread is joining a live handle:
                     # the core reports deadlock the next round.
                     raise SimulationError(
                         f"deadlock: threads [{thread.tid}] blocked in "
                         f"tjoin with no runnable thread")
-                outcome = executor.execute(instr, thread, steps)
                 append(target.tid)
-            elif m == "tput":
-                outcome = executor.execute(instr, thread, steps)
-                append(thread.read_sreg(instr.rd) % num_threads)
-            elif m == "jr":
-                outcome = executor.execute(instr, thread, steps)
-                append(outcome.next_pc)
-            else:
-                outcome = executor.execute(instr, thread, steps)
-            pc = outcome.next_pc
-            steps += 1
-            if outcome.halt:
+            next_pc = ops[pc](thread)
+            if kind == K_TPUT:
+                append(thread.read_sreg(instructions[pc].rd) % num_threads)
+            pc = pc + 1 if next_pc is None else next_pc
+            if kind == K_JR:
+                append(pc)
+            elif kind == K_HALT:
                 fm.halted = True
                 break
             if thread.state is not ThreadState.RUNNABLE:

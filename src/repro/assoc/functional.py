@@ -1,9 +1,9 @@
 """Functional (untimed) execution backend.
 
 Runs the same programs as the cycle-accurate core — through the *same*
-:class:`repro.core.execute.Executor` — but with no pipeline timing: each
-step executes one instruction from each live thread in round-robin
-order.  Because the cycle-accurate core applies effects at issue in
+compiled ops (:func:`repro.core.execute.compile_ops`) — but with no
+pipeline timing: each step executes one instruction from each live
+thread in round-robin order.  Because the cycle-accurate core applies effects at issue in
 program order, the two backends must produce identical architectural
 results for any data-race-free program; the integration tests assert
 exactly that (timing-independence of results).
@@ -21,9 +21,10 @@ import numpy as np
 
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
-from repro.core.execute import Executor
+from repro.core.execute import Op, compile_ops
 from repro.core.memory import ScalarMemory
 from repro.core.thread import ThreadState, ThreadStatusTable
+from repro.core.timing import K_HALT, K_TJOIN, K_TSPAWN, KINDS
 from repro.pe.pe_array import PEArray
 
 
@@ -69,8 +70,9 @@ class FunctionalMachine:
                           cfg.lmem_words)
         self.mem = ScalarMemory(cfg.scalar_mem_words, cfg.word_width)
         self.threads = ThreadStatusTable(cfg.num_threads)
-        self.executor = Executor(self.pe, self.mem, self.threads,
-                                 cfg.word_width)
+        # The loaded program's compiled op and kind (timing.KINDS) per pc.
+        self.ops: list[Op] = []
+        self.kinds: list[int] = []
         self.halted = False
         self.program: Program | None = None
 
@@ -80,8 +82,8 @@ class FunctionalMachine:
         self.mem.reset()
         self.mem.load_image(program.data)
         self.threads = ThreadStatusTable(self.cfg.num_threads)
-        self.executor = Executor(self.pe, self.mem, self.threads,
-                                 self.cfg.word_width)
+        self.ops = compile_ops(program, self.pe, self.mem, self.threads)
+        self.kinds = [KINDS[ins.mnemonic] for ins in program.instructions]
         self.halted = False
         self.threads.allocate(program.entry, start_cycle=0)
 
@@ -93,14 +95,13 @@ class FunctionalMachine:
         prog = self.program
         steps = 0
         instructions = prog.instructions
-        executor = self.executor
+        ops, kinds = self.ops, self.kinds
         threads = self.threads
         while not self.halted:
-            live = threads.live_threads()
-            if not live:
+            if not threads.live:
                 break
             progressed = False
-            for thread in live:
+            for thread in tuple(threads.live):
                 if self.halted:
                     break
                 if thread.state is ThreadState.JOINING:
@@ -113,17 +114,22 @@ class FunctionalMachine:
                         continue
                 if thread.state is not ThreadState.RUNNABLE:
                     continue
-                instr = instructions[thread.pc]
-                if instr.spec.mnemonic == "tjoin":
-                    target = threads[
-                        thread.read_sreg(instr.rs) % self.cfg.num_threads]
+                pc = thread.pc
+                kind = kinds[pc]
+                if kind == K_TJOIN:
+                    target = threads[thread.read_sreg(instructions[pc].rs)
+                                     % self.cfg.num_threads]
                     if target.state is not ThreadState.FREE:
                         thread.state = ThreadState.JOINING
                         thread.join_target = target.tid
                         continue
-                outcome = executor.execute(instr, thread, steps)
-                thread.pc = outcome.next_pc
-                if outcome.halt:
+                if kind == K_TSPAWN:
+                    ops[pc](thread, steps)
+                    thread.pc = pc + 1
+                else:
+                    next_pc = ops[pc](thread)
+                    thread.pc = pc + 1 if next_pc is None else next_pc
+                if kind == K_HALT:
                     self.halted = True
                 if thread.state is ThreadState.EXITED:
                     threads.release(thread.tid)

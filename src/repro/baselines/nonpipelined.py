@@ -7,9 +7,9 @@ and max/min reductions use the bit-serial Falkoff algorithm at one bit
 per cycle.
 
 Implemented as a cost model over the functional interpreter: the
-architectural semantics come from the shared :class:`Executor` (so
-results are identical to the other machines) while cycles are charged
-per instruction class:
+architectural semantics come from the shared compiled ops (so results
+are identical to the other machines) while cycles are charged per
+instruction class:
 
 * scalar:     4 cycles (IF, ID, EX, WB);
 * parallel:   5 cycles (IF, ID, broadcast-settle, EX, WB);
@@ -31,6 +31,7 @@ from repro.asm.program import Program
 from repro.assoc.functional import FunctionalMachine
 from repro.core.config import MTMode, MultiplierKind, ProcessorConfig
 from repro.core.thread import ThreadState
+from repro.core.timing import K_HALT, K_TSPAWN
 from repro.isa.opcodes import ExecClass
 from repro.network.falkoff import falkoff_cycles
 from repro.pe.seq_units import (
@@ -123,12 +124,18 @@ class NonPipelinedMachine:
         cycles = 0
         instructions = 0
         while not fm.halted and thread.state is ThreadState.RUNNABLE:
-            instr = fm.program.instructions[thread.pc]
-            outcome = fm.executor.execute(instr, thread, cycles)
-            cycles += instruction_cost(instr.spec, self.cfg, outcome.taken)
+            pc = thread.pc
+            kind = fm.kinds[pc]
+            next_pc = None
+            if kind == K_TSPAWN:
+                fm.ops[pc](thread, cycles)
+            else:
+                next_pc = fm.ops[pc](thread)
+            cycles += instruction_cost(fm.program.instructions[pc].spec,
+                                       self.cfg, next_pc is not None)
             instructions += 1
-            thread.pc = outcome.next_pc
-            if outcome.halt:
+            thread.pc = pc + 1 if next_pc is None else next_pc
+            if kind == K_HALT:
                 fm.halted = True
             if thread.state is ThreadState.EXITED:
                 fm.threads.release(thread.tid)

@@ -1,173 +1,280 @@
-"""Architectural execution semantics.
+"""Architectural execution semantics, compiled once per program.
 
-The cycle-accurate core computes an instruction's *effects* once, at
-issue time (timing is enforced separately by the scoreboard — see
-DESIGN.md Section 5).  This module implements those effects for every
-opcode.  It is also reused verbatim by the functional backend in
-:mod:`repro.assoc`, so the timing model and the reference interpreter
-cannot drift apart.
+The cycle core applies an instruction's *effects* at issue (timing is
+the scoreboard's job, DESIGN.md Section 5).  :func:`compile_ops` turns
+every pc of a loaded program into an *op*, a closure holding its
+operands, masks and word width.  The core, the functional and
+non-pipelined interpreters and the fast path's trace call the same ops,
+so no issue looks a mnemonic up and the backends cannot drift apart.
 
-Scalar integer semantics intentionally mirror the vectorized PE ALU in
-:mod:`repro.pe.alu` (wrapping W-bit arithmetic, clamped shifts,
-truncating signed division with the all-ones div-by-zero result); the
-test suite cross-checks the two implementations property-wise.
+``op(thread)`` applies the effects and returns the next pc when control
+transfers (taken branch, ``j``, ``jal``, ``jr``), else None; a taken
+branch with offset 0 returns ``pc + 1``.  ``tspawn``'s op also takes the
+issue cycle and returns the child's tid (None when no context is free).
+The loops handle ``halt``, ``texit``, the ``tjoin`` gate and ``tput``'s
+scoreboard entry by kind (:data:`repro.core.timing.KINDS`).
+
+Scalar semantics are written once, in :data:`SCALAR_EXPR`; the per-pc
+ops and the fast path's fused runs (:func:`fuse_scalar_runs`) are both
+generated from it.  On a healthy machine the hot parallel and reduction
+ops are numpy kernels over register rows that write through ``out=`` or
+``np.copyto(..., where=mask)``.  They rely on what such a machine
+guarantees: p0 reads 0, f0 reads 1, registers hold W-bit values (s14
+after ``jal`` holds a 32-bit link, so scalar operands are masked).  A
+dead PE breaks that, so with a fault plane attached every parallel and
+reduction op calls the reference units (``INT_OPS``, ``CMP_OPS``,
+``REDUCTION_FNS``) through the plane's hooks: the parity-checked read,
+``filter_broadcast``, ``reduction_mask``/``filter_reduction_value`` and
+the fault-masked ``PEArray.write_reg``.  With a race sanitizer attached,
+``lw``, ``sw``, ``tput`` and ``tget`` emit its events.  Hooks are bound
+when compiling: a machine without them pays nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import functools
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.core.thread import ThreadContext, ThreadState
+from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
 from repro.isa import registers
 from repro.isa.instruction import Instruction
+from repro.isa.opcodes import ExecClass
 from repro.network import reduction as red
-from repro.pe.alu import _MAX_SHIFT, CMP_OPS, FLAG_OPS, INT_OPS
+from repro.pe.alu import CMP_OPS, INT_OPS
 from repro.pe.pe_array import PEArray
-from repro.util.bitops import mask_for_width, to_unsigned
+from repro.util.bitops import mask_for_width, saturate_signed, to_unsigned
+
+if TYPE_CHECKING:
+    from repro.asm.program import Program
+    from repro.core.memory import ScalarMemory
 
 
 class ExecutionError(RuntimeError):
-    """Raised for illegal operations (e.g. pmul with no multiplier)."""
+    """An instruction the compiler has no semantics for."""
 
+
+#: ``op(thread)``, or ``op(thread, cycle)`` for ``tspawn`` (see above).
+Op = Callable[..., "int | None"]
 
 # The control unit's PC/address path is wider than the data path.
 _PC_MASK = 0xFFFFFFFF
 
+# -- scalar semantics ----------------------------------------------------------
 
-@dataclass
-class ExecResult:
-    """Control-flow outcome of one executed instruction."""
+#: Every scalar operation, as a Python expression over the operands
+#: ``{a}`` and ``{b}`` (ints; ``{a}`` may be a 32-bit link) with
+#: ``{M}`` = 2**W - 1 and ``{H}`` = 2**(W-1): the W-bit result of a base
+#: ALU op or ``lui``, or a branch condition.  Shift counts clamp to
+#: ``min(b & 63, 31)`` as in :mod:`repro.pe.alu`.
+SCALAR_EXPR: dict[str, str] = {
+    "add": "({a} + {b}) & {M}",
+    "sub": "({a} - {b}) & {M}",
+    "and": "{a} & {b} & {M}",
+    "or": "({a} | {b}) & {M}",
+    "xor": "({a} ^ {b}) & {M}",
+    "nor": "~({a} | {b}) & {M}",
+    "sll": "(({a} & {M}) << min({b} & 63, 31)) & {M}",
+    "srl": "({a} & {M}) >> min({b} & 63, 31)",
+    "sra": "(((({a} & {M}) ^ {H}) - {H}) >> min({b} & 63, 31)) & {M}",
+    "mul": "({a} & {M}) * ({b} & {M}) & {M}",
+    "div": "_div({a}, {b}, {M}, {H})",
+    "slt": "(1 if (({a} & {M}) ^ {H}) < (({b} & {M}) ^ {H}) else 0)",
+    "sltu": "(1 if ({a} & {M}) < ({b} & {M}) else 0)",
+    "lui": "({b} << 16) & {M}",
+    # beq/bne compare words unsigned, blt/bge two's-complement.
+    "beq": "not ({a} - {b}) & {M}",
+    "bne": "({a} - {b}) & {M}",
+    "blt": "(({a} & {M}) ^ {H}) < (({b} & {M}) ^ {H})",
+    "bge": "(({a} & {M}) ^ {H}) >= (({b} & {M}) ^ {H})",
+}
 
-    next_pc: int
-    taken: bool = False     # control transfer actually redirected the PC
-    halt: bool = False
-    spawned: int | None = None
 
-
-# -- scalar integer helpers ---------------------------------------------------
-
-def _scalar_op(base: str, a: int, b: int, width: int) -> int:
-    """Run one base ALU op on scalars via the vectorized implementation.
-
-    Using the same code path as the PE ALU guarantees identical corner
-    semantics (shift clamping, division by zero, wrapping).
-    """
-    fn = INT_OPS[base]
-    return int(fn(np.array([a], dtype=np.int64),
-                  np.array([b], dtype=np.int64), width)[0])
-
-
-def make_scalar_int_ops(width: int) -> dict[str, "Callable[[int, int], int]"]:
-    """Pure-int scalar ALU, semantics identical to :data:`INT_OPS`.
-
-    The scalar path executes one op on one value; building two numpy
-    arrays per op (as ``_scalar_op`` does) dominates the functional
-    backend's runtime.  These closures keep the exact corner semantics
-    of :mod:`repro.pe.alu` — wrapping W-bit arithmetic, the
-    ``min(count & 63, 31)`` shift clamp with overshift producing 0 (or
-    the sign fill for ``sra``), truncating signed division with the
-    all-ones div-by-zero result — in plain Python integers.  A property
-    test cross-checks every op against the vectorized implementation.
-    """
-    mask = mask_for_width(width)
-    half = 1 << (width - 1)
-    span = 1 << width
-    shift_mask = mask_for_width(6)
-
-    def to_s(v: int) -> int:
-        u = v & mask
-        return u - span if u >= half else u
-
-    def add(a: int, b: int) -> int:
-        return (a + b) & mask
-
-    def sub(a: int, b: int) -> int:
-        return (a - b) & mask
-
-    def and_(a: int, b: int) -> int:
-        return (a & b) & mask
-
-    def or_(a: int, b: int) -> int:
-        return (a | b) & mask
-
-    def xor(a: int, b: int) -> int:
-        return (a ^ b) & mask
-
-    def nor(a: int, b: int) -> int:
-        return ~(a | b) & mask
-
-    def sll(a: int, b: int) -> int:
-        counts = min(b & shift_mask, _MAX_SHIFT)
-        if counts >= width:
-            return 0
-        return ((a & mask) << counts) & mask
-
-    def srl(a: int, b: int) -> int:
-        counts = min(b & shift_mask, _MAX_SHIFT)
-        if counts >= width:
-            return 0
-        return (a & mask) >> counts
-
-    def sra(a: int, b: int) -> int:
-        counts = min(b & shift_mask, _MAX_SHIFT)
-        signed = to_s(a)
-        if counts >= width:
-            return mask if signed < 0 else 0
-        return (signed >> counts) & mask
-
-    def mul(a: int, b: int) -> int:
-        return ((a & mask) * (b & mask)) & mask
-
-    def div(a: int, b: int) -> int:
-        sa, sb = to_s(a), to_s(b)
-        if sb == 0:
-            return mask
-        q = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            q = -q
-        return q & mask
-
-    def slt(a: int, b: int) -> int:
-        return 1 if to_s(a) < to_s(b) else 0
-
-    def sltu(a: int, b: int) -> int:
-        return 1 if (a & mask) < (b & mask) else 0
-
-    return {"add": add, "sub": sub, "and": and_, "or": or_, "xor": xor,
-            "nor": nor, "sll": sll, "srl": srl, "sra": sra, "mul": mul,
-            "div": div, "slt": slt, "sltu": sltu}
+def _div(a: int, b: int, M: int, H: int) -> int:
+    """Signed W-bit division truncating toward zero; x / 0 is all ones."""
+    sa, sb = ((a & M) ^ H) - H, ((b & M) ^ H) - H
+    if not sb:
+        return M
+    q = abs(sa) // abs(sb)
+    return (q if (sa < 0) == (sb < 0) else -q) & M
 
 
 # Scalar mnemonic -> (base op, operand-B source: "rt" | "imm").
 _SCALAR_INT = {
-    "add": ("add", "rt"), "sub": ("sub", "rt"), "and": ("and", "rt"),
-    "or": ("or", "rt"), "xor": ("xor", "rt"), "nor": ("nor", "rt"),
-    "sll": ("sll", "rt"), "srl": ("srl", "rt"), "sra": ("sra", "rt"),
-    "slt": ("slt", "rt"), "sltu": ("sltu", "rt"),
-    "smul": ("mul", "rt"), "sdiv": ("div", "rt"),
-    "addi": ("add", "imm"), "andi": ("and", "imm"), "ori": ("or", "imm"),
-    "xori": ("xor", "imm"), "slti": ("slt", "imm"), "sltiu": ("sltu", "imm"),
-    "slli": ("sll", "imm"), "srli": ("srl", "imm"), "srai": ("sra", "imm"),
+    **{m: (m, "rt") for m in ("add", "sub", "and", "or", "xor", "nor", "sll",
+                              "srl", "sra", "slt", "sltu")},
+    "smul": ("mul", "rt"), "sdiv": ("div", "rt"), "sltiu": ("sltu", "imm"),
+    **{m + "i": (m, "imm") for m in ("add", "and", "or", "xor", "slt", "sll",
+                                     "srl", "sra")},
+}
+# Every op that writes SCALAR_EXPR(s[rs], s[rt] | imm) to s[rd].
+_SCALAR_WRITES = {**_SCALAR_INT, "lui": ("lui", "imm")}
+_BRANCHES = ("beq", "bne", "blt", "bge")
+
+# Op factories per operand form: parameters, body, then the text of
+# operands a and b.  "br" returns T when the condition holds.
+_FORMS = {
+    "rt": ("rd, rs, rt", "s[rd] = {}", "s[rs]", "s[rt]"),
+    "imm": ("rd, rs, b", "s[rd] = {}", "s[rs]", "b"),
+    "br": ("ra, rb, T", "return T if {} else None", "s[ra]", "s[rb]"),
+}
+_FACTORY = """\
+def make({}, M, H):
+    def op(t):
+        s = t.sregs
+        {}
+    return op
+"""
+
+
+@functools.cache
+def _factory(name: str, form: str) -> Callable[..., Op]:
+    """``make(x, y, z, M, H) -> op`` for one :data:`SCALAR_EXPR` entry,
+    generated from its text once per process (only the table's own
+    strings reach the generated source)."""
+    params, body, a, b = _FORMS[form]
+    expr = SCALAR_EXPR[name].format(a=a, b=b, M="M", H="H")
+    namespace: dict[str, Any] = {"_div": _div}
+    exec(_FACTORY.format(params, body.format(expr)), namespace)
+    maker: Callable[..., Op] = namespace["make"]
+    return maker
+
+
+def _nop(t: ThreadContext) -> None:
+    return None
+
+
+# Longest straight-line run fused into one function.
+_MAX_RUN = 32
+
+
+def fuse_scalar_runs(program: "Program", width: int,
+                     ) -> list[tuple[Callable[[ThreadContext], None], int]
+                               | None]:
+    """Each straight-line run of scalar register writes as one function.
+
+    Entry ``pc`` is ``(run, length)`` where a run of two or more starts,
+    else None; ``run(thread)`` has the effect of the run's per-pc ops.
+    Runs break at branch and jump targets (a ``jr`` landing mid-run
+    takes the per-pc ops).  Only the :data:`SCALAR_EXPR` text and
+    integers formatted with ``%d`` reach the generated source.
+    """
+    M, H = mask_for_width(width), 1 << (width - 1)
+    instrs = program.instructions
+    targets = {program.entry}
+    for pc, ins in enumerate(instrs):
+        if ins.mnemonic in _BRANCHES:
+            targets.add(pc + 1 + ins.imm)
+        elif ins.mnemonic in ("j", "jal"):
+            targets.add(ins.target)
+    fused: list[tuple[Callable[[ThreadContext], None], int] | None] = (
+        [None] * len(instrs))
+    starts: list[tuple[int, int]] = []
+    source: list[str] = []
+    start = 0
+    while start < len(instrs):
+        end = start
+        while (end < len(instrs) and instrs[end].mnemonic in _SCALAR_WRITES
+               and (end == start or end not in targets)
+               and end - start < _MAX_RUN):
+            end += 1
+        if end - start > 1:
+            body = []
+            for ins in instrs[start:end]:
+                name, bsrc = _SCALAR_WRITES[ins.mnemonic]
+                b = "s[%d]" % ins.rt if bsrc == "rt" else "(%d)" % ins.imm
+                if ins.rd:
+                    body.append("    s[%d] = %s" % (ins.rd, SCALAR_EXPR[
+                        name].format(a="s[%d]" % ins.rs, b=b, M="%d" % M,
+                                     H="%d" % H)))
+            starts.append((start, end - start))
+            source.append("def run_%d(t):\n    s = t.sregs\n%s\n"
+                          % (start, "\n".join(body) or "    pass"))
+        start = max(end, start + 1)
+    namespace: dict[str, Any] = {"_div": _div}
+    exec("".join(source), namespace)
+    for start, length in starts:
+        fused[start] = (namespace["run_%d" % start], length)
+    return fused
+
+
+# -- parallel and reduction kernels (healthy machines) -------------------------
+#
+# ``kernel(a, b, out, M, H)`` writes op(a, b) into ``out``, which may be
+# ``a`` or ``b``; ``a`` is a W-bit row, ``b`` a W-bit row or scalar.
+
+def _wrapping(ufunc: np.ufunc) -> Callable[..., None]:
+    def kernel(a: Any, b: Any, out: np.ndarray, M: int, H: int) -> None:
+        ufunc(a, b, out=out)
+        np.bitwise_and(out, M, out=out)
+    return kernel
+
+
+def _plain(ufunc: np.ufunc) -> Callable[..., None]:
+    def kernel(a: Any, b: Any, out: np.ndarray, M: int, H: int) -> None:
+        ufunc(a, b, out=out)
+    return kernel
+
+
+def _signed(ufunc: np.ufunc) -> Callable[..., None]:
+    # Flipping the sign bit maps two's-complement order onto unsigned.
+    def kernel(a: Any, b: Any, out: np.ndarray, M: int, H: int) -> None:
+        ufunc(np.bitwise_xor(a, H), b ^ H, out=out)
+    return kernel
+
+
+def _reference(base: str) -> Callable[..., None]:
+    # The rarely hot ops (nor, shifts, divide) call the vector ALU.
+    unit = INT_OPS[base]
+
+    def kernel(a: Any, b: Any, out: np.ndarray, M: int, H: int) -> None:
+        out[...] = unit(a, np.asarray(b), M.bit_length())
+    return kernel
+
+
+_KERNELS: dict[str, Callable[..., None]] = {
+    "add": _wrapping(np.add), "sub": _wrapping(np.subtract),
+    "mul": _wrapping(np.multiply), "and": _plain(np.bitwise_and),
+    "or": _plain(np.bitwise_or), "xor": _plain(np.bitwise_xor),
+    **{base: _reference(base) for base in ("nor", "sll", "srl", "sra",
+                                           "div")},
+    "slt": _signed(np.less), "sltu": _plain(np.less),
+    "ceq": _plain(np.equal), "cne": _plain(np.not_equal),
+    "clt": _signed(np.less), "cle": _signed(np.less_equal),
+    "cltu": _plain(np.less), "cleu": _plain(np.less_equal),
 }
 
-
-def _signed_order(v: int, w: int) -> int:
-    """Flipping the sign bit maps two's-complement order onto unsigned
-    order: ``to_signed(v, w) + 2**(w-1)``, without the calls."""
-    return (v ^ (1 << (w - 1))) & ((1 << w) - 1)
-
-
-# Branch conditions on w-bit words: beq/bne compare the words unsigned,
-# blt/bge compare them two's-complement.  Hot in every backend.
-_BRANCHES = {
-    "beq": lambda a, b, w: not (a - b) & ((1 << w) - 1),
-    "bne": lambda a, b, w: bool((a - b) & ((1 << w) - 1)),
-    "blt": lambda a, b, w: _signed_order(a, w) < _signed_order(b, w),
-    "bge": lambda a, b, w: _signed_order(a, w) >= _signed_order(b, w),
+# Flag ops as one ufunc of (f[rs], f[rt]) or of (f[rs], a constant).
+_FLAG_UFUNCS: dict[str, tuple[np.ufunc, bool | None]] = {
+    "fand": (np.logical_and, None), "for": (np.logical_or, None),
+    "fxor": (np.logical_xor, None), "fandn": (np.greater, None),
+    "fnot": (np.logical_xor, True), "fmov": (np.logical_and, True),
+    "fset": (np.logical_or, True), "fclr": (np.logical_and, False),
 }
+
+# Reduction mnemonic -> (fold(row, mask, M, H) -> W-bit int, source file).
+# Signed max/min fold in sign-flipped space, whose identities 0 and M
+# flip back to the most negative and most positive words.
+_FOLDS: dict[str, tuple[Callable[..., int], str]] = {
+    "rand": (lambda v, m, M, H: int(
+        np.bitwise_and.reduce(v, where=m, initial=M)), "p"),
+    "ror": (lambda v, m, M, H: int(
+        np.bitwise_or.reduce(v, where=m, initial=0)), "p"),
+    "rmaxu": (lambda v, m, M, H: int(
+        np.maximum.reduce(v, where=m, initial=0)), "p"),
+    "rminu": (lambda v, m, M, H: int(
+        np.minimum.reduce(v, where=m, initial=M)), "p"),
+    "rmax": (lambda v, m, M, H: int(
+        np.maximum.reduce(v ^ H, where=m, initial=0)) ^ H, "p"),
+    "rmin": (lambda v, m, M, H: int(
+        np.minimum.reduce(v ^ H, where=m, initial=M)) ^ H, "p"),
+    "rsum": (lambda v, m, M, H: saturate_signed(int(np.add.reduce(
+        (v ^ H) - H, where=m, initial=0)), M.bit_length()), "p"),
+    "rcount": (lambda f, m, M, H: int(np.count_nonzero(f & m)) & M, "f"),
+    "rany": (lambda f, m, M, H: 1 if (f & m).any() else 0, "f"),
+}
+_FOLDS["rget"] = _FOLDS["ror"]
 
 # Parallel mnemonic -> (base op, B-source) where B-source is
 # "pt" (parallel reg), "st" (broadcast scalar reg) or "imm" (broadcast).
@@ -187,268 +294,278 @@ for _base in ("ceq", "cne", "clt", "cle"):
     _PARALLEL_CMP[f"p{_base}i"] = (_base, "imm")
 
 
-class Executor:
-    """Executes instructions against machine state.
+# -- the compiler ----------------------------------------------------------------
 
-    The executor owns no state of its own: it mutates the thread
-    contexts, PE array, and scalar memory it is given.  ``thread_table``
-    is consulted only by the thread-management instructions.
-    """
+def compile_ops(program: "Program", pe: PEArray, mem: "ScalarMemory",
+                threads: ThreadStatusTable, faults: Any = None,
+                sanitizer: Any = None) -> list[Op]:
+    """The op of every pc of ``program`` on one machine (module
+    docstring); ``faults`` is a :class:`repro.faults.FaultPlane` and
+    ``sanitizer`` a :class:`repro.core.sanitizer.RaceSanitizer`, or
+    None."""
+    compiler = _Compiler(pe, mem, threads, faults, sanitizer)
+    return [compiler.op(pc, ins)
+            for pc, ins in enumerate(program.instructions)]
 
-    def __init__(self, pe_array: PEArray, scalar_memory, thread_table,
-                 word_width: int, faults=None, sanitizer=None) -> None:
-        self.pe = pe_array
-        self.mem = scalar_memory
-        self.threads = thread_table
-        self.width = word_width
-        self.word_mask = mask_for_width(word_width)
-        # Pure-int scalar ALU (same semantics as INT_OPS, no numpy round
-        # trip per op) — the functional backend's hot path.
-        self._int_ops = make_scalar_int_ops(word_width)
-        # Race sanitizer (repro.core.sanitizer.RaceSanitizer) or None.
-        # Memory and tput/tget delivery events fire here because the
-        # executor is where addresses and target threads resolve; all
-        # hooks hide behind "is not None" so a run without a sanitizer
-        # is bit-identical at zero cost.
-        self.sanitizer = sanitizer
-        # Fault-injection plane (repro.faults.FaultPlane) or None.  The
-        # parity read check is bound once here so the healthy hot path
-        # keeps the raw array read.
-        self.faults = faults
-        if faults is not None and faults.parity:
-            self._read_preg = self._read_preg_checked
-        else:
-            self._read_preg = pe_array.read_reg
 
-    # -- entry point -----------------------------------------------------------
+class _Compiler:
+    """Builds one machine's ops; see :func:`compile_ops`."""
 
-    def execute(self, instr: Instruction, thread: ThreadContext,
-                cycle: int = 0) -> ExecResult:
-        """Apply one instruction's effects; ``cycle`` is its issue cycle
-        (used only to timestamp newly spawned threads)."""
-        spec = instr.spec
-        if spec.exec_class.value == "scalar":
-            return self._exec_scalar(instr, thread, cycle)
-        if spec.exec_class.value == "parallel":
-            self._exec_parallel(instr, thread)
-        else:
-            self._exec_reduction(instr, thread)
-        return ExecResult(next_pc=thread.pc + 1)
+    def __init__(self, pe: PEArray, mem: "ScalarMemory",
+                 threads: ThreadStatusTable, faults: Any,
+                 sanitizer: Any) -> None:
+        self.pe, self.mem, self.threads = pe, mem, threads
+        self.faults, self.sanitizer = faults, sanitizer
+        self.width = pe.word_width
+        self.M = mask_for_width(self.width)
+        self.H = 1 << (self.width - 1)
+        # Scratch rows (ops run one at a time) and, per thread, lists of
+        # register and flag row views, made on its first parallel op: a
+        # list index costs a sixth of slicing ``regs[tid, r]``.
+        self.tmp = np.empty(pe.num_pes, np.int64)
+        self.ftmp = np.empty(pe.num_pes, bool)
+        self.rows: list[tuple[list[np.ndarray], list[np.ndarray]] | None] = (
+            [None] * pe.num_threads)
 
-    # -- scalar path ------------------------------------------------------------
+    def thread_rows(self, tid: int,
+                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        rows = self.rows[tid] = (list(self.pe.regs[tid]),
+                                 list(self.pe.flags[tid]))
+        return rows
 
-    def _exec_scalar(self, instr: Instruction, thread: ThreadContext,
-                     cycle: int = 0) -> ExecResult:
-        m = instr.mnemonic
-        pc = thread.pc
-        nxt = pc + 1
-
-        pair = _SCALAR_INT.get(m)
-        if pair is not None:
-            base, bsrc = pair
-            a = thread.read_sreg(instr.rs)
-            b = thread.read_sreg(instr.rt) if bsrc == "rt" else instr.imm
-            thread.write_sreg(instr.rd, self._int_ops[base](a, b),
-                              self.word_mask)
-            return ExecResult(nxt)
-        if m == "lui":
-            thread.write_sreg(instr.rd, (instr.imm << 16) & self.word_mask,
-                              self.word_mask)
-            return ExecResult(nxt)
-        if m == "lw":
-            addr = thread.read_sreg(instr.rs) + instr.imm
-            if self.sanitizer is not None:
-                self.sanitizer.on_load(thread.tid, addr, pc)
-            thread.write_sreg(instr.rd, self.mem.load(addr), self.word_mask)
-            return ExecResult(nxt)
-        if m == "sw":
-            addr = thread.read_sreg(instr.rs) + instr.imm
-            if self.sanitizer is not None:
-                self.sanitizer.on_store(thread.tid, addr, pc)
-            self.mem.store(addr, thread.read_sreg(instr.rd))
-            return ExecResult(nxt)
+    def op(self, pc: int, ins: Instruction) -> Op:
+        m = ins.mnemonic
+        if m in _SCALAR_WRITES:
+            if not ins.rd:
+                return _nop
+            name, bsrc = _SCALAR_WRITES[m]
+            return _factory(name, bsrc)(
+                ins.rd, ins.rs, ins.rt if bsrc == "rt" else ins.imm,
+                self.M, self.H)
         if m in _BRANCHES:
-            a = thread.read_sreg(instr.rd)
-            b = thread.read_sreg(instr.rs)
-            if _BRANCHES[m](a, b, self.width):
-                return ExecResult(pc + 1 + instr.imm, taken=True)
-            return ExecResult(nxt, taken=False)
+            return _factory(m, "br")(ins.rd, ins.rs, pc + 1 + ins.imm,
+                                     self.M, self.H)
+        if ins.spec.exec_class is ExecClass.SCALAR:
+            return self.scalar(pc, ins)
+        if self.faults is None and (m in _FOLDS or m in _PARALLEL_INT
+                                    or m in _PARALLEL_CMP
+                                    or m in _FLAG_UFUNCS):
+            return self.healthy(ins)
+        return self.reference(ins)
+
+    def scalar(self, pc: int, ins: Instruction) -> Op:
+        """Memory, control and thread ops."""
+        m, rd, rs, imm, M = ins.mnemonic, ins.rd, ins.rs, ins.imm, self.M
+        threads, san = self.threads, self.sanitizer
+        n = len(threads.contexts)
+        if m in ("halt", "tjoin"):      # the loops gate tjoin
+            return _nop
         if m == "j":
-            return ExecResult(instr.target, taken=True)
+            target = ins.target
+            return lambda t: target
         if m == "jal":
-            # The link register holds a full-width PC: the control unit's
-            # address path is wider than the W-bit data path, exactly as
-            # in the FPGA prototype (8-bit PEs, >8-bit instruction
-            # addresses).
-            thread.write_sreg(registers.LINK_REG, nxt, _PC_MASK)
-            return ExecResult(instr.target, taken=True)
+            # The link is a full-width PC: the control unit's address
+            # path is wider than the W-bit data path, as in the prototype.
+            link, target = (pc + 1) & _PC_MASK, ins.target
+
+            def jal(t: ThreadContext) -> int:
+                t.sregs[registers.LINK_REG] = link
+                return target
+            return jal
         if m == "jr":
-            return ExecResult(thread.read_sreg(instr.rs), taken=True)
-        if m == "halt":
-            return ExecResult(nxt, halt=True)
-        if m == "tspawn":
-            # The child becomes fetchable the cycle after the spawn issues.
-            tid = self.threads.allocate(instr.imm, start_cycle=cycle + 1)
-            value = tid if tid is not None else self.word_mask
-            thread.write_sreg(instr.rd, value, self.word_mask)
-            return ExecResult(nxt, spawned=tid)
+            return lambda t: t.sregs[rs]
         if m == "texit":
-            thread.state = ThreadState.EXITED
-            return ExecResult(nxt)
-        if m == "tput":
-            target = self.threads[thread.read_sreg(instr.rd)
-                                  % len(self.threads.contexts)]
-            if self.sanitizer is not None:
-                self.sanitizer.on_tput(thread.tid, target.tid, instr.imm, pc)
-            target.write_sreg(instr.imm, thread.read_sreg(instr.rs),
-                              self.word_mask)
-            return ExecResult(nxt)
-        if m == "tget":
-            source = self.threads[thread.read_sreg(instr.rs)
-                                  % len(self.threads.contexts)]
-            if self.sanitizer is not None:
-                self.sanitizer.on_tget(thread.tid, source.tid, instr.imm, pc)
-            thread.write_sreg(instr.rd, source.read_sreg(instr.imm),
-                              self.word_mask)
-            return ExecResult(nxt)
-        if m == "tjoin":
-            # Completion gating is handled by the issue logic; by the time
-            # this executes the target context is already free.
-            return ExecResult(nxt)
-        raise ExecutionError(f"unimplemented scalar mnemonic {m!r}")
+            def texit(t: ThreadContext) -> None:
+                t.state = ThreadState.EXITED
+            return texit
+        if m == "tspawn":
+            def tspawn(t: ThreadContext, cycle: int) -> int | None:
+                # The child becomes fetchable the cycle after the spawn.
+                tid = threads.allocate(imm, start_cycle=cycle + 1)
+                t.write_sreg(rd, M if tid is None else tid, M)
+                return tid
+            return tspawn
+        op: Callable[[ThreadContext], None]
+        if m == "lw":
+            load = self.mem.load
 
-    # -- parallel path ------------------------------------------------------------
+            def op(t: ThreadContext) -> None:
+                value = load(t.sregs[rs] + imm)
+                if rd:
+                    t.sregs[rd] = value
+        elif m == "sw":
+            store = self.mem.store
 
-    def _read_preg_checked(self, tid: int, reg: int) -> np.ndarray:
-        """Parallel-register read with a parity check at the read port."""
+            def op(t: ThreadContext) -> None:
+                store(t.sregs[rs] + imm, t.sregs[rd])
+        elif m == "tput":
+            def op(t: ThreadContext) -> None:
+                threads[t.sregs[rd] % n].write_sreg(imm, t.sregs[rs], M)
+        elif m == "tget":
+            def op(t: ThreadContext) -> None:
+                t.write_sreg(rd, threads[t.sregs[rs] % n].read_sreg(imm), M)
+        else:
+            raise ExecutionError(f"unimplemented scalar mnemonic {m!r}")
+        if san is None:
+            return op
+        # The sanitizer sees the resolved address or thread before the
+        # access happens.
+        if m in ("lw", "sw"):
+            on_access = san.on_load if m == "lw" else san.on_store
+
+            def evented(t: ThreadContext) -> None:
+                on_access(t.tid, t.sregs[rs] + imm, pc)
+                op(t)
+        else:
+            on_delivery = san.on_tput if m == "tput" else san.on_tget
+            handle = rd if m == "tput" else rs
+
+            def evented(t: ThreadContext) -> None:
+                on_delivery(t.tid, t.sregs[handle] % n, imm, pc)
+                op(t)
+        return evented
+
+    def healthy(self, ins: Instruction) -> Op:
+        """The hot parallel and reduction ops of a machine without a
+        fault plane: kernels over register rows."""
+        m, rd, rs, rt, mf = ins.mnemonic, ins.rd, ins.rs, ins.rt, ins.mf
+        M, H = self.M, self.H
+        rows, thread_rows, copyto = self.rows, self.thread_rows, np.copyto
+        if not rd:              # writes to p0, f0 and s0 are dropped
+            return _nop
+        if m in _FOLDS:
+            fold, src = _FOLDS[m]
+            flag_src = src == "f"
+
+            def reduce(t: ThreadContext) -> None:
+                regs, flags = rows[t.tid] or thread_rows(t.tid)
+                t.sregs[rd] = fold((flags if flag_src else regs)[rs],
+                                   flags[mf], M, H)
+            return reduce
+        # kernel(a, b) of two rows of one file, or of a row and a
+        # scalar, into a register or flag row.
+        flag_src = m in _FLAG_UFUNCS
+        flag_dest = flag_src or m in _PARALLEL_CMP
+        const: Any
+        if flag_src:
+            ufunc, const = _FLAG_UFUNCS[m]
+            kernel, bsrc = _plain(ufunc), "pt" if const is None else ""
+        else:
+            base, bsrc = (_PARALLEL_CMP if flag_dest else _PARALLEL_INT)[m]
+            kernel = _KERNELS[base]
+            const = np.int64(to_unsigned(ins.imm, self.width))
+        pt, st = bsrc == "pt", bsrc == "st"
+        out = self.ftmp if flag_dest else self.tmp
+
+        def alu(t: ThreadContext) -> None:
+            regs, flags = rows[t.tid] or thread_rows(t.tid)
+            src = flags if flag_src else regs
+            b = src[rt] if pt else (t.sregs[rt] & M if st else const)
+            dest = (flags if flag_dest else regs)[rd]
+            if mf:
+                kernel(src[rs], b, out, M, H)
+                copyto(dest, out, where=flags[mf])
+            else:               # f0: every PE
+                kernel(src[rs], b, dest, M, H)
+        return alu
+
+    def reference(self, ins: Instruction) -> Op:
+        """Parallel and reduction ops through the reference units and,
+        with a fault plane attached, its hooks, which fire in the order
+        they always have: every op of a faulted machine, and the memory
+        ops, ``pbcast``, ``psel`` and ``rfirst`` of a healthy one."""
+        m, rd, rs, rt, mf = ins.mnemonic, ins.rd, ins.rs, ins.rt, ins.mf
+        pe, faults, width = self.pe, self.faults, self.width
+        flag, read = pe.read_flag, pe.read_reg
+        if faults is None:
+            def bcast(value: int) -> np.ndarray:
+                return np.broadcast_to(np.int64(value), (pe.num_pes,))
+
+            def responders(mask: np.ndarray) -> np.ndarray:
+                return mask
+        else:
+            if faults.parity:
+                read = self.checked_read
+
+            def bcast(value: int) -> np.ndarray:
+                # A scalar or immediate crossing the broadcast tree.
+                return faults.filter_broadcast(
+                    np.broadcast_to(np.int64(value), (pe.num_pes,)))
+
+            def responders(mask: np.ndarray) -> np.ndarray:
+                # Dead links and masked-out PEs leave the responder set.
+                cut: np.ndarray = faults.reduction_mask(mask)
+                return cut
+
+        if m == "rfirst":
+            def rfirst(t: ThreadContext) -> None:
+                mask = responders(flag(t.tid, mf))
+                pe.write_flag(t.tid, rd, red.resolve_first(
+                    flag(t.tid, rs), mask), mask)
+            return rfirst
+        if ins.spec.exec_class is ExecClass.REDUCTION:
+            count = (red.count_responders if m == "rcount"
+                     else red.any_responders)
+            fn = red.REDUCTION_FNS.get(m, (None,))[0]
+
+            def reduce(t: ThreadContext) -> None:
+                mask = responders(flag(t.tid, mf))
+                value = (int(fn(read(t.tid, rs), mask, width)) if fn
+                         else count(flag(t.tid, rs), mask))
+                t.write_sreg(rd, faults.filter_reduction_value(value),
+                             self.M)
+            return reduce
+        if m == "psw":
+            def psw(t: ThreadContext) -> None:
+                mask = flag(t.tid, mf)
+                pe.store(read(t.tid, rs) + ins.imm, read(t.tid, rd), mask)
+            return psw
+        imm = to_unsigned(ins.imm, width)
+        value: Callable[[ThreadContext], np.ndarray]
+        write = pe.write_reg
+        if m in _PARALLEL_INT or m in _PARALLEL_CMP:
+            cmp = m in _PARALLEL_CMP
+            base, bsrc = (_PARALLEL_CMP if cmp else _PARALLEL_INT)[m]
+            unit = (CMP_OPS if cmp else INT_OPS)[base]
+            write = pe.write_flag if cmp else write
+
+            def value(t: ThreadContext) -> np.ndarray:
+                a = read(t.tid, rs)
+                b = (read(t.tid, rt) if bsrc == "pt" else
+                     bcast(t.read_sreg(rt) if bsrc == "st" else imm))
+                return unit(a, b, width)
+        elif m in _FLAG_UFUNCS:
+            ufunc, const = _FLAG_UFUNCS[m]
+            write = pe.write_flag
+
+            def value(t: ThreadContext) -> np.ndarray:
+                b = flag(t.tid, rt) if const is None else const
+                return np.asarray(ufunc(flag(t.tid, rs), b))
+        elif m == "pbcast":
+            def value(t: ThreadContext) -> np.ndarray:
+                return bcast(t.read_sreg(rs))
+        elif m == "psel":
+            def value(t: ThreadContext) -> np.ndarray:
+                return np.where(flag(t.tid, mf), read(t.tid, rs),
+                                read(t.tid, rt))
+        elif m == "plw":
+            def value(t: ThreadContext) -> np.ndarray:
+                return pe.load(read(t.tid, rs) + ins.imm, flag(t.tid, mf))
+        else:
+            raise ExecutionError(f"unimplemented mnemonic {m!r}")
+        every = np.ones(pe.num_pes, dtype=bool) if m == "psel" else None
+
+        def op(t: ThreadContext) -> None:
+            write(t.tid, rd, value(t),
+                  flag(t.tid, mf) if every is None else every)
+        return op
+
+    def checked_read(self, tid: int, reg: int) -> np.ndarray:
+        """A parallel-register read with a parity check at the read port."""
         values = self.pe.read_reg(tid, reg)
         if reg != registers.ZERO_REG:
             bad = self.pe.parity_mismatch(tid, reg)
             if bad.any():
-                self.faults.record_parity_alarm(tid, reg, np.flatnonzero(bad))
+                self.faults.record_parity_alarm(tid, reg,
+                                                np.flatnonzero(bad))
         return values
-
-    def _broadcast(self, value: int) -> np.ndarray:
-        """A scalar/immediate crossing the broadcast tree to every PE."""
-        vec = np.broadcast_to(np.int64(value), (self.pe.num_pes,))
-        if self.faults is not None:
-            vec = self.faults.filter_broadcast(vec)
-        return vec
-
-    def _operand_b(self, instr: Instruction, thread: ThreadContext,
-                   bsrc: str) -> np.ndarray:
-        if bsrc == "pt":
-            return self._read_preg(thread.tid, instr.rt)
-        if bsrc == "st":
-            return self._broadcast(thread.read_sreg(instr.rt))
-        return self._broadcast(to_unsigned(instr.imm, self.width))
-
-    def _mask(self, instr: Instruction, thread: ThreadContext) -> np.ndarray:
-        return self.pe.read_flag(thread.tid, instr.mf)
-
-    def _exec_parallel(self, instr: Instruction,
-                       thread: ThreadContext) -> None:
-        m = instr.mnemonic
-        tid = thread.tid
-
-        if m in _PARALLEL_INT:
-            base, bsrc = _PARALLEL_INT[m]
-            a = self._read_preg(tid, instr.rs)
-            b_vec = self._operand_b(instr, thread, bsrc)
-            result = INT_OPS[base](a, b_vec, self.width)
-            self.pe.write_reg(tid, instr.rd, result, self._mask(instr, thread))
-            return
-        if m in _PARALLEL_CMP:
-            base, bsrc = _PARALLEL_CMP[m]
-            a = self._read_preg(tid, instr.rs)
-            b_vec = self._operand_b(instr, thread, bsrc)
-            flags = CMP_OPS[base](a, b_vec, self.width)
-            self.pe.write_flag(tid, instr.rd, flags, self._mask(instr, thread))
-            return
-        if m == "pbcast":
-            value = self._broadcast(thread.read_sreg(instr.rs))
-            self.pe.write_reg(tid, instr.rd, value, self._mask(instr, thread))
-            return
-        if m == "psel":
-            sel = self.pe.read_flag(tid, instr.mf)
-            a = self._read_preg(tid, instr.rs)
-            b = self._read_preg(tid, instr.rt)
-            result = np.where(sel, a, b)
-            self.pe.write_reg(tid, instr.rd, result,
-                              np.ones(self.pe.num_pes, dtype=bool))
-            return
-        if m == "plw":
-            mask = self._mask(instr, thread)
-            addr = self._read_preg(tid, instr.rs) + instr.imm
-            values = self.pe.load(addr, mask)
-            self.pe.write_reg(tid, instr.rd, values, mask)
-            return
-        if m == "psw":
-            mask = self._mask(instr, thread)
-            addr = self._read_preg(tid, instr.rs) + instr.imm
-            self.pe.store(addr, self._read_preg(tid, instr.rd), mask)
-            return
-        if m in ("fand", "for", "fxor", "fandn"):
-            a = self.pe.read_flag(tid, instr.rs)
-            b = self.pe.read_flag(tid, instr.rt)
-            self.pe.write_flag(tid, instr.rd, FLAG_OPS[m](a, b),
-                               self._mask(instr, thread))
-            return
-        if m == "fnot":
-            a = self.pe.read_flag(tid, instr.rs)
-            self.pe.write_flag(tid, instr.rd, ~a, self._mask(instr, thread))
-            return
-        if m == "fmov":
-            a = self.pe.read_flag(tid, instr.rs)
-            self.pe.write_flag(tid, instr.rd, a, self._mask(instr, thread))
-            return
-        if m in ("fset", "fclr"):
-            value = np.full(self.pe.num_pes, m == "fset", dtype=bool)
-            self.pe.write_flag(tid, instr.rd, value,
-                               self._mask(instr, thread))
-            return
-        raise ExecutionError(f"unimplemented parallel mnemonic {m!r}")
-
-    # -- reduction path -------------------------------------------------------------
-
-    def _exec_reduction(self, instr: Instruction,
-                        thread: ThreadContext) -> None:
-        m = instr.mnemonic
-        tid = thread.tid
-        mask = self._mask(instr, thread)
-        faults = self.faults
-        if faults is not None:
-            # Dead reduction-tree links and masked-out PEs drop out of
-            # the responder set feeding every reduction unit.
-            mask = faults.reduction_mask(mask)
-
-        if m in red.REDUCTION_FNS:
-            fn, _src = red.REDUCTION_FNS[m]
-            values = self._read_preg(tid, instr.rs)
-            result = fn(values, mask, self.width)
-            if faults is not None:
-                result = faults.filter_reduction_value(result)
-            thread.write_sreg(instr.rd, result, self.word_mask)
-            return
-        if m == "rcount":
-            flags = self.pe.read_flag(tid, instr.rs)
-            result = red.count_responders(flags, mask)
-            if faults is not None:
-                result = faults.filter_reduction_value(result)
-            thread.write_sreg(instr.rd, result, self.word_mask)
-            return
-        if m == "rany":
-            flags = self.pe.read_flag(tid, instr.rs)
-            result = red.any_responders(flags, mask)
-            if faults is not None:
-                result = faults.filter_reduction_value(result)
-            thread.write_sreg(instr.rd, result, self.word_mask)
-            return
-        if m == "rfirst":
-            flags = self.pe.read_flag(tid, instr.rs)
-            first = red.resolve_first(flags, mask)
-            # The resolver output replaces the destination flag in every
-            # active PE (non-responders get 0).
-            self.pe.write_flag(tid, instr.rd, first, mask)
-            return
-        raise ExecutionError(f"unimplemented reduction mnemonic {m!r}")

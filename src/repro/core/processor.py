@@ -31,7 +31,7 @@ import numpy as np
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
 from repro.core import stats as st
-from repro.core.execute import ExecutionError, Executor
+from repro.core.execute import Op, compile_ops
 from repro.core.fetch import FetchUnit
 from repro.core.memory import ScalarMemory
 from repro.core.scheduler import ThreadScheduler
@@ -114,9 +114,8 @@ class Processor:
                           cfg.lmem_words)
         self.mem = ScalarMemory(cfg.scalar_mem_words, cfg.word_width)
         self.threads = ThreadStatusTable(cfg.num_threads)
-        self.executor = Executor(self.pe, self.mem, self.threads,
-                                 cfg.word_width, faults=faults,
-                                 sanitizer=sanitizer)
+        # The loaded program's compiled ops, one per pc.
+        self.ops: list[Op] = []
         self.scheduler = ThreadScheduler(cfg)
         self.trace_enabled = trace
         self.program: Program | None = None
@@ -148,9 +147,9 @@ class Processor:
         if self.program is not None:
             self.mem.load_image(self.program.data)
         self.threads = ThreadStatusTable(self.cfg.num_threads)
-        self.executor = Executor(self.pe, self.mem, self.threads,
-                                 self.cfg.word_width, faults=self.faults,
-                                 sanitizer=self.sanitizer)
+        if self.program is not None:
+            self.ops = compile_ops(self.program, self.pe, self.mem,
+                                   self.threads, self.faults, self.sanitizer)
         self.scheduler.reset()
         self._unit_busy = [0] * len(timing.UNIT_NAMES)
         self.stats = Stats()
@@ -211,12 +210,13 @@ class Processor:
         instr = self.program.instructions[pc]
         model = self.timing_model
         it = model.table[pc] or model.entry(pc)
+        kind = it.kind
         cfg = self.cfg
         stats = self.stats
 
         # tjoin gates at issue: the joining thread sleeps until the target
         # context is released, then the join completes as a plain issue.
-        if it.kind == timing.K_TJOIN:
+        if kind == timing.K_TJOIN:
             target = self.threads[
                 thread.read_sreg(instr.rs) % cfg.num_threads]
             if target.state is not ThreadState.FREE:
@@ -239,11 +239,13 @@ class Processor:
             # recorded exactly once.
             self.sanitizer.on_issue(thread, instr, cfg.num_threads)
 
-        try:
-            outcome = self.executor.execute(instr, thread, cycle)
-        except ExecutionError as exc:
-            raise SimulationError(
-                f"{exc} at {self.program.location_of(pc)}") from exc
+        spawned = None
+        if kind == timing.K_TSPAWN:
+            spawned = self.ops[pc](thread, cycle)
+            next_pc = None
+        else:
+            next_pc = self.ops[pc](thread)
+        taken = next_pc is not None
 
         # Structural occupancy: every context whose cached readiness
         # waited on this unit must look again.
@@ -263,15 +265,14 @@ class Processor:
         if it.dest >= 0:
             thread.score[it.dest] = (cycle + it.roff, cycle + it.wb,
                                      it.klass)
-        if it.kind == timing.K_TPUT:
+        if kind == timing.K_TPUT:
             target = self.threads[
                 thread.read_sreg(instr.rd) % cfg.num_threads]
             target.score[instr.imm] = (cycle + 2, cycle + 3, it.klass)
             target.ready = None
 
         # Control flow and thread state.
-        resolve = (it.resolve_taken if outcome.taken
-                   else it.resolve_not_taken)
+        resolve = it.resolve_taken if taken else it.resolve_not_taken
         thread.min_issue = cycle + resolve
         if resolve > 1:
             stats.wait_cycles[st.STALL_CONTROL] += resolve - 1
@@ -281,26 +282,26 @@ class Processor:
                 # Squash wrong-path/sequential entries; the refetch delay
                 # is covered by min_issue (the control bubble).
                 self.fetch.redirect(thread.tid, cycle + resolve - 1)
-        thread.pc = outcome.next_pc
+        thread.pc = next_pc if taken else pc + 1
         thread.last_issue = cycle
         thread.instructions_issued += 1
         thread.ready = None
 
-        if outcome.halt:
+        if kind == timing.K_HALT:
             self.halted = True
         if thread.state is ThreadState.EXITED:
             if self.sanitizer is not None:
                 self.sanitizer.on_exit(thread.tid)
             self.threads.release(thread.tid)
             self._wake_joiners(thread.tid, cycle)
-        if outcome.spawned is not None:
+        if spawned is not None:
             if self.sanitizer is not None:
-                self.sanitizer.on_spawn(thread.tid, outcome.spawned, pc)
+                self.sanitizer.on_spawn(thread.tid, spawned, pc)
             stats.threads_spawned += 1
             if self.fetch is not None:
-                self.fetch.thread_started(outcome.spawned, cycle)
+                self.fetch.thread_started(spawned, cycle)
             if self.profiler is not None:
-                self.profiler.on_activate(outcome.spawned, cycle + 1)
+                self.profiler.on_activate(spawned, cycle + 1)
 
         # Statistics and trace.
         stats.count_issue(thread.tid, it.eclass)
@@ -357,7 +358,7 @@ class Processor:
             if stop_when is not None and stop_when(self, cycle):
                 self.paused = True
                 break
-            live = self.threads.live_threads()
+            live = self.threads.live
             if not live:
                 break
             if cycle > limit:

@@ -21,9 +21,14 @@ Four disciplines are implemented (DESIGN.md experiment E8):
 
 from __future__ import annotations
 
+import operator
+from typing import Callable
+
 from repro.core.config import MTMode, ProcessorConfig, SchedulerPolicy
 from repro.core.thread import ThreadContext
 from repro.isa.opcodes import ExecClass
+
+_TID = operator.attrgetter("tid")
 
 
 class ThreadScheduler:
@@ -38,12 +43,17 @@ class ThreadScheduler:
 
     # -- priority orders -----------------------------------------------------
 
-    def _rotate(self, candidates: list[ThreadContext]) -> list[ThreadContext]:
+    def _priority(self) -> Callable[[ThreadContext], int]:
         if self.cfg.scheduler is SchedulerPolicy.FIXED:
-            return sorted(candidates, key=lambda t: t.tid)
-        n = self.cfg.num_threads
-        return sorted(candidates,
-                      key=lambda t: (t.tid - self._pointer - 1) % n)
+            return _TID
+        n, pointer = self.cfg.num_threads, self._pointer
+        return lambda t: (t.tid - pointer - 1) % n
+
+    def _first(self, candidates: list[ThreadContext]) -> ThreadContext:
+        """The candidate the priority order ranks first."""
+        if len(candidates) == 1:
+            return candidates[0]
+        return min(candidates, key=self._priority())
 
     # -- selection -------------------------------------------------------------
 
@@ -59,7 +69,7 @@ class ThreadScheduler:
         if not candidates:
             return []
         if mode in (MTMode.SINGLE, MTMode.FINE):
-            chosen = self._rotate(candidates)[0]
+            chosen = self._first(candidates)
             self._pointer = chosen.tid
             return [chosen]
         if mode is MTMode.COARSE:
@@ -78,7 +88,7 @@ class ThreadScheduler:
             stall = ready_of[self._current] - cycle
             if stall < self.cfg.coarse_switch_threshold:
                 return []      # ride out the short stall
-        chosen = self._rotate(candidates)[0]
+        chosen = self._first(candidates)
         if self._current is not None and chosen.tid != self._current:
             self.switches += 1
             self.switch_until = cycle + self.cfg.coarse_switch_penalty
@@ -91,7 +101,7 @@ class ThreadScheduler:
 
     def _select_smt2(self, candidates: list[ThreadContext],
                      program) -> list[ThreadContext]:
-        ordered = self._rotate(candidates)
+        ordered = sorted(candidates, key=self._priority())
         chosen: list[ThreadContext] = []
         ports_used: set[str] = set()
         for thread in ordered:

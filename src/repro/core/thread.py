@@ -13,7 +13,9 @@ they are the paper's *instruction status table*.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import operator
 
 from repro.isa import registers
 
@@ -25,7 +27,7 @@ class ThreadState(enum.Enum):
     EXITED = "exited"      # transient: texit issued, context about to free
 
 
-_LIVE_STATES = (ThreadState.RUNNABLE, ThreadState.JOINING)
+_TID = operator.attrgetter("tid")
 
 
 class ThreadContext:
@@ -75,6 +77,9 @@ class ThreadStatusTable:
 
     def __init__(self, num_threads: int) -> None:
         self.contexts = [ThreadContext(tid) for tid in range(num_threads)]
+        # The allocated (runnable or joining) contexts in tid order, kept
+        # on allocate and release; the issue loops read it every round.
+        self.live: list[ThreadContext] = []
 
     def __iter__(self):
         return iter(self.contexts)
@@ -87,15 +92,18 @@ class ThreadStatusTable:
         for ctx in self.contexts:
             if ctx.state is ThreadState.FREE:
                 ctx.activate(pc, start_cycle)
+                bisect.insort(self.live, ctx, key=_TID)
                 return ctx.tid
         return None
 
     def release(self, tid: int) -> None:
         """Release a context (texit)."""
-        self.contexts[tid].state = ThreadState.FREE
+        ctx = self.contexts[tid]
+        ctx.state = ThreadState.FREE
+        self.live.remove(ctx)
 
     def live_threads(self) -> list[ThreadContext]:
-        return [c for c in self.contexts if c.state in _LIVE_STATES]
+        return list(self.live)
 
     def runnable_threads(self) -> list[ThreadContext]:
         return [c for c in self.contexts if c.state is ThreadState.RUNNABLE]

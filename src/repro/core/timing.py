@@ -262,17 +262,24 @@ class InstrTiming:
     target: int                      # branch / j / jal target pc, else 0
 
 
+def _kind(spec: OpSpec) -> int:
+    if spec.is_branch:
+        return K_BRANCH
+    if spec.is_jump:
+        return K_JUMP if spec.mnemonic in ("j", "jal") else K_JR
+    if spec.is_halt:
+        return K_HALT
+    return {"tspawn": K_TSPAWN, "texit": K_TEXIT, "tput": K_TPUT,
+            "tjoin": K_TJOIN}.get(spec.mnemonic, K_PLAIN)
+
+
+#: The kind of every mnemonic.
+KINDS: dict[str, int] = {m: _kind(spec) for m, spec in OPCODES.items()}
+
+
 def _op_timing(spec: OpSpec, cfg: ProcessorConfig) -> tuple:
     """The pc-independent facts of one mnemonic on one machine."""
-    if spec.is_branch:
-        kind = K_BRANCH
-    elif spec.is_jump:
-        kind = K_JUMP if spec.mnemonic in ("j", "jal") else K_JR
-    elif spec.is_halt:
-        kind = K_HALT
-    else:
-        kind = {"tspawn": K_TSPAWN, "texit": K_TEXIT, "tput": K_TPUT,
-                "tjoin": K_TJOIN}.get(spec.mnemonic, K_PLAIN)
+    kind = KINDS[spec.mnemonic]
     missing = None
     if spec.is_mul and cfg.multiplier is MultiplierKind.NONE:
         missing = "multiplier"

@@ -267,18 +267,16 @@ def test_absint_is_sound_on_straight_line_programs(body, cfg):
     thread = proc.threads[0]
     pc = program.entry
     for _ in range(len(program.instructions) + 1):
-        instr = program.instructions[pc]
         _check_pc_soundness(res, proc, thread, pc)
-        thread.pc = pc
+        if program.instructions[pc].mnemonic == "halt":
+            return
         try:
-            result = proc.executor.execute(instr, thread)
+            next_pc = proc.ops[pc](thread)
         except (MemoryFault, ScalarMemoryFault, ExecutionError):
             # The concrete machine faulted; every state checked up to
             # here was covered, which is all soundness promises.
             return
-        if result.halt:
-            return
-        pc = result.next_pc
+        pc = pc + 1 if next_pc is None else next_pc
     raise AssertionError("straight-line program did not halt")
 
 

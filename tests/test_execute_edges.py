@@ -244,9 +244,14 @@ a:  addi s3, s3, 2
 
     @pytest.mark.parametrize("width", [8, 16, 32])
     def test_branch_conditions_match_word_semantics(self, width):
-        """The branch table's closed forms against the bitops reference:
-        beq/bne on unsigned words, blt/bge on two's-complement words."""
-        from repro.core.execute import _BRANCHES
+        """The compiled branch ops against the bitops reference: beq/bne
+        on unsigned words, blt/bge on two's-complement words."""
+        from repro.asm.program import Program
+        from repro.core.execute import compile_ops
+        from repro.core.memory import ScalarMemory
+        from repro.core.thread import ThreadStatusTable
+        from repro.isa.instruction import Instruction
+        from repro.pe.pe_array import PEArray
         from repro.util.bitops import to_signed, to_unsigned
 
         reference = {
@@ -258,10 +263,21 @@ a:  addi s3, s3, 2
         half, span = 1 << (width - 1), 1 << width
         values = [0, 1, 2, half - 1, half, half + 1, span - 1, span, -1,
                   -half, 3 * span + 5]
+        threads = ThreadStatusTable(1)
+        threads.allocate(0, 0)
+        thread = threads[0]
+        ops = compile_ops(
+            Program(instructions=[Instruction(m, rd=1, rs=2, imm=-1)
+                                  for m in reference]),
+            PEArray(1, 1, width, 1), ScalarMemory(1, width), threads)
         for a in values:
             for b in values:
-                for m, ref in reference.items():
-                    assert _BRANCHES[m](a, b, width) is ref(a, b), (m, a, b)
+                thread.sregs[1:3] = [a, b]
+                for pc, (m, ref) in enumerate(reference.items()):
+                    # Offset -1 targets the branch itself: taken is "a
+                    # pc came back", whatever the pc.
+                    taken = ops[pc](thread) is not None
+                    assert taken is ref(a, b), (m, a, b)
 
 
 class TestPipelineInvariants:
