@@ -13,7 +13,7 @@ and statistics:
   per *block* (memoized on pipeline state), not per instruction.  The
   interpreter calls the same compiled ops as the cycle core
   (:func:`repro.core.execute.compile_ops`), except that each straight-line
-  run of scalar register writes runs as one generated function
+  run of scalar register writes in a loop runs as one generated function
   (:func:`repro.core.execute.fuse_scalar_runs`).
 
 * **Spawning programs** run on the cycle core itself

@@ -145,29 +145,31 @@ def _nop(t: ThreadContext) -> None:
     return None
 
 
-# Longest straight-line run fused into one function.
-_MAX_RUN = 32
-
-
 def fuse_scalar_runs(program: "Program", width: int,
                      ) -> list[tuple[Callable[[ThreadContext], None], int]
                                | None]:
-    """Each straight-line run of scalar register writes as one function.
+    """Each straight-line run of scalar register writes in a loop as one
+    function.
 
     Entry ``pc`` is ``(run, length)`` where a run of two or more starts,
     else None; ``run(thread)`` has the effect of the run's per-pc ops.
     Runs break at branch and jump targets (a ``jr`` landing mid-run
-    takes the per-pc ops).  Only the :data:`SCALAR_EXPR` text and
-    integers formatted with ``%d`` reach the generated source.
+    takes the per-pc ops).  Only runs inside a backward branch or jump
+    are fused: generating a function costs about a hundred runs of it.
+    Only the :data:`SCALAR_EXPR` text and integers formatted with ``%d``
+    reach the generated source.
     """
     M, H = mask_for_width(width), 1 << (width - 1)
     instrs = program.instructions
     targets = {program.entry}
+    loops = []
     for pc, ins in enumerate(instrs):
-        if ins.mnemonic in _BRANCHES:
-            targets.add(pc + 1 + ins.imm)
-        elif ins.mnemonic in ("j", "jal"):
-            targets.add(ins.target)
+        target = (pc + 1 + ins.imm if ins.mnemonic in _BRANCHES else
+                  ins.target if ins.mnemonic in ("j", "jal") else None)
+        if target is not None:
+            targets.add(target)
+            if target <= pc:
+                loops.append((target, pc))
     fused: list[tuple[Callable[[ThreadContext], None], int] | None] = (
         [None] * len(instrs))
     starts: list[tuple[int, int]] = []
@@ -176,10 +178,10 @@ def fuse_scalar_runs(program: "Program", width: int,
     while start < len(instrs):
         end = start
         while (end < len(instrs) and instrs[end].mnemonic in _SCALAR_WRITES
-               and (end == start or end not in targets)
-               and end - start < _MAX_RUN):
+               and (end == start or end not in targets)):
             end += 1
-        if end - start > 1:
+        if end - start > 1 and any(lo <= start and end <= hi
+                                   for lo, hi in loops):
             body = []
             for ins in instrs[start:end]:
                 name, bsrc = _SCALAR_WRITES[ins.mnemonic]
@@ -193,7 +195,8 @@ def fuse_scalar_runs(program: "Program", width: int,
                           % (start, "\n".join(body) or "    pass"))
         start = max(end, start + 1)
     namespace: dict[str, Any] = {"_div": _div}
-    exec("".join(source), namespace)
+    if source:
+        exec("".join(source), namespace)
     for start, length in starts:
         fused[start] = (namespace["run_%d" % start], length)
     return fused
@@ -224,21 +227,10 @@ def _signed(ufunc: np.ufunc) -> Callable[..., None]:
     return kernel
 
 
-def _reference(base: str) -> Callable[..., None]:
-    # The rarely hot ops (nor, shifts, divide) call the vector ALU.
-    unit = INT_OPS[base]
-
-    def kernel(a: Any, b: Any, out: np.ndarray, M: int, H: int) -> None:
-        out[...] = unit(a, np.asarray(b), M.bit_length())
-    return kernel
-
-
 _KERNELS: dict[str, Callable[..., None]] = {
     "add": _wrapping(np.add), "sub": _wrapping(np.subtract),
     "mul": _wrapping(np.multiply), "and": _plain(np.bitwise_and),
     "or": _plain(np.bitwise_or), "xor": _plain(np.bitwise_xor),
-    **{base: _reference(base) for base in ("nor", "sll", "srl", "sra",
-                                           "div")},
     "slt": _signed(np.less), "sltu": _plain(np.less),
     "ceq": _plain(np.equal), "cne": _plain(np.not_equal),
     "clt": _signed(np.less), "cle": _signed(np.less_equal),
@@ -278,20 +270,32 @@ _FOLDS["rget"] = _FOLDS["ror"]
 
 # Parallel mnemonic -> (base op, B-source) where B-source is
 # "pt" (parallel reg), "st" (broadcast scalar reg) or "imm" (broadcast).
-_PARALLEL_INT = {}
-for _base in ("add", "sub", "and", "or", "xor", "nor", "sll", "srl", "sra",
-              "mul", "div"):
-    _PARALLEL_INT[f"p{_base}"] = (_base, "pt")
-    _PARALLEL_INT[f"p{_base}s"] = (_base, "st")
-for _base in ("add", "and", "or", "xor", "sll", "srl", "sra"):
-    _PARALLEL_INT[f"p{_base}i"] = (_base, "imm")
+_PARALLEL_INT = {
+    **{f"p{base}{suffix}": (base, bsrc)
+       for base in ("add", "sub", "and", "or", "xor", "nor", "sll", "srl",
+                    "sra", "mul", "div")
+       for suffix, bsrc in (("", "pt"), ("s", "st"))},
+    **{f"p{base}i": (base, "imm")
+       for base in ("add", "and", "or", "xor", "sll", "srl", "sra")},
+}
+_PARALLEL_CMP = {
+    **{f"p{base}{suffix}": (base, bsrc)
+       for base in ("ceq", "cne", "clt", "cle", "cltu", "cleu")
+       for suffix, bsrc in (("", "pt"), ("s", "st"))},
+    **{f"p{base}i": (base, "imm") for base in ("ceq", "cne", "clt", "cle")},
+}
 
-_PARALLEL_CMP = {}
-for _base in ("ceq", "cne", "clt", "cle", "cltu", "cleu"):
-    _PARALLEL_CMP[f"p{_base}"] = (_base, "pt")
-    _PARALLEL_CMP[f"p{_base}s"] = (_base, "st")
-for _base in ("ceq", "cne", "clt", "cle"):
-    _PARALLEL_CMP[f"p{_base}i"] = (_base, "imm")
+# Healthy-machine row ops: mnemonic -> (kernel, B-source, reads flag
+# rows, writes a flag row); a flag op's B is f[rt] or its constant.
+# The rarely hot nor, shifts and divide take the reference path.
+_ROW_OPS: dict[str, tuple[Callable[..., None], str, bool, bool]] = {
+    **{m: (_KERNELS[base], bsrc, False, False)
+       for m, (base, bsrc) in _PARALLEL_INT.items() if base in _KERNELS},
+    **{m: (_KERNELS[base], bsrc, False, True)
+       for m, (base, bsrc) in _PARALLEL_CMP.items()},
+    **{m: (_plain(ufunc), "pt" if const is None else "const", True, True)
+       for m, (ufunc, const) in _FLAG_UFUNCS.items()},
+}
 
 
 # -- the compiler ----------------------------------------------------------------
@@ -345,12 +349,10 @@ class _Compiler:
         if m in _BRANCHES:
             return _factory(m, "br")(ins.rd, ins.rs, pc + 1 + ins.imm,
                                      self.M, self.H)
+        if self.faults is None and (m in _ROW_OPS or m in _FOLDS):
+            return self.healthy(ins)
         if ins.spec.exec_class is ExecClass.SCALAR:
             return self.scalar(pc, ins)
-        if self.faults is None and (m in _FOLDS or m in _PARALLEL_INT
-                                    or m in _PARALLEL_CMP
-                                    or m in _FLAG_UFUNCS):
-            return self.healthy(ins)
         return self.reference(ins)
 
     def scalar(self, pc: int, ins: Instruction) -> Op:
@@ -442,18 +444,9 @@ class _Compiler:
                 t.sregs[rd] = fold((flags if flag_src else regs)[rs],
                                    flags[mf], M, H)
             return reduce
-        # kernel(a, b) of two rows of one file, or of a row and a
-        # scalar, into a register or flag row.
-        flag_src = m in _FLAG_UFUNCS
-        flag_dest = flag_src or m in _PARALLEL_CMP
-        const: Any
-        if flag_src:
-            ufunc, const = _FLAG_UFUNCS[m]
-            kernel, bsrc = _plain(ufunc), "pt" if const is None else ""
-        else:
-            base, bsrc = (_PARALLEL_CMP if flag_dest else _PARALLEL_INT)[m]
-            kernel = _KERNELS[base]
-            const = np.int64(to_unsigned(ins.imm, self.width))
+        kernel, bsrc, flag_src, flag_dest = _ROW_OPS[m]
+        const: Any = (_FLAG_UFUNCS[m][1] if flag_src else
+                      np.int64(ins.imm & M) if bsrc == "imm" else None)
         pt, st = bsrc == "pt", bsrc == "st"
         out = self.ftmp if flag_dest else self.tmp
 

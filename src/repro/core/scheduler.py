@@ -22,7 +22,6 @@ Four disciplines are implemented (DESIGN.md experiment E8):
 from __future__ import annotations
 
 import operator
-from typing import Callable
 
 from repro.core.config import MTMode, ProcessorConfig, SchedulerPolicy
 from repro.core.thread import ThreadContext
@@ -36,6 +35,8 @@ class ThreadScheduler:
 
     def __init__(self, cfg: ProcessorConfig) -> None:
         self.cfg = cfg
+        self._rotating = cfg.scheduler is SchedulerPolicy.ROTATING
+        self._one = cfg.mt_mode in (MTMode.SINGLE, MTMode.FINE)
         self._pointer = -1          # last thread granted (rotating priority)
         self._current: int | None = None   # coarse-grain resident thread
         self.switch_until = 0       # coarse-grain: no issue before this cycle
@@ -43,17 +44,13 @@ class ThreadScheduler:
 
     # -- priority orders -----------------------------------------------------
 
-    def _priority(self) -> Callable[[ThreadContext], int]:
-        if self.cfg.scheduler is SchedulerPolicy.FIXED:
-            return _TID
-        n, pointer = self.cfg.num_threads, self._pointer
-        return lambda t: (t.tid - pointer - 1) % n
-
     def _first(self, candidates: list[ThreadContext]) -> ThreadContext:
-        """The candidate the priority order ranks first."""
-        if len(candidates) == 1:
-            return candidates[0]
-        return min(candidates, key=self._priority())
+        """The candidate the priority order ranks first: the lowest tid,
+        after the last one granted when the priority rotates."""
+        if self._rotating:
+            pointer = self._pointer
+            candidates = [t for t in candidates if t.tid > pointer] or candidates
+        return min(candidates, key=_TID)
 
     # -- selection -------------------------------------------------------------
 
@@ -65,14 +62,13 @@ class ThreadScheduler:
         ready now; ``ready_of`` maps *every* runnable thread id to its
         earliest-ready cycle (consulted by the coarse-grain policy).
         """
-        mode = self.cfg.mt_mode
         if not candidates:
             return []
-        if mode in (MTMode.SINGLE, MTMode.FINE):
+        if self._one:
             chosen = self._first(candidates)
             self._pointer = chosen.tid
             return [chosen]
-        if mode is MTMode.COARSE:
+        if self.cfg.mt_mode is MTMode.COARSE:
             return self._select_coarse(candidates, cycle, ready_of)
         return self._select_smt2(candidates, program)
 
@@ -101,7 +97,10 @@ class ThreadScheduler:
 
     def _select_smt2(self, candidates: list[ThreadContext],
                      program) -> list[ThreadContext]:
-        ordered = sorted(candidates, key=self._priority())
+        ordered = sorted(candidates, key=_TID)
+        if self._rotating:
+            later = [t for t in ordered if t.tid > self._pointer]
+            ordered = later + [t for t in ordered if t.tid <= self._pointer]
         chosen: list[ThreadContext] = []
         ports_used: set[str] = set()
         for thread in ordered:

@@ -89,6 +89,14 @@ def _thread_table(num_threads: int = 1) -> ThreadStatusTable:
     return threads
 
 
+def _looped(body: list[Instruction]) -> Program:
+    """``body`` followed by a branch back to its start: only runs inside
+    a loop are fused."""
+    return Program(instructions=body + [
+        Instruction("bne", rd=1, rs=0, imm=-len(body) - 1),
+        Instruction("halt")])
+
+
 class _ScalarPaths:
     """One scalar instruction as its per-pc op and inside a fused run
     (followed by a filler write to s4), on a one-thread machine."""
@@ -96,8 +104,7 @@ class _ScalarPaths:
     def __init__(self, instr: Instruction, width: int) -> None:
         self.threads = _thread_table()
         self.thread = self.threads[0]
-        program = Program(instructions=[
-            instr, Instruction("add", rd=4, rs=1, rt=2)])
+        program = _looped([instr, Instruction("add", rd=4, rs=1, rt=2)])
         self.op = compile_ops(program, PEArray(1, 1, width, 1),
                               ScalarMemory(16, width), self.threads)[0]
         run = fuse_scalar_runs(program, width)[0]
@@ -171,19 +178,19 @@ def test_fused_runs_equal_their_per_pc_ops(width):
     for _ in range(40):
         body = [_random_scalar_write(rng)
                 for _ in range(int(rng.integers(2, 40)))]
-        program = Program(instructions=body + [Instruction("halt")])
+        program = _looped(body)
         threads = _thread_table()
         thread = threads[0]
         ops = compile_ops(program, PEArray(1, 1, width, 1),
-                          ScalarMemory(16, width), threads)
-        runs = fuse_scalar_runs(program, width)
-        assert runs[-1] is None
+                          ScalarMemory(16, width), threads)[:len(body)]
+        runs = fuse_scalar_runs(program, width)[:len(body)] + [None]
+        assert runs[0] is not None
         for _ in range(5):
             start = [0] + [int(v) for v in rng.integers(
                 0, 1 << width, registers.NUM_SCALAR_REGS - 1)]
             start[registers.LINK_REG] = int(rng.integers(0, 1 << 32))
             thread.sregs[:] = start
-            for op in ops[:-1]:
+            for op in ops:
                 assert op(thread) is None
             want = list(thread.sregs)
             thread.sregs[:] = start
@@ -192,21 +199,23 @@ def test_fused_runs_equal_their_per_pc_ops(width):
                 fn, length = runs[pc]
                 fn(thread)
                 pc += length
-            for op in ops[pc:-1]:
+            for op in ops[pc:]:
                 op(thread)
             assert thread.sregs == want, [str(i) for i in body]
 
 
-def test_runs_break_at_branch_targets():
+def test_runs_are_fused_in_loops_and_break_at_targets():
     lines = [Instruction("addi", rd=1, rs=1, imm=1),
+             Instruction("addi", rd=5, rs=5, imm=1),
              Instruction("addi", rd=2, rs=2, imm=1),   # branch target
              Instruction("addi", rd=3, rs=3, imm=1),
              Instruction("bne", rd=1, rs=0, imm=-3),
              Instruction("addi", rd=4, rs=4, imm=1),
+             Instruction("addi", rd=6, rs=6, imm=1),
              Instruction("halt")]
     runs = fuse_scalar_runs(Program(instructions=lines), 16)
     assert [None if r is None else r[1] for r in runs] == [
-        None, 2, None, None, None, None]
+        None, None, 2, None, None, None, None, None]
 
 
 # -- parallel and reduction ops ------------------------------------------------
@@ -219,9 +228,14 @@ def _random_machine(width: int, rng: np.random.Generator):
     pe.regs[:] = rng.integers(0, 1 << width, pe.regs.shape)
     pe.flags[:] = rng.random(pe.flags.shape) < 0.5
     pe.lmem[:] = rng.integers(0, 1 << width, pe.lmem.shape)
+    pe.flags[:, 6] = True           # masks with every PE active
+    pe.flags[:, 7] = False          # and with none (reduction identities)
     pe._pin_constants()
-    # Local-memory addresses in range in about half the PEs of p5.
-    pe.regs[:, 5] = rng.integers(0, 2 * LMEM, (2, NUM_PES))
+    # p5 holds local-memory addresses; plw/psw offsets of -1..1 keep
+    # them in range except for an occasional PE that faults.
+    pe.regs[:, 5] = rng.integers(1, LMEM - 1, (2, NUM_PES))
+    if rng.random() < 0.3:
+        pe.regs[:, 5, int(rng.integers(NUM_PES))] = LMEM + 3
     threads = _thread_table(2)
     for ctx in threads:
         ctx.sregs[1:] = [int(v) for v in rng.integers(
@@ -298,7 +312,7 @@ def _random_instruction(m: str, rng: np.random.Generator) -> Instruction:
         lo, hi = _imm_range(m)
         fields["imm"] = int(rng.integers(lo, hi + 1))
     if m in ("plw", "psw"):
-        fields["rs"], fields["imm"] = 5, int(rng.integers(-2, 2))
+        fields["rs"], fields["imm"] = 5, int(rng.integers(-1, 2))
     return Instruction(m, **fields)
 
 
