@@ -3,10 +3,10 @@
 Runs the same programs as the cycle-accurate core — through the *same*
 compiled ops (:func:`repro.core.execute.compile_ops`) — but with no
 pipeline timing: each step executes one instruction from each live
-thread in round-robin order.  Because the cycle-accurate core applies effects at issue in
-program order, the two backends must produce identical architectural
-results for any data-race-free program; the integration tests assert
-exactly that (timing-independence of results).
+thread in round-robin order.  Because the cycle-accurate core applies
+effects at issue in program order, the two backends must produce
+identical architectural results for any data-race-free program; the
+integration tests assert exactly that (timing-independence of results).
 
 Also useful on its own as a fast interpreter when only results matter,
 and as the state holder of the fast-path backend

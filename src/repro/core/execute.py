@@ -392,9 +392,7 @@ class _Compiler:
             load = self.mem.load
 
             def op(t: ThreadContext) -> None:
-                value = load(t.sregs[rs] + imm)
-                if rd:
-                    t.sregs[rd] = value
+                t.write_sreg(rd, load(t.sregs[rs] + imm), M)
         elif m == "sw":
             store = self.mem.store
 
@@ -465,8 +463,9 @@ class _Compiler:
     def reference(self, ins: Instruction) -> Op:
         """Parallel and reduction ops through the reference units and,
         with a fault plane attached, its hooks, which fire in the order
-        they always have: every op of a faulted machine, and the memory
-        ops, ``pbcast``, ``psel`` and ``rfirst`` of a healthy one."""
+        they always have: every op of a faulted machine; on a healthy
+        one the memory ops, nor, shifts, divide, ``pbcast``, ``psel`` and
+        ``rfirst``."""
         m, rd, rs, rt, mf = ins.mnemonic, ins.rd, ins.rs, ins.rt, ins.mf
         pe, faults, width = self.pe, self.faults, self.width
         flag, read = pe.read_flag, pe.read_reg

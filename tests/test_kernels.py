@@ -126,13 +126,11 @@ class TestKernelGuards:
                                                             count):
         """A count past the width's ``li`` range fails before the
         builder's reference loop runs over it (10**9 iterations would
-        otherwise hold the caller for minutes)."""
+        hold the caller for minutes)."""
         build(0xFFFF)
         with pytest.raises(ValueError, match=f"{count}=65536 is not "
                                              "representable by li"):
             build(1 << 16)
-        with pytest.raises(ValueError, match="not representable by li"):
-            build(10 ** 9)
 
 
 class TestMstKernel:

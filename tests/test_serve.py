@@ -482,8 +482,8 @@ class TestJobParsing:
 
     def test_unloadable_loop_count_is_a_job_error(self):
         job = Job.from_json({"name": "long", "kernel": "vector_mac",
-                             "kernel_args": {"iters": 10 ** 9}})
-        with pytest.raises(JobError, match="iters=1000000000 is not "
+                             "kernel_args": {"iters": 1 << 16}})
+        with pytest.raises(JobError, match="iters=65536 is not "
                                            "representable by li"):
             job.prepare()
 
