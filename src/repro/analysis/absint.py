@@ -417,8 +417,8 @@ class _Interpreter:
         return None
 
     def _concrete(self, base: str, a: int, b: int) -> int:
-        """One concrete ALU op, via the same vectorized implementation
-        the executor uses — corner cases cannot drift."""
+        """One concrete ALU op, via the vector ALU that the compiled
+        scalar ops are tested against — corner cases cannot drift."""
         fn = INT_OPS[base]
         return int(fn(np.array([a], dtype=np.int64),
                       np.array([b], dtype=np.int64), self.width)[0])

@@ -430,7 +430,7 @@ def _branch_verdict(mnemonic: str, a: tuple[int, int], b: tuple[int, int],
                     width: int) -> bool | None:
     """True = provably taken, False = provably not taken, None = unknown.
 
-    Mirrors the executor's comparison semantics: beq/bne compare
+    Mirrors the compiled branch semantics: beq/bne compare
     unsigned word values, blt/bge compare two's-complement.
     """
     if mnemonic in ("beq", "bne"):

@@ -41,7 +41,7 @@ class ScalarMemory:
     The words live in an ``array.array`` of the unsigned W-bit typecode,
     so :meth:`dump_array` copies the whole memory in one step.  It is not
     a numpy array: indexing one yields numpy scalars, whose wraparound
-    would leak into the executor's Python-int arithmetic.
+    would leak into the compiled ops' Python-int arithmetic.
     """
 
     def __init__(self, words: int, word_width: int) -> None:

@@ -11,9 +11,10 @@ covered by a static finding.
 Design, mirroring the :class:`repro.faults.plane.FaultPlane` pattern:
 
 * the sanitizer is **opt-in** — ``Processor(cfg, sanitizer=...)`` — and
-  every hook in the processor and executor hides behind an
-  ``is not None`` check, so a run without it is bit-for-bit identical
-  to pre-sanitizer behaviour at zero cost;
+  every hook in the processor hides behind an ``is not None`` check
+  and only a sanitized machine compiles ops that emit events, so a run
+  without it is bit-for-bit identical to pre-sanitizer behaviour at
+  zero cost;
 * each hardware context carries a **vector clock**; ``tspawn`` hands
   the child a copy of the parent's clock, ``tjoin`` merges the exited
   child's final clock back, and a consumed ``tput`` delivery carries
@@ -199,7 +200,7 @@ class RaceSanitizer:
                 prev_tid=ch["tid"], prev_pc=ch["pc"], reg=reg))
             del self._channels[(tid, reg)]
 
-    # -- delivery events (hooked from the executor) --------------------------
+    # -- delivery events (emitted by the compiled ops) -----------------------
 
     def on_tput(self, tid: int, target_tid: int, reg: int, pc: int) -> None:
         ch = self._channels.get((target_tid, reg))
@@ -224,7 +225,7 @@ class RaceSanitizer:
             kind="unsynchronized-tget", access="tget", prev_access="none",
             tid=tid, pc=pc, prev_tid=source_tid, prev_pc=-1, reg=reg))
 
-    # -- scalar-memory events (hooked from the executor) ---------------------
+    # -- scalar-memory events (emitted by the compiled ops) ------------------
 
     def on_load(self, tid: int, addr: int, pc: int) -> None:
         cell = self._shadow.get(addr)
@@ -267,8 +268,8 @@ class RaceSanitizer:
 
     def on_issue(self, thread, instr, num_threads: int) -> None:
         """Register-file and join bookkeeping for one issuing
-        instruction; memory and delivery events fire from the executor,
-        which knows the resolved addresses and targets."""
+        instruction; memory and delivery events fire from the compiled
+        ops, which know the resolved addresses and targets."""
         tid = thread.tid
         pc = thread.pc
         for regfile, idx in instr.src_regs():

@@ -80,9 +80,10 @@ class PEArray:
         """Allocate the register-file parity plane (idempotent).
 
         Parity is maintained by :meth:`write_reg` and checked on reads by
-        the fault-aware executor; a fault injector flipping bits behind
-        the write port leaves stored parity stale, which is exactly how
-        hardware parity catches single-event upsets.
+        the ops compiled for a machine with a fault plane; a fault
+        injector flipping bits behind the write port leaves stored parity
+        stale, which is exactly how hardware parity catches single-event
+        upsets.
         """
         if self.parity is None:
             self.parity = bitops.np_parity(self.regs, self.word_width)
