@@ -31,6 +31,7 @@ from repro.serve.net import (
     DeficitRoundRobin,
     NetServer,
     deterministic_projection,
+    serve_net,
 )
 
 KERNELS = ("count_matches", "histogram", "vector_mac", "string_match")
@@ -72,14 +73,19 @@ def make_heavy_jobs() -> list:
 
 
 def stdio_replies(lines: str) -> bytes:
-    import io
+    """Serve ``lines`` (which must fit a pipe buffer) as stdin."""
+    import tempfile
 
-    from repro.serve import serve_forever
-
-    out = io.StringIO()
-    serve_forever(Dispatcher(runner=BatchRunner(cache=ResultCache.disabled())),
-                  stdin=io.StringIO(lines), stdout=out)
-    return out.getvalue().encode()
+    r, w = os.pipe()
+    with open(r, "rb", buffering=0) as stdin, \
+            tempfile.TemporaryFile() as stdout:
+        with open(w, "wb", buffering=0) as feed:
+            feed.write(lines.encode())
+        asyncio.run(serve_net(
+            Dispatcher(runner=BatchRunner(cache=ResultCache.disabled())),
+            stdio=(stdin, stdout), handle_signals=False))
+        stdout.seek(0)
+        return stdout.read()
 
 
 def tcp_replies(lines: str) -> bytes:

@@ -625,10 +625,12 @@ def _build_governor(args: argparse.Namespace):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.obs import DEFAULT_REGISTRY
     from repro.serve.batch import BatchRunner
     from repro.serve.dispatch import Dispatcher
-    from repro.serve.service import serve_forever
+    from repro.serve.net.server import serve_net
 
     if args.shards < 1:
         print("serve: --shards must be >= 1", file=sys.stderr)
@@ -656,13 +658,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                          registry=DEFAULT_REGISTRY, shed=args.shed,
                          governor=governor, request_log=request_log)
     try:
+        host, port, stdio = "127.0.0.1", 0, (sys.stdin, sys.stdout)
         if args.listen:
-            import asyncio
-
-            from repro.serve.net.server import serve_net
-
             host, _, port_s = args.listen.rpartition(":")
-            host = host or "127.0.0.1"
+            host, stdio = host or "127.0.0.1", None
             try:
                 port = int(port_s)
             except ValueError:
@@ -670,14 +669,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       f"expected HOST:PORT", file=sys.stderr)
                 return 1
 
-            def _ready(bound):
-                print(f"listening on {bound[0]}:{bound[1]}",
-                      file=sys.stderr, flush=True)
+        def _ready(bound):
+            print(f"listening on {bound[0]}:{bound[1]}",
+                  file=sys.stderr, flush=True)
 
-            return asyncio.run(serve_net(
-                session, host=host, port=port,
-                drr_quantum=args.drr_quantum, ready=_ready))
-        return serve_forever(session, handle_signals=True)
+        return asyncio.run(serve_net(
+            session, host=host, port=port, drr_quantum=args.drr_quantum,
+            ready=_ready, stdio=stdio))
     finally:
         if request_log is not None:
             request_log.close()

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.asm.assembler import li_representable
 from repro.network import reduction as red
 from repro.programs import workloads as wl
 from repro.util.bitops import mask_for_width
@@ -44,11 +43,18 @@ class Kernel:
 
 
 def _li_count(name: str, value: int, width: int) -> None:
-    """Reject a loop count the program's ``li`` could not load, before a
-    reference loop runs over it."""
-    if not li_representable(value, width):
-        raise ValueError(f"{name}={value} is not representable by li at "
-                         f"word width {width}")
+    """Reject a loop count the kernel's countdown would not run exactly.
+
+    The program loads the count with ``li`` and counts down to zero in
+    W-bit arithmetic, so it runs ``value`` iterations only for
+    ``1 <= value <= 2**W - 1``.  The count is also capped at 65,535:
+    ``Job.prepare`` runs the builder, and its reference loop, before any
+    deadline applies (the cap costs about 0.3 s at 256 PEs).
+    """
+    top = min(mask_for_width(width), 0xFFFF)
+    if not 1 <= value <= top:
+        raise ValueError(f"{name}={value} is not representable by li as a "
+                         f"loop count: need 1..{top} at word width {width}")
 
 
 # ---------------------------------------------------------------------------

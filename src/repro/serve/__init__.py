@@ -78,7 +78,6 @@ from repro.serve.resilience import (
     Quarantine,
     deadline,
 )
-from repro.serve.service import serve_forever
 from repro.serve.snapshot import (
     CorruptSnapshot,
     ResultSnapshot,
@@ -139,7 +138,6 @@ __all__ = [
     "deadline",
     "SHED_OLDEST",
     "SHED_REFUSE",
-    "serve_forever",
     "CorruptSnapshot",
     "ResultSnapshot",
     "pack_snapshot",

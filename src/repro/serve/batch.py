@@ -155,10 +155,12 @@ class BatchRunner:
     cache, pool, batch, and service layers together.
 
     Resilience knobs (all optional; see ``pool.run_prepared``):
-    ``deadline_s`` is a per-job wall-clock ceiling, ``backoff`` the
-    seeded retry policy, ``quarantine`` the poison-job strike book —
-    owned by the runner so strikes persist across batches — and
-    ``chaos`` an injection plane for tests and drills.
+    ``deadline_s`` is a per-job wall-clock ceiling (jobs with one run in
+    worker processes, one under ``jobs=1``; the in-process fallback used
+    when no worker can be spawned arms it only on the main thread),
+    ``backoff`` the seeded retry policy, ``quarantine`` the poison-job
+    strike book — owned by the runner so strikes persist across
+    batches — and ``chaos`` an injection plane for tests and drills.
     """
 
     def __init__(self, cache: ResultCache | None = None, jobs: int = 1,

@@ -4,12 +4,12 @@ One protocol engine, many transports: :class:`Dispatcher` owns the whole
 JSON request protocol — op routing, per-line hardening, load shedding,
 tenant quotas, SLO accounting, and the append-only request log — and
 exposes exactly one entry point, :meth:`Dispatcher.handle_line`.  The
-stdio loop (``repro.serve.service``) and the asyncio network front end
-(``repro.serve.net``) both frame bytes into lines with the same
-:class:`LineAssembler`, feed them through this same code path, and
-encode replies with the same :func:`canonical_reply`, which is what
-makes the transport-parity guarantee testable: a given request line
-produces byte-identical reply JSON no matter how it arrived.
+one serve loop (:mod:`repro.serve.net.server`) frames stdin and TCP
+bytes into lines with :class:`LineAssembler`, feeds them and HTTP
+bodies through this code path, and encodes replies with
+:func:`canonical_reply`, which is what makes the transport-parity
+guarantee testable: a given request line produces byte-identical reply
+JSON no matter how it arrived.
 
 The hardening contract (one bad client line costs one error reply,
 never the process) lives here:
@@ -27,7 +27,7 @@ never the process) lives here:
 
 :class:`LineAssembler` is the matching transport helper: an incremental
 byte-stream → line splitter that counts (rather than buffers) oversized
-lines, shared by the TCP reader and the stdio loop.
+lines.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The host-level analogue of the paper's multithreading argument, one
 level up: where the chip overlaps threads to hide broadcast/reduction
 latency, this tier overlaps *tenants* to hide job latency — one asyncio
-listener multiplexing thousands of connections onto the one dispatcher
-+ process-pool engine that ``repro serve`` already had.
+loop multiplexing stdin or thousands of connections onto one dispatcher
++ process-pool engine.
 
 Pieces (each its own module, composable without the server):
 
@@ -15,7 +15,8 @@ Pieces (each its own module, composable without the server):
 * :mod:`~repro.serve.net.http11` — minimal HTTP/1.1 framing for the
   ``/v1/run`` / ``/v1/batch`` / ``/metrics`` / ``/healthz`` endpoints;
 * :mod:`~repro.serve.net.server` — the :class:`NetServer` event loop
-  tying them together (protocol sniffing, pipelining, graceful drain).
+  tying them together: ``repro serve``'s one loop for stdio, TCP and
+  HTTP (protocol sniffing, pipelining, graceful drain).
 
 The sharded result cache behind ``repro serve --shards N`` is the one
 :class:`~repro.serve.cache.ResultCache` with ``shards=N``.  See

@@ -1,12 +1,13 @@
-"""Asyncio network front end for the serving tier (``repro serve --listen``).
+"""The one serve loop (``repro serve``): stdio, TCP and HTTP.
 
-One listening socket, two wire protocols, one dispatcher:
+Three transports, two wire protocols, one dispatcher:
 
-* connections whose first bytes look like an HTTP method get the
-  minimal HTTP/1.1 surface (``POST /v1/run``, ``POST /v1/batch``,
-  ``GET /metrics`` in Prometheus text, ``GET /healthz``);
-* everything else speaks the existing JSON-lines protocol — the same
-  bytes the stdio service accepts, over TCP, with per-connection
+* ``repro serve`` serves stdin/stdout as one JSON-lines connection;
+* under ``--listen``, TCP connections whose first bytes look like an
+  HTTP method get the minimal HTTP/1.1 surface (``POST /v1/run``,
+  ``POST /v1/batch``, ``GET /metrics`` in Prometheus text,
+  ``GET /healthz``);
+* every other TCP connection speaks JSON lines, with per-connection
   pipelining (many requests in flight, replies in request order).
 
 Every request from every transport funnels through one
@@ -14,12 +15,10 @@ Every request from every transport funnels through one
 executed on a **single** dispatcher thread: the protocol engine and the
 batch runner underneath it are not thread-safe, and they do not need to
 be — compute parallelism comes from the runner's process pool
-(``--jobs``), while asyncio overlaps all the network I/O around it.
-This mirrors the paper's control structure: one sequencer, many PEs;
-here, one dispatcher, many worker processes.  (One documented
-degradation: per-job SIGALRM deadlines no-op off the main thread, so
-``--deadline`` relies on the pool's parent-side stall watchdog when
-serving over the network.)
+(``--jobs``; jobs with a ``--deadline`` always run there), while
+asyncio overlaps all the I/O around it.  This mirrors the paper's
+control structure: one sequencer, many PEs; here, one dispatcher, many
+worker processes.
 
 Fairness: each request is enqueued under its tenant with cost = jobs
 carried.  DRR guarantees that two continuously-backlogged tenants'
@@ -27,15 +26,19 @@ service differs by at most ``quantum + max_cost`` regardless of offered
 load — a 10:1 aggressor cannot starve a light tenant (asserted in
 ``benchmarks/bench_serve_load.py``).
 
-Graceful shutdown (SIGINT/SIGTERM, a ``shutdown`` op from any
-transport, or :meth:`NetServer.begin_drain`): stop accepting, answer
-every already-queued request, flush the request log, then exit.
+One drain rule on every transport.  SIGINT/SIGTERM, a ``shutdown``
+reply, EOF on stdin or :meth:`NetServer.begin_drain` stop accepting and
+reading; every line already received is answered, the request log is
+flushed, then the server exits.  An unterminated last line is answered
+at EOF (the client died mid-write) and dropped on a drain (it is still
+being written).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,8 +57,6 @@ from repro.serve.net.http11 import (
 )
 from repro.serve.net.tenancy import DeficitRoundRobin
 
-#: How long a reader waits for a connection's first bytes before
-#: treating it as idle (protocol sniffing needs at least one byte).
 _READ_CHUNK = 1 << 16
 
 
@@ -69,7 +70,7 @@ class _Work:
 
 
 def _reply_bytes(reply: dict) -> bytes:
-    """The canonical JSON-lines wire form — shared with stdio verbatim."""
+    """The canonical JSON-lines wire form of ``reply``."""
     return (canonical_reply(reply) + "\n").encode("utf-8")
 
 
@@ -92,8 +93,51 @@ def _http_status(reply: dict) -> int:
     return 200
 
 
+class _Stdio:
+    """stdin and stdout as the reader and writer of one connection.
+
+    stdin is read once the loop's selector, which also wakes for
+    signals, reports it readable: a line written before a SIGTERM is
+    read before the drain begins, and stdin, whose mode a terminal
+    shares with stdout, is never made non-blocking.  A regular file or
+    ``/dev/null``, which the selector refuses, is always ready.  Replies
+    go straight to stdout's descriptor, so no buffer lock can be held
+    when the dispatch thread forks a worker.
+    """
+
+    def __init__(self, stdin, stdout) -> None:
+        self.fd, self.out = stdin.fileno(), stdout.fileno()
+
+    async def read(self, n: int) -> bytes:
+        loop = asyncio.get_running_loop()
+        readable = asyncio.Event()
+        try:
+            loop.add_reader(self.fd, readable.set)
+        except PermissionError:
+            return os.read(self.fd, n)
+        try:
+            await readable.wait()
+        finally:
+            loop.remove_reader(self.fd)
+        return os.read(self.fd, n)
+
+    def write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self.out, view):]
+
+    def close(self) -> None:
+        """stdin and stdout stay open: they belong to the caller."""
+
+    async def drain(self) -> None:
+        """Writes are unbuffered."""
+
+    wait_closed = drain
+
+
 class NetServer:
-    """One listening endpoint over a shared :class:`Dispatcher`."""
+    """The serve loop: stdin or one listening socket over a
+    :class:`Dispatcher`."""
 
     def __init__(self, dispatcher: Dispatcher, host: str = "127.0.0.1",
                  port: int = 0, drr_quantum: float = 8.0) -> None:
@@ -121,8 +165,8 @@ class NetServer:
 
     # -- lifecycle ------------------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
-        """Bind, start the scheduler, return the bound (host, port)."""
+    async def start(self, listen: bool = True) -> tuple[str, int]:
+        """Start the scheduler (and bind, with ``listen``); (host, port)."""
         self._work_event = asyncio.Event()
         self._drain_event = asyncio.Event()
         # ONE dispatch thread, by design: Dispatcher/BatchRunner are
@@ -131,11 +175,21 @@ class NetServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-dispatch")
         self._scheduler = asyncio.ensure_future(self._scheduler_loop())
-        self._server = await asyncio.start_server(
-            self._on_connection, host=self.host, port=self.port)
-        sock = self._server.sockets[0]
-        self.host, self.port = sock.getsockname()[:2]
+        if listen:
+            self._server = await asyncio.start_server(
+                self._on_connection, host=self.host, port=self.port)
+            sock = self._server.sockets[0]
+            self.host, self.port = sock.getsockname()[:2]
         return self.host, self.port
+
+    def serve_stdio(self, stdin, stdout) -> None:
+        """Serve a pipe, terminal or regular file as one more JSON-lines
+        connection; its EOF begins the drain once its replies are out."""
+        stdio = _Stdio(stdin, stdout)
+        task = asyncio.ensure_future(
+            self._on_connection(stdio, stdio, proto="stdio"))
+        self._conn_tasks.add(task)
+        task.add_done_callback(lambda _task: self.begin_drain())
 
     def begin_drain(self) -> None:
         """Stop accepting; finish queued work; then shut down (idempotent)."""
@@ -157,7 +211,7 @@ class NetServer:
         (the CLI path).  Every connection answers its queued lines and
         the request log is flushed before this returns.
         """
-        assert self._server is not None and self._drain_event is not None
+        assert self._drain_event is not None
         removed: list = []
         if handle_signals:
             import signal as _signal
@@ -261,14 +315,13 @@ class NetServer:
 
     # -- connections ----------------------------------------------------------
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _on_connection(self, reader, writer, proto=None) -> None:
         task = asyncio.current_task()
         assert task is not None
         self._conn_tasks.add(task)
         self._active.inc()
         try:
-            await self._serve_connection(reader, writer)
+            await self._serve_connection(reader, writer, proto)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass   # client went away; nothing to answer
         finally:
@@ -280,49 +333,52 @@ class NetServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_or_drain(self, reader: asyncio.StreamReader) -> bytes:
-        """Next chunk, or b"" on EOF / drain (stop reading new work)."""
+    async def _read_or_drain(self, reader) -> bytes | None:
+        """Next chunk: b"" at EOF, None once a drain has begun."""
         assert self._drain_event is not None
         if self._drain_event.is_set():
-            return b""
+            return None
         read = asyncio.ensure_future(reader.read(_READ_CHUNK))
         drain = asyncio.ensure_future(self._drain_event.wait())
         done, _pending = await asyncio.wait(
             {read, drain}, return_when=asyncio.FIRST_COMPLETED)
+        drain.cancel()
         if read in done:
-            drain.cancel()
             return read.result()
         read.cancel()
-        return b""
+        return None
 
-    async def _serve_connection(self, reader, writer) -> None:
+    async def _serve_connection(self, reader, writer, proto=None) -> None:
         first = await self._read_or_drain(reader)
         if not first:
             return
-        if sniff_http(first):
-            self._connections.inc(proto="http")
+        proto = proto or ("http" if sniff_http(first) else "jsonl")
+        self._connections.inc(proto=proto)
+        if proto == "http":
             await self._serve_http(reader, writer, first)
         else:
-            self._connections.inc(proto="jsonl")
-            await self._serve_jsonl(reader, writer, first)
+            await self._serve_jsonl(reader, writer, first, proto)
 
-    # -- JSON-lines over TCP --------------------------------------------------
+    # -- JSON lines -----------------------------------------------------------
 
-    async def _serve_jsonl(self, reader, writer, first: bytes) -> None:
+    async def _serve_jsonl(self, reader, writer, data: bytes | None,
+                           proto: str) -> None:
         assembler = LineAssembler(self.dispatcher.max_line_bytes)
         pending: asyncio.Queue = asyncio.Queue()
         flusher = asyncio.ensure_future(
             self._flush_replies(writer, pending))
-        data = first
+
+        def submit(lines) -> None:
+            for text, length in lines:
+                self._dispatched.inc(transport=proto)
+                pending.put_nowait(self.submit_line(text, length))
+
         try:
             while data:
-                for text, length in assembler.feed(data):
-                    self._dispatched.inc(transport="jsonl")
-                    pending.put_nowait(self.submit_line(text, length))
+                submit(assembler.feed(data))
                 data = await self._read_or_drain(reader)
-            for text, length in assembler.finish():
-                self._dispatched.inc(transport="jsonl")
-                pending.put_nowait(self.submit_line(text, length))
+            if data is not None:   # EOF: answer a line cut off mid-write
+                submit(assembler.finish())
         finally:
             pending.put_nowait(None)   # sentinel: no more work
             await flusher
@@ -337,8 +393,8 @@ class NetServer:
             reply = await future
             if reply is None:
                 continue
-            writer.write(_reply_bytes(reply))
             try:
+                writer.write(_reply_bytes(reply))
                 await writer.drain()
             except (ConnectionError, OSError):
                 return   # receiver gone; keep resolving quietly
@@ -457,20 +513,24 @@ class NetServer:
         return status, body, "application/json", None
 
 
-async def serve_net(dispatcher: Dispatcher, host: str, port: int,
-                    drr_quantum: float = 8.0,
+async def serve_net(dispatcher: Dispatcher, host: str = "127.0.0.1",
+                    port: int = 0, drr_quantum: float = 8.0,
                     handle_signals: bool = True,
-                    ready=None) -> int:
+                    ready=None, stdio=None) -> int:
     """Start a :class:`NetServer` and run it until drained.
 
-    ``ready`` (optional callable) receives the bound ``(host, port)``
-    once the socket is listening — the CLI uses it to print the
-    "listening on" line, tests to learn the ephemeral port.
+    ``stdio``, a ``(stdin, stdout)`` pair of file objects, serves them
+    as the one connection and binds no socket.  Otherwise ``ready``
+    (optional callable) receives the bound ``(host, port)`` once the
+    socket is listening — the CLI uses it to print the "listening on"
+    line, tests to learn the ephemeral port.
     """
     server = NetServer(dispatcher, host=host, port=port,
                        drr_quantum=drr_quantum)
-    bound = await server.start()
-    if ready is not None:
+    bound = await server.start(listen=stdio is None)
+    if stdio is not None:
+        server.serve_stdio(*stdio)
+    elif ready is not None:
         ready(bound)
     await server.serve_until_drained(handle_signals=handle_signals)
     return 0

@@ -31,8 +31,11 @@ Guarantees, in order of importance:
   or ``raise_exc`` chaos) becomes a per-job ``error`` outcome, never a
   crashed batch.
 
-``jobs <= 1`` runs everything in-process with no executor, which is the
-reference path the parallel paths must match.  All chaos hooks
+Without a deadline, ``jobs <= 1`` runs in-process with no executor,
+the reference path the parallel paths must match.  A deadline is a
+SIGALRM timer, which reaches only a main thread and the caller may be
+on another, so its jobs always run in worker processes, one under
+``jobs <= 1``.  All chaos hooks
 (:class:`~repro.serve.chaos.ChaosPlane`) sit behind ``is not None``
 checks — a pool built without chaos pays nothing.
 """
@@ -338,7 +341,8 @@ class _Engine:
         self.items = items
         self.jobs = jobs
         self.retries = max(retries, 0)
-        self.deadline_s = deadline_s
+        # A deadline that ``deadline()`` would not arm is no deadline.
+        self.deadline_s = deadline_s if deadline_s and deadline_s > 0 else None
         self.chaos = chaos
         self.backoff = backoff or BackoffPolicy()
         self.quarantine = quarantine or Quarantine()
@@ -423,7 +427,7 @@ class _Engine:
         ambiguous, so conviction is deferred to the solo probes.
         """
         try:
-            pool = self.executor(min(self.jobs, len(pending)))
+            pool = self.executor(max(1, min(self.jobs, len(pending))))
         except OSError:
             return None
         completed = 0
@@ -509,7 +513,7 @@ class _Engine:
             else:
                 pending.append(i)
 
-        if self.jobs <= 1 or len(pending) <= 1:
+        if self.deadline_s is None and (self.jobs <= 1 or len(pending) <= 1):
             for i in pending:
                 self.run_serial_one(i, "serial")
             return [self.outcomes[i] for i in range(n)]
@@ -550,18 +554,19 @@ def run_prepared(items: list[PreparedJob], jobs: int = 1,
     """Execute prepared jobs (unique keys) and return ordered outcomes.
 
     The resilient engine: per-job wall-clock ``deadline_s`` (on top of
-    the simulator's cycle watchdog), seeded-jitter ``backoff`` between
-    pool rebuilds, ``quarantine`` for jobs that keep killing workers
-    (strikes are only awarded by solo isolation probes, where the
-    conviction is unambiguous and hence deterministic), and optional
-    ``chaos`` injection.  ``fn`` must be a picklable module-level
-    callable returning a :class:`JobOutcome` (default:
-    :func:`execute_prepared`); a fn that raises anyway yields an
-    ``error`` outcome rather than a crashed batch.  ``sleep`` (default
-    ``time.sleep``) is injectable so tests never wait on real backoff.
-    ``stall_timeout_s`` is a parent-side backstop against a pool that
-    hangs without breaking (None, the default, trusts the pool —
-    production jobs may legitimately run long).
+    the simulator's cycle watchdog; jobs with one always run in worker
+    processes, so it holds on any calling thread), seeded-jitter
+    ``backoff`` between pool rebuilds, ``quarantine`` for jobs that
+    keep killing workers (strikes are only awarded by solo isolation
+    probes, where the conviction is unambiguous and hence
+    deterministic), and optional ``chaos`` injection.  ``fn`` must be
+    a picklable module-level callable returning a :class:`JobOutcome`
+    (default: :func:`execute_prepared`); a fn that raises anyway yields
+    an ``error`` outcome rather than a crashed batch.  ``sleep``
+    (default ``time.sleep``) is injectable so tests never wait on real
+    backoff.  ``stall_timeout_s`` is a parent-side backstop against a
+    pool that hangs without breaking (None, the default, trusts the
+    pool — production jobs may legitimately run long).
     """
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")

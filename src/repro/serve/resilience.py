@@ -47,8 +47,11 @@ def deadline(seconds: float | None) -> Iterator[bool]:
     stuck in C-level sleeps, which a cooperative check cannot.  Yields
     whether the guard is armed — it degrades to a no-op (yields False)
     when ``seconds`` is falsy, the platform lacks ``SIGALRM``, or the
-    caller is not on the main thread (signals only deliver there); the
-    simulator's ``max_cycles`` watchdog remains the portable backstop.
+    caller is not on the main thread (signals only deliver there).  The
+    pool runs every job with a deadline on a worker's main thread, so
+    the last case arises only in its in-process fallback, taken when no
+    worker can be spawned; the simulator's ``max_cycles`` watchdog
+    remains the portable backstop.
     """
     if (not seconds or seconds <= 0 or not hasattr(signal, "setitimer")
             or threading.current_thread() is not threading.main_thread()):

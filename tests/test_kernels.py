@@ -132,6 +132,35 @@ class TestKernelGuards:
                                              "representable by li"):
             build(1 << 16)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: vector_mac(16, iters=0), "iters=0"),
+        (lambda: vector_mac(16, iters=-5), "iters=-5"),
+        (lambda: assoc_max_extract(16, rounds=0), "rounds=0"),
+        (lambda: assoc_max_extract(16, rounds=-5), "rounds=-5"),
+        (lambda: vector_mac(16, iters=256, width=8), "iters=256"),
+        (lambda: assoc_max_extract(16, rounds=256, width=8), "rounds=256"),
+        (lambda: vector_mac(16, iters=1 << 16, width=32), "iters=65536"),
+        (lambda: assoc_max_extract(16, rounds=1 << 16, width=32),
+         "rounds=65536"),
+        (lambda: reduction_storm(16, total_iters=1 << 16, width=32),
+         "iters=65536"),
+        (lambda: reduction_storm(16, total_iters=300, width=8), "iters=300"),
+    ], ids=["mac-0", "mac-neg", "max-0", "max-neg", "mac-w8", "max-w8",
+            "mac-w32", "max-w32", "storm-w32", "storm-w8"])
+    def test_loop_count_outside_the_countdown_range_is_rejected(self, build,
+                                                               message):
+        """The countdown runs ``count`` times only for 1..2**W - 1: at
+        W = 8, ``li s1, 300`` loads 44, and a count <= 0 wraps to
+        2**W - |count| iterations.  Past 65,535 the builder's own
+        reference loop would hold the caller, before any deadline."""
+        with pytest.raises(ValueError,
+                           match=f"{message} is not representable by li"):
+            build()
+
+    def test_loop_count_at_the_width_limit_runs_exactly(self):
+        kernel = reduction_storm(16, total_iters=255, width=8)
+        verify_kernel(kernel, ProcessorConfig(num_pes=16, word_width=8))
+
 
 class TestMstKernel:
     def test_matches_networkx(self):

@@ -20,6 +20,7 @@ import dataclasses
 import os
 import pathlib
 import pickle
+import threading
 import time
 
 import pytest
@@ -442,6 +443,29 @@ class TestResilientPool:
         assert out[0].status == STATUS_DEADLINE
         assert out[0].degraded
         assert "deadline" in out[0].error
+
+    def test_deadline_holds_off_the_main_thread(self):
+        # NetServer dispatches on an executor thread, where SIGALRM never
+        # arrives; the job runs in a worker process, whose main thread
+        # arms the deadline.
+        out = []
+        thread = threading.Thread(target=lambda: out.extend(run_prepared(
+            [FakeItem("slow", sleep_s=5.0)], jobs=1, deadline_s=0.05,
+            fn=fake_execute)))
+        thread.start()
+        thread.join(timeout=60)
+        assert [o.status for o in out] == [STATUS_DEADLINE]
+
+    @pytest.mark.parametrize("deadline_s, path, other", [
+        (None, "serial", "pool"), (30.0, "pool", "serial")])
+    def test_jobs_1_stays_in_process_only_without_a_deadline(
+            self, deadline_s, path, other):
+        registry = MetricsRegistry()
+        out = self.run([FakeItem("a"), FakeItem("b")], jobs=1,
+                       deadline_s=deadline_s, registry=registry)
+        assert [o.status for o in out] == [STATUS_OK, STATUS_OK]
+        tasks = registry.get("pool_tasks_total")
+        assert (tasks.value(path=path), tasks.value(path=other)) == (2, 0)
 
     def test_chaos_slow_worker_trips_deadline(self):
         chaos = ChaosPlane([ChaosSpec(ChaosKind.SLOW_WORKER, job=0,

@@ -582,25 +582,6 @@ class TestServeSession:
         bye = ses.handle_line('{"op": "shutdown"}')
         assert bye["ok"] and ses.shutdown
 
-    def test_serve_forever_pumps_until_shutdown(self):
-        import io
-
-        from repro.serve import serve_forever
-
-        lines = "\n".join([
-            '{"op": "ping"}',
-            json.dumps({"op": "run", "job": self.job_obj()}),
-            '{"op": "shutdown"}',
-            '{"op": "ping"}',          # never reached
-        ]) + "\n"
-        out = io.StringIO()
-        rc = serve_forever(self.session(), stdin=io.StringIO(lines),
-                           stdout=out)
-        replies = [json.loads(ln) for ln in out.getvalue().splitlines()]
-        assert rc == 0
-        assert len(replies) == 3       # shutdown stopped the loop
-        assert replies[-1]["shutdown"] is True
-
 
 class TestServeHardening:
     """One bad client line must cost one error reply, never the service."""
@@ -641,16 +622,11 @@ class TestServeHardening:
         assert ses.handle_line('{"op": "ping"}')["ok"]
 
     def test_mid_line_eof_still_gets_a_reply(self):
-        import io
+        from tests.test_serve_net import stdio_exchange
 
-        from repro.serve import serve_forever
-
-        out = io.StringIO()
         # Final line has no trailing newline: a client died mid-write.
-        rc = serve_forever(self.session(),
-                           stdin=io.StringIO('{"op": "ping"}'), stdout=out)
-        assert rc == 0
-        assert json.loads(out.getvalue())["pong"] is True
+        out = stdio_exchange(self.session(), '{"op": "ping"}')
+        assert json.loads(out)["pong"] is True
 
     def test_unbuildable_kernel_is_a_job_error_not_internal(self):
         ses = self.session()

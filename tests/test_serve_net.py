@@ -19,12 +19,12 @@ The load-bearing guarantees under test:
 
 import asyncio
 import dataclasses
-import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -36,7 +36,6 @@ from repro.serve import (
     LineAssembler,
     ResultCache,
     rendezvous_shard,
-    serve_forever,
 )
 from repro.serve.net import (
     DeficitRoundRobin,
@@ -47,6 +46,7 @@ from repro.serve.net import (
     TokenBucket,
     read_log,
     replay_log,
+    serve_net,
 )
 from repro.serve.net.http11 import HttpError, HttpParser, sniff_http
 
@@ -63,6 +63,17 @@ main:
 SMALL = ProcessorConfig(num_pes=4, num_threads=2, lmem_words=64,
                         scalar_mem_words=128)
 
+# 120,002 instructions: about 0.9 s on the cycle core at 4 PEs.
+COUNTDOWN = """
+.text
+main:
+    li     s1, 60000
+loop:
+    addi   s1, s1, -1
+    bne    s1, s0, loop
+    halt
+"""
+
 
 def job_obj(name="x", **extra):
     return {"name": name, "source": DEMO,
@@ -75,19 +86,36 @@ def make_dispatcher(**kwargs):
     return Dispatcher(**kwargs)
 
 
-def stdio_exchange(dispatcher, payload: str) -> bytes:
-    """Drive the stdio transport; return the raw reply bytes."""
-    out = io.StringIO()
-    serve_forever(dispatcher, stdin=io.StringIO(payload), stdout=out)
-    return out.getvalue().encode("utf-8")
+def stdio_exchange(dispatcher, payload, eof=True) -> bytes:
+    """Drive the stdio connection through a pipe; return the reply bytes.
+
+    The payload is written before serving, so it must fit the pipe
+    buffer.  ``eof=False`` keeps the pipe open while serving: only a
+    drain can then end the read.
+    """
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    r, w = os.pipe()
+    with open(r, "rb", buffering=0) as stdin, \
+            open(w, "wb", buffering=0) as feed, \
+            tempfile.TemporaryFile() as stdout:
+        feed.write(payload)
+        if eof:
+            feed.close()
+        assert asyncio.run(serve_net(dispatcher, stdio=(stdin, stdout),
+                                     handle_signals=False)) == 0
+        stdout.seek(0)
+        return stdout.read()
 
 
-def tcp_exchange(dispatcher, payload: bytes, connections=1) -> bytes:
+def tcp_exchange(dispatcher, payload: bytes, connections=1,
+                 eof=True) -> bytes:
     """Drive a real TCP server with the same bytes; return the replies.
 
     With ``connections > 1`` the payload is split line-wise across that
     many concurrent sockets and the per-connection replies are returned
-    concatenated in connection order.
+    concatenated in connection order.  ``eof=False`` leaves the write
+    side open, so the server must end the connection.
     """
 
     async def go():
@@ -98,7 +126,8 @@ def tcp_exchange(dispatcher, payload: bytes, connections=1) -> bytes:
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(chunk)
             await writer.drain()
-            writer.write_eof()
+            if eof:
+                writer.write_eof()
             data = await reader.read()
             writer.close()
             try:
@@ -535,6 +564,57 @@ class TestTransportParity:
         assert got == want
         assert "internal error: RuntimeError: dispatch bug" in \
             json.loads(want)["error"]
+
+    def test_deadline_parity(self):
+        # TCP and HTTP dispatch on an executor thread, where SIGALRM never
+        # arrives: the job runs in a worker process on every transport.
+        job = {"name": "countdown", "source": COUNTDOWN,
+               "config": {"num_pes": 4, "word_width": 16}}
+
+        def session():
+            return make_dispatcher(runner=BatchRunner(
+                cache=ResultCache.disabled(), deadline_s=0.05))
+
+        line = json.dumps({"op": "run", "id": 1, "job": job}) + "\n"
+        want = stdio_exchange(session(), line)
+        assert tcp_exchange(session(), line.encode()) == want
+        status, _, body = split_response(http_exchange(
+            session(), http_request("POST", "/v1/run", json.dumps(
+                {"job": job, "id": 1}).encode())))
+        assert (status, body) == (200, want)
+        reply = json.loads(want)
+        assert reply["status"] == "deadline" and reply["ok"] is False
+
+    def test_drain_drops_the_unterminated_tail(self):
+        # The stream stays open, so the drain that `shutdown` begins,
+        # not EOF, ends the read: the half-written line gets no reply.
+        payload = (b'{"op": "ping", "id": 1}\n'
+                   b'{"op": "shutdown", "id": 2}\n{"op": "pi')
+        want = stdio_exchange(make_dispatcher(), payload, eof=False)
+        got = tcp_exchange(make_dispatcher(), payload, eof=False)
+        assert got == want
+        assert [json.loads(l)["id"] for l in want.splitlines()] == [1, 2]
+
+    def test_shutdown_answers_every_line_already_received(self):
+        # A shutdown reply begins a drain: lines received before it are
+        # answered, the ping behind it included, on every transport.
+        from repro.serve.net import deterministic_projection
+
+        payload = "\n".join([
+            '{"op": "ping"}',
+            json.dumps({"op": "run", "job": job_obj()}),
+            '{"op": "shutdown"}',
+            '{"op": "ping"}',
+        ]) + "\n"
+        want = stdio_exchange(make_dispatcher(), payload).splitlines()
+        got = tcp_exchange(make_dispatcher(), payload.encode()).splitlines()
+        assert len(want) == len(got) == 4
+        for w, g in zip(want, got):
+            assert deterministic_projection(json.loads(w)) == \
+                deterministic_projection(json.loads(g))
+        assert json.loads(want[1])["ok"] is True
+        assert json.loads(want[2])["shutdown"] is True
+        assert json.loads(want[3])["pong"] is True
 
     def test_pipelined_connections_all_answered(self):
         # 24 pings over 6 concurrent sockets: every line gets exactly
@@ -1025,6 +1105,25 @@ class TestGracefulShutdown:
             proc.kill()
         records = read_log(tmp_path / "req.log")
         assert [r["op"] for r in records] == ["ping", "ping"]
+
+    def test_stdin_may_be_a_regular_file(self, tmp_path):
+        # `repro serve < jobs.jsonl`: the selector refuses a regular
+        # file, so it is read directly; the last line has no newline.
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text('{"op": "ping", "id": 1}\n'
+                        + json.dumps({"op": "run", "id": 2,
+                                      "job": job_obj()})
+                        + '\n{"op": "ping", "id": 3}')
+        with open(jobs, "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--no-cache"],
+                stdin=stdin, capture_output=True, timeout=60,
+                env={**os.environ,
+                     "PYTHONPATH": os.environ.get("PYTHONPATH", "src")})
+        assert proc.returncode == 0, proc.stderr
+        replies = [json.loads(l) for l in proc.stdout.splitlines()]
+        assert [r["id"] for r in replies] == [1, 2, 3]
+        assert all(r["ok"] for r in replies)
 
     def test_tcp_sigterm_exits_zero(self, tmp_path):
         proc = subprocess.Popen(
