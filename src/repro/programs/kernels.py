@@ -49,7 +49,7 @@ def _li_count(name: str, value: int, width: int) -> None:
     W-bit arithmetic, so it runs ``value`` iterations only for
     ``1 <= value <= 2**W - 1``.  The count is also capped at 65,535:
     ``Job.prepare`` runs the builder, and its reference loop, before any
-    deadline applies (the cap costs about 0.3 s at 256 PEs).
+    deadline applies (the cap costs 0.3-0.4 s at 256 PEs).
     """
     top = min(mask_for_width(width), 0xFFFF)
     if not 1 <= value <= top:
