@@ -4,7 +4,8 @@
 :class:`~repro.core.stats.Stats`, a digest of the final architectural
 state and a digest of the result-snapshot JSON (the ``result`` of a
 ``--full`` reply, and the body of ``repro run --json``) of one
-cycle-core run.  The cases cover
+cycle-core run, plus a digest of ``lint_program``'s whole output for
+the same program and machine.  The cases cover
 
 * the reference-shape kernel library (p=32, T=16 fine, W=16);
 * the program x machine matrices of ``test_examples_parity`` and
@@ -30,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.analysis import lint_program
 from repro.asm import assemble
 from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.config import DividerKind, MultiplierKind, SchedulerPolicy
@@ -156,6 +158,25 @@ def snapshot_json_digest(result) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def lint_digest(program, config) -> str:
+    """sha256 over the canonical JSON of everything ``lint_program``
+    reports: the diagnostics, the hazard edges and the full stall
+    estimate, ``pair_stalls`` included."""
+    report = lint_program(program, config)
+    est = report.estimate
+    estimate = {f.name: getattr(est, f.name)
+                for f in dataclasses.fields(est) if f.name != "config"}
+    estimate["edges"] = [dataclasses.asdict(e) for e in est.edges]
+    estimate["pair_stalls"] = sorted(
+        [p, c, cause, n] for (p, c), (cause, n) in est.pair_stalls.items())
+    payload = canonical_json({
+        "diagnostics": [d.to_json() for d in report.diagnostics],
+        "hazards": [dataclasses.asdict(h) for h in report.hazards],
+        "estimate": estimate,
+    })
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def record(case: Case) -> dict:
     """Run one case on the cycle core: its golden record."""
     program = assemble(case.source, word_width=case.config.word_width)
@@ -168,7 +189,8 @@ def record(case: Case) -> dict:
         proc.pe.set_lmem_column(col, padded)
     result = proc.run()
     return {"stats": stats_record(result.stats), "arch": arch_digest(proc),
-            "snapshot_json": snapshot_json_digest(result)}
+            "snapshot_json": snapshot_json_digest(result),
+            "lint": lint_digest(program, case.config)}
 
 
 def load_golden() -> dict[str, dict]:

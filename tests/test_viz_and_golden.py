@@ -2,7 +2,7 @@
 
 The golden records freeze the cycle core's full statistics, final
 architectural state and result-snapshot JSON over the kernel suite and
-the parity matrices.  If a core change shifts any of them, the test
+the parity matrices, and the lint report of every case.  If a core change shifts any of them, the test
 fails and the new numbers must be reviewed (and EXPERIMENTS.md
 re-measured) deliberately rather than silently drifting.
 """
@@ -65,9 +65,9 @@ class TestSparkline:
 
 
 # The golden net (tests/golden.py): full Stats, an architectural-state
-# digest and a snapshot-JSON digest per case, frozen in
-# tests/data/golden_stats.json.  Regenerate with tools/update_golden.py
-# after an intentional timing-model change.
+# digest, a snapshot-JSON digest and a lint-report digest per case,
+# frozen in tests/data/golden_stats.json.  Regenerate with
+# tools/update_golden.py after an intentional timing-model change.
 GOLDEN = load_golden()
 CASES = cases()
 
@@ -116,3 +116,13 @@ class TestGoldenSnapshots:
             GOLDEN[case_id]["snapshot_json"], (
                 f"{case_id}: result-snapshot JSON changed; replies of "
                 f"'repro run --json' and 'serve' would differ")
+
+
+class TestGoldenLint:
+    @pytest.mark.parametrize("case_id", sorted(CASES))
+    def test_lint_frozen(self, case_id):
+        """Diagnostics, hazard edges and the full stall estimate are
+        frozen byte for byte."""
+        assert measure(case_id)["lint"] == GOLDEN[case_id]["lint"], (
+            f"{case_id}: lint output changed (diagnostics, hazard edges "
+            f"or stall estimate); 'repro lint --json' would differ")
