@@ -30,7 +30,7 @@ from repro.baselines import (
 from repro.bench import Experiment
 from repro.fpga import fmax_mhz
 from repro.programs import assoc_max_extract, reduction_storm, run_kernel
-from repro.programs.runner import _load_lmem, extract_outputs
+from repro.programs.runner import extract_outputs
 
 PES = 256
 WIDTH = 8          # the prototype's width; clocks differentiate here
@@ -45,7 +45,7 @@ def run_nonpipelined(kernel):
     cfg = nonpipelined_config(PES, WIDTH)
     machine = NonPipelinedMachine(cfg)
     machine.load(assemble(kernel.source, WIDTH))
-    _load_lmem(machine.pe, kernel, PES)
+    machine.pe.load_lmem(kernel.lmem.items())
     result = machine.run()
     expected = {k: (int(v) if not isinstance(v, list)
                     else [int(x) for x in v])

@@ -85,12 +85,7 @@ class CompiledQuery:
         program = assemble(self.source, word_width=self.width)
         proc = Processor(cfg)
         proc.load(program)
-        for col, values in (lmem or {}).items():
-            padded = np.zeros(cfg.num_pes, dtype=np.int64)
-            vals = np.asarray(values, dtype=np.int64)
-            n = min(len(vals), cfg.num_pes)
-            padded[:n] = vals[:n]
-            proc.pe.set_lmem_column(col, padded)
+        proc.pe.load_lmem((lmem or {}).items())
         result = proc.run()
         mem = result.memory(0, self.num_outputs)
         return dict(zip(self.output_names, mem))

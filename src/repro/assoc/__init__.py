@@ -4,14 +4,12 @@ from repro.assoc.context import AscContext, AscError, FieldExpr, Responders
 from repro.assoc.fastpath import (
     FastMachine,
     FastPathError,
-    FastRunResult,
     run_fast,
 )
 from repro.assoc.functional import (
     FunctionalDeadlock,
     FunctionalError,
     FunctionalMachine,
-    FunctionalResult,
     FunctionalRunaway,
     run_functional,
 )
@@ -23,11 +21,9 @@ __all__ = [
     "Responders",
     "FastMachine",
     "FastPathError",
-    "FastRunResult",
     "FunctionalDeadlock",
     "FunctionalError",
     "FunctionalMachine",
-    "FunctionalResult",
     "FunctionalRunaway",
     "run_fast",
     "run_functional",

@@ -31,17 +31,14 @@ runs spawning programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from repro.analysis.timing import TimingAnalysis
 from repro.asm.program import Program
 from repro.assoc.functional import FunctionalMachine
 from repro.core.config import ProcessorConfig
 from repro.core.execute import fuse_scalar_runs
-from repro.core.processor import Processor, SimulationError
+from repro.core.processor import Processor, RunResult, SimulationError
 from repro.core.stats import Stats
 from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
 from repro.core.timing import (
@@ -58,44 +55,12 @@ FusedRuns = list[tuple[Callable[[ThreadContext], None], int] | None]
 __all__ = [
     "FastMachine",
     "FastPathError",
-    "FastRunResult",
     "run_fast",
 ]
 
 
 class FastPathError(SimulationError):
     """The fast backend cannot honour this configuration or feature."""
-
-
-@dataclass
-class FastRunResult:
-    """Outcome of one fast-path run; duck-types the core's RunResult."""
-
-    stats: Stats
-    machine: "FastMachine"
-    trace: list[object] = field(default_factory=list)
-    paused: bool = False
-
-    @property
-    def processor(self) -> "FastMachine":
-        """RunResult-compatible alias (snapshots read ``.processor``)."""
-        return self.machine
-
-    def scalar(self, reg: int, thread: int = 0) -> int:
-        return int(self.machine.threads[thread].read_sreg(reg))
-
-    def pe_reg(self, reg: int, thread: int = 0) -> np.ndarray:
-        return self.machine.pe.read_reg(thread, reg).copy()
-
-    def pe_flag(self, flag: int, thread: int = 0) -> np.ndarray:
-        return self.machine.pe.read_flag(thread, flag).copy()
-
-    def memory(self, base: int, count: int) -> list[int]:
-        return list(self.machine.mem.dump(base, count))
-
-    @property
-    def cycles(self) -> int:
-        return self.stats.cycles
 
 
 class FastMachine:
@@ -152,7 +117,7 @@ class FastMachine:
         return self._analysis
 
     def run(self, program: Program | None = None,
-            max_cycles: int | None = None) -> FastRunResult:
+            max_cycles: int | None = None) -> RunResult:
         if program is not None:
             self.load(program)
         prog = self._machine.program
@@ -168,7 +133,7 @@ class FastMachine:
             limit = (max_cycles if max_cycles is not None
                      else self.cfg.max_cycles)
             stats = self._run_folded(prog, limit)
-        return FastRunResult(stats, self)
+        return RunResult(stats, self)
 
     def _run_folded(self, prog: Program, limit: int) -> Stats:
         """Spawn-free path: functional run + compositional timing fold."""
@@ -252,7 +217,7 @@ class FastMachine:
 def run_fast(source_or_program: str | Program,
              config: ProcessorConfig | None = None,
              max_cycles: int | None = None,
-             **asm_kwargs: object) -> FastRunResult:
+             **asm_kwargs: object) -> RunResult:
     """Assemble (if needed) and run on the fast-path backend."""
     from repro.asm.assembler import assemble
 

@@ -15,14 +15,12 @@ and as the state holder of the fast-path backend
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
 from repro.core.execute import Op, compile_ops
 from repro.core.memory import ScalarMemory
+from repro.core.processor import RunResult
+from repro.core.stats import Stats
 from repro.core.thread import ThreadState, ThreadStatusTable
 from repro.core.timing import K_HALT, K_TJOIN, K_TSPAWN, KINDS
 from repro.pe.pe_array import PEArray
@@ -38,26 +36,6 @@ class FunctionalRunaway(FunctionalError):
 
 class FunctionalDeadlock(FunctionalError):
     """Every live thread is blocked in ``tjoin``."""
-
-
-@dataclass
-class FunctionalResult:
-    """Architectural outcome of a functional run."""
-
-    machine: "FunctionalMachine"
-    steps: int
-
-    def scalar(self, reg: int, thread: int = 0) -> int:
-        return int(self.machine.threads[thread].read_sreg(reg))
-
-    def pe_reg(self, reg: int, thread: int = 0) -> np.ndarray:
-        return self.machine.pe.read_reg(thread, reg).copy()
-
-    def pe_flag(self, flag: int, thread: int = 0) -> np.ndarray:
-        return self.machine.pe.read_flag(thread, flag).copy()
-
-    def memory(self, base: int, count: int) -> list[int]:
-        return list(self.machine.mem.dump(base, count))
 
 
 class FunctionalMachine:
@@ -88,7 +66,8 @@ class FunctionalMachine:
         self.threads.allocate(program.entry, start_cycle=0)
 
     def run(self, program: Program | None = None,
-            max_steps: int = 10_000_000) -> FunctionalResult:
+            max_steps: int = 10_000_000) -> RunResult:
+        """Run to completion; ``stats.instructions`` counts the steps."""
         if program is not None:
             self.load(program)
         assert self.program is not None, "no program loaded"
@@ -143,12 +122,12 @@ class FunctionalMachine:
                 blocked = [t.tid for t in threads.live_threads()]
                 raise FunctionalDeadlock(
                     f"deadlock: threads {blocked} all blocked in tjoin")
-        return FunctionalResult(self, steps)
+        return RunResult(Stats(instructions=steps), self)
 
 
 def run_functional(source_or_program: str | Program,
                    config: ProcessorConfig | None = None,
-                   ) -> FunctionalResult:
+                   ) -> RunResult:
     """Assemble (if needed) and run on the functional backend."""
     from repro.asm.assembler import assemble
 

@@ -7,7 +7,6 @@ from repro.baselines.machines import (
 )
 from repro.baselines.nonpipelined import (
     NonPipelinedMachine,
-    NonPipelinedResult,
     instruction_cost,
     nonpipelined_config,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "pipelined_asc_2005",
     "single_threaded_pipelined_asc",
     "NonPipelinedMachine",
-    "NonPipelinedResult",
     "instruction_cost",
     "nonpipelined_config",
     "HOARE_2004",

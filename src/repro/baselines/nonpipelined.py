@@ -25,11 +25,11 @@ cycle counts and clock effects can be reported separately (experiment E3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.asm.program import Program
 from repro.assoc.functional import FunctionalMachine
 from repro.core.config import MTMode, MultiplierKind, ProcessorConfig
+from repro.core.processor import RunResult
+from repro.core.stats import Stats
 from repro.core.thread import ThreadState
 from repro.core.timing import K_HALT, K_TSPAWN
 from repro.isa.opcodes import ExecClass
@@ -54,29 +54,6 @@ def nonpipelined_config(num_pes: int = 16, word_width: int = 8,
                            pipelined_reduction=False,
                            multiplier=MultiplierKind.SEQUENTIAL,
                            **overrides)
-
-
-@dataclass
-class NonPipelinedResult:
-    """Cycle count plus the functional machine (for output extraction)."""
-
-    cycles: int
-    instructions: int
-    machine: FunctionalMachine
-
-    # RunResult-compatible accessors so the harness can treat all
-    # machines uniformly.
-    def scalar(self, reg: int, thread: int = 0) -> int:
-        return self.machine.threads[thread].read_sreg(reg)
-
-    def pe_reg(self, reg: int, thread: int = 0):
-        return self.machine.pe.read_reg(thread, reg).copy()
-
-    def pe_flag(self, flag: int, thread: int = 0):
-        return self.machine.pe.read_flag(thread, flag).copy()
-
-    def memory(self, base: int, count: int) -> list[int]:
-        return self.machine.mem.dump(base, count)
 
 
 def instruction_cost(spec, cfg: ProcessorConfig, taken: bool) -> int:
@@ -116,7 +93,7 @@ class NonPipelinedMachine:
         return self._fm.pe
 
     def run(self, program: Program | None = None,
-            max_steps: int = 10_000_000) -> NonPipelinedResult:
+            max_steps: int = 10_000_000) -> RunResult:
         if program is not None:
             self.load(program)
         fm = self._fm
@@ -142,4 +119,4 @@ class NonPipelinedMachine:
             if instructions > max_steps:
                 raise RuntimeError(
                     f"non-pipelined run exceeded {max_steps} instructions")
-        return NonPipelinedResult(cycles, instructions, fm)
+        return RunResult(Stats(cycles=cycles, instructions=instructions), fm)

@@ -170,18 +170,14 @@ def cmd_disasm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_lmem_args(proc: Processor, args: argparse.Namespace,
-                    cfg: ProcessorConfig) -> None:
+def _load_lmem_args(proc: Processor, args: argparse.Namespace) -> None:
     """Apply ``--lmem COL=V1,V2,...`` options to a loaded machine."""
+    columns = []
     for spec in args.lmem or []:
         col_text, _, values_text = spec.partition("=")
-        values = [int(v, 0) for v in values_text.split(",") if v]
-        import numpy as np
-
-        padded = np.zeros(cfg.num_pes, dtype=np.int64)
-        padded[:min(len(values), cfg.num_pes)] = \
-            values[:cfg.num_pes]
-        proc.pe.set_lmem_column(int(col_text), padded)
+        columns.append((int(col_text),
+                        [int(v, 0) for v in values_text.split(",") if v]))
+    proc.pe.load_lmem(columns)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -221,7 +217,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         proc = Processor(cfg, trace=args.trace, sanitizer=sanitizer,
                          profiler=profiler)
     proc.load(program)
-    _load_lmem_args(proc, args, cfg)
+    _load_lmem_args(proc, args)
     try:
         result = proc.run(max_cycles=args.max_cycles)
     except SimulationError as exc:
@@ -285,7 +281,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     # The issue trace feeds the Chrome-trace pipeline-stage tracks.
     proc = Processor(cfg, trace=True, profiler=profiler)
     proc.load(program)
-    _load_lmem_args(proc, args, cfg)
+    _load_lmem_args(proc, args)
     try:
         result = proc.run(max_cycles=args.max_cycles)
     except SimulationError as exc:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.asm.assembler import assemble
 from repro.asm.disassembler import format_instruction
+from repro.core.archstate import LiveState
 from repro.core.config import ProcessorConfig
 from repro.core.processor import Processor, RunResult
 from repro.core.thread import ThreadState
@@ -43,8 +44,12 @@ class ThreadView:
     next_instruction: str
 
 
-class Debugger:
-    """Breakpoint/stepping wrapper around a :class:`Processor`."""
+class Debugger(LiveState):
+    """Breakpoint/stepping wrapper around a :class:`Processor`.
+
+    ``scalar`` / ``pe_reg`` / ``pe_flag`` / ``memory`` read the paused or
+    finished machine (:class:`~repro.core.archstate.ArchState`).
+    """
 
     def __init__(self, config: ProcessorConfig | None = None) -> None:
         self.proc = Processor(config, trace=True)
@@ -89,10 +94,6 @@ class Debugger:
 
     def clear_breakpoint(self, target: int | str) -> None:
         self.breakpoints.discard(self.resolve(target))
-
-    def _at_breakpoint(self) -> bool:
-        return any(t.pc in self.breakpoints
-                   for t in self.proc.threads.runnable_threads())
 
     # -- execution -------------------------------------------------------------------
 
@@ -161,6 +162,10 @@ class Debugger:
     def cycle(self) -> int:
         return self.proc._cycle
 
+    @property
+    def processor(self) -> Processor:
+        return self.proc
+
     def threads(self) -> list[ThreadView]:
         """Views of every live thread."""
         program = self._require_program()
@@ -180,18 +185,6 @@ class Debugger:
         if ctx.state is ThreadState.FREE:
             return f"thread {thread}: exited"
         return program.location_of(ctx.pc)
-
-    def scalar(self, reg: int, thread: int = 0) -> int:
-        return self.proc.threads[thread].read_sreg(reg)
-
-    def pe_reg(self, reg: int, thread: int = 0):
-        return self.proc.pe.read_reg(thread, reg).copy()
-
-    def pe_flag(self, flag: int, thread: int = 0):
-        return self.proc.pe.read_flag(thread, flag).copy()
-
-    def memory(self, base: int, count: int) -> list[int]:
-        return self.proc.mem.dump(base, count)
 
     def disassemble_around(self, thread: int = 0, context: int = 2) -> str:
         """Listing around a thread's pc, with a marker."""

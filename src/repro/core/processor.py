@@ -25,10 +25,10 @@ each round instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Any
 
 from repro.asm.program import Program
+from repro.core.archstate import LiveState
 from repro.core.config import ProcessorConfig
 from repro.core import stats as st
 from repro.core.execute import Op, compile_ops
@@ -67,27 +67,17 @@ class IssueRecord:
 
 
 @dataclass
-class RunResult:
-    """Outcome of one program run."""
+class RunResult(LiveState):
+    """Outcome of one program run, on any backend.
+
+    ``processor`` is the machine that holds the final state: the cycle
+    core, or the engine of the fast, functional or non-pipelined model.
+    """
 
     stats: Stats
-    processor: "Processor"
+    processor: Any
     trace: list[IssueRecord] = field(default_factory=list)
     paused: bool = False
-
-    # Convenience accessors used throughout tests/examples/benchmarks.
-
-    def scalar(self, reg: int, thread: int = 0) -> int:
-        return self.processor.threads[thread].read_sreg(reg)
-
-    def pe_reg(self, reg: int, thread: int = 0) -> np.ndarray:
-        return self.processor.pe.read_reg(thread, reg).copy()
-
-    def pe_flag(self, flag: int, thread: int = 0) -> np.ndarray:
-        return self.processor.pe.read_flag(thread, flag).copy()
-
-    def memory(self, base: int, count: int) -> list[int]:
-        return self.processor.mem.dump(base, count)
 
     @property
     def cycles(self) -> int:

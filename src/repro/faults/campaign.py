@@ -39,7 +39,7 @@ from repro.faults.plane import FaultPlane
 from repro.faults.spec import FaultKind, FaultSite, FaultSpec, random_fault_specs
 from repro.pe.pe_array import MemoryFault
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
-from repro.programs.runner import _load_lmem, extract_outputs, run_kernel
+from repro.programs.runner import extract_outputs, run_kernel
 from repro.serve.pool import map_ordered
 from repro.util.tables import format_table
 
@@ -177,7 +177,7 @@ def _run_one_fault(task: _FaultTask) -> FaultResult:
     plane = FaultPlane([spec], cfg, parity=task.parity)
     proc = Processor(cfg, faults=plane)
     proc.load(task.program)
-    _load_lmem(proc.pe, kernel, cfg.num_pes)
+    proc.pe.load_lmem(kernel.lmem.items())
     try:
         result = proc.run(max_cycles=task.watchdog)
     except SimTimeout as exc:

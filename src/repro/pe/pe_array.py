@@ -22,6 +22,8 @@ writes to them are ignored, re-asserted by :meth:`PEArray._pin_constants`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 import numpy as np
 
 from repro.isa import registers
@@ -168,6 +170,17 @@ class PEArray:
             raise ValueError(
                 f"expected {self.num_pes} values, got shape {vals.shape}")
         self.lmem[:, word_addr] = vals & self.word_mask
+
+    def load_lmem(self, columns: Iterable[tuple[int, Sequence[int]]]
+                  ) -> None:
+        """Load ``(local address, values)`` columns in order, one
+        :meth:`set_lmem_column` call each: PE ``i`` gets ``values[i]``,
+        zero past the end of a short column; extra values are dropped."""
+        for word_addr, values in columns:
+            padded = np.zeros(self.num_pes, dtype=np.int64)
+            n = min(len(values), self.num_pes)
+            padded[:n] = values[:n]
+            self.set_lmem_column(int(word_addr), padded)
 
     def get_lmem_column(self, word_addr: int) -> np.ndarray:
         """Read the same local address from every PE."""

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.asm.assembler import assemble
 from repro.assoc.functional import FunctionalMachine
 from repro.core.config import ProcessorConfig
@@ -28,14 +26,6 @@ def _check(kernel: Kernel, cfg: ProcessorConfig) -> None:
     if cfg.lmem_words < kernel.min_lmem_words:
         raise KernelSetupError(
             f"{kernel.name} needs >= {kernel.min_lmem_words} local words")
-
-
-def _load_lmem(pe_array, kernel: Kernel, num_pes: int) -> None:
-    for col, values in kernel.lmem.items():
-        padded = np.zeros(num_pes, dtype=np.int64)
-        n = min(len(values), num_pes)
-        padded[:n] = values[:n]
-        pe_array.set_lmem_column(col, padded)
 
 
 def extract_outputs(kernel: Kernel, result) -> dict[str, object]:
@@ -83,7 +73,7 @@ def run_kernel(kernel: Kernel, cfg: ProcessorConfig,
     program = assemble(kernel.source, word_width=cfg.word_width)
     proc = Processor(cfg, trace=trace)
     proc.load(program)
-    _load_lmem(proc.pe, kernel, cfg.num_pes)
+    proc.pe.load_lmem(kernel.lmem.items())
     result = proc.run()
     return KernelRun(kernel, result, extract_outputs(kernel, result))
 
@@ -95,7 +85,7 @@ def run_kernel_functional(kernel: Kernel, cfg: ProcessorConfig,
     program = assemble(kernel.source, word_width=cfg.word_width)
     machine = FunctionalMachine(cfg)
     machine.load(program)
-    _load_lmem(machine.pe, kernel, cfg.num_pes)
+    machine.pe.load_lmem(kernel.lmem.items())
     result = machine.run()
     return extract_outputs(kernel, result)
 

@@ -49,8 +49,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.processor import Processor, SimTimeout, SimulationError
 from repro.serve.chaos import ChaosError, ChaosKind
 from repro.serve.jobs import PreparedJob
@@ -140,11 +138,7 @@ def execute_prepared(item: PreparedJob) -> JobOutcome:
             proc = Processor(item.config, faults=plane, sanitizer=sanitizer,
                              profiler=profiler)
         proc.load(program)
-        for col, values in sorted(item.lmem.items()):
-            padded = np.zeros(item.config.num_pes, dtype=np.int64)
-            n = min(len(values), item.config.num_pes)
-            padded[:n] = values[:n]
-            proc.pe.set_lmem_column(int(col), padded)
+        proc.pe.load_lmem(sorted(item.lmem.items()))
         result = proc.run(max_cycles=item.max_cycles)
     except SimTimeout as exc:
         return JobOutcome(item.key, STATUS_TIMEOUT, error=str(exc))

@@ -15,9 +15,11 @@ Snapshots are value objects: equality compares every field, arrays by
 dtype, shape and contents; a pickle round-trip reproduces an equal
 object with the same pickle bytes (asserted by tests), and a cache hit
 therefore hands back a result bit-identical to re-simulating.  The
-accessor surface (``scalar`` / ``pe_reg`` / ``pe_flag`` / ``memory`` /
-``cycles``) mirrors ``RunResult`` so downstream consumers — output
-extraction, oracles, the batch service — accept either.
+snapshot's array fields are the planes the shared accessors read
+(:class:`~repro.core.archstate.ArchState`), so ``scalar`` / ``pe_reg`` /
+``pe_flag`` / ``memory`` / ``cycles`` answer as on ``RunResult`` and
+downstream consumers — output extraction, oracles, the batch service —
+accept either.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.memory import check_dump
+from repro.core.archstate import ArchState
 from repro.core.stats import ALL_STALL_CAUSES, Stats
 
 #: Fields held as numpy arrays; equality compares dtype, shape, contents.
@@ -37,7 +39,7 @@ _ARRAY_FIELDS = ("scalars", "pe_regs", "pe_flags", "mem_words")
 
 
 @dataclass
-class ResultSnapshot:
+class ResultSnapshot(ArchState):
     """Architectural outcome of one completed simulation.
 
     * ``scalars`` — ``uint32``, shape ``(threads, regs)``.  Not W-bit:
@@ -73,16 +75,14 @@ class ResultSnapshot:
                     profile: dict | None = None,
                     verify: dict | None = None,
                     backend: str = "cycle") -> "ResultSnapshot":
-        """Capture a finished ``RunResult`` (or compatible object)."""
-        proc = result.processor
+        """Copy the planes of a finished ``RunResult`` (any backend)."""
         # The memory buffer's dtype is the machine's unsigned W-bit word.
-        mem_words = proc.mem.dump_array()
+        mem_words = result.mem_words
         return cls(
             stats=result.stats,
-            scalars=np.array([ctx.sregs for ctx in proc.threads],
-                             dtype=np.uint32),
-            pe_regs=proc.pe.regs.astype(mem_words.dtype),
-            pe_flags=proc.pe.flags.copy(),
+            scalars=np.array(result.scalars, dtype=np.uint32),
+            pe_regs=result.pe_regs.astype(mem_words.dtype),
+            pe_flags=result.pe_flags.copy(),
             mem_words=mem_words,
             races=races,
             profile=profile,
@@ -102,21 +102,6 @@ class ResultSnapshot:
             elif mine != theirs:
                 return False
         return True
-
-    # -- RunResult-compatible accessors -------------------------------------
-
-    def scalar(self, reg: int, thread: int = 0) -> int:
-        return int(self.scalars[thread, reg])
-
-    def pe_reg(self, reg: int, thread: int = 0) -> np.ndarray:
-        return self.pe_regs[thread, reg].astype(np.int64)
-
-    def pe_flag(self, flag: int, thread: int = 0) -> np.ndarray:
-        return self.pe_flags[thread, flag].copy()
-
-    def memory(self, base: int, count: int) -> list:
-        check_dump(base, count, len(self.mem_words))
-        return self.mem_words[base:base + count].tolist()
 
     @property
     def cycles(self) -> int:

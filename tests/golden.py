@@ -182,11 +182,7 @@ def record(case: Case) -> dict:
     program = assemble(case.source, word_width=case.config.word_width)
     proc = Processor(case.config)
     proc.load(program)
-    for col, values in sorted(case.lmem.items()):
-        padded = np.zeros(case.config.num_pes, dtype=np.int64)
-        n = min(len(values), case.config.num_pes)
-        padded[:n] = values[:n]
-        proc.pe.set_lmem_column(col, padded)
+    proc.pe.load_lmem(sorted(case.lmem.items()))
     result = proc.run()
     return {"stats": stats_record(result.stats), "arch": arch_digest(proc),
             "snapshot_json": snapshot_json_digest(result),

@@ -233,7 +233,7 @@ x: .word 5
     def test_step_count_reported(self):
         cfg = ProcessorConfig(num_pes=4, word_width=16)
         res = run_functional(".text\nli s1, 1\nhalt\n", cfg)
-        assert res.steps == 2
+        assert res.stats.instructions == 2
 
     def test_deadlock_detected(self):
         from repro.assoc import FunctionalError

@@ -18,7 +18,7 @@ from repro.baselines import (
 from repro.core import MTMode, ProcessorConfig
 from repro.isa.opcodes import OPCODES
 from repro.programs import assoc_max_extract, run_kernel
-from repro.programs.runner import extract_outputs, _load_lmem
+from repro.programs.runner import extract_outputs
 
 
 class TestConfigFactories:
@@ -79,7 +79,7 @@ class TestNonPipelinedMachine:
         cfg = nonpipelined_config(16, 16)
         machine = NonPipelinedMachine(cfg)
         machine.load(assemble(kernel.source, 16))
-        _load_lmem(machine.pe, kernel, 16)
+        machine.pe.load_lmem(kernel.lmem.items())
         result = machine.run()
         measured = extract_outputs(kernel, result)
         assert measured == {k: int(v) for k, v in kernel.expected.items()}
@@ -89,7 +89,7 @@ class TestNonPipelinedMachine:
         cfg = nonpipelined_config(16, 16)
         machine = NonPipelinedMachine(cfg)
         machine.load(assemble(kernel.source, 16))
-        _load_lmem(machine.pe, kernel, 16)
+        machine.pe.load_lmem(kernel.lmem.items())
         legacy_cycles = machine.run().cycles
 
         mt = run_kernel(kernel, ProcessorConfig(num_pes=16, word_width=16))
@@ -103,7 +103,7 @@ class TestNonPipelinedMachine:
     def test_instruction_count_tracked(self):
         machine = NonPipelinedMachine(nonpipelined_config(4))
         result = machine.run(assemble(".text\nli s1, 1\nhalt\n", 8))
-        assert result.instructions == 2
+        assert result.stats.instructions == 2
         assert result.cycles == 8
 
 
@@ -115,7 +115,7 @@ class TestGenerationOrdering:
         # Generation 1/2: non-pipelined.
         machine = NonPipelinedMachine(nonpipelined_config(16, 16))
         machine.load(assemble(kernel.source, 16))
-        _load_lmem(machine.pe, kernel, 16)
+        machine.pe.load_lmem(kernel.lmem.items())
         gen2 = machine.run().cycles
         # Generation 3: pipelined execution, unpipelined network.
         gen3 = run_kernel(kernel, pipelined_asc_2005(16, 16)).cycles

@@ -15,7 +15,7 @@ from repro.opt import (
     schedule_program,
 )
 from repro.programs import ALL_KERNEL_BUILDERS, run_kernel
-from repro.programs.runner import _load_lmem, extract_outputs
+from repro.programs.runner import extract_outputs
 from repro.core.processor import Processor
 
 
@@ -249,7 +249,7 @@ loop:
         prog = schedule_program(assemble(kernel.source, 16), cfg)
         proc = Processor(cfg)
         proc.load(prog)
-        _load_lmem(proc.pe, kernel, cfg.num_pes)
+        proc.pe.load_lmem(kernel.lmem.items())
         result = proc.run()
         measured = extract_outputs(kernel, result)
         expected = {k: (int(v) if not isinstance(v, list)
@@ -266,7 +266,7 @@ loop:
             prog = schedule_program(assemble(kernel.source, 16), cfg)
             proc = Processor(cfg)
             proc.load(prog)
-            _load_lmem(proc.pe, kernel, cfg.num_pes)
+            proc.pe.load_lmem(kernel.lmem.items())
             opt = proc.run().stats.cycles
             assert opt <= base * 1.10, name
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assoc.fastpath import run_fast
-from repro.core import ProcessorConfig, Stats, run_program
+from repro.core import MTMode, ProcessorConfig, Stats, run_program
 from repro.core.memory import ScalarMemoryFault
 from repro.core.stats import ALL_STALL_CAUSES
 from repro.faults import FaultKind, FaultSite, FaultSpec, run_campaign
@@ -252,16 +252,42 @@ class TestSnapshot:
         (0, 128), (126, 2), (127, 1), (5, 0), (126, 4), (-2, 2), (5, -1),
         (128, 1), (128, 0)])
     def test_memory_ranges_match_run_results(self, base, count):
-        """Snapshot, RunResult and FastRunResult agree, faults included."""
-        results = [run_program(DEMO, SMALL), run_fast(DEMO, SMALL)]
+        """Every view of a run gives the same values, types and range
+        errors: the cycle and fast RunResults, the functional and
+        non-pipelined results, the debugger and the snapshot."""
+        from repro.asm import assemble
+        from repro.assoc import run_functional
+        from repro.baselines import NonPipelinedMachine
+        from repro.core.debugger import Debugger
+
+        single = dataclasses.replace(SMALL, num_threads=1,
+                                     mt_mode=MTMode.SINGLE)
+        debugger = Debugger(SMALL)
+        debugger.load(WIDE_WORDS)
+        debugger.run()
+        results = [run_program(WIDE_WORDS, SMALL),
+                   run_fast(WIDE_WORDS, SMALL),
+                   run_functional(WIDE_WORDS, SMALL),
+                   NonPipelinedMachine(single).run(assemble(WIDE_WORDS)),
+                   debugger]
         results.append(ResultSnapshot.from_result(results[0]))
-        outcomes = []
-        for result in results:
+
+        def view(result):
             try:
-                outcomes.append(result.memory(base, count))
+                words = result.memory(base, count)
+                types = {type(w) for w in words} | {type(words)}
             except ScalarMemoryFault as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+                words, types = str(exc), set()
+            scalars = [result.scalar(r) for r in range(NUM_SCALAR_REGS)]
+            planes = [(a.dtype, a.tolist()) for a in
+                      [result.pe_reg(r) for r in range(NUM_PARALLEL_REGS)]
+                      + [result.pe_flag(f) for f in range(NUM_FLAG_REGS)]]
+            return (words, types, scalars,
+                    {type(v) for v in scalars}, planes)
+
+        expected = view(results[0])
+        for result in results[1:]:
+            assert view(result) == expected, type(result).__name__
 
     @settings(max_examples=15, deadline=None)
     @given(cfg=machine_configs(max_pes=8))
