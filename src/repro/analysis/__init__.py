@@ -13,21 +13,24 @@ reproduces that argument symbolically, from the program text alone:
 * :mod:`repro.analysis.deps` — the per-block dependence graph (RAW /
   WAR / WAW / memory / barrier) shared with the list scheduler;
 * :mod:`repro.analysis.hazards` — the Figure-2 hazard classifier and a
-  static stall-cycle model that exactly reproduces the cycle-accurate
-  core's stall counters on straight-line code;
+  static stall-cycle estimate, replayed through the block summaries of
+  :mod:`repro.analysis.timing`, that exactly reproduces the
+  cycle-accurate core's stall counters on straight-line code;
 * :mod:`repro.analysis.concurrency` — spawn graph, thread regions, and
   happens-before facts over ``tspawn``/``tjoin``/``tput``/``tget``,
   powering the cross-thread race / delivery / lifecycle lint checks;
 * :mod:`repro.analysis.absint` — abstract interpretation over value
   intervals, responder-set (flag) tri-states, and local-memory address
-  ranges, plus a sound static worst-case cycle bound;
+  ranges;
 * :mod:`repro.analysis.equiv` — symbolic-execution translation
   validation proving scheduler/compiler output equivalent to its input
   block by block (``repro verify``);
 * :mod:`repro.analysis.timing` — compositional static timing:
   per-basic-block pipeline-state transfer summaries whose fold along a
   dynamic block path reproduces the cycle-accurate core's cycle counts
-  exactly (the engine behind ``repro run --backend fast``);
+  exactly (the engine behind ``repro run --backend fast``), and whose
+  fold over every path of an acyclic CFG is the exact worst-case cycle
+  bound;
 * :mod:`repro.analysis.lint` — the ``repro lint`` pass manager.
 """
 
@@ -37,7 +40,6 @@ from repro.analysis.absint import (
     Interval,
     analyze_intervals,
     flag_allows,
-    static_cycle_bound,
 )
 
 from repro.analysis.cfg import CFG, build_cfg
@@ -78,6 +80,7 @@ from repro.analysis.timing import (
     TimingAnalysis,
     check_static_timing_bound,
     check_unreachable_block,
+    static_cycle_bound,
 )
 
 __all__ = [
@@ -86,7 +89,6 @@ __all__ = [
     "Interval",
     "analyze_intervals",
     "flag_allows",
-    "static_cycle_bound",
     "VERIFY_JSON_SCHEMA",
     "EquivReport",
     "Mismatch",
@@ -117,4 +119,5 @@ __all__ = [
     "TimingAnalysis",
     "check_static_timing_bound",
     "check_unreachable_block",
+    "static_cycle_bound",
 ]

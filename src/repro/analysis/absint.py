@@ -1,4 +1,4 @@
-"""Abstract interpretation over the CFG: intervals, responder sets, bounds.
+"""Abstract interpretation over the CFG: values, responder sets, addresses.
 
 Three composable abstract domains, evaluated together in one forward
 fixed-point over the :mod:`repro.analysis.cfg` graph:
@@ -34,17 +34,13 @@ everywhere (a delivery can land between any two instructions), and
 ``tget``/``lw``/``plw`` results are top.  Programs containing ``jr``
 (``CFG.has_indirect``) seed *every* block with the top state, since the
 static graph cannot enumerate indirect targets.
-
-Also here: :func:`static_cycle_bound`, a sound worst-case cycle bound
-for acyclic single-thread programs (longest block path weighted by the
-pipeline's maximum writeback offset), surfaced as the
-``static-cycle-bound`` lint check.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -72,6 +68,9 @@ _PC_MASK = 0xFFFFFFFF
 
 # Join visits to one block before widening kicks in.
 _WIDEN_AFTER = 3
+
+# The compare each branch takes on when it holds (bge: when clt fails).
+_BRANCH_CMP = {"beq": "ceq", "bne": "cne", "blt": "clt", "bge": "clt"}
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +255,26 @@ class AbsintResult:
                 or instr.spec.exec_class.value != "parallel":
             return None
         return state.pregs[instr.rs].shifted(instr.imm)
+
+    def branch_verdict(self, pc: int) -> bool | None:
+        """True / False when the branch at ``pc`` is provably taken / not
+        taken from the state before it; None when unknown or unreachable.
+        ``beq``/``bne`` compare unsigned words and ``blt``/``bge`` two's
+        complement, through the parallel compares' transfer function."""
+        state = self.before[pc]
+        if state is None:
+            return None
+        instr = self.program.instructions[pc]
+        flag = self._interpreter._cmp(_BRANCH_CMP[instr.mnemonic],
+                                      state.sregs[instr.rd],
+                                      state.sregs[instr.rs])
+        if flag not in (F_ONE, F_ZERO):
+            return None
+        return (flag == F_ONE) != (instr.mnemonic == "bge")
+
+    @cached_property
+    def _interpreter(self) -> "_Interpreter":
+        return _Interpreter(self.program, self.config, self.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -727,85 +746,6 @@ def analyze_intervals(program: Program, config: ProcessorConfig,
 
 
 # ---------------------------------------------------------------------------
-# Static worst-case cycle bound
-# ---------------------------------------------------------------------------
-
-def static_cycle_bound(program: Program, config: ProcessorConfig,
-                       cfg: CFG | None = None) -> int | None:
-    """Sound worst-case cycle bound, or None when no finite static
-    bound exists (loops, indirect jumps, or thread spawns).
-
-    For an acyclic single-thread CFG the longest block path is weighted
-    by a per-instruction ceiling derived from the pipeline model: an
-    instruction issues at most ``max_writeback_offset + control-resolve``
-    cycles after its predecessor (every producer's result lands within
-    the maximum writeback offset of its issue), plus a final pipeline
-    drain.  The bound is deliberately loose — its job is to be *sound*
-    so ``static-cycle-bound`` findings (bound > ``max_cycles``) are
-    must-alarms, never noise.
-    """
-    from repro.core import timing
-
-    graph = cfg if cfg is not None else build_cfg(program)
-    if graph.has_indirect or graph.spawn_entries:
-        return None
-    if any(instr.spec.is_thread_op for instr in program.instructions):
-        return None                     # tjoin/tget can block indefinitely
-    n_blocks = len(graph.blocks)
-    if n_blocks == 0:
-        return 0
-
-    # Cycle detection (iterative DFS, colors) over reachable blocks.
-    color = [0] * n_blocks              # 0 white, 1 gray, 2 black
-    for root in graph.entry_blocks:
-        if color[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, edge = stack[-1]
-            succs = graph.succs.get(node, [])
-            if edge < len(succs):
-                stack[-1] = (node, edge + 1)
-                nxt = succs[edge]
-                if color[nxt] == 1:
-                    return None         # back edge: loop, no static bound
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-
-    # Per-instruction issue-gap ceiling from the shared latency model.
-    max_offset = 4
-    for instr in program.instructions:
-        try:
-            off = timing.writeback_offset(instr.spec, config)
-        except ValueError:
-            return None                 # op not executable on this machine
-        if off is not None:
-            max_offset = max(max_offset, off)
-    per_instr = (max_offset + 8) * max(1, config.num_threads)
-    drain = max_offset + 8
-
-    # Longest path over the acyclic block DAG (memoized DFS).
-    cost = [len(b) * per_instr for b in graph.blocks]
-    longest: dict[int, int] = {}
-
-    def path_cost(bi: int) -> int:
-        cached = longest.get(bi)
-        if cached is not None:
-            return cached
-        best = max((path_cost(s) for s in graph.succs.get(bi, [])),
-                   default=0)
-        longest[bi] = cost[bi] + best
-        return longest[bi]
-
-    return max(path_cost(bi) for bi in graph.entry_blocks) + drain
-
-
-# ---------------------------------------------------------------------------
 # Lint checks (registered in repro.analysis.lint.ALL_CHECKS)
 # ---------------------------------------------------------------------------
 
@@ -964,22 +904,6 @@ def check_dead_search(ctx: "AnalysisContext") -> list["Diagnostic"]:
     return out
 
 
-def check_static_cycle_bound(ctx: "AnalysisContext") -> list["Diagnostic"]:
-    """Programs whose *proven* worst-case cycle count exceeds the
-    machine's ``max_cycles`` budget: the run is statically guaranteed
-    to be killed by the watchdog, so flag it before simulating."""
-    bound = static_cycle_bound(ctx.program, ctx.config, ctx.cfg)
-    if bound is None or bound <= ctx.config.max_cycles:
-        return []
-    pc = ctx.program.entry if ctx.program.instructions else 0
-    return [ctx.diag(
-        "static-cycle-bound", "warning", pc,
-        f"statically proven worst-case bound of {bound} cycles exceeds "
-        f"max_cycles={ctx.config.max_cycles}: the watchdog will kill "
-        f"this run", data={"bound": bound,
-                           "max_cycles": ctx.config.max_cycles})]
-
-
 __all__ = [
     "AbsState",
     "AbsintResult",
@@ -993,8 +917,6 @@ __all__ = [
     "analyze_intervals",
     "check_dead_search",
     "check_lmem_out_of_bounds",
-    "check_static_cycle_bound",
     "check_width_overflow",
     "flag_allows",
-    "static_cycle_bound",
 ]

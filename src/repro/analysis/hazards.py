@@ -7,20 +7,18 @@ cycles against a concrete :class:`ProcessorConfig` using the very same
 latency model (:mod:`repro.core.timing`) the cycle-accurate core
 enforces.
 
-The estimator is a *static scoreboard replay*: it walks the instruction
-stream in program order maintaining exactly the state the core's issue
-logic keeps — per-register result/writeback cycles, structural busy
-windows for the sequential units, control-resolution delays — through
-the core's own per-pc timing table and readiness rule
-(:mod:`repro.core.timing`), and charges each instruction's wait to the
-binding dependence edge.  On **straight-line** programs (no control
-transfers or thread operations before the final ``halt``) run
-single-threaded, this replay is exact by construction: the totals
-equal the simulator's measured ``stats.wait_cycles`` counter for
-counter, which the differential test suite asserts.  On programs with
-control flow the replay restarts at every basic-block boundary with a
-clean scoreboard, making the result a per-iteration lower bound
-(loop-carried dependences are not priced).
+The estimator replays every basic block through the block transfer of
+:class:`repro.analysis.timing.TimingAnalysis` — the replay the fast
+backend folds, on the core's own per-pc timing table and readiness rule
+— and charges each instruction's wait to the binding dependence edge.
+On **straight-line** programs (no control transfers or thread
+operations before the final ``halt``) each block starts from the
+previous block's exit state, so the estimate is exact against the
+single-threaded simulator: the totals equal the measured
+``stats.wait_cycles`` counter for counter, which the differential test
+suite asserts.  On programs with control flow every block starts from
+a clean scoreboard, with every branch taken, making the result a
+per-iteration lower bound (loop-carried dependences are not priced).
 """
 
 from __future__ import annotations
@@ -28,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections import Counter
 
+from repro.analysis.timing import EMPTY_STATE, IssueDetail, TimingAnalysis
 from repro.asm.program import Program
 from repro.core import stats as st
-from repro.core import timing
 from repro.core.config import ProcessorConfig
+from repro.core.processor import SimulationError
+from repro.core.timing import K_BRANCH, K_JR
 from repro.opt.blocks import basic_blocks
 
 
@@ -97,78 +97,19 @@ def is_straight_line(program: Program) -> bool:
     return not (last.is_branch or last.is_jump or last.is_thread_op)
 
 
-class _Replay:
-    """The core's issue logic for one thread, without the machine.
-
-    Scoreboard entries carry the producer's pc after the core's
-    (result, writeback, class) triple, so a stall can be pinned on the
-    dependence edge that bound it.
-    """
-
-    def __init__(self, model: timing.TimingModel) -> None:
-        self.model = model
-        self.min_issue = 1
-        self.last_issue = 0
-        self.score: dict[int, tuple[int, int, int, int]] = {}
-        self.unit_busy = [0] * len(timing.UNIT_NAMES)
-
-    def step(self, pc: int) -> tuple[int, str | None, int, int | None, int]:
-        """Issue one instruction; returns (issue cycle, binding cause,
-        stall cycles, producer pc of the binding edge, control bubbles)."""
-        it = self.model.entry(pc)
-        if it.raises is not None:
-            raise ValueError(it.raises)
-        base = max(self.min_issue, self.last_issue + 1)
-        cycle, cause, binding = timing.ready_cycle(it, self.score, base,
-                                                   self.unit_busy)
-        stall = cycle - base if cause is not None else 0
-        if it.unit >= 0:
-            self.unit_busy[it.unit] = cycle + it.occupancy
-        if it.dest >= 0:
-            self.score[it.dest] = (cycle + it.roff, cycle + it.wb,
-                                   it.klass, pc)
-        # Control resolution: branches/jumps insert bubbles.  Branch
-        # outcomes are unknown statically; under the (default) STALL
-        # policy the penalty is outcome-independent, so assume taken.
-        resolve = it.resolve_taken
-        self.min_issue = cycle + resolve
-        self.last_issue = cycle
-        producer_pc = binding[3] if stall and binding is not None else None
-        return cycle, cause, stall, producer_pc, resolve - 1
-
-
-def _replay_region(model: timing.TimingModel, pcs: range,
-                   estimate: StallEstimate) -> None:
-    """Replay one straight-line region, accumulating into ``estimate``."""
-    replay = _Replay(model)
-    for pc in pcs:
-        _, cause, stall, producer_pc, control = replay.step(pc)
-        if control > 0:
-            estimate.control_stalls += control
-            estimate.by_cause[st.STALL_CONTROL] += control
-            estimate.total += control
-        if stall <= 0 or cause is None:
-            continue
-        estimate.by_cause[cause] += stall
-        estimate.total += stall
-        if cause == st.STALL_STRUCTURAL:
-            estimate.structural_stalls += stall
-        elif cause == st.STALL_WAW:
-            estimate.waw_stalls += stall
-        if producer_pc is not None:
-            estimate.pair_stalls[(producer_pc, pc)] = (cause, stall)
-
-
-def hazard_edges(program: Program, cfg: ProcessorConfig) -> list[HazardEdge]:
+def hazard_edges(program: Program, cfg: ProcessorConfig,
+                 estimate: StallEstimate | None = None) -> list[HazardEdge]:
     """Every in-block RAW dependence, classified and priced.
 
-    ``stall_cycles`` carries the replay-attributed stalls for edges the
-    static model found binding; non-binding edges report 0 (their
-    latency is hidden by intervening instructions).
+    ``stall_cycles`` carries the replay-attributed stalls of ``estimate``
+    (default: :func:`estimate_stalls`) for edges the static model found
+    binding; non-binding edges report 0 (their latency is hidden by
+    intervening instructions).
     """
     from repro.analysis.deps import build_block_deps
 
-    estimate = estimate_stalls(program, cfg)
+    if estimate is None:
+        estimate = estimate_stalls(program, cfg)
     pair_stalls = estimate.pair_stalls
     edges: list[HazardEdge] = []
     seen: set[tuple[int, int, tuple[str, int]]] = set()
@@ -197,21 +138,55 @@ def hazard_edges(program: Program, cfg: ProcessorConfig) -> list[HazardEdge]:
     return edges
 
 
-def estimate_stalls(program: Program,
-                    cfg: ProcessorConfig) -> StallEstimate:
+def estimate_stalls(program: Program, cfg: ProcessorConfig,
+                    analysis: TimingAnalysis | None = None
+                    ) -> StallEstimate:
     """Static stall-cycle estimate for ``program`` on ``cfg``.
 
-    Straight-line programs are replayed whole and the result is exact
-    against the single-threaded simulator; otherwise each basic block
-    is replayed with a clean scoreboard (a per-iteration lower bound:
-    loop-carried and cross-block dependences are not priced).
+    Straight-line programs chain each block's exit state into the next
+    block and the result is exact against the single-threaded
+    simulator; otherwise each basic block is replayed from a clean
+    scoreboard (a per-iteration lower bound: loop-carried and
+    cross-block dependences are not priced).  ``analysis`` supplies the
+    block transfers (default: a fresh :class:`TimingAnalysis`).
     """
+    if analysis is None:
+        analysis = TimingAnalysis(program, cfg)
+    model = analysis.model
     estimate = StallEstimate(config=cfg)
-    model = timing.TimingModel(program, cfg)
-    if is_straight_line(program):
-        estimate.exact = True
-        _replay_region(model, range(len(program.instructions)), estimate)
-        return estimate
-    for block in basic_blocks(program):
-        _replay_region(model, block.range, estimate)
+    estimate.exact = is_straight_line(program)
+    state = EMPTY_STATE
+    writer: dict[int, int] = {}      # register key -> pc of its last write
+    for block in analysis.cfg.blocks:
+        # Outside straight-line code a branch counts as taken and a
+        # ``jr`` or ``tput`` terminator's event changes nothing in the
+        # block: a tput self-delivery lands after the block's last issue.
+        kind = model.entry(block.end - 1).kind
+        event = True if kind == K_BRANCH else 0 if kind == K_JR else None
+        detail: list[IssueDetail] = []
+        try:
+            summary = analysis._transfer(block.start, event, state, detail)
+        except SimulationError as exc:
+            raise ValueError(str(exc)) from None
+        if estimate.exact:
+            state = summary.exit_state
+        for pc, _, cause, stall, binding in detail:
+            it = model.entry(pc)
+            control = it.resolve_taken - 1
+            if control > 0:
+                estimate.control_stalls += control
+                estimate.by_cause[st.STALL_CONTROL] += control
+                estimate.total += control
+            if cause is not None:
+                estimate.by_cause[cause] += stall
+                estimate.total += stall
+                if cause == st.STALL_STRUCTURAL:
+                    estimate.structural_stalls += stall
+                elif cause == st.STALL_WAW:
+                    estimate.waw_stalls += stall
+                if binding >= 0:
+                    estimate.pair_stalls[(writer[binding], pc)] = (
+                        cause, stall)
+            if it.dest >= 0:
+                writer[it.dest] = pc
     return estimate

@@ -70,9 +70,11 @@ Checks
     abstract state: the search can never respond and the reduction
     returns its identity element unconditionally.
 ``static-cycle-bound``
-    For acyclic single-thread programs, the proven worst-case cycle
-    bound exceeds ``max_cycles``: the watchdog is guaranteed to kill
-    the run before it can complete.
+    For acyclic single-thread programs, the slowest path through the CFG
+    takes more than ``max_cycles`` cycles (the block timing summaries of
+    :mod:`repro.analysis.timing` price every path exactly): the watchdog
+    kills every run that takes that path — every run, in straight-line
+    code.
 ``unreachable-block``
     A block the plain CFG reaches but branch *feasibility* does not:
     some branch condition is provably constant in the interval domain,
@@ -104,7 +106,6 @@ from repro.analysis.absint import (
     analyze_intervals,
     check_dead_search,
     check_lmem_out_of_bounds,
-    check_static_cycle_bound,
     check_width_overflow,
 )
 from repro.analysis.cfg import CFG, build_cfg
@@ -126,6 +127,8 @@ from repro.analysis.hazards import (
     hazard_edges,
 )
 from repro.analysis.timing import (
+    TimingAnalysis,
+    check_static_cycle_bound,
     check_static_timing_bound,
     check_unreachable_block,
 )
@@ -193,6 +196,8 @@ class AnalysisContext:
                                                     default=None, repr=False)
     _absint: AbsintResult | None = field(init=False, default=None,
                                          repr=False)
+    _timing: TimingAnalysis | None = field(init=False, default=None,
+                                           repr=False)
 
     def __post_init__(self) -> None:
         self.cfg = build_cfg(self.program)
@@ -211,6 +216,14 @@ class AnalysisContext:
             self._absint = analyze_intervals(self.program, self.config,
                                              self.cfg)
         return self._absint
+
+    def timing(self) -> TimingAnalysis:
+        """Block timing summaries, built once per context: the stall
+        estimate, the hazard edges and both timing checks read them."""
+        if self._timing is None:
+            self._timing = TimingAnalysis(self.program, self.config,
+                                          self.cfg)
+        return self._timing
 
     def diag(self, check: str, severity: str, pc: int, message: str,
              data: dict[str, Any] | None = None) -> Diagnostic:
@@ -472,8 +485,9 @@ def lint_program(program: Program, config: ProcessorConfig | None = None,
     # Deterministic order: primary (pc, check) per the report contract,
     # with severity/message tiebreaks so --json output is byte-stable.
     diagnostics.sort(key=lambda d: (d.pc, d.check, d.severity, d.message))
+    estimate = estimate_stalls(program, cfg, ctx.timing())
     return LintReport(
         diagnostics=diagnostics,
-        estimate=estimate_stalls(program, cfg),
-        hazards=hazard_edges(program, cfg),
+        estimate=estimate,
+        hazards=hazard_edges(program, cfg, estimate),
     )

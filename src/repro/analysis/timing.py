@@ -31,6 +31,19 @@ uses.  Every per-instruction fact comes from the core's own per-pc
 timing table (:class:`repro.core.timing.TimingModel`) and readiness rule
 (:func:`repro.core.timing.ready_cycle`).
 
+The block transfer is the only static replay of the pipeline.  Three
+more consumers read it besides the fold:
+
+* lint's stall estimate (:func:`repro.analysis.hazards.estimate_stalls`)
+  replays each block with a per-instruction detail list and pins every
+  wait on its binding producer;
+* :func:`static_cycle_bound` folds the summaries over every path of an
+  acyclic CFG, so its bound is the exact worst case over those paths
+  (lint check ``static-cycle-bound``);
+* :func:`check_static_timing_bound` iterates a self-loop's summary to
+  its pipeline-state fixpoint, giving loops an exact steady-state
+  per-iteration cycle count and stall attribution (single-threaded).
+
 Soundness of the normalization (why pruning cannot change timing): a
 consumer issued at or after the block's exit base ``t2`` binds a RAW
 entry only when ``result + 1 - read_off > ready >= t2``; with scalar
@@ -40,14 +53,6 @@ with ``result <= t2 + 1`` (scalar) or ``result <= t2 + b + 2``
 consumer writeback offset per register file (3 scalar, ``b + 4``
 parallel/flag).  Structural windows with ``busy_until <= t2`` likewise
 never bind.
-
-The pure-static (path-free) bound is delegated to the interval domain's
-:func:`repro.analysis.absint.static_cycle_bound`, which is loop-aware in
-the sense that it refuses to bound loops rather than guess; the lint
-check :func:`check_static_timing_bound` below complements it by giving
-*loops* an exact steady-state per-iteration cycle count and stall
-attribution (single-threaded), found as a fixpoint of the block's own
-transfer summary.
 """
 
 from __future__ import annotations
@@ -84,8 +89,10 @@ __all__ = [
     "EMPTY_STATE",
     "PipelineState",
     "TimingAnalysis",
+    "check_static_cycle_bound",
     "check_static_timing_bound",
     "check_unreachable_block",
+    "static_cycle_bound",
 ]
 
 # How a block (and possibly the run) ends.
@@ -108,7 +115,6 @@ EMPTY_STATE: PipelineState = ((), ())
 class BlockSummary:
     """Transfer summary of one block under one entry state + event."""
 
-    start: int
     advance: int                     # exit issue base relative to entry base
     last_rel: int                    # relative issue cycle of the last instr
     next_pc: int                     # successor pc (meaningless if end != 0)
@@ -121,6 +127,10 @@ class BlockSummary:
 
 
 EventKey = bool | int | None
+
+# One issue of a detail replay: (pc, relative issue cycle, wait cause or
+# None, wait cycles, register key of the binding producer or -1).
+IssueDetail = tuple[int, int, str | None, int, int]
 
 
 class TimingAnalysis:
@@ -163,14 +173,15 @@ class TimingAnalysis:
         return cached
 
     def _transfer(self, start: int, event: EventKey, entry: PipelineState,
-                  detail: list[tuple[int, int]] | None = None
+                  detail: list[IssueDetail] | None = None
                   ) -> BlockSummary:
         """Replay the block's issue schedule from a relative clock of 0.
 
         The core's issue loop (:meth:`repro.core.processor.Processor.run`)
         for a single runnable thread whose entry issue base is cycle 0:
         the same per-pc table, the same readiness rule, the same wait
-        accounting.
+        accounting.  When ``detail`` is given, one :data:`IssueDetail`
+        per issued instruction is appended to it.
         """
         model = self.model
         table = model.table
@@ -194,9 +205,9 @@ class TimingAnalysis:
             if it.raises is not None:
                 raise SimulationError(it.raises)
             base = min_issue if min_issue > last + 1 else last + 1
-            cycle, cause, _ = ready_cycle(it, score, base, units)
+            cycle, cause, binding = ready_cycle(it, score, base, units)
             if detail is not None:
-                detail.append((pc, cycle))
+                detail.append((pc, cycle, cause, cycle - base, binding))
             if cause is not None and cycle > base:
                 waits[cause] = waits.get(cause, 0) + (cycle - base)
             if it.unit >= 0:
@@ -228,10 +239,6 @@ class TimingAnalysis:
                 run_end = END_HALT
             elif kind == K_TEXIT:
                 run_end = END_EXIT
-            elif kind == K_TSPAWN:
-                raise AssertionError(
-                    "tspawn reached the single-thread fold; spawning "
-                    "programs run on the cycle core")
             min_issue = cycle + resolve
             if resolve > 1:
                 waits[st.STALL_CONTROL] = (
@@ -244,7 +251,6 @@ class TimingAnalysis:
             pc += 1
         t2 = min_issue if min_issue > last + 1 else last + 1
         return BlockSummary(
-            start=start,
             advance=t2,
             last_rel=last,
             next_pc=next_pc,
@@ -349,6 +355,10 @@ class TimingAnalysis:
             if link is None:
                 s = memo.get((pc, event, state))
                 if s is None:
+                    if term.kind == K_TSPAWN:
+                        raise AssertionError(
+                            "tspawn reached the single-thread fold; "
+                            "spawning programs run on the cycle core")
                     s = self.block_summary(pc, state, event)
                 link = links[(prev, event)] = [s, 0]
             s = link[0]
@@ -357,9 +367,9 @@ class TimingAnalysis:
                 # issue cycles within a block do not depend on the
                 # terminator event, so a detail replay pinpoints it even
                 # on a truncated (runaway) event stream.
-                detail: list[tuple[int, int]] = []
+                detail: list[IssueDetail] = []
                 self._transfer(pc, event, state, detail)
-                for ipc, rel in detail:
+                for ipc, rel, *_ in detail:
                     if t + rel > limit:
                         raise SimTimeout(
                             f"exceeded max_cycles={limit}; "
@@ -404,57 +414,82 @@ class TimingAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Lint checks (registered in repro.analysis.lint.ALL_CHECKS)
+# Static worst-case cycle bound
 # ---------------------------------------------------------------------------
 
-def _word_view(lo: int, hi: int, width: int) -> tuple[int, int]:
-    """Interval of ``value & mask`` (word-top unless on a single page)."""
-    mask = (1 << width) - 1
-    if lo >> width == hi >> width:
-        return lo & mask, hi & mask
-    return 0, mask
+def _topological_order(cfg: CFG) -> list[int] | None:
+    """Blocks reachable from the entries in topological order, or None
+    when the reachable graph has a cycle (Kahn's algorithm)."""
+    reach = cfg.reachable()
+    indegree = dict.fromkeys(reach, 0)
+    for bi in reach:
+        for succ in cfg.succs[bi]:
+            indegree[succ] += 1
+    order = [bi for bi in sorted(reach) if not indegree[bi]]
+    for bi in order:                    # grows while it is walked
+        for succ in cfg.succs[bi]:
+            indegree[succ] -= 1
+            if not indegree[succ]:
+                order.append(succ)
+    return order if len(order) == len(reach) else None
 
 
-def _signed_view(lo: int, hi: int, width: int) -> tuple[int, int] | None:
-    """Two's-complement reading of a word interval; None if it straddles."""
-    half = 1 << (width - 1)
-    span = 1 << width
-    if hi < half:
-        return lo, hi
-    if lo >= half:
-        return lo - span, hi - span
-    return None
+def static_cycle_bound(program: Program, config: ProcessorConfig,
+                       analysis: TimingAnalysis | None = None) -> int | None:
+    """Exact worst-case cycle count over every CFG path, or None when no
+    finite static bound exists.
 
-
-def _branch_verdict(mnemonic: str, a: tuple[int, int], b: tuple[int, int],
-                    width: int) -> bool | None:
-    """True = provably taken, False = provably not taken, None = unknown.
-
-    Mirrors the compiled branch semantics: beq/bne compare
-    unsigned word values, blt/bge compare two's-complement.
+    None for loops, indirect jumps, thread operations (a ``tjoin`` or
+    ``tget`` can block indefinitely), ops the machine cannot execute and
+    ``model_fetch`` machines (the summaries do not model fetch).
+    Otherwise the block summaries are folded over the acyclic CFG in
+    topological order, both outcomes of every branch, keeping the latest
+    entry cycle per (block, entry state): the result is the latest last
+    issue over all paths, which is the core's cycle count on the slowest
+    path.  Sound, and equal to the measured cycles of straight-line code.
     """
-    if mnemonic in ("beq", "bne"):
-        equal: bool | None
-        if a[0] == a[1] == b[0] == b[1]:
-            equal = True
-        elif a[1] < b[0] or b[1] < a[0]:
-            equal = False
-        else:
-            return None
-        return equal if mnemonic == "beq" else not equal
-    sa = _signed_view(a[0], a[1], width)
-    sb = _signed_view(b[0], b[1], width)
-    if sa is None or sb is None:
+    if config.model_fetch:
         return None
-    less: bool | None
-    if sa[1] < sb[0]:
-        less = True
-    elif sa[0] >= sb[1]:
-        less = False
-    else:
+    if analysis is None:
+        analysis = TimingAnalysis(program, config)
+    cfg = analysis.cfg
+    if cfg.has_indirect or cfg.spawn_entries or any(
+            instr.spec.is_thread_op for instr in program.instructions):
         return None
-    return less if mnemonic == "blt" else not less
+    if not cfg.blocks:
+        return 0
+    order = _topological_order(cfg)
+    if order is None:
+        return None
+    n = len(program.instructions)
+    block_index = analysis._block_index
+    # Block index -> {entry state: latest entry cycle over the paths}.
+    entries: list[dict[PipelineState, int]] = [{} for _ in cfg.blocks]
+    entries[cfg.entry_blocks[0]][EMPTY_STATE] = 1
+    worst = 0
+    try:
+        for bi in order:
+            block = cfg.blocks[bi]
+            term = analysis.model.entry(block.end - 1)
+            events: tuple[EventKey, ...] = (
+                (True, False) if term.kind == K_BRANCH else (None,))
+            for state, t in entries[bi].items():
+                for event in events:
+                    s = analysis.block_summary(block.start, state, event)
+                    worst = max(worst, t + s.last_rel)
+                    if s.end != END_NONE or not 0 <= s.next_pc < n:
+                        continue            # the path ends here
+                    succ = entries[block_index[s.next_pc]]
+                    if succ.get(s.exit_state, 0) < t + s.advance:
+                        succ[s.exit_state] = t + s.advance
+    except SimulationError:
+        return None                     # op not executable on this machine
+    return worst
 
+
+# ---------------------------------------------------------------------------
+# Lint checks (registered in repro.analysis.lint.ALL_CHECKS)
+# ---------------------------------------------------------------------------
 
 def check_unreachable_block(ctx: "AnalysisContext") -> list["Diagnostic"]:
     """Blocks only infeasible branch edges reach.
@@ -470,7 +505,6 @@ def check_unreachable_block(ctx: "AnalysisContext") -> list["Diagnostic"]:
     if cfg.has_indirect:
         return []
     program = ctx.program
-    width = ctx.config.word_width
     absres = ctx.absint()
     graph_reach = cfg.reachable()
     succs: dict[int, list[int]] = {
@@ -483,17 +517,7 @@ def check_unreachable_block(ctx: "AnalysisContext") -> list["Diagnostic"]:
         instr = program.instructions[term_pc]
         if not instr.spec.is_branch:
             continue
-        state = absres.before[term_pc]
-        if state is None:
-            continue
-        iva = state.sregs[instr.rd]
-        ivb = state.sregs[instr.rs]
-        if iva.is_bottom or ivb.is_bottom:
-            continue
-        verdict = _branch_verdict(
-            instr.mnemonic,
-            _word_view(iva.lo, iva.hi, width),
-            _word_view(ivb.lo, ivb.hi, width), width)
+        verdict = absres.branch_verdict(term_pc)
         if verdict is None:
             continue
         target_bi = by_start.get(term_pc + 1 + instr.imm)
@@ -529,6 +553,24 @@ def check_unreachable_block(ctx: "AnalysisContext") -> list["Diagnostic"]:
     return out
 
 
+def check_static_cycle_bound(ctx: "AnalysisContext") -> list["Diagnostic"]:
+    """Programs whose worst-case path runs past ``max_cycles``.
+
+    The bound is exact on that path, so the watchdog kills every run
+    that takes it — every run, for straight-line code."""
+    bound = static_cycle_bound(ctx.program, ctx.config, ctx.timing())
+    if bound is None or bound <= ctx.config.max_cycles:
+        return []
+    pc = ctx.program.entry if ctx.program.instructions else 0
+    return [ctx.diag(
+        "static-cycle-bound", "warning", pc,
+        f"the slowest path through the program takes {bound} cycles, "
+        f"more than max_cycles={ctx.config.max_cycles}: the watchdog "
+        f"will kill every run that takes it (every run, in "
+        f"straight-line code)",
+        data={"bound": bound, "max_cycles": ctx.config.max_cycles})]
+
+
 def check_static_timing_bound(ctx: "AnalysisContext") -> list["Diagnostic"]:
     """Exact per-loop stall attribution from the timing summaries.
 
@@ -542,7 +584,7 @@ def check_static_timing_bound(ctx: "AnalysisContext") -> list["Diagnostic"]:
     if ctx.config.model_fetch:
         return []
     out: list["Diagnostic"] = []
-    analysis = TimingAnalysis(ctx.program, ctx.config, ctx.cfg)
+    analysis = ctx.timing()
     for bi in sorted(ctx.cfg.reachable()):
         block = ctx.cfg.blocks[bi]
         term_pc = block.end - 1

@@ -124,12 +124,6 @@ def result_offset(spec: OpSpec, cfg: ProcessorConfig) -> int | None:
     return b + 2 + reduction_compute_cycles(spec, cfg)
 
 
-def writeback_offset(spec: OpSpec, cfg: ProcessorConfig) -> int | None:
-    """Architectural writeback cycle offset (used for WAW ordering)."""
-    r = result_offset(spec, cfg)
-    return None if r is None else r + 1
-
-
 def raw_issue_gap(producer: OpSpec, regfile: str,
                   cfg: ProcessorConfig) -> int:
     """Minimum issue-cycle gap imposed by a RAW dependence (>= 1).
@@ -234,8 +228,8 @@ def reg_key(regfile: str, idx: int) -> int:
 
 
 # A scoreboard entry: (result cycle, writeback cycle, producer class) of
-# the last in-flight write to a register; consumers may append fields.
-ScoreEntry = tuple[int, ...]
+# the last in-flight write to a register.
+ScoreEntry = tuple[int, int, int]
 
 
 @dataclass(slots=True)
@@ -307,10 +301,10 @@ class TimingModel:
 
     Entry ``pc`` holds what the issue logic needs to know about the
     instruction there, computed once from the offsets above: the cycle
-    core (:class:`repro.core.processor.Processor`), the compositional
-    timing fold (:mod:`repro.analysis.timing`) and the static stall
-    replay (:mod:`repro.analysis.hazards`) all read it.  Entries are
-    built on first use, so a pc that never issues costs nothing.
+    core (:class:`repro.core.processor.Processor`) and the block
+    summaries of :mod:`repro.analysis.timing` (the fast backend's fold,
+    lint's stall estimate and the static cycle bound) read it.  Entries
+    are built on first use, so a pc that never issues costs nothing.
     """
 
     def __init__(self, program: "Program", config: ProcessorConfig) -> None:
@@ -360,37 +354,37 @@ class TimingModel:
 
 
 def ready_cycle(it: InstrTiming, score: dict[int, ScoreEntry], base: int,
-                unit_busy: list[int],
-                ) -> tuple[int, str | None, ScoreEntry | None]:
+                unit_busy: list[int]) -> tuple[int, str | None, int]:
     """The readiness rule: when may ``it`` issue, at the earliest ``base``?
 
-    Returns (earliest issue cycle, binding wait cause, binding scoreboard
-    entry).  A consumer waits for each source's result to reach its read
-    point (RAW), for the last write to its destination to retire (WAW),
-    and for its structural unit to free up.  Checks run in that order and
-    a later check binds only if strictly later — the attribution the
-    paper's hazard taxonomy (and :class:`~repro.core.stats.Stats`) uses.
-    The structural check binds no entry.
+    Returns (earliest issue cycle, binding wait cause, register key of the
+    binding scoreboard entry or -1).  A consumer waits for each source's
+    result to reach its read point (RAW), for the last write to its
+    destination to retire (WAW), and for its structural unit to free up.
+    Checks run in that order and a later check binds only if strictly
+    later — the attribution the paper's hazard taxonomy (and
+    :class:`~repro.core.stats.Stats`) uses.  The structural check binds
+    no register.
     """
     ready = base
     cause: str | None = None
-    binding: ScoreEntry | None = None
+    binding = -1
     for key, read_off in it.srcs:
         e = score.get(key)
         if e is not None and e[0] + 1 - read_off > ready:
             ready = e[0] + 1 - read_off
             cause = RAW_CAUSE[e[2] * 3 + it.klass]
-            binding = e
+            binding = key
     if it.dest >= 0:
         e = score.get(it.dest)
         if e is not None and e[1] + 1 - it.wb > ready:
             ready = e[1] + 1 - it.wb
             cause = st.STALL_WAW
-            binding = e
+            binding = it.dest
     if it.unit >= 0 and unit_busy[it.unit] > ready:
         ready = unit_busy[it.unit]
         cause = st.STALL_STRUCTURAL
-        binding = None
+        binding = -1
     return ready, cause, binding
 
 

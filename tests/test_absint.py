@@ -25,9 +25,9 @@ from repro.analysis.absint import (
     const,
     f_join,
     flag_allows,
-    static_cycle_bound,
 )
 from repro.analysis.lint import lint_program
+from repro.analysis.timing import static_cycle_bound
 from repro.asm.assembler import assemble
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
@@ -188,6 +188,29 @@ class TestStaticCycleBound:
             """)
         assert static_cycle_bound(program, ProcessorConfig()) is None
 
+    def test_no_bound_on_model_fetch_machines(self):
+        """The block summaries do not model fetch, so no bound there."""
+        program = assemble(".text\naddi s1, s0, 1\nhalt\n")
+        assert static_cycle_bound(
+            program, ProcessorConfig(model_fetch=True)) is None
+
+    def test_long_straight_line_code_raises_no_false_alarm(self):
+        """3,000 addi halt in 3,001 cycles, inside max_cycles=100,000."""
+        source = ".text\n" + "addi s1, s1, 1\n" * 3000 + "halt\n"
+        cfg = ProcessorConfig(max_cycles=100_000)
+        program = assemble(source)
+        assert static_cycle_bound(program, cfg) == 3001
+        assert Processor(cfg).run(program).stats.cycles == 3001
+        assert not [d for d in _lint(source, max_cycles=100_000)
+                    if d.check == "static-cycle-bound"]
+
+    def test_finding_carries_the_exact_bound(self):
+        source = ".text\n" + "addi s1, s1, 1\n" * 30 + "halt\n"
+        diags = [d for d in _lint(source, max_cycles=20)
+                 if d.check == "static-cycle-bound"]
+        assert [(d.severity, d.data) for d in diags] == [
+            ("warning", {"bound": 31, "max_cycles": 20})]
+
     @pytest.mark.parametrize(
         "name", ["count_matches", "image_threshold", "vector_mac"])
     def test_bound_dominates_measured_cycles(self, name):
@@ -201,13 +224,7 @@ class TestStaticCycleBound:
             pytest.skip(f"kernel {name} has no static bound (loops)")
         proc = Processor(cfg)
         proc.load(program)
-        import numpy as np
-
-        for col, values in kern.lmem.items():
-            padded = np.zeros(cfg.num_pes, dtype=np.int64)
-            n = min(len(values), cfg.num_pes)
-            padded[:n] = values[:n]
-            proc.pe.set_lmem_column(int(col), padded)
+        proc.pe.load_lmem(kern.lmem.items())
         result = proc.run(max_cycles=bound)
         assert result.stats.cycles <= bound
 
@@ -301,6 +318,27 @@ def test_static_cycle_bound_is_sound(body, cfg):
     except (MemoryFault, ScalarMemoryFault, ExecutionError, RuntimeError):
         return
     assert result.stats.cycles <= bound
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(body=hs.lists(instructions().filter(_straight_line),
+                     min_size=1, max_size=16),
+       cfg=machine_configs(max_pes=8))
+def test_static_cycle_bound_is_exact_on_straight_line_programs(body, cfg):
+    """Straight-line code has one path, and the bound is its cycles."""
+    from repro.isa.instruction import Instruction
+
+    program = Program(instructions=body + [Instruction("halt")])
+    bound = static_cycle_bound(program, cfg)
+    proc = Processor(cfg)
+    proc.load(program)
+    try:
+        result = proc.run()
+    except (MemoryFault, ScalarMemoryFault, ExecutionError, RuntimeError):
+        return
+    assert bound == result.stats.cycles
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.absint import static_cycle_bound
 from repro.analysis.lint import lint_program
+from repro.analysis.timing import static_cycle_bound
 from repro.asm import assemble
 from repro.assoc.fastpath import FastMachine, FastPathError, run_fast
 from repro.core import MTMode, Processor, ProcessorConfig
@@ -58,11 +58,7 @@ def _run_one(make_machine, program, cfg, lmem=None, max_cycles=None):
     """Run to (outcome-kind, payload); exceptions become comparable data."""
     machine = make_machine(cfg)
     machine.load(program)
-    for col, values in sorted((lmem or {}).items()):
-        padded = np.zeros(cfg.num_pes, dtype=np.int64)
-        n = min(len(values), cfg.num_pes)
-        padded[:n] = values[:n]
-        machine.pe.set_lmem_column(int(col), padded)
+    machine.pe.load_lmem(sorted((lmem or {}).items()))
     try:
         result = machine.run(max_cycles=max_cycles)
     except (SimTimeout, SimulationError, RuntimeError, ValueError) as exc:
@@ -467,7 +463,8 @@ dead:
 
 
 def test_fast_snapshot_roundtrip():
-    """FastRunResult satisfies the snapshot protocol end to end."""
+    """A fast-backend RunResult satisfies the snapshot protocol end to
+    end."""
     from repro.serve.snapshot import ResultSnapshot
 
     kern = ALL_KERNEL_BUILDERS["count_matches"](8)
@@ -479,11 +476,7 @@ def test_fast_snapshot_roundtrip():
     def capture(make):
         machine = make(cfg)
         machine.load(program)
-        for col, values in sorted(lmem.items()):
-            padded = np.zeros(cfg.num_pes, dtype=np.int64)
-            padded[:min(len(values), cfg.num_pes)] = \
-                values[:cfg.num_pes]
-            machine.pe.set_lmem_column(col, padded)
+        machine.pe.load_lmem(sorted(lmem.items()))
         return ResultSnapshot.from_result(machine.run())
 
     snap_c = capture(Processor)
