@@ -32,6 +32,12 @@ reading; every line already received is answered, the request log is
 flushed, then the server exits.  An unterminated last line is answered
 at EOF (the client died mid-write) and dropped on a drain (it is still
 being written).
+
+A JSON-lines connection whose replies can no longer be written (the
+reader closed stdout, the client reset the socket) is not read again,
+and its queued lines that have not started are skipped and counted in
+``net_abandoned_lines_total``; a line already running finishes and its
+reply is dropped.
 """
 
 from __future__ import annotations
@@ -67,6 +73,13 @@ class _Work:
     text: str | None
     length: int
     future: asyncio.Future = field(repr=False)
+    transport: str
+
+
+def _resolve(stop: asyncio.Future) -> None:
+    """Resolve a connection's stop future (idempotent)."""
+    if not stop.done():
+        stop.set_result(None)
 
 
 def _reply_bytes(reply: dict) -> bytes:
@@ -154,9 +167,16 @@ class NetServer:
         self._dispatched = self.registry.counter(
             "net_requests_total", "requests dispatched, by transport",
             labels=("transport",))
+        self._abandoned = self.registry.counter(
+            "net_abandoned_lines_total", "queued lines skipped because "
+            "their connection's replies could no longer be written",
+            labels=("transport",))
         self._server: asyncio.AbstractServer | None = None
         self._scheduler: asyncio.Task | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        # One per open connection, resolved to stop its reads: by a
+        # drain (all of them) or by a failed reply write (its own).
+        self._stops: set[asyncio.Future] = set()
         self._executor: ThreadPoolExecutor | None = None
         self._work_event: asyncio.Event | None = None
         self._drain_event: asyncio.Event | None = None
@@ -201,6 +221,8 @@ class NetServer:
             self._server.close()
         if self._drain_event is not None:
             self._drain_event.set()
+        for stop in self._stops:
+            _resolve(stop)
         if self._work_event is not None:
             self._work_event.set()
 
@@ -252,19 +274,22 @@ class NetServer:
 
     # -- scheduling -----------------------------------------------------------
 
-    def submit_line(self, text: str | None, length: int) -> asyncio.Future:
+    def submit_line(self, text: str | None, length: int,
+                    transport: str = "http") -> asyncio.Future:
         """Queue one request line under its tenant; resolve with the reply.
 
         ``text=None`` marks an oversized line of ``length`` chars (the
         :class:`~repro.serve.dispatch.LineAssembler` convention).
+        Cancelling the future before the line starts skips it, counted
+        under ``transport``.
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         tenant, cost = DEFAULT_TENANT, 1.0
         if text is not None and text.strip():
             tenant, cost = self._classify(text)
-        self.drr.push(tenant, _Work(text=text, length=length,
-                                    future=future), cost=cost)
+        self.drr.push(tenant, _Work(text=text, length=length, future=future,
+                                    transport=transport), cost=cost)
         assert self._work_event is not None
         self._work_event.set()
         return future
@@ -301,6 +326,9 @@ class NetServer:
                 await self._work_event.wait()
                 continue
             _tenant, work = item
+            if work.future.cancelled():
+                self._abandoned.inc(transport=work.transport)
+                continue
             try:
                 reply = await loop.run_in_executor(
                     self._executor, self._handle_work, work)
@@ -320,76 +348,89 @@ class NetServer:
         assert task is not None
         self._conn_tasks.add(task)
         self._active.inc()
+        stop = asyncio.get_running_loop().create_future()
+        self._stops.add(stop)
+        if self.draining:
+            _resolve(stop)
         try:
-            await self._serve_connection(reader, writer, proto)
+            await self._serve_connection(reader, writer, stop, proto)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass   # client went away; nothing to answer
         finally:
             self._active.dec()
             self._conn_tasks.discard(task)
+            self._stops.discard(stop)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_or_drain(self, reader) -> bytes | None:
-        """Next chunk: b"" at EOF, None once a drain has begun."""
-        assert self._drain_event is not None
-        if self._drain_event.is_set():
+    @staticmethod
+    async def _read_or_drain(reader, stop: asyncio.Future) -> bytes | None:
+        """Next chunk: b"" at EOF, None once ``stop`` is resolved."""
+        if stop.done():
             return None
         read = asyncio.ensure_future(reader.read(_READ_CHUNK))
-        drain = asyncio.ensure_future(self._drain_event.wait())
-        done, _pending = await asyncio.wait(
-            {read, drain}, return_when=asyncio.FIRST_COMPLETED)
-        drain.cancel()
-        if read in done:
+        await asyncio.wait({read, stop},
+                           return_when=asyncio.FIRST_COMPLETED)
+        if read.done():
             return read.result()
         read.cancel()
         return None
 
-    async def _serve_connection(self, reader, writer, proto=None) -> None:
-        first = await self._read_or_drain(reader)
+    async def _serve_connection(self, reader, writer, stop: asyncio.Future,
+                                proto=None) -> None:
+        first = await self._read_or_drain(reader, stop)
         if not first:
             return
         proto = proto or ("http" if sniff_http(first) else "jsonl")
         self._connections.inc(proto=proto)
         if proto == "http":
-            await self._serve_http(reader, writer, first)
+            await self._serve_http(reader, writer, first, stop)
         else:
-            await self._serve_jsonl(reader, writer, first, proto)
+            await self._serve_jsonl(reader, writer, first, stop, proto)
 
     # -- JSON lines -----------------------------------------------------------
 
     async def _serve_jsonl(self, reader, writer, data: bytes | None,
-                           proto: str) -> None:
+                           stop: asyncio.Future, proto: str) -> None:
         assembler = LineAssembler(self.dispatcher.max_line_bytes)
         pending: asyncio.Queue = asyncio.Queue()
         flusher = asyncio.ensure_future(
-            self._flush_replies(writer, pending))
+            self._flush_replies(writer, pending, stop))
 
         def submit(lines) -> None:
             for text, length in lines:
                 self._dispatched.inc(transport=proto)
-                pending.put_nowait(self.submit_line(text, length))
+                pending.put_nowait(self.submit_line(text, length, proto))
 
         try:
             while data:
                 submit(assembler.feed(data))
-                data = await self._read_or_drain(reader)
+                data = await self._read_or_drain(reader, stop)
             if data is not None:   # EOF: answer a line cut off mid-write
                 submit(assembler.finish())
         finally:
             pending.put_nowait(None)   # sentinel: no more work
             await flusher
 
-    async def _flush_replies(self, writer,
-                             pending: asyncio.Queue) -> None:
-        """Write replies in request order as their futures resolve."""
+    @staticmethod
+    async def _flush_replies(writer, pending: asyncio.Queue,
+                             stop: asyncio.Future) -> None:
+        """Write replies in request order as their futures resolve.
+
+        Once a write fails, ``stop`` ends the connection's reads and every
+        later line is cancelled: the scheduler skips those not started.
+        """
+        gone = False
         while True:
             future = await pending.get()
             if future is None:
                 return
+            if gone:
+                future.cancel()
+                continue
             reply = await future
             if reply is None:
                 continue
@@ -397,11 +438,13 @@ class NetServer:
                 writer.write(_reply_bytes(reply))
                 await writer.drain()
             except (ConnectionError, OSError):
-                return   # receiver gone; keep resolving quietly
+                gone = True    # receiver gone
+                _resolve(stop)
 
     # -- HTTP/1.1 -------------------------------------------------------------
 
-    async def _serve_http(self, reader, writer, first: bytes) -> None:
+    async def _serve_http(self, reader, writer, first: bytes,
+                          stop: asyncio.Future) -> None:
         parser = HttpParser(max_body_bytes=self.dispatcher.max_line_bytes)
         data = first
         keep_going = True
@@ -420,7 +463,7 @@ class NetServer:
                 keep_going = await self._answer_http(request, writer)
                 if not keep_going:
                     return
-            data = await self._read_or_drain(reader)
+            data = await self._read_or_drain(reader, stop)
 
     async def _answer_http(self, request: HttpRequest, writer) -> bool:
         """Route one request; returns False when the connection ends."""

@@ -1125,6 +1125,66 @@ class TestGracefulShutdown:
         assert [r["id"] for r in replies] == [1, 2, 3]
         assert all(r["ok"] for r in replies)
 
+    def test_stdio_stops_when_stdout_is_gone(self, tmp_path):
+        """A reader that closes stdout after one reply: the lines queued
+        behind it are skipped, not run (all 40 ran before)."""
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text("".join(
+            json.dumps({"op": "run", "id": i,
+                        "job": {"name": f"v{i}", "kernel": "vector_mac"}})
+            + "\n" for i in range(40)))
+        with open(jobs, "rb") as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--no-cache",
+                 "--request-log", str(tmp_path / "req.log")],
+                stdin=stdin, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                env={**os.environ,
+                     "PYTHONPATH": os.environ.get("PYTHONPATH", "src")})
+            try:
+                assert json.loads(proc.stdout.readline())["id"] == 0
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
+        assert len(read_log(tmp_path / "req.log")) <= 5
+
+    def test_tcp_reset_abandons_queued_lines(self):
+        """A client that pipelines 40 runs, reads one reply and resets:
+        the rest are skipped and counted (all 40 ran before)."""
+        dispatcher = make_dispatcher()
+        handled = []
+        handle_line = dispatcher.handle_line
+
+        def counting(text):
+            handled.append(text)
+            return handle_line(text)
+
+        dispatcher.handle_line = counting
+        lines = b"".join(
+            json.dumps({"op": "run", "id": i,
+                        "job": {"name": f"v{i}", "kernel": "vector_mac"}}
+                       ).encode() + b"\n" for i in range(40))
+
+        async def go():
+            server = NetServer(dispatcher)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(lines)
+            await writer.drain()
+            first = json.loads(await reader.readline())
+            writer.transport.abort()
+            await server.aclose()
+            return first, server.registry.render_prometheus()
+
+        first, metrics = asyncio.run(go())
+        assert first["id"] == 0 and first["ok"]
+        assert len(handled) <= 5
+        abandoned = [l for l in metrics.splitlines() if l.startswith(
+            'net_abandoned_lines_total{transport="jsonl"}')]
+        assert abandoned and float(abandoned[0].split()[-1]) == \
+            40 - len(handled)
+
     def test_tcp_sigterm_exits_zero(self, tmp_path):
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--no-cache",
