@@ -453,8 +453,8 @@ def static_cycle_bound(program: Program, config: ProcessorConfig,
     if analysis is None:
         analysis = TimingAnalysis(program, config)
     cfg = analysis.cfg
-    if cfg.has_indirect or cfg.spawn_entries or any(
-            instr.spec.is_thread_op for instr in program.instructions):
+    if cfg.has_indirect or any(instr.spec.is_thread_op
+                               for instr in program.instructions):
         return None
     if not cfg.blocks:
         return 0
