@@ -1125,14 +1125,17 @@ class TestGracefulShutdown:
         assert [r["id"] for r in replies] == [1, 2, 3]
         assert all(r["ok"] for r in replies)
 
+    # Tens of milliseconds per job, so a test process that is slow to
+    # hang up after the first reply lets at most one more job finish.
+    SLOW_MAC = {"kernel": "vector_mac", "kernel_args": {"iters": 2000}}
+
     def test_stdio_stops_when_stdout_is_gone(self, tmp_path):
         """A reader that closes stdout after one reply: the lines queued
         behind it are skipped, not run (all 40 ran before)."""
         jobs = tmp_path / "jobs.jsonl"
         jobs.write_text("".join(
-            json.dumps({"op": "run", "id": i,
-                        "job": {"name": f"v{i}", "kernel": "vector_mac"}})
-            + "\n" for i in range(40)))
+            json.dumps({"op": "run", "id": i, "job": self.SLOW_MAC}) + "\n"
+            for i in range(40)))
         with open(jobs, "rb") as stdin:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", "serve", "--no-cache",
@@ -1162,9 +1165,8 @@ class TestGracefulShutdown:
 
         dispatcher.handle_line = counting
         lines = b"".join(
-            json.dumps({"op": "run", "id": i,
-                        "job": {"name": f"v{i}", "kernel": "vector_mac"}}
-                       ).encode() + b"\n" for i in range(40))
+            json.dumps({"op": "run", "id": i, "job": self.SLOW_MAC}).encode()
+            + b"\n" for i in range(40))
 
         async def go():
             server = NetServer(dispatcher)
