@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.network.tree import broadcast_latency, reduction_latency
 from repro.util.bitops import SUPPORTED_WIDTHS, mask_for_width
+from repro.util.fields import check, rule
 
 
 class MTMode(enum.Enum):
@@ -63,47 +64,47 @@ class ProcessorConfig:
     scheduler, pipelined broadcast/reduction networks.
     """
 
-    num_pes: int = 16
-    num_threads: int = 16
-    word_width: int = 8
-    lmem_words: int = 1024
-    scalar_mem_words: int = 4096
+    num_pes: int = rule("processing elements (PEs) p", 16, lo=1)
+    num_threads: int = rule("hardware thread contexts T", 16, lo=1)
+    word_width: int = rule("word width W in bits", 8,
+                           choices=SUPPORTED_WIDTHS)
+    lmem_words: int = rule("local-memory words per PE", 1024, lo=1)
+    scalar_mem_words: int = rule("scalar data-memory words", 4096, lo=1)
 
-    broadcast_arity: int = 2
+    broadcast_arity: int = rule("broadcast-tree arity k", 2, lo=2)
     # Legacy-machine switches: the 2005 pipelined ASC Processor has
     # pipelined instruction execution but *unpipelined* broadcast and
     # reduction networks (Section 3); these flags reproduce it.
-    pipelined_broadcast: bool = True
-    pipelined_reduction: bool = True
+    pipelined_broadcast: bool = rule("pipelined broadcast network", True)
+    pipelined_reduction: bool = rule("pipelined reduction network", True)
 
-    mt_mode: MTMode = MTMode.FINE
-    scheduler: SchedulerPolicy = SchedulerPolicy.ROTATING
-    branch_policy: BranchPolicy = BranchPolicy.STALL
-    coarse_switch_penalty: int = 3   # pipeline-flush cycles on a coarse switch
-    coarse_switch_threshold: int = 3  # minimum stall length that triggers a switch
+    mt_mode: MTMode = rule("multithreading discipline", MTMode.FINE)
+    scheduler: SchedulerPolicy = rule("thread selection among ready threads",
+                                      SchedulerPolicy.ROTATING)
+    branch_policy: BranchPolicy = rule("front-end branch handling",
+                                       BranchPolicy.STALL)
+    coarse_switch_penalty: int = rule("pipeline-flush cycles per coarse "
+                                      "switch", 3, lo=0)
+    coarse_switch_threshold: int = rule("shortest stall that triggers a "
+                                        "coarse switch", 3, lo=0)
 
-    multiplier: MultiplierKind = MultiplierKind.PIPELINED
-    divider: DividerKind = DividerKind.SEQUENTIAL
+    multiplier: MultiplierKind = rule("PE multiplier (Section 6.2)",
+                                      MultiplierKind.PIPELINED)
+    divider: DividerKind = rule("PE divider", DividerKind.SEQUENTIAL)
 
     # Front-end model (Figure 3's fetch unit).  Off by default: the
     # ideal front end is faithful for a single-issue machine whose fetch
     # bandwidth matches its issue width; enabling it bounds instruction
     # supply by fetch_width/cycle and per-thread buffer depth.
-    model_fetch: bool = False
-    fetch_width: int | None = None        # default: the issue width
-    fetch_buffer_depth: int = 2
+    model_fetch: bool = rule("model the fetch unit", False)
+    fetch_width: int | None = rule("instructions fetched per cycle; null: "
+                                   "the issue width", None, lo=1)
+    fetch_buffer_depth: int = rule("fetch-buffer entries per thread", 2, lo=1)
 
-    max_cycles: int = 10_000_000
+    max_cycles: int = rule("cycle watchdog", 10_000_000, lo=1)
 
     def __post_init__(self) -> None:
-        if self.word_width not in SUPPORTED_WIDTHS:
-            raise ValueError(
-                f"word_width must be one of {SUPPORTED_WIDTHS}, "
-                f"got {self.word_width}")
-        if self.num_pes < 1:
-            raise ValueError("num_pes must be >= 1")
-        if self.num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
+        check(self, ValueError)
         if self.mt_mode is MTMode.SINGLE and self.num_threads != 1:
             raise ValueError(
                 "single-threaded mode requires num_threads == 1 "
@@ -119,20 +120,6 @@ class ProcessorConfig:
                 f"num_threads={self.num_threads} cannot be named by a "
                 f"{self.word_width}-bit word (max "
                 f"{mask_for_width(self.word_width)}); thread ids would wrap")
-        if self.broadcast_arity < 2:
-            raise ValueError("broadcast_arity must be >= 2")
-        if self.lmem_words < 1 or self.scalar_mem_words < 1:
-            raise ValueError("memory sizes must be positive")
-        if self.coarse_switch_penalty < 0:
-            raise ValueError("coarse_switch_penalty must be >= 0")
-        if self.coarse_switch_threshold < 0:
-            raise ValueError("coarse_switch_threshold must be >= 0")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be >= 1")
-        if self.fetch_width is not None and self.fetch_width < 1:
-            raise ValueError("fetch_width must be >= 1")
-        if self.fetch_buffer_depth < 1:
-            raise ValueError("fetch_buffer_depth must be >= 1")
         # Cache the derived network depths: they are consulted on every
         # hazard check in the simulator's inner loop (profiled hot).
         # Configurations are treated as immutable after construction;

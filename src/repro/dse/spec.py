@@ -29,12 +29,13 @@ byte-identical re-sweep guarantee build on.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import MTMode, ProcessorConfig
 from repro.fpga.devices import Device, device_by_name
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
-from repro.serve.jobs import JobError, check_max_cycles, config_from_json
+from repro.serve.jobs import config_from_json
+from repro.util.fields import check, from_json, rule
 
 #: Sweepable ProcessorConfig fields, in canonical expansion order.
 AXIS_ORDER = ("num_pes", "num_threads", "word_width", "broadcast_arity",
@@ -75,25 +76,22 @@ class DesignPoint:
 class SweepSpec:
     """A validated sweep: axes x kernels, fitted against one device."""
 
-    axes: dict = field(default_factory=dict)
-    kernels: tuple = DEFAULT_KERNELS
-    device: Device = field(default_factory=lambda: device_by_name("EP2C35"))
-    base: dict = field(default_factory=dict)
-    backend: str = "auto"
-    max_cycles: int | None = None
-    name: str = "sweep"
+    axes: dict = rule("swept config fields: {axis: [integers]}",
+                      factory=dict)
+    kernels: tuple[str, ...] = rule("library kernels run at every point",
+                                    DEFAULT_KERNELS)
+    device: Device = rule("FPGA catalog device each point is fitted "
+                          "against", factory=lambda: device_by_name("EP2C35"))
+    base: dict = rule("non-swept config fields", factory=dict)
+    backend: str = rule("execution backend policy", "auto",
+                        choices=BACKEND_POLICIES)
+    max_cycles: int | None = rule("per-job cycle limit", None, lo=1)
+    name: str = rule("sweep name", "sweep")
 
     def __post_init__(self) -> None:
+        check(self, DseSpecError)
         self._validate_axes()
         self._validate_kernels()
-        if self.backend not in BACKEND_POLICIES:
-            raise DseSpecError(
-                f"backend must be one of {', '.join(BACKEND_POLICIES)}; "
-                f"got {self.backend!r}")
-        try:
-            check_max_cycles(self.max_cycles)
-        except JobError as exc:
-            raise DseSpecError(str(exc)) from None
 
     # -- validation ----------------------------------------------------------
 
@@ -162,36 +160,14 @@ class SweepSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "SweepSpec":
         """Parse and validate a JSON sweep document."""
-        if not isinstance(obj, dict):
-            raise DseSpecError(
-                f"sweep spec must be a JSON object, "
-                f"got {type(obj).__name__}")
-        known = {"name", "axes", "kernels", "device", "base", "backend",
-                 "max_cycles"}
-        unknown = sorted(set(obj) - known)
-        if unknown:
-            raise DseSpecError(
-                f"unknown spec field(s): {', '.join(unknown)}")
-        axes = obj.get("axes")
-        if not isinstance(axes, dict):
-            raise DseSpecError("'axes' must be an object mapping axis "
-                               "names to value lists")
-        kernels = obj.get("kernels", list(DEFAULT_KERNELS))
-        if not isinstance(kernels, (list, tuple)):
-            raise DseSpecError("'kernels' must be a list of kernel names")
-        try:
-            device = device_by_name(str(obj.get("device", "EP2C35")))
-        except KeyError as exc:
-            raise DseSpecError(str(exc.args[0])) from exc
-        base = obj.get("base") or {}
-        if not isinstance(base, dict):
-            raise DseSpecError("'base' must be an object of "
-                               "ProcessorConfig fields")
-        return cls(axes=dict(axes), kernels=tuple(str(k) for k in kernels),
-                   device=device, base=dict(base),
-                   backend=str(obj.get("backend", "auto")),
-                   max_cycles=obj.get("max_cycles"),
-                   name=str(obj.get("name", "sweep")))
+        given = {}
+        device = obj.get("device") if isinstance(obj, dict) else None
+        if isinstance(device, str):
+            try:
+                given["device"] = device_by_name(device)
+            except KeyError as exc:
+                raise DseSpecError(str(exc.args[0])) from exc
+        return from_json(cls, obj, "spec", DseSpecError, **given)
 
     # -- expansion -----------------------------------------------------------
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.config import ProcessorConfig
+from repro.util.fields import check, from_json, rule
 
 
 class FaultSite(enum.Enum):
@@ -68,26 +69,23 @@ class FaultSpec:
     for broadcast/dead-link subtree faults.
     """
 
-    site: FaultSite
-    kind: FaultKind
-    cycle: int
-    pe: int = 0
-    thread: int = 0
-    reg: int = 0
-    bit: int = 0
-    level: int = 0
-    stuck_value: int = 0
-    label: str = field(default="", compare=False)
+    site: FaultSite = rule("structure the fault hits")
+    kind: FaultKind = rule("transient upset, stuck-at cell or dead part")
+    cycle: int = rule("trigger cycle", lo=0)
+    pe: int = rule("PE index", 0, lo=0)
+    thread: int = rule("thread context", 0, lo=0)
+    reg: int = rule("register index", 0, lo=0)
+    bit: int = rule("bit position", 0, lo=0)
+    level: int = rule("tree level of the subtree hit", 0, lo=0)
+    stuck_value: int = rule("value a stuck-at bit holds", 0, choices=(0, 1))
+    label: str = rule("free-form label", "", compare=False)
 
     def __post_init__(self) -> None:
-        if self.cycle < 0:
-            raise ValueError(f"fault trigger cycle must be >= 0, got {self.cycle}")
+        check(self, ValueError)
         if self.site in _PERMANENT_ONLY and self.kind is not FaultKind.PERMANENT:
             raise ValueError(f"{self.site.value} faults must be permanent")
         if self.site in _TRANSIENT_ONLY and self.kind is not FaultKind.TRANSIENT:
             raise ValueError(f"{self.site.value} faults must be transient")
-        if self.stuck_value not in (0, 1):
-            raise ValueError(f"stuck_value must be 0 or 1, got {self.stuck_value}")
 
     def describe(self) -> str:
         coords = {
@@ -119,13 +117,7 @@ class FaultSpec:
 
     @staticmethod
     def from_json(data: dict) -> "FaultSpec":
-        return FaultSpec(
-            site=FaultSite(data["site"]), kind=FaultKind(data["kind"]),
-            cycle=data["cycle"], pe=data.get("pe", 0),
-            thread=data.get("thread", 0), reg=data.get("reg", 0),
-            bit=data.get("bit", 0), level=data.get("level", 0),
-            stuck_value=data.get("stuck_value", 0),
-            label=data.get("label", ""))
+        return from_json(FaultSpec, data, "fault", ValueError)
 
 
 # Default site mix for random campaigns: transient upsets dominate (as

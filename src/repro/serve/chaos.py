@@ -54,6 +54,8 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.util.fields import check, from_json, rule
+
 
 class ChaosError(RuntimeError):
     """The exception ``raise_exc`` chaos injects inside executors."""
@@ -86,20 +88,16 @@ class ChaosSpec:
     ``worker_kill`` worker lives before dying.
     """
 
-    kind: ChaosKind
-    job: int = 0
-    op: int = 0
-    times: int = 1
-    delay_s: float = 0.0
-    label: str = field(default="", compare=False)
+    kind: ChaosKind = rule("infrastructure failure injected")
+    job: int = rule("computed-job index hit by a job kind", 0, lo=0)
+    op: int = rule("first disk-write ordinal hit by a disk kind", 0, lo=0)
+    times: int = rule("submissions or writes hit", 1, lo=1)
+    delay_s: float = rule("slow_worker sleep, or a killed worker's life, "
+                          "in seconds", 0.0, lo=0)
+    label: str = rule("free-form label", "", compare=False)
 
     def __post_init__(self) -> None:
-        if self.job < 0 or self.op < 0:
-            raise ValueError("job/op indices must be >= 0")
-        if self.times < 1:
-            raise ValueError(f"times must be >= 1, got {self.times}")
-        if self.delay_s < 0:
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
+        check(self, ValueError)
         if self.kind is ChaosKind.SLOW_WORKER and self.delay_s == 0:
             raise ValueError("slow_worker specs need delay_s > 0")
 
@@ -121,11 +119,7 @@ class ChaosSpec:
 
     @staticmethod
     def from_json(data: dict) -> "ChaosSpec":
-        return ChaosSpec(kind=ChaosKind(data["kind"]),
-                         job=data.get("job", 0), op=data.get("op", 0),
-                         times=data.get("times", 1),
-                         delay_s=data.get("delay_s", 0.0),
-                         label=data.get("label", ""))
+        return from_json(ChaosSpec, data, "chaos", ValueError)
 
 
 # Default kind mix for random plans: kills dominate (they exercise the

@@ -39,7 +39,7 @@ from collections import deque
 from repro.asm.assembler import PROGRAM_MEMO
 from repro.serve.batch import BatchRunner
 from repro.serve.cache import ResultCache
-from repro.serve.jobs import JobError, jobs_from_json
+from repro.serve.jobs import JobError, job_name, jobs_from_json
 
 #: Refuse batches larger than this many jobs (queue bound).
 DEFAULT_MAX_PENDING = 256
@@ -94,15 +94,6 @@ def _publish_program_memo(registry) -> None:
 def canonical_reply(reply: dict) -> str:
     """The exact text every transport writes for ``reply`` (sans newline)."""
     return json.dumps(reply, sort_keys=True)
-
-
-def _job_name(obj) -> str:
-    """Best-effort display name for a job object we will not run."""
-    if isinstance(obj, dict):
-        name = (obj.get("name") or obj.get("kernel") or obj.get("file")
-                or "inline")
-        return str(name)
-    return "?"
 
 
 class LineAssembler:
@@ -438,7 +429,7 @@ class Dispatcher:
             cut = len(raw_jobs) - self.max_pending
             for obj in raw_jobs[:cut]:
                 shed_replies.append(
-                    {"name": _job_name(obj), "status": "shed",
+                    {"name": job_name(obj), "status": "shed",
                      "error": f"load shed: batch of {len(raw_jobs)} "
                               f"exceeded max_pending="
                               f"{self.max_pending}"})
@@ -476,10 +467,6 @@ class Dispatcher:
         """
         from repro.dse import DseRunner, DseSpecError, SweepSpec
 
-        if not isinstance(spec_obj, dict):
-            return {"ok": False,
-                    "error": "'spec' must be a sweep object "
-                             "(see docs/DSE.md)"}
         try:
             spec = SweepSpec.from_json(spec_obj)
         except DseSpecError as exc:

@@ -53,73 +53,35 @@ from dataclasses import dataclass, field
 
 from repro.asm.assembler import assemble
 from repro.asm.program import Program
-from repro.core.config import (
-    BranchPolicy,
-    DividerKind,
-    MTMode,
-    MultiplierKind,
-    ProcessorConfig,
-    SchedulerPolicy,
-)
+from repro.core.config import ProcessorConfig
 from repro.faults.spec import FaultSpec
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
 from repro.serve.identity import job_key
-
-_ENUM_FIELDS = {
-    "mt_mode": MTMode,
-    "scheduler": SchedulerPolicy,
-    "branch_policy": BranchPolicy,
-    "multiplier": MultiplierKind,
-    "divider": DividerKind,
-}
+from repro.util.fields import check, from_json, rule
 
 
 class JobError(ValueError):
     """A job description is malformed or names unknown entities."""
 
 
-def check_max_cycles(value: object) -> None:
-    """Reject a cycle limit that is neither null nor an int >= 1.
-
-    The one rule for ``max_cycles`` in job and sweep documents; bools are
-    ints to Python but not cycle counts.
-    """
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, int) or value < 1):
-        raise JobError(f"max_cycles must be null or an integer >= 1, "
-                       f"got {value!r}")
-
-
-#: JSON job fields that must have one type when present (not null).
-_FIELD_TYPES = {
-    "source": (str, "a string of assembly source"),
-    "file": (str, "a path string"),
-    "kernel": (str, "a kernel name string"),
-    "kernel_args": (dict, "an object of keyword arguments for the kernel "
-                          "builder"),
-    "config": (dict, "an object of ProcessorConfig fields"),
-    "lmem": (dict, "an object mapping columns to value lists"),
-    "fault": (dict, "a fault object"),
-}
-
-
 def config_from_json(spec: dict | None) -> ProcessorConfig:
     """Build a :class:`ProcessorConfig` from a JSON dict of field values."""
-    spec = dict(spec or {})
-    known = {f.name for f in dataclasses.fields(ProcessorConfig)}
-    unknown = sorted(set(spec) - known)
-    if unknown:
-        raise JobError(f"unknown config field(s): {', '.join(unknown)}")
-    for name, enum_cls in _ENUM_FIELDS.items():
-        if name in spec and isinstance(spec[name], str):
-            try:
-                spec[name] = enum_cls(spec[name])
-            except ValueError as exc:
-                raise JobError(str(exc)) from exc
     try:
-        return ProcessorConfig(**spec)
-    except (TypeError, ValueError) as exc:
+        return from_json(ProcessorConfig, {} if spec is None else spec,
+                         "config", JobError)
+    except JobError:
+        raise
+    except ValueError as exc:
         raise JobError(f"bad config: {exc}") from exc
+
+
+def job_name(obj) -> str:
+    """A job object's display name: its first non-empty string among
+    ``name``, ``kernel`` and ``file``, else ``"inline"``."""
+    if not isinstance(obj, dict):
+        return "?"
+    return next((obj[k] for k in ("name", "kernel", "file")
+                 if isinstance(obj.get(k), str) and obj[k]), "inline")
 
 
 @dataclass
@@ -147,34 +109,29 @@ class PreparedJob:
 class Job:
     """One simulation request (see the module docstring for JSON form)."""
 
-    name: str
-    source: str | None = None
-    kernel: str | None = None
-    kernel_args: dict = field(default_factory=dict)
-    config: ProcessorConfig = field(default_factory=ProcessorConfig)
-    lmem: dict = field(default_factory=dict)
-    max_cycles: int | None = None
-    fault: FaultSpec | None = None
-    sanitize: bool = False
-    profile: bool = False
-    verify: bool = False
-    backend: str = "cycle"
+    name: str = rule("display name; default: the kernel, the file or "
+                     "'inline'")
+    source: str | None = rule("inline assembly source", None)
+    kernel: str | None = rule("a library kernel to build and run", None)
+    kernel_args: dict = rule("kernel builder keyword arguments", factory=dict)
+    config: ProcessorConfig = rule("the machine", factory=ProcessorConfig)
+    lmem: dict = rule("PE local-memory columns", factory=dict)
+    max_cycles: int | None = rule("cycle limit", None, lo=1)
+    fault: FaultSpec | None = rule("a fault to inject", None)
+    sanitize: bool = rule("attach the race sanitizer", False)
+    profile: bool = rule("attach the cycle profiler", False)
+    verify: bool = rule("run a translation-validated schedule", False)
+    backend: str = rule("execution backend", "cycle",
+                        choices=("cycle", "fast"))
 
     def __post_init__(self) -> None:
+        check(self, lambda msg: JobError(f"job {self.name!r}: {msg}"))
         if (self.source is None) == (self.kernel is None):
             raise JobError(
                 f"job {self.name!r}: exactly one of source/kernel required")
         if self.kernel_args and self.kernel is None:
             raise JobError(
                 f"job {self.name!r}: kernel_args requires a kernel job")
-        try:
-            check_max_cycles(self.max_cycles)
-        except JobError as exc:
-            raise JobError(f"job {self.name!r}: {exc}") from None
-        if self.backend not in ("cycle", "fast"):
-            raise JobError(
-                f"job {self.name!r}: backend must be 'cycle' or 'fast', "
-                f"got {self.backend!r}")
         if self.backend == "fast":
             incompatible = [flag for flag, on in (
                 ("fault", self.fault is not None),
@@ -191,52 +148,45 @@ class Job:
                   ) -> "Job":
         """Parse one job object; ``file`` paths resolve against base_dir."""
         if not isinstance(obj, dict):
-            raise JobError(f"job entry must be an object, got {type(obj).__name__}")
-        known = {"name", "source", "file", "kernel", "kernel_args", "config",
-                 "lmem", "max_cycles", "fault", "sanitize", "profile",
-                 "verify", "backend"}
-        unknown = sorted(set(obj) - known)
-        if unknown:
-            raise JobError(f"unknown job field(s): {', '.join(unknown)}")
-        for fname, (kind, what) in _FIELD_TYPES.items():
-            value = obj.get(fname)
-            if value is not None and not isinstance(value, kind):
-                raise JobError(f"'{fname}' must be {what}, "
-                               f"got {type(value).__name__}")
-        source = obj.get("source")
-        if obj.get("file") is not None:
-            if source is not None:
-                raise JobError("give either 'source' or 'file', not both")
-            path = pathlib.Path(obj["file"])
+            raise JobError(f"'job' must be an object, got {obj!r}")
+        # A null job field is an absent one.
+        doc = {k: v for k, v in obj.items() if v is not None}
+        if doc.get("name", "") == "":
+            doc["name"] = job_name(obj)
+        name = doc["name"]
+
+        def bad(msg: str) -> JobError:
+            return JobError(f"job {name!r}: {msg}")
+
+        path = doc.pop("file", None)
+        if path is not None:
+            if not isinstance(path, str):
+                raise bad(f"'file' must be a string, got {path!r}")
+            if "source" in doc:
+                raise bad("give either 'source' or 'file', not both")
+            path = pathlib.Path(path)
             if base_dir is not None and not path.is_absolute():
                 path = pathlib.Path(base_dir) / path
             try:
-                source = path.read_text()
+                doc["source"] = path.read_text()
             except OSError as exc:
-                raise JobError(f"cannot read {path}: {exc}") from exc
-        lmem = {}
-        for col, values in (obj.get("lmem") or {}).items():
-            try:
-                lmem[int(col)] = [int(v) for v in values]
-            except (TypeError, ValueError) as exc:
-                raise JobError(f"bad lmem column {col!r}: {exc}") from exc
-        fault = None
-        if obj.get("fault") is not None:
-            try:
-                fault = FaultSpec.from_json(obj["fault"])
-            except (KeyError, ValueError) as exc:
-                raise JobError(f"bad fault spec: {exc}") from exc
-        name = obj.get("name") or obj.get("kernel") or obj.get("file") \
-            or "inline"
-        kernel_args = obj.get("kernel_args") or {}
-        return cls(name=str(name), source=source, kernel=obj.get("kernel"),
-                   kernel_args={str(k): v for k, v in kernel_args.items()},
-                   config=config_from_json(obj.get("config")),
-                   lmem=lmem, max_cycles=obj.get("max_cycles"), fault=fault,
-                   sanitize=bool(obj.get("sanitize", False)),
-                   profile=bool(obj.get("profile", False)),
-                   verify=bool(obj.get("verify", False)),
-                   backend=str(obj.get("backend", "cycle")))
+                raise bad(f"cannot read {path}: {exc}") from exc
+        for key, parse in (("config", config_from_json),
+                           ("fault", FaultSpec.from_json)):
+            if key in doc:
+                try:
+                    doc[key] = parse(doc[key])
+                except ValueError as exc:
+                    raise bad(str(exc)) from None
+        if isinstance(doc.get("lmem"), dict):
+            lmem = {}
+            for col, values in doc["lmem"].items():
+                try:
+                    lmem[int(col)] = [int(v) for v in values]
+                except (TypeError, ValueError) as exc:
+                    raise bad(f"bad lmem column {col!r}: {exc}") from exc
+            doc["lmem"] = lmem
+        return from_json(cls, doc, "job", bad)
 
     def prepare(self) -> PreparedJob:
         """Assemble and hash this job into its canonical form."""

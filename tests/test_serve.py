@@ -674,15 +674,16 @@ class TestServeHardening:
             .value(reason="internal") == 0
 
     @pytest.mark.parametrize("field, value, error", [
-        ("kernel", ["vector_mac"], "'kernel' must be a kernel name string"),
-        ("config", [1], "'config' must be an object"),
-        ("config", "x", "'config' must be an object"),
-        ("lmem", [1], "'lmem' must be an object"),
-        ("fault", 5, "'fault' must be a fault object"),
+        ("kernel", ["vector_mac"],
+         "'kernel' must be null or a string, got ['vector_mac']"),
+        ("config", [1], "'config' must be an object, got [1]"),
+        ("config", "x", "'config' must be an object, got 'x'"),
+        ("lmem", [1], "'lmem' must be an object, got [1]"),
+        ("fault", 5, "'fault' must be an object, got 5"),
         ("kernel_args", {"width": 64},
          "job 'vector_mac': bad kernel_args for 'vector_mac'"),
-        ("source", 5, "'source' must be a string"),
-        ("file", 5, "'file' must be a path string"),
+        ("source", 5, "'source' must be null or a string, got 5"),
+        ("file", 5, "'file' must be a string, got 5"),
     ])
     def test_wrong_typed_job_field_is_a_job_error(self, field, value, error):
         ses = self.session()
@@ -692,7 +693,13 @@ class TestServeHardening:
         job[field] = value
         reply = ses.handle_line(json.dumps({"op": "run", "job": job}))
         assert reply["ok"] is False
-        assert reply["error"].startswith(error), reply["error"]
+        if field == "kernel_args":
+            assert reply["error"].startswith(error), reply["error"]
+        else:
+            # The job's name is its kernel when that is a string.
+            kernel = job.get("kernel")
+            name = kernel if isinstance(kernel, str) else "inline"
+            assert reply["error"] == f"job {name!r}: {error}"
         assert ses.registry.get("serve_line_errors_total") \
             .value(reason="internal") == 0
 
@@ -701,7 +708,7 @@ class TestServeHardening:
         reply = self.session().handle_line(json.dumps(
             {"op": "run", "job": {**self.job_obj(), "max_cycles": value}}))
         assert reply == {"ok": False, "error":
-                         f"job 'x': max_cycles must be null or an integer "
+                         f"job 'x': 'max_cycles' must be null or an integer "
                          f">= 1, got {value!r}"}
 
     @pytest.mark.parametrize("value", [None, 500])
