@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro.core.config import MTMode, ProcessorConfig
 from repro.fpga.devices import Device, device_by_name
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
-from repro.serve.jobs import config_from_json
+from repro.serve.jobs import MAX_JOB_CYCLES, config_from_json
 from repro.util.fields import check, from_json, rule
 
 #: Sweepable ProcessorConfig fields, in canonical expansion order.
@@ -85,7 +85,8 @@ class SweepSpec:
     base: dict = rule("non-swept config fields", factory=dict)
     backend: str = rule("execution backend policy", "auto",
                         choices=BACKEND_POLICIES)
-    max_cycles: int | None = rule("per-job cycle limit", None, lo=1)
+    max_cycles: int | None = rule("per-job cycle limit", None, lo=1,
+                                  hi=MAX_JOB_CYCLES)
     name: str = rule("sweep name", "sweep")
 
     def __post_init__(self) -> None:

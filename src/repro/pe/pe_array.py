@@ -38,6 +38,16 @@ class MemoryFault(RuntimeError):
 class PEArray:
     """Architectural state of the PE array for all hardware threads."""
 
+    @staticmethod
+    def state_bytes(cfg) -> int:
+        """Bytes a machine of config ``cfg`` allocates for its state: the
+        int64 registers and local memory and the one-byte flags allocated
+        below, plus the scalar memory at its widest (4-byte) word."""
+        per_pe = cfg.num_threads * (8 * registers.NUM_PARALLEL_REGS
+                                    + registers.NUM_FLAG_REGS)
+        return (cfg.num_pes * (per_pe + 8 * cfg.lmem_words)
+                + 4 * cfg.scalar_mem_words)
+
     def __init__(self, num_pes: int, num_threads: int, word_width: int,
                  lmem_words: int) -> None:
         if num_pes < 1:

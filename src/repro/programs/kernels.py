@@ -17,6 +17,7 @@ update (Potter et al. [4]).
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from repro.network import reduction as red
 from repro.programs import workloads as wl
 from repro.util.bitops import mask_for_width
+from repro.util.fields import Rule
 
 
 @dataclass
@@ -335,6 +337,9 @@ def image_threshold(num_pes: int, rows: int = 8, threshold: int = 100,
     "While the ASC model does not require this [sum] function, it is used
     in a number of image and video processing algorithms." (Section 6.4.)
     """
+    if not 1 <= rows <= 4095:
+        raise ValueError(f"rows={rows} must be in 1..4095, the offsets "
+                         f"plw can address")
     image = wl.random_image(num_pes, rows, width, seed=seed)
     cols = {r: image[r] for r in range(rows)}
     sums = []
@@ -424,6 +429,9 @@ def histogram(num_pes: int, bins: int = 8, width: int = 16,
               seed: int = 8) -> Kernel:
     """Histogram of a field via repeated range searches + rcount."""
     hi = 2 ** 10
+    if not 1 <= bins <= hi:
+        raise ValueError(f"bins={bins} must be in 1..{hi}: each bin spans "
+                         f"at least one of the {hi} values")
     values = wl.random_field(num_pes, width, seed=seed, low=0, high=hi)
     step = hi // bins
     counts = [int(np.count_nonzero((values >= b * step)
@@ -745,3 +753,11 @@ ALL_KERNEL_BUILDERS = {
     "skyline_2d": skyline_2d,
     "multiword_add": multiword_add,
 }
+
+#: Each builder's keyword-argument rules, from its annotations, read here
+#: once: a wrapper put into ALL_KERNEL_BUILDERS carries no annotations.
+KERNEL_ARG_RULES = {
+    name: {arg: Rule(arg, hint)
+           for arg, hint in typing.get_type_hints(builder).items()
+           if arg not in ("num_pes", "return")}
+    for name, builder in ALL_KERNEL_BUILDERS.items()}

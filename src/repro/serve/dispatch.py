@@ -63,6 +63,11 @@ DEFAULT_TENANT = "anon"
 #: payload (the operational counters stay on the ``stats`` surface).
 DETERMINISTIC_OPS = ("batch", "dse", "ping", "run")
 
+#: The payload field of each job-carrying op.  Its request may carry
+#: only ``op``, ``id``, ``tenant`` and that field; the other ops ignore
+#: extra fields.
+_PAYLOADS = {"run": "job", "batch": "jobs", "dse": "spec"}
+
 #: Request latencies kept for the stats SLO section (a sliding window,
 #: so a long-lived service reports recent behaviour, not its lifetime).
 SLO_WINDOW = 4096
@@ -314,9 +319,9 @@ class Dispatcher:
 
     @staticmethod
     def _tenant_of(request) -> str:
-        if isinstance(request, dict) and request.get("tenant"):
-            return str(request["tenant"])
-        return DEFAULT_TENANT
+        tenant = request.get("tenant")
+        return tenant if isinstance(tenant, str) and tenant else \
+            DEFAULT_TENANT
 
     def _logged(self, line: str, op: str, tenant: str, reply: dict) -> dict:
         """Append ``(line, reply)`` to the request log (best-effort)."""
@@ -347,8 +352,18 @@ class Dispatcher:
         if op == "shutdown":
             self.shutdown = True
             return {"ok": True, "shutdown": True}
+        payload = _PAYLOADS.get(op)
+        if payload is not None:
+            extra = sorted(set(request) - {"op", "id", "tenant", payload})
+            if extra:
+                return {"ok": False, "error": f"unknown {op} request "
+                                              f"field(s): {', '.join(extra)}"}
+            tenant = request.get("tenant")
+            if tenant is not None and not isinstance(tenant, str):
+                return {"ok": False, "error": f"'tenant' must be a string, "
+                                              f"got {tenant!r}"}
         tenant = self._tenant_of(request)
-        if op in ("run", "batch", "dse"):
+        if payload is not None:
             self._tenant_requests.inc(tenant=tenant, op=op)
         if op == "run":
             return self._run_jobs([request.get("job")], single=True,

@@ -55,9 +55,16 @@ from repro.asm.assembler import assemble
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
 from repro.faults.spec import FaultSpec
-from repro.programs.kernels import ALL_KERNEL_BUILDERS
+from repro.pe.pe_array import PEArray
+from repro.programs.kernels import ALL_KERNEL_BUILDERS, KERNEL_ARG_RULES
 from repro.serve.identity import job_key
 from repro.util.fields import check, from_json, rule
+
+#: A job's cycle limit, and its config's, is at most the default watchdog.
+MAX_JOB_CYCLES = ProcessorConfig.max_cycles
+#: Bytes of simulated machine state one job may allocate
+#: (:meth:`PEArray.state_bytes`).
+MAX_JOB_BYTES = 256 << 20
 
 
 class JobError(ValueError):
@@ -116,7 +123,8 @@ class Job:
     kernel_args: dict = rule("kernel builder keyword arguments", factory=dict)
     config: ProcessorConfig = rule("the machine", factory=ProcessorConfig)
     lmem: dict = rule("PE local-memory columns", factory=dict)
-    max_cycles: int | None = rule("cycle limit", None, lo=1)
+    max_cycles: int | None = rule("cycle limit", None, lo=1,
+                                  hi=MAX_JOB_CYCLES)
     fault: FaultSpec | None = rule("a fault to inject", None)
     sanitize: bool = rule("attach the race sanitizer", False)
     profile: bool = rule("attach the cycle profiler", False)
@@ -132,6 +140,16 @@ class Job:
         if self.kernel_args and self.kernel is None:
             raise JobError(
                 f"job {self.name!r}: kernel_args requires a kernel job")
+        # The limits hold before the kernel builder allocates anything.
+        if self.config.max_cycles > MAX_JOB_CYCLES:
+            raise JobError(
+                f"job {self.name!r}: 'config.max_cycles' must be at most "
+                f"{MAX_JOB_CYCLES}, got {self.config.max_cycles}")
+        state = PEArray.state_bytes(self.config)
+        if state > MAX_JOB_BYTES:
+            raise JobError(
+                f"job {self.name!r}: the config's machine state needs "
+                f"{state} bytes, more than the {MAX_JOB_BYTES} a job may use")
         if self.backend == "fast":
             incompatible = [flag for flag, on in (
                 ("fault", self.fault is not None),
@@ -181,10 +199,12 @@ class Job:
         if isinstance(doc.get("lmem"), dict):
             lmem = {}
             for col, values in doc["lmem"].items():
-                try:
-                    lmem[int(col)] = [int(v) for v in values]
-                except (TypeError, ValueError) as exc:
-                    raise bad(f"bad lmem column {col!r}: {exc}") from exc
+                if not (str(col).isdecimal() and isinstance(values, list)
+                        and all(type(v) is int and -1 << 63 <= v < 1 << 63
+                                for v in values)):
+                    raise bad(f"lmem column {col!r} must be a list of "
+                              f"64-bit integers, got {values!r}")
+                lmem[int(col)] = values
             doc["lmem"] = lmem
         return from_json(cls, doc, "job", bad)
 
@@ -197,18 +217,23 @@ class Job:
                 raise JobError(
                     f"unknown kernel {self.kernel!r}; choose from "
                     f"{', '.join(sorted(ALL_KERNEL_BUILDERS))}")
+            bad_args = (f"job {self.name!r}: bad kernel_args for "
+                        f"{self.kernel!r}")
+            rules = KERNEL_ARG_RULES[self.kernel]
+            for arg, value in self.kernel_args.items():
+                if arg in rules and not rules[arg].accepts(value):
+                    raise JobError(f"{bad_args}: '{arg}' must be "
+                                   f"{rules[arg].what}, got {value!r}")
             try:
                 kern = ALL_KERNEL_BUILDERS[self.kernel](
                     cfg.num_pes, **self.kernel_args)
+                cfg = dataclasses.replace(cfg, word_width=kern.word_width)
             except (TypeError, OverflowError) as exc:
-                raise JobError(
-                    f"job {self.name!r}: bad kernel_args for "
-                    f"{self.kernel!r}: {exc}") from exc
+                raise JobError(f"{bad_args}: {exc}") from exc
             except ValueError as exc:
                 raise JobError(
                     f"job {self.name!r}: cannot build kernel "
                     f"{self.kernel!r} at {cfg.num_pes} PEs: {exc}") from exc
-            cfg = dataclasses.replace(cfg, word_width=kern.word_width)
             source = kern.source
             for col, values in kern.lmem.items():
                 lmem.setdefault(int(col), [int(v) for v in values])

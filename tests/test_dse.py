@@ -266,7 +266,7 @@ class TestSweepSpec:
     def test_max_cycles_must_be_null_or_a_positive_int(self, value):
         doc = {"axes": {"num_pes": [4]}, "kernels": ["vector_mac"],
                "max_cycles": value}
-        error = (f"'max_cycles' must be null or an integer >= 1, "
+        error = (f"'max_cycles' must be null or an integer in 1..10000000, "
                  f"got {value!r}")
         with pytest.raises(DseSpecError) as info:
             SweepSpec.from_json(doc)
