@@ -313,9 +313,11 @@ def test_static_cycle_bound_is_sound(body, cfg):
         return
     proc = Processor(cfg)
     proc.load(program)
+    # No cycle limit: an unsound bound must show as measured cycles above
+    # it, not as a SimTimeout the test would have to swallow.
     try:
-        result = proc.run(max_cycles=bound)
-    except (MemoryFault, ScalarMemoryFault, ExecutionError, RuntimeError):
+        result = proc.run()
+    except (MemoryFault, ScalarMemoryFault, ExecutionError):
         return
     assert result.stats.cycles <= bound
 
