@@ -60,7 +60,6 @@ class StallEstimate:
     config: ProcessorConfig
     total: int = 0
     by_cause: Counter[str] = field(default_factory=Counter)
-    edges: list[HazardEdge] = field(default_factory=list)
     control_stalls: int = 0
     structural_stalls: int = 0
     waw_stalls: int = 0

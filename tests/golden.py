@@ -166,7 +166,6 @@ def lint_digest(program, config) -> str:
     est = report.estimate
     estimate = {f.name: getattr(est, f.name)
                 for f in dataclasses.fields(est) if f.name != "config"}
-    estimate["edges"] = [dataclasses.asdict(e) for e in est.edges]
     estimate["pair_stalls"] = sorted(
         [p, c, cause, n] for (p, c), (cause, n) in est.pair_stalls.items())
     payload = canonical_json({
