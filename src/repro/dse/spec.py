@@ -76,15 +76,17 @@ class DesignPoint:
 class SweepSpec:
     """A validated sweep: axes x kernels, fitted against one device."""
 
-    axes: dict = rule("swept config fields: {axis: [integers]}",
-                      factory=dict)
+    axes: dict = rule("swept config fields to value lists; axes are "
+                      "`num_pes`, `num_threads`, `word_width`, "
+                      "`broadcast_arity`, `lmem_words`", factory=dict)
     kernels: tuple[str, ...] = rule("library kernels run at every point",
                                     DEFAULT_KERNELS)
     device: Device = rule("FPGA catalog device each point is fitted "
                           "against", factory=lambda: device_by_name("EP2C35"))
-    base: dict = rule("non-swept config fields", factory=dict)
-    backend: str = rule("execution backend policy", "auto",
-                        choices=BACKEND_POLICIES)
+    base: dict = rule("non-swept config fields (a job's `config`)",
+                      factory=dict)
+    backend: str = rule("`auto` is the fast path with a cycle-core "
+                        "fallback per job", "auto", choices=BACKEND_POLICIES)
     max_cycles: int | None = rule("per-job cycle limit", None, lo=1,
                                   hi=MAX_JOB_CYCLES)
     name: str = rule("sweep name", "sweep")

@@ -50,6 +50,8 @@ from repro.serve.identity import (
     program_fingerprint,
 )
 from repro.serve.jobs import (
+    MAX_JOB_BYTES,
+    MAX_JOB_CYCLES,
     Job,
     JobError,
     PreparedJob,
@@ -113,6 +115,8 @@ __all__ = [
     "config_fingerprint",
     "job_key",
     "program_fingerprint",
+    "MAX_JOB_BYTES",
+    "MAX_JOB_CYCLES",
     "Job",
     "JobError",
     "PreparedJob",

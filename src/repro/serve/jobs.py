@@ -116,12 +116,13 @@ class PreparedJob:
 class Job:
     """One simulation request (see the module docstring for JSON form)."""
 
-    name: str = rule("display name; default: the kernel, the file or "
-                     "'inline'")
+    name: str = rule("display name; a JSON job defaults it to its kernel "
+                     "or file", "inline")
     source: str | None = rule("inline assembly source", None)
     kernel: str | None = rule("a library kernel to build and run", None)
     kernel_args: dict = rule("kernel builder keyword arguments", factory=dict)
-    config: ProcessorConfig = rule("the machine", factory=ProcessorConfig)
+    config: ProcessorConfig = rule("the machine (table below)",
+                                   factory=ProcessorConfig)
     lmem: dict = rule("PE local-memory columns", factory=dict)
     max_cycles: int | None = rule("cycle limit", None, lo=1,
                                   hi=MAX_JOB_CYCLES)

@@ -8,6 +8,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
 
 from gen_isa_doc import SEMANTICS, generate  # noqa: E402
 from gen_api_doc import generate as generate_api  # noqa: E402
+from gen_fields_doc import TABLES, generate as generate_fields  # noqa: E402
 
 from repro.isa.opcodes import OPCODES  # noqa: E402
 
@@ -41,6 +42,13 @@ class TestApiManual:
         path = REPO / "docs" / "API.md"
         assert path.exists(), "run tools/gen_api_doc.py"
         assert path.read_text() == generate_api()
+
+    def test_field_tables_are_current(self):
+        """The field tables in docs/SERVE.md and docs/DSE.md match the
+        rules; regenerate with `python tools/gen_fields_doc.py`."""
+        for doc in sorted({where for _, where in TABLES.values()}):
+            assert (REPO / "docs" / doc).read_text() == \
+                generate_fields(doc), doc
 
     def test_api_doc_covers_key_names(self):
         doc = generate_api()
