@@ -66,11 +66,12 @@ class Rule:
         self.what = f"null or {what}" if self.nullable else what
 
     def accepts(self, value) -> bool:
-        if value is None:
-            return self.nullable
-        if (not isinstance(value, self.accepted)
-                or isinstance(value, bool) and self.type is not bool):
-            return False
+        if type(value) is not self.type:
+            if value is None:
+                return self.nullable
+            if (not isinstance(value, self.accepted)
+                    or isinstance(value, bool) and self.type is not bool):
+                return False
         if self.item is not None:
             return all(map(self.item.accepts, value))
         if self.choices is not None:
@@ -102,9 +103,10 @@ _TABLES: dict[type, Table] = {}
 
 def table(cls: type) -> Table:
     """The rule table of ``cls`` (built on first use)."""
-    if cls not in _TABLES:
-        _TABLES[cls] = Table(cls)
-    return _TABLES[cls]
+    found = _TABLES.get(cls)
+    if found is None:
+        found = _TABLES[cls] = Table(cls)
+    return found
 
 
 def check(obj, error) -> None:
