@@ -146,6 +146,11 @@ class Job:
             raise JobError(
                 f"job {self.name!r}: 'config.max_cycles' must be at most "
                 f"{MAX_JOB_CYCLES}, got {self.config.max_cycles}")
+        if any(not 0 <= col < self.config.lmem_words for col in self.lmem):
+            raise JobError(
+                f"job {self.name!r}: 'lmem' columns must be below the "
+                f"config's lmem_words={self.config.lmem_words}, got "
+                f"{sorted(self.lmem)}")
         state = PEArray.state_bytes(self.config)
         if state > MAX_JOB_BYTES:
             raise JobError(

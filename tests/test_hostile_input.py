@@ -58,6 +58,7 @@ EXPECTED = {
     24: "'tenant' must be a string, got {'x': 1}",
     25: "lmem column '0' must be a list of 64-bit integers, got [1e+300]",
     26: "lmem column '0' must be a list of 64-bit integers, got [True, 2]",
+    27: "'lmem' columns must be below the config's lmem_words=1024",
 }
 
 
