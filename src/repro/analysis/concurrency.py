@@ -435,16 +435,24 @@ _DeliverySite = tuple[int, int, frozenset[int]]
 
 def _tput_sites(ctx: AnalysisContext,
                 ) -> tuple[list[_DeliverySite], list[_DeliverySite]]:
-    """(pc, reg index, handle defs) for every tput/tget in the program."""
+    """(pc, reg index, handle defs) for every tput/tget in the program.
+
+    A handle in s0 is the all-zero handle whatever writes s0 ignores, so
+    its only definition is the thread-entry one.
+    """
     puts: list[_DeliverySite] = []
     gets: list[_DeliverySite] = []
+
+    def handle_defs(pc: int, reg: int) -> frozenset[int]:
+        if reg == registers.ZERO_REG:
+            return frozenset((INIT_DEF,))
+        return ctx.dataflow.reaching_defs(pc, ("s", reg))
+
     for pc, instr in enumerate(ctx.program.instructions):
         if instr.mnemonic == "tput":
-            defs = ctx.dataflow.reaching_defs(pc, ("s", instr.rd))
-            puts.append((pc, instr.imm, defs))
+            puts.append((pc, instr.imm, handle_defs(pc, instr.rd)))
         elif instr.mnemonic == "tget":
-            defs = ctx.dataflow.reaching_defs(pc, ("s", instr.rs))
-            gets.append((pc, instr.imm, defs))
+            gets.append((pc, instr.imm, handle_defs(pc, instr.rs)))
     return puts, gets
 
 

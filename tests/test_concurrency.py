@@ -356,6 +356,14 @@ worker:
         assert any("races with the receiving" in d.message
                    and d.data["reg"] == 4 for d in out)
 
+    def test_zero_handle_survives_a_write_to_s0(self):
+        # s0 ignores writes, so the nop leaves the handle naming main.
+        out = diags(DYN_CLOBBER.replace("    tput   s0, s2, 4",
+                                        "    nop\n    tput   s0, s2, 4"),
+                    "lost-delivery")
+        assert any("races with the receiving" in d.message
+                   and d.data["reg"] == 4 for d in out)
+
 
 # ---------------------------------------------------------------------------
 # thread-lifecycle (static)
