@@ -1,58 +1,296 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies for the test suite.
+
+:func:`programs` is the one program generator and :func:`machines` the
+one machine axis of the property tests; :mod:`tests.oracle` states the
+promises they are checked against.
+"""
+
+import dataclasses
+import functools
+import itertools
 
 from hypothesis import strategies as st
 
+from repro.asm.program import Program
 from repro.core.config import MTMode, ProcessorConfig
 from repro.isa import registers as regs
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import ALL_MNEMONICS, Format, ImmKind, OPCODES
+from repro.isa.opcodes import (
+    ALL_MNEMONICS,
+    OPCODES,
+    ExecClass,
+    Format,
+    ImmKind,
+)
+from tests.golden import VARIANTS
 
 
-def imm_strategy(spec):
-    """Strategy producing a valid immediate for an opcode spec."""
+def _imm_values(spec) -> int:
+    """How many encodings an immediate has; encoding 0 is the value 0."""
     bits = 13 if spec.fmt is Format.IP else 16
-    kind = spec.imm_kind
-    if kind in (ImmKind.SIGNED, ImmKind.OFFSET):
-        return st.integers(-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
-    if kind is ImmKind.UNSIGNED:
-        return st.integers(0, (1 << bits) - 1)
-    if kind is ImmKind.SHAMT:
-        return st.integers(0, 31)
-    if kind is ImmKind.REGIDX:
-        return st.integers(0, regs.NUM_SCALAR_REGS - 1)
-    if kind is ImmKind.TARGET:
-        return st.integers(0, (1 << bits) - 1)
-    return st.just(0)
+    return {ImmKind.SHAMT: 32,
+            ImmKind.REGIDX: regs.NUM_SCALAR_REGS}.get(spec.imm_kind,
+                                                      1 << bits)
 
 
-@st.composite
-def instructions(draw):
-    """Random valid instruction of any opcode."""
-    mnemonic = draw(st.sampled_from(ALL_MNEMONICS))
+#: Register counts per file: all of them, or a body's small pools.
+ALL_REGS = tuple(regs.REGFILE_SIZES.items())
+
+
+@functools.cache
+def _operands(mnemonic, registers):
+    """The operand fields of ``mnemonic`` and how many values each takes."""
     spec = OPCODES[mnemonic]
-    fields = {}
-    roles = list(spec.srcs)
-    if spec.dest is not None:
-        roles.append(spec.dest)
-    for regfile, fname in roles:
-        if fname == "link":
-            continue
-        size = regs.REGFILE_SIZES[regfile]
-        fields[fname] = draw(st.integers(0, size - 1))
+    counts = dict(registers)
+    roles = list(spec.srcs) + ([spec.dest] if spec.dest else [])
+    fields = [(fname, counts[regfile]) for regfile, fname in roles
+              if fname != "link"]
     if spec.masked:
-        fields["mf"] = draw(st.integers(0, regs.NUM_FLAG_REGS - 1))
+        fields.append(("mf", counts["f"]))
     if spec.fmt is Format.J:
         # J-format carries its target in the 26-bit target field; imm is
         # unused even though imm_kind is TARGET.
-        fields["target"] = draw(st.integers(0, (1 << 26) - 1))
+        fields.append(("target", 1 << 26))
     elif spec.imm_kind is not None:
-        fields["imm"] = draw(imm_strategy(spec))
-    return Instruction(mnemonic, **fields)
+        fields.append(("imm", _imm_values(spec)))
+    return fields
 
 
-# Strategies for PE-vector data.
-pe_values = st.lists(st.integers(0, (1 << 16) - 1), min_size=1, max_size=64)
-widths = st.sampled_from([8, 16, 32])
+def decode(chunk: bytes, mnemonics=ALL_MNEMONICS, registers=ALL_REGS,
+           salt=0):
+    """The instruction six bytes name: byte 0 (plus ``salt``) picks the
+    opcode, the rest index the product of its operand fields (zero bytes
+    give zero fields, so shrinking simplifies)."""
+    mnemonic = mnemonics[(chunk[0] + salt) % len(mnemonics)]
+    code = int.from_bytes(chunk[1:6], "little")
+    values = {}
+    for name, size in _operands(mnemonic, registers):
+        code, values[name] = divmod(code, size)
+    spec = OPCODES[mnemonic]
+    if spec.imm_kind in (ImmKind.SIGNED, ImmKind.OFFSET):
+        half = _imm_values(spec) >> 1
+        values["imm"] -= 2 * half if values["imm"] >= half else 0
+    return Instruction(mnemonic, **values)
+
+
+def instructions():
+    """Random valid instruction of any opcode (one draw of six bytes)."""
+    return st.binary(min_size=6, max_size=6).map(decode)
+
+
+# -- the program generator ----------------------------------------------------
+
+#: What a generated body may hold: every op but control flow, thread
+#: operations and halt, which only the skeleton places.
+BODY_MNEMONICS = tuple(m for m in ALL_MNEMONICS if not (
+    OPCODES[m].is_branch or OPCODES[m].is_jump or OPCODES[m].is_halt
+    or OPCODES[m].is_thread_op))
+#: Small register pools keep bodies dependence-dense.  The skeleton owns
+#: s9 (loop trips), s10-s12 (worker handles) and s14 (the link register):
+#: no body instruction writes them, so every loop and call ends.
+BODY_REGS = (("s", 6), ("p", 4), ("f", 4))
+LOOP_REG = 9
+HANDLE_REGS = (10, 11, 12)
+#: The scalar words lw/sw use (shared by every thread), and the local
+#: words plw/psw use.
+ADDRESSES = (16, 20, 24)
+LMEM_SLOTS = tuple(range(8))
+_ADDRESS = st.sampled_from(ADDRESSES)
+_QUARTER = st.integers(0, 3)
+_COIN = st.booleans()
+_REG = st.integers(1, dict(BODY_REGS)["s"] - 1)  # a body register
+_INDEX = st.integers(0, 63)         # a position or a pick, modulo a size
+_BRANCH = st.sampled_from(("beq", "bne", "blt", "bge"))
+_TRIPS = st.integers(1, 4)
+_KINDS = {"straight": ("plain",), "acyclic": ("plain", "branch"),
+          "any": ("plain", "branch", "loop", "call")}
+
+
+def _body(mnemonics, wild, data: bytes, salt: int) -> list[Instruction]:
+    """Body instructions, seven drawn bytes each: an instruction and
+    where its memory operand points.  A wild access keeps its drawn base
+    register, so its address depends on data and may fault.  The opcode
+    byte is salted by the run and the position in it, so the zero bytes
+    hypothesis favours still vary the opcode."""
+    out = []
+    for i in range(0, len(data) - 6, 7):
+        ins = decode(data[i:i + 6], mnemonics, BODY_REGS,
+                     salt=salt + 5 * i)
+        if ins.spec.has_mem_operand:
+            slots = (ADDRESSES if ins.exec_class is ExecClass.SCALAR
+                     else LMEM_SLOTS)
+            ins = dataclasses.replace(
+                ins, rs=ins.rs if wild and data[i + 6] >= 192 else 0,
+                imm=slots[data[i + 6] % len(slots)])
+        out.append(ins)
+    return out
+
+
+def _link(lines) -> Program:
+    """Resolve the label operands of a skeleton into a program."""
+    pcs, pc = {}, 0
+    for line in lines:
+        if isinstance(line, str):
+            pcs[line] = pc
+        else:
+            pc += 1
+    out = []
+    for line in lines:
+        if isinstance(line, tuple):
+            mnemonic, *regs_, label = line
+            if mnemonic == "jal":
+                line = Instruction("jal", target=pcs[label])
+            elif mnemonic == "tspawn":
+                line = Instruction("tspawn", rd=regs_[0], imm=pcs[label])
+            else:
+                line = Instruction(mnemonic, rd=regs_[0], rs=regs_[1],
+                                   imm=pcs[label] - len(out) - 1)
+        if not isinstance(line, str):
+            out.append(line)
+    return Program(instructions=out)
+
+
+def programs(*, spawn=None, control="any", wild=True, race_free=False,
+             shared=False):
+    """Terminating programs: a skeleton filled with full-ISA bodies.
+
+    The skeleton fixes the thread layout, control flow and delivery:
+
+    * ``spawn`` — None for either, False for spawn-free, True for a main
+      thread that spawns one to three workers (``tspawn``/``texit``),
+      may deliver to them and read back (``tput``/``tget``) and joins
+      them (``tjoin``);
+    * ``control`` — ``"straight"`` (straight-line threads),
+      ``"acyclic"`` (plus forward branches) or ``"any"`` (plus counted
+      loops and ``jal``/``jr ra`` calls);
+    * ``wild`` — memory operands may use a drawn base register and branch
+      conditions may read body registers.  Without it, addresses are
+      constants and branches read only s0 and the loop counter, so the
+      path and the faults never depend on the data;
+    * ``race_free`` — no stores, deliveries or unjoined workers, and no
+      worker exits before the last spawn: every context's final state is
+      schedule-independent;
+    * ``shared`` — every thread also loads and stores the shared
+      ``ADDRESSES``.
+
+    Bodies are full-ISA instructions over ``BODY_MNEMONICS``, decoded
+    from drawn bytes by :func:`decode` as :func:`instructions` are.
+    """
+    mnemonics = tuple(m for m in BODY_MNEMONICS
+                      if not (race_free and OPCODES[m].is_store))
+    runs = {n: st.binary(min_size=7, max_size=7 * n) for n in (3, 6)}
+    cond = st.sampled_from((0, 1, 2, LOOP_REG) if wild else (0, LOOP_REG))
+    top = _KINDS[control]
+    kinds = {where: st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+             for where, pool in (
+                 ("top", top),
+                 ("loop", tuple(k for k in top if k != "loop")),
+                 ("function", tuple(k for k in top
+                                    if k in ("plain", "branch"))))}
+    accesses = st.lists(st.tuples(_COIN, _ADDRESS), max_size=2)
+    workers = (st.just(0) if spawn is False else
+               st.integers(1 if spawn else 0, 3))
+
+    def items(draw, where, fresh, run, functions):
+        """One thread's (or function's) code between its skeleton lines."""
+        out = []
+        for kind in draw(kinds[where]):
+            if kind == "plain":
+                out += run(6)
+            elif kind == "branch":
+                skip = fresh("skip")
+                out += [(draw(_BRANCH), draw(cond), draw(cond), skip),
+                        *run(3), skip]
+            elif kind == "loop":
+                top = fresh("loop")
+                out += [Instruction("addi", rd=LOOP_REG, imm=draw(_TRIPS)),
+                        top, *items(draw, "loop", fresh, run, functions),
+                        Instruction("addi", rd=LOOP_REG, rs=LOOP_REG,
+                                    imm=-1),
+                        ("bne", LOOP_REG, 0, top)]
+            else:
+                out.append(("jal", functions[draw(_INDEX) % len(functions)]))
+        if shared and where != "function":
+            for store, addr in draw(accesses):
+                out.insert(draw(_INDEX) % (len(out) + 1), Instruction(
+                    "sw" if store else "lw", rd=draw(_REG), imm=addr))
+        return out
+
+    @st.composite
+    def program(draw):
+        names = itertools.count()
+        salts = itertools.count(draw(_INDEX), 37)
+
+        def fresh(kind):
+            return f"{kind}{next(names)}"
+
+        def run(size):
+            return _body(mnemonics, wild, draw(runs[size]), next(salts))
+
+        functions = ([fresh("fn") for _ in range(1 + draw(_COIN))]
+                     if control == "any" else [])
+        handles = HANDLE_REGS[:draw(workers)]
+        lines = [("tspawn", h, f"worker{w}") for w, h in enumerate(handles)]
+        if handles and not race_free and draw(_COIN):
+            lines.append(Instruction(
+                "tput", rd=handles[draw(_INDEX) % len(handles)], rs=draw(_REG),
+                imm=draw(_REG)))
+        lines += items(draw, "top", fresh, run, functions)
+        if handles and not race_free and draw(_COIN):
+            lines.append(Instruction(
+                "tget", rd=draw(_REG), rs=handles[draw(_INDEX) % len(handles)],
+                imm=draw(_REG)))
+        lines += [Instruction("tjoin", rs=h) for h in handles
+                  if race_free or draw(_QUARTER)]
+        lines.append(Instruction("halt"))
+        # A race-free worker outlives the spawns (nops first): a context
+        # freed before the last tspawn goes to another worker on some
+        # schedules, and each context's final state must not depend on it.
+        pad = [Instruction("add")] * (2 * len(handles) if race_free else 0)
+        for w in range(len(handles)):
+            lines += [f"worker{w}", *pad,
+                      *items(draw, "top", fresh, run, functions)]
+            if not race_free and draw(_COIN):
+                lines.append(Instruction("tput", rs=draw(_REG),
+                                         imm=draw(_REG)))
+            lines.append(Instruction("texit"))
+        for fn in functions:
+            lines += [fn, *items(draw, "function", fresh, run, functions),
+                      Instruction("jr", rs=regs.LINK_REG)]
+        return _link(lines)
+
+    return program()
+
+
+# -- the machine axis ---------------------------------------------------------
+
+def machine(variant="fine-rot", *, threads=4, pes=4, width=16, **extra):
+    """One point of the axis: a ``tests/golden.py`` variant (on one
+    thread, the single-threaded machine with that variant's units)."""
+    overrides = dict(VARIANTS[variant], **extra)
+    if threads == 1:
+        overrides.update(mt_mode=MTMode.SINGLE)
+    return ProcessorConfig(num_pes=pes, num_threads=threads,
+                           word_width=width, **overrides)
+
+
+def machines(*, variants=tuple(VARIANTS), threads=(1, 4, 8), fetch=False):
+    """Small machines over the variants, thread and PE counts, widths and
+    broadcast arities; ``fetch`` adds fetch-modelling machines."""
+    return st.builds(
+        machine, st.sampled_from(variants),
+        threads=st.sampled_from(threads),
+        pes=st.sampled_from((1, 3, 8, 16)), width=st.sampled_from((8, 16)),
+        broadcast_arity=st.sampled_from((2, 4)),
+        model_fetch=st.sampled_from((False, False, False, fetch)),
+        lmem_words=st.just(16), scalar_mem_words=st.just(64))
+
+
+#: Fine and coarse multithreading under both schedulers.
+MODE_GRID = [machine(v) for v in
+             ("fine-rot", "fine-fixed", "coarse-rot", "coarse-fixed")]
+MODE_IDS = [f"{cfg.mt_mode.value}-{cfg.scheduler.value}"
+            for cfg in MODE_GRID]
 
 
 # -- design-space exploration -------------------------------------------------

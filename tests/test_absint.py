@@ -11,8 +11,7 @@ this property is the load-bearing test of the whole module.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as hs
+from hypothesis import given
 
 from repro.analysis.absint import (
     BOTTOM,
@@ -29,15 +28,11 @@ from repro.analysis.absint import (
 from repro.analysis.lint import lint_program
 from repro.analysis.timing import static_cycle_bound
 from repro.asm.assembler import assemble
-from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
-from repro.core.execute import ExecutionError
-from repro.core.memory import ScalarMemoryFault
 from repro.core.processor import Processor
-from repro.isa import registers
-from repro.pe.pe_array import MemoryFault
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
-from tests.strategies import instructions, machine_configs
+from tests.oracle import PROPERTY, check_absint, check_static_bound
+from tests.strategies import machines, programs
 
 
 # ---------------------------------------------------------------------------
@@ -233,114 +228,32 @@ class TestStaticCycleBound:
 # Fuzzed soundness: dynamic state ⊆ static abstraction, at every pc
 # ---------------------------------------------------------------------------
 
-def _straight_line(instr) -> bool:
-    spec = instr.spec
-    return not (spec.is_branch or spec.is_jump or spec.is_halt
-                or spec.is_thread_op)
+STRAIGHT = programs(spawn=False, control="straight")
 
 
-def _check_pc_soundness(res, proc, thread, pc) -> None:
-    """Assert the concrete state at ``pc`` is inside the abstract one."""
-    state = res.before[pc]
-    assert state is not None, \
-        f"pc {pc} executed but statically unreachable"
-    for i in range(registers.NUM_SCALAR_REGS):
-        v = 0 if i == registers.ZERO_REG else thread.sregs[i]
-        assert state.sregs[i].contains(v), \
-            f"pc {pc}: s{i}={v} outside {state.sregs[i]}"
-    for i in range(registers.NUM_PARALLEL_REGS):
-        for v in proc.pe.read_reg(0, i):
-            assert state.pregs[i].contains(int(v)), \
-                f"pc {pc}: p{i} lane={int(v)} outside {state.pregs[i]}"
-    for j in range(registers.NUM_FLAG_REGS):
-        assert flag_allows(state.flags[j], proc.pe.read_flag(0, j)), \
-            f"pc {pc}: f{j} vector outside abstract state {state.flags[j]}"
-    instr = proc.program.instructions[pc]
-    if instr.spec.has_mem_operand \
-            and instr.spec.exec_class.value == "parallel":
-        iv = res.lmem_address_interval(pc)
-        assert iv is not None
-        for base in proc.pe.read_reg(0, instr.rs):
-            addr = int(base) + instr.imm
-            assert iv.contains(addr), \
-                f"pc {pc}: lmem addr {addr} outside {iv}"
-
-
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
-@given(body=hs.lists(instructions().filter(_straight_line),
-                     min_size=1, max_size=24),
-       cfg=machine_configs(max_pes=8))
-def test_absint_is_sound_on_straight_line_programs(body, cfg):
+@PROPERTY
+@given(program=STRAIGHT, cfg=machines())
+def test_absint_is_sound_on_straight_line_programs(program, cfg):
     """Zero false negatives: at every executed pc the concrete machine
     state is a member of the abstract state the fixpoint computed."""
-    from repro.isa.instruction import Instruction
-
-    program = Program(instructions=body + [Instruction("halt")])
-    res = analyze_intervals(program, cfg)
-    proc = Processor(cfg)
-    proc.load(program)
-    thread = proc.threads[0]
-    pc = program.entry
-    for _ in range(len(program.instructions) + 1):
-        _check_pc_soundness(res, proc, thread, pc)
-        if program.instructions[pc].mnemonic == "halt":
-            return
-        try:
-            next_pc = proc.ops[pc](thread)
-        except (MemoryFault, ScalarMemoryFault, ExecutionError):
-            # The concrete machine faulted; every state checked up to
-            # here was covered, which is all soundness promises.
-            return
-        pc = pc + 1 if next_pc is None else next_pc
-    raise AssertionError("straight-line program did not halt")
+    check_absint(program, cfg)
 
 
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
-@given(body=hs.lists(instructions().filter(_straight_line),
-                     min_size=1, max_size=16),
-       cfg=machine_configs(max_pes=8))
-def test_static_cycle_bound_is_sound(body, cfg):
-    """For straight-line programs the proven bound dominates reality."""
-    from repro.isa.instruction import Instruction
-
-    program = Program(instructions=body + [Instruction("halt")])
-    bound = static_cycle_bound(program, cfg)
-    if bound is None:
-        return
-    proc = Processor(cfg)
-    proc.load(program)
-    # No cycle limit: an unsound bound must show as measured cycles above
-    # it, not as a SimTimeout the test would have to swallow.
-    try:
-        result = proc.run()
-    except (MemoryFault, ScalarMemoryFault, ExecutionError):
-        return
-    assert result.stats.cycles <= bound
+@PROPERTY
+@given(program=STRAIGHT, cfg=machines())
+def test_static_cycle_bound_is_sound(program, cfg):
+    """For straight-line programs the proven bound dominates reality,
+    measured without a cycle limit: an unsound bound must show as
+    cycles above it, not as a SimTimeout the test would swallow."""
+    check_static_bound(program, cfg)
 
 
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
-@given(body=hs.lists(instructions().filter(_straight_line),
-                     min_size=1, max_size=16),
-       cfg=machine_configs(max_pes=8))
-def test_static_cycle_bound_is_exact_on_straight_line_programs(body, cfg):
+@PROPERTY
+@given(program=STRAIGHT, cfg=machines())
+def test_static_cycle_bound_is_exact_on_straight_line_programs(program,
+                                                               cfg):
     """Straight-line code has one path, and the bound is its cycles."""
-    from repro.isa.instruction import Instruction
-
-    program = Program(instructions=body + [Instruction("halt")])
-    bound = static_cycle_bound(program, cfg)
-    proc = Processor(cfg)
-    proc.load(program)
-    try:
-        result = proc.run()
-    except (MemoryFault, ScalarMemoryFault, ExecutionError, RuntimeError):
-        return
-    assert bound == result.stats.cycles
+    check_static_bound(program, cfg, exact=True)
 
 
 # ---------------------------------------------------------------------------

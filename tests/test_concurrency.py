@@ -13,22 +13,17 @@ import pathlib
 import pickle
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from repro.analysis import lint_program
 from repro.asm import assemble
 from repro.cli import main as cli_main
-from repro.core import (
-    MTMode,
-    Processor,
-    ProcessorConfig,
-    RaceSanitizer,
-    SchedulerPolicy,
-)
+from repro.core import Processor, ProcessorConfig, RaceSanitizer
 from repro.serve.jobs import Job
 from repro.serve.pool import execute_prepared
 from repro.serve.snapshot import ResultSnapshot
+from tests import oracle
+from tests.strategies import MODE_GRID, machines, programs
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples" / "asm"
 
@@ -44,12 +39,9 @@ def diags(source, check=None, cfg=MT):
     return out
 
 
-def run_sanitized(source, cfg=MT, max_cycles=20_000):
-    program = assemble(source, word_width=cfg.word_width)
-    sanitizer = RaceSanitizer()
-    proc = Processor(cfg, sanitizer=sanitizer)
-    result = proc.run(program, max_cycles=max_cycles)
-    return result, sanitizer
+def run_sanitized(source, cfg=MT):
+    return oracle.run_sanitized(assemble(source, word_width=cfg.word_width),
+                                cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +497,6 @@ class TestSanitizer:
 # Static/dynamic cross-validation
 # ---------------------------------------------------------------------------
 
-def covered_statically(report, diagnostics):
-    """Is one sanitizer report matched by a static finding?"""
-    if report.kind == "memory-race":
-        return any(d.check == "cross-thread-race"
-                   and d.data["addr"] == report.addr for d in diagnostics)
-    return any(d.check == "lost-delivery"
-               and d.data.get("reg") == report.reg for d in diagnostics)
-
-
 FIXED_PROGRAMS = {
     "racy": RACY,
     "clean-join": CLEAN_JOIN,
@@ -525,102 +508,25 @@ FIXED_PROGRAMS = {
 
 @pytest.mark.parametrize("name", sorted(FIXED_PROGRAMS))
 def test_fixed_programs_cross_validate(name):
-    source = FIXED_PROGRAMS[name]
-    _, san = run_sanitized(source)
-    diagnostics = diags(source)
-    for report in san.reports:
-        assert covered_statically(report, diagnostics), report.format()
+    oracle.check_sanitizer(
+        assemble(FIXED_PROGRAMS[name], word_width=MT.word_width), MT)
 
 
-@st.composite
-def mt_programs(draw):
-    """Small, terminating (straight-line) two-thread programs that mix
-    shared-memory accesses, tput/tget delivery, and optional join."""
-    addr = st.sampled_from([16, 20, 24])
-
-    def mem_ops(dest):
-        return st.lists(
-            st.tuples(st.booleans(), addr), max_size=2).map(
-            lambda ops: [f"    sw s2, {a}(s0)" if is_store
-                         else f"    lw {dest}, {a}(s0)"
-                         for is_store, a in ops])
-
-    lines = [".text", "main:", "    ori s2, s0, 7"]
-    lines += draw(mem_ops("s3"))
-    spawned = draw(st.booleans())
-    if spawned:
-        lines.append("    tspawn s1, worker")
-        lines += draw(mem_ops("s3"))
-        tput5 = draw(st.booleans())
-        if tput5:
-            lines.append("    tput s1, s2, 5")
-        if draw(st.booleans()):
-            lines.append("    tget s6, s1, 5")
-        if draw(st.booleans()):
-            lines.append("    tjoin s1")
-            lines += draw(mem_ops("s3"))
-        if draw(st.booleans()):
-            lines.append("    add s7, s4, s0")     # consume worker delivery
-        if draw(st.booleans()):
-            lines.append("    ori s4, s0, 3")      # may clobber a delivery
-    lines.append("    halt")
-    if spawned:
-        lines += ["worker:", "    ori s2, s0, 9"]
-        lines += draw(mem_ops("s3"))
-        if draw(st.booleans()):
-            lines.append("    add s3, s5, s0")     # read delivered operand
-        if draw(st.booleans()):
-            lines.append("    tput s0, s2, 4")     # deliver back to main
-        lines.append("    texit")
-    return "\n".join(lines) + "\n"
-
-
-MODE_GRID = [
-    ProcessorConfig(num_pes=4, num_threads=4, word_width=16,
-                    lmem_words=64, scalar_mem_words=256,
-                    mt_mode=mode, scheduler=policy)
-    for mode in (MTMode.FINE, MTMode.COARSE)
-    for policy in (SchedulerPolicy.ROTATING, SchedulerPolicy.FIXED)
-]
-
-
-@settings(max_examples=60, deadline=None)
-@given(source=mt_programs())
-def test_sanitizer_reports_are_statically_covered(source):
+@oracle.PROPERTY
+@given(program=programs(control="straight", wild=False, shared=True),
+       cfg=machines(threads=(4, 8)))
+def test_sanitizer_reports_are_statically_covered(program, cfg):
     """Property A: dynamic reports form a subset of static findings."""
-    _, san = run_sanitized(source)
-    diagnostics = diags(source)
-    for report in san.reports:
-        assert covered_statically(report, diagnostics), \
-            f"{report.format()}\nnot covered in:\n{source}"
+    oracle.check_sanitizer(program, cfg)
 
 
-@settings(max_examples=60, deadline=None)
-@given(source=mt_programs())
-def test_statically_clean_programs_are_schedule_independent(source):
+@oracle.PROPERTY
+@given(program=programs(control="straight", wild=False, shared=True))
+def test_statically_clean_programs_are_schedule_independent(program):
     """Property B: no concurrency findings -> the scalar-memory image is
     identical under every mt mode and scheduler, and the sanitizer stays
-    silent.  (Register files are excluded on purpose: the *value* a
-    plain register read observes from an in-flight tput delivery is
-    timing-dependent by the machine's design — spawn_pipeline.s relies
-    on it — so only the memory outcome is required to be
-    schedule-independent.  Info findings gate too: an orphan thread is
-    exactly a pattern whose cleanliness the analyzer cannot prove —
-    main's halt can stop the machine mid-store.)"""
-    concurrency_findings = [
-        d for d in diags(source)
-        if d.check in ("cross-thread-race", "lost-delivery",
-                       "thread-lifecycle")]
-    if concurrency_findings:
-        return
-    outcomes = []
-    for cfg in MODE_GRID:
-        result, san = run_sanitized(source, cfg=cfg)
-        assert san.clean, \
-            f"{san.reports[0].format()}\nunder {cfg.mt_mode}/{cfg.scheduler}"
-        proc = result.processor
-        outcomes.append([int(w) for w in proc.mem.dump(0, proc.mem.words)])
-    assert all(o == outcomes[0] for o in outcomes[1:]), source
+    silent."""
+    oracle.check_schedule_independent(program, MODE_GRID)
 
 
 # ---------------------------------------------------------------------------

@@ -1,166 +1,48 @@
-"""Differential testing: random programs, many machine configurations.
+"""Differential testing: generated programs on the shared machine axis.
 
-Generates random *terminating, well-defined* programs (straight-line
-bodies with a bounded counted loop) and checks that every machine
-configuration — cycle-accurate fine/coarse/SMT-2/single, the functional
-backend, and the statically rescheduled binary — produces bit-identical
-architectural state.  This is the strongest correctness net in the
-suite: any divergence between the timing model's issue order and true
-program order, any forwarding-window bug, or any scheduler-legality bug
-shows up as a state mismatch.
+Draws terminating spawn-free programs (full-ISA bodies in straight-line
+code, forward branches, counted loops and calls) and checks through
+:mod:`tests.oracle` that the cycle-accurate core in every configuration,
+the fast backend, the functional backend and the statically rescheduled
+binary produce bit-identical architectural state.  Any divergence
+between the timing model's issue order and true program order, any
+forwarding-window bug, any fold or scheduler-legality bug shows up as a
+state or ``Stats`` mismatch.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.asm import assemble
-from repro.assoc import FunctionalMachine
-from repro.core import MTMode, Processor, ProcessorConfig
-from repro.opt import schedule_program
-
-# Instruction templates: operands drawn from small register pools so
-# programs are dependence-dense.  s1..s5, p1..p4, f1..f3 are fair game;
-# s6/s7 hold loop state and must not be clobbered.
-_S = ["s1", "s2", "s3", "s4", "s5"]
-_P = ["p1", "p2", "p3", "p4"]
-_F = ["f1", "f2", "f3"]
-
-_SCALAR_OPS = ["add", "sub", "and", "or", "xor", "nor", "slt", "sltu"]
-_PARALLEL_OPS = ["padd", "psub", "pand", "por", "pxor", "pnor"]
-_PARALLEL_S_OPS = ["padds", "psubs", "pands", "pors", "pxors"]
-_CMP_OPS = ["pceq", "pcne", "pclt", "pcle", "pcltu", "pcleu"]
-_REDUCTIONS = ["rand", "ror", "rmax", "rmin", "rmaxu", "rminu", "rsum"]
-_FLAG_OPS = ["fand", "for", "fxor", "fandn"]
-
-
-@st.composite
-def random_body_line(draw):
-    kind = draw(st.sampled_from(
-        ["scalar", "scalar_imm", "parallel", "parallel_s", "parallel_imm",
-         "cmp", "cmp_imm", "reduce", "rcount", "rfirst", "flag", "pbcast",
-         "plw", "psw", "psel"]))
-    s = lambda: draw(st.sampled_from(_S))       # noqa: E731
-    p = lambda: draw(st.sampled_from(_P))       # noqa: E731
-    f = lambda: draw(st.sampled_from(_F))       # noqa: E731
-    mask = draw(st.sampled_from(["", " [f1]", " [f2]"]))
-    imm = draw(st.integers(-50, 50))
-    if kind == "scalar":
-        return f"    {draw(st.sampled_from(_SCALAR_OPS))} {s()}, {s()}, {s()}"
-    if kind == "scalar_imm":
-        return f"    addi {s()}, {s()}, {imm}"
-    if kind == "parallel":
-        return (f"    {draw(st.sampled_from(_PARALLEL_OPS))} "
-                f"{p()}, {p()}, {p()}{mask}")
-    if kind == "parallel_s":
-        return (f"    {draw(st.sampled_from(_PARALLEL_S_OPS))} "
-                f"{p()}, {p()}, {s()}{mask}")
-    if kind == "parallel_imm":
-        return f"    paddi {p()}, {p()}, {imm}{mask}"
-    if kind == "cmp":
-        return (f"    {draw(st.sampled_from(_CMP_OPS))} "
-                f"{f()}, {p()}, {p()}{mask}")
-    if kind == "cmp_imm":
-        return f"    pceqi {f()}, {p()}, {imm}{mask}"
-    if kind == "reduce":
-        return (f"    {draw(st.sampled_from(_REDUCTIONS))} "
-                f"{s()}, {p()}{mask}")
-    if kind == "rcount":
-        return f"    rcount {s()}, {f()}{mask}"
-    if kind == "rfirst":
-        return f"    rfirst {f()}, {f()}{mask}"
-    if kind == "flag":
-        return (f"    {draw(st.sampled_from(_FLAG_OPS))} "
-                f"{f()}, {f()}, {f()}{mask}")
-    if kind == "pbcast":
-        return f"    pbcast {p()}, {s()}{mask}"
-    if kind == "plw":
-        return f"    plw {p()}, {draw(st.integers(0, 7))}(p0){mask}"
-    if kind == "psw":
-        return f"    psw {p()}, {draw(st.integers(0, 7))}(p0){mask}"
-    return f"    psel {p()}, {p()}, {p()}, {f()}"
-
-
-@st.composite
-def random_programs(draw):
-    body = draw(st.lists(random_body_line(), min_size=4, max_size=24))
-    trips = draw(st.integers(1, 4))
-    lines = [".text", "main:", f"    li s6, {trips}"]
-    lines += ["    pli p1, 3", "    pli p2, 9", "    fset f1"]
-    lines.append("loop:")
-    lines += body
-    lines += ["    addi s6, s6, -1", "    bne s6, s0, loop", "    halt"]
-    return "\n".join(lines) + "\n"
-
-
-def machine_state(machine, num_threads):
-    """Architectural fingerprint: scalar regs, PE regs/flags, lmem.
-
-    Only the first ``num_threads`` contexts are fingerprinted so machines
-    with different hardware-thread counts stay comparable.
-    """
-    sregs = tuple(tuple(machine.threads[t].sregs)
-                  for t in range(num_threads))
-    return (
-        sregs,
-        machine.pe.regs[:num_threads].tobytes(),
-        machine.pe.flags[:num_threads].tobytes(),
-        machine.pe.lmem.tobytes(),
-    )
-
-
-CONFIGS = [
-    ("single", dict(num_threads=1, mt_mode=MTMode.SINGLE)),
-    ("fine-16", dict(num_threads=16, mt_mode=MTMode.FINE)),
-    ("coarse-4", dict(num_threads=4, mt_mode=MTMode.COARSE)),
-    ("smt2-4", dict(num_threads=4, mt_mode=MTMode.SMT2)),
-    ("fine-fetch", dict(num_threads=4, mt_mode=MTMode.FINE,
-                        model_fetch=True)),
-]
+from repro.core import Processor
+from tests.oracle import (
+    PROPERTY,
+    check_backends,
+    check_functional,
+    check_schedule,
+    outcome,
+)
+from tests.strategies import machine, machines, programs
 
 
 class TestRandomProgramEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(random_programs())
-    def test_all_backends_agree(self, source):
-        prog = assemble(source, word_width=16)
-        states = {}
-        for name, overrides in CONFIGS:
-            cfg = ProcessorConfig(num_pes=8, word_width=16, lmem_words=16,
-                                  **overrides)
-            proc = Processor(cfg)
-            proc.run(prog)
-            # Compare only thread 0 (the only active thread).
-            states[name] = machine_state(proc, 1)
-        fm = FunctionalMachine(ProcessorConfig(num_pes=8, word_width=16,
-                                               lmem_words=16, num_threads=16))
-        fm.run(prog)
-        states["functional"] = machine_state(fm, 1)
-        baseline = states["single"]
-        for name, state in states.items():
-            assert state == baseline, f"{name} diverged\n{source}"
+    @PROPERTY
+    @given(program=programs(spawn=False), cfg=machines(fetch=True))
+    def test_all_backends_agree(self, program, cfg):
+        check_backends(program, cfg)
+        check_functional(program, cfg)
 
-    @settings(max_examples=25, deadline=None)
-    @given(random_programs())
-    def test_static_scheduling_preserves_state(self, source):
-        cfg = ProcessorConfig(num_pes=8, num_threads=1, word_width=16,
-                              lmem_words=16, mt_mode=MTMode.SINGLE)
-        prog = assemble(source, word_width=16)
-        base = Processor(cfg)
-        base.run(prog)
-        opt = Processor(cfg)
-        opt.run(schedule_program(prog, cfg))
-        assert machine_state(base, 1) == machine_state(opt, 1), source
+    @PROPERTY
+    @given(program=programs(spawn=False), cfg=machines())
+    def test_static_scheduling_preserves_state(self, program, cfg):
+        check_schedule(program, cfg)
 
-    @settings(max_examples=15, deadline=None)
-    @given(random_programs(), st.sampled_from([4, 16, 64]))
-    def test_pe_count_never_changes_scalar_semantics_shape(self, source, pes):
+    @PROPERTY
+    @given(program=programs(spawn=False, wild=False),
+           pes=st.sampled_from([4, 16, 64]))
+    def test_pe_count_never_changes_scalar_semantics_shape(self, program,
+                                                           pes):
         """Timing knobs (PE count changes b, r) must not change *whether*
         the program completes or how many instructions retire."""
-        prog = assemble(source, word_width=16)
-        counts = set()
-        for p in (pes, pes * 2):
-            cfg = ProcessorConfig(num_pes=p, num_threads=1, word_width=16,
-                                  lmem_words=16, mt_mode=MTMode.SINGLE)
-            proc = Processor(cfg)
-            result = proc.run(prog)
-            counts.add(result.stats.instructions)
-        assert len(counts) == 1
+        runs = [outcome(Processor, program, machine(threads=1, pes=p))
+                for p in (pes, pes * 2)]
+        assert [kind for kind, _ in runs] == ["ok", "ok"], runs
+        assert len({stats.instructions for _, (stats, _) in runs}) == 1

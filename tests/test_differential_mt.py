@@ -1,126 +1,28 @@
 """Multithreaded differential testing.
 
-Random worker bodies (no shared-memory stores, so every thread's
-architectural state is schedule-independent) run under fine-grain,
-coarse-grain, SMT-2 and the functional backend; each thread's final
-registers must be identical everywhere.  Catches scheduler bugs that
-single-threaded differential testing cannot (lost wakeups, mis-ordered
-per-thread issue, cross-thread scoreboard leaks).
+Generated race-free programs (no stores, deliveries or unjoined workers,
+so every thread's architectural state is schedule-independent) run under
+fine-grain, coarse-grain, SMT-2 and the functional backend; each
+thread's final state must be identical everywhere.  Catches scheduler
+bugs that single-threaded differential testing cannot (lost wakeups,
+mis-ordered per-thread issue, cross-thread scoreboard leaks).
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given
 
-from repro.asm import assemble
-from repro.assoc import FunctionalMachine
-from repro.core import MTMode, Processor, ProcessorConfig
-
-_S = ["s2", "s3", "s4", "s5"]
-_P = ["p1", "p2", "p3"]
-_F = ["f1", "f2"]
-
-
-@st.composite
-def worker_line(draw):
-    kind = draw(st.sampled_from(
-        ["scalar", "parallel", "parallel_s", "cmp", "reduce", "rcount",
-         "flag", "pbcast", "plw"]))
-    s = lambda: draw(st.sampled_from(_S))   # noqa: E731
-    p = lambda: draw(st.sampled_from(_P))   # noqa: E731
-    f = lambda: draw(st.sampled_from(_F))   # noqa: E731
-    imm = draw(st.integers(-30, 30))
-    if kind == "scalar":
-        return f"    addi {s()}, {s()}, {imm}"
-    if kind == "parallel":
-        return f"    padd {p()}, {p()}, {p()}"
-    if kind == "parallel_s":
-        return f"    padds {p()}, {p()}, {s()}"
-    if kind == "cmp":
-        return f"    pclti {f()}, {p()}, {imm}"
-    if kind == "reduce":
-        return f"    rmaxu {s()}, {p()}"
-    if kind == "rcount":
-        return f"    rcount {s()}, {f()}"
-    if kind == "flag":
-        return f"    fxor {f()}, {f()}, {f()}"
-    if kind == "pbcast":
-        return f"    pbcast {p()}, {s()}"
-    return f"    plw {p()}, {draw(st.integers(0, 3))}(p0)"
-
-
-@st.composite
-def mt_programs(draw):
-    """main spawns 3 workers; all four threads run the same random loop."""
-    body = "\n".join(draw(st.lists(worker_line(), min_size=3,
-                                   max_size=12)))
-    trips = draw(st.integers(1, 3))
-    return f"""
-.text
-main:
-    tspawn s1, worker
-    tspawn s1, worker
-    tspawn s1, worker
-    j work
-worker:
-    nop
-work:
-    li s6, {trips}
-    pli p1, 5
-loop:
-{body}
-    addi s6, s6, -1
-    bne  s6, s0, loop
-    texit
-"""
-
-
-def per_thread_state(machine, num_threads=4):
-    out = []
-    for tid in range(num_threads):
-        ctx = machine.threads[tid]
-        out.append((tuple(ctx.sregs[1:]),       # s1 differs (spawn results)
-                    machine.pe.regs[tid].tobytes(),
-                    machine.pe.flags[tid].tobytes()))
-    # s1 of main holds the last spawned tid; workers never write s1.
-    return tuple(out)
-
-
-MODES = [MTMode.FINE, MTMode.COARSE, MTMode.SMT2]
+from tests.oracle import PROPERTY, check_disciplines, check_issue_accounting
+from tests.strategies import machines, programs
 
 
 class TestMultithreadedEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(mt_programs())
-    def test_all_disciplines_agree_per_thread(self, source):
-        prog = assemble(source, word_width=16)
-        states = {}
-        for mode in MODES:
-            cfg = ProcessorConfig(num_pes=8, num_threads=4, word_width=16,
-                                  lmem_words=8, mt_mode=mode)
-            proc = Processor(cfg)
-            result = proc.run(prog)
-            states[mode] = (per_thread_state(proc),
-                            result.stats.instructions)
-        fm = FunctionalMachine(ProcessorConfig(num_pes=8, num_threads=4,
-                                               word_width=16, lmem_words=8))
-        fm.run(prog)
-        states["functional"] = (per_thread_state(fm), None)
+    @PROPERTY
+    @given(program=programs(spawn=True, race_free=True, wild=False),
+           cfg=machines(threads=(4, 8)))
+    def test_all_disciplines_agree_per_thread(self, program, cfg):
+        check_disciplines(program, cfg)
 
-        baseline = states[MTMode.FINE][0]
-        for mode, (state, _) in states.items():
-            assert state == baseline, f"{mode} diverged\n{source}"
-        # All cycle-accurate disciplines issue the same instruction count.
-        counts = {states[m][1] for m in MODES}
-        assert len(counts) == 1
-
-    @settings(max_examples=15, deadline=None)
-    @given(mt_programs())
-    def test_issue_accounting_invariant(self, source):
-        """stats.instructions always equals the per-thread issue total."""
-        prog = assemble(source, word_width=16)
-        cfg = ProcessorConfig(num_pes=8, num_threads=4, word_width=16,
-                              lmem_words=8)
-        proc = Processor(cfg)
-        result = proc.run(prog)
-        assert result.stats.instructions == \
-            sum(result.stats.per_thread_issued.values())
-        assert result.stats.threads_spawned == 3
+    @PROPERTY
+    @given(program=programs(spawn=True, wild=False),
+           cfg=machines(threads=(4, 8)))
+    def test_issue_accounting_invariant(self, program, cfg):
+        check_issue_accounting(program, cfg)

@@ -14,8 +14,7 @@ serve-job ``"verify": true`` flag.
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as hs
+from hypothesis import given
 
 import repro.opt.scheduler as sched_mod
 from repro.analysis.equiv import (
@@ -27,10 +26,11 @@ from repro.asm.assembler import assemble
 from repro.asm.program import Program
 from repro.cli import main
 from repro.core.config import ProcessorConfig
-from repro.isa.instruction import Instruction
+from repro.core.processor import Processor
 from repro.opt.scheduler import schedule_program_verified
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
-from tests.strategies import instructions, machine_configs
+from tests.oracle import PROPERTY, check_schedule, outcome
+from tests.strategies import machines, programs
 
 # A RAW chain: any reorder of the first three instructions is illegal.
 DEPENDENT_CHAIN = """
@@ -160,41 +160,23 @@ class TestValidator:
         assert any(m.location == "events" for m in report.mismatches)
 
 
-def _straight_line(instr) -> bool:
-    spec = instr.spec
-    return not (spec.is_branch or spec.is_jump or spec.is_halt
-                or spec.is_thread_op)
+STRAIGHT = programs(spawn=False, control="straight")
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
-@given(body=hs.lists(instructions().filter(_straight_line),
-                     min_size=1, max_size=24),
-       cfg=machine_configs(max_pes=8))
-def test_scheduler_output_is_always_proved(body, cfg):
+@PROPERTY
+@given(program=STRAIGHT, cfg=machines())
+def test_scheduler_output_is_always_proved(program, cfg):
     """Completeness under fuzz: the validator never refutes a legal
     schedule, whatever the dependence structure thrown at it."""
-    program = Program(instructions=body + [Instruction("halt")])
-    _, report = schedule_program_verified(program, cfg)
-    assert report.equivalent, report.format()
+    check_schedule(program, cfg)
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
-@given(body=hs.lists(instructions().filter(_straight_line),
-                     min_size=3, max_size=12),
-       cfg=machine_configs(max_pes=8))
-def test_broken_scheduler_never_proves_a_semantic_change(body, cfg):
+@PROPERTY
+@given(program=STRAIGHT.filter(lambda p: len(p) >= 4), cfg=machines())
+def test_broken_scheduler_never_proves_a_semantic_change(program, cfg):
     """Soundness under fuzz: force an arbitrary first-two swap; if the
     validator proves it, the swapped pair must truly be independent —
     running both programs must give identical architectural state."""
-    import numpy as np
-
-    from repro.core.processor import Processor
-
-    program = Program(instructions=body + [Instruction("halt")])
     order = _ORIGINAL_ORDER(program.instructions, cfg)
     swapped_order = list(order)
     swapped_order[0], swapped_order[1] = swapped_order[1], swapped_order[0]
@@ -204,19 +186,12 @@ def test_broken_scheduler_never_proves_a_semantic_change(body, cfg):
     report = validate_programs(program, mutated, cfg.word_width)
     if not report.equivalent:
         return                         # refutations need no cross-check
-    outs = []
-    for prog in (program, mutated):
-        proc = Processor(cfg)
-        proc.load(prog)
-        try:
-            proc.run(max_cycles=100_000)
-        except Exception:
-            return                     # faulting programs prove nothing
-        outs.append((list(proc.threads[0].sregs),
-                     proc.pe.regs.tolist(),
-                     proc.pe.flags.astype(np.int64).tolist(),
-                     proc.mem.dump(0, proc.mem.words)))
-    assert outs[0] == outs[1], "validator proved a semantic change"
+    runs = [outcome(Processor, prog, cfg, max_cycles=100_000)
+            for prog in (program, mutated)]
+    if any(kind == "raise" for kind, _ in runs):
+        return                         # faulting programs prove nothing
+    assert runs[0][1][1] == runs[1][1][1], \
+        "validator proved a semantic change"
 
 
 # ---------------------------------------------------------------------------

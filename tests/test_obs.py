@@ -23,15 +23,14 @@ import pathlib
 import pickle
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hs
+from hypothesis import given
 
+from repro.asm import assemble
 from repro.core import stats as stx
-from repro.core.config import MTMode, ProcessorConfig, SchedulerPolicy
+from repro.core.config import ProcessorConfig
 from repro.core.processor import run_program
 from repro.core.vcd import build_vcd
 from repro.obs import (
-    ALL_KINDS,
     PROFILE_SCHEMA,
     TRACE_SCHEMA,
     CycleProfiler,
@@ -49,20 +48,12 @@ from repro.serve.cache import ResultCache
 from repro.serve.dispatch import Dispatcher
 from repro.serve.jobs import Job
 from repro.serve.snapshot import ResultSnapshot
+from tests.oracle import PROPERTY, check_profile
+from tests.strategies import MODE_GRID, MODE_IDS, programs
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "examples" / "asm")
     .glob("*.s"))
-
-MODE_GRID = [
-    ProcessorConfig(num_pes=4, num_threads=4, word_width=16,
-                    mt_mode=mode, scheduler=policy)
-    for mode in (MTMode.FINE, MTMode.COARSE)
-    for policy in (SchedulerPolicy.ROTATING, SchedulerPolicy.FIXED)
-]
-
-MODE_IDS = [f"{cfg.mt_mode.value}-{cfg.scheduler.value}"
-            for cfg in MODE_GRID]
 
 
 def run_profiled(source, cfg):
@@ -71,84 +62,21 @@ def run_profiled(source, cfg):
     return result, profiler
 
 
-def assert_conserved(result, profiler, cfg, source=""):
-    """The full conservation contract between profiler and Stats."""
-    stats = result.stats
-    totals = profiler.bucket_totals()
-    expected = cfg.num_threads * stats.cycles
-    assert sum(totals.values()) == expected, \
-        f"buckets {dict(totals)} != {expected} thread-cycles\n{source}"
-    assert set(totals) <= set(ALL_KINDS)
-    for tid, spans in profiler.intervals.items():
-        cursor = 1
-        for iv in spans:
-            assert iv.start == cursor and iv.end > iv.start, \
-                f"t{tid}: gap/overlap at {iv}\n{source}"
-            cursor = iv.end
-        assert cursor == stats.cycles + 1, \
-            f"t{tid}: timeline ends at {cursor}\n{source}"
-    assert profiler.wait_by_cause() == dict(stats.wait_cycles), source
-    assert sum(profiler.issue_counts.values()) == stats.instructions, \
-        source
-    assert totals[K_ISSUE] == stats.instructions, source
-
-
 # -- generated-program conservation (the tentpole invariant) ------------------
-
-BODY_OPS = (
-    "    li    s2, 5",
-    "    padds p1, p0, s2",
-    "    rsum  s3, p1",
-    "    rmaxu s4, p1",
-    "    add   s5, s3, s3",
-    "    plw   p2, 0(p0)",
-    "    sw    s3, 16(s0)",
-    "    lw    s6, 16(s0)",
-)
-
-
-@hs.composite
-def profiled_programs(draw):
-    """Small terminating MT programs that exercise every wait cause:
-    network hazards (reductions/broadcasts), RAW, control bubbles,
-    joins, and the thread-management ISA."""
-    body = hs.lists(hs.sampled_from(BODY_OPS), min_size=1, max_size=6)
-    lines = [".text", "main:"]
-    lines += draw(body)
-    spawned = draw(hs.booleans())
-    if spawned:
-        lines.append("    tspawn s1, worker")
-        lines += draw(body)
-        if draw(hs.booleans()):
-            lines.append("    tput  s1, s2, 4")
-        if draw(hs.booleans()):
-            lines.append("    tjoin s1")
-    if draw(hs.booleans()):
-        lines.append("    beq   s0, s0, done")   # taken forward branch
-        lines.append("    li    s7, 9")          # skipped filler
-    lines.append("done:")
-    lines.append("    halt")
-    if spawned:
-        lines.append("worker:")
-        lines += draw(body)
-        lines.append("    texit")
-    return "\n".join(lines) + "\n"
-
 
 class TestConservation:
     @pytest.mark.parametrize("cfg", MODE_GRID, ids=MODE_IDS)
-    @settings(max_examples=25, deadline=None)
-    @given(source=profiled_programs())
-    def test_generated_programs_conserve(self, cfg, source):
-        result, profiler = run_profiled(source, cfg)
-        assert_conserved(result, profiler, cfg, source)
+    @PROPERTY
+    @given(program=programs(wild=False, shared=True))
+    def test_generated_programs_conserve(self, cfg, program):
+        check_profile(program, cfg)
 
     @pytest.mark.parametrize("cfg", MODE_GRID, ids=MODE_IDS)
     @pytest.mark.parametrize("path", EXAMPLES,
                              ids=[p.stem for p in EXAMPLES])
     def test_example_programs_conserve(self, path, cfg):
-        result, profiler = run_profiled(path.read_text(), cfg)
-        assert_conserved(result, profiler, cfg, path.name)
+        check_profile(assemble(path.read_text(), word_width=cfg.word_width),
+                      cfg)
 
     def test_examples_present(self):
         assert len(EXAMPLES) >= 5

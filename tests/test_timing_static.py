@@ -10,11 +10,12 @@ to that promise three ways:
   library kernel, across scheduler/mode/pipeline variants, compared on
   the full :class:`~repro.core.stats.Stats` dataclass *and* the final
   architectural state (registers, PE array, memory, thread states);
-* **generated parity** — hypothesis-built multithreaded programs
-  (spawn/join/tput across FINE/COARSE x ROTATING/FIXED) with the same
-  strong comparison, plus error/timeout parity under tight cycle
-  limits.  Spawning programs run on the cycle core on both backends,
-  so these compare the core's cached ready times against the same loop
+* **generated parity** — programs from the shared generator on the
+  shared machine axis, through :func:`tests.oracle.check_backends`,
+  plus error/timeout parity under tight cycle limits.  Spawn-free
+  programs take the fast backend's functional run and timing fold;
+  spawning programs run on the cycle core on both backends, so they
+  compare the core's cached ready times against the same loop
   recomputing every context's readiness each round;
 * **static soundness** — ``static_cycle_bound`` is a true upper bound
   on acyclic programs and declines to answer (None) when no finite
@@ -25,9 +26,8 @@ to that promise three ways:
 
 import pathlib
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis.lint import lint_program
 from repro.analysis.timing import static_cycle_bound
@@ -35,61 +35,20 @@ from repro.asm import assemble
 from repro.assoc.fastpath import FastMachine, FastPathError, run_fast
 from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.config import DividerKind, MultiplierKind
-from repro.core.processor import SimTimeout, SimulationError
+from repro.core.processor import SimulationError
 from repro.faults import FaultKind, FaultPlane, FaultSite, FaultSpec
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
 from tests.golden import KERNEL_VARIANTS, VARIANTS
+from tests.oracle import (
+    PROPERTY,
+    assert_parity,
+    check_backends,
+    check_static_bound,
+    recomputing_core,
+)
+from tests.strategies import machines, programs
 
 ASM_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "asm"
-
-
-def _arch_state(machine):
-    """Everything architecturally visible after a run, as plain data."""
-    return {
-        "threads": [(ctx.state.name, [int(v) for v in ctx.sregs])
-                    for ctx in machine.threads],
-        "pe_regs": machine.pe.regs.tolist(),
-        "pe_flags": machine.pe.flags.astype(np.int64).tolist(),
-        "memory": [int(w) for w in machine.mem.dump(0, machine.mem.words)],
-    }
-
-
-def _run_one(make_machine, program, cfg, lmem=None, max_cycles=None):
-    """Run to (outcome-kind, payload); exceptions become comparable data."""
-    machine = make_machine(cfg)
-    machine.load(program)
-    machine.pe.load_lmem(sorted((lmem or {}).items()))
-    try:
-        result = machine.run(max_cycles=max_cycles)
-    except (SimTimeout, SimulationError, RuntimeError, ValueError) as exc:
-        return ("raise", (type(exc).__name__, str(exc)))
-    return ("ok", (result.stats, _arch_state(machine)))
-
-
-def recomputing_core(cfg):
-    """The cycle core with its ready-time cache out of play.
-
-    An attached fault plane (here an empty one) makes the issue loop
-    recompute every runnable context's readiness each round.
-    """
-    return Processor(cfg, faults=FaultPlane([], cfg))
-
-
-def assert_parity(program, cfg, lmem=None, max_cycles=None,
-                  machines=(Processor, FastMachine)):
-    """Two machines (by default the two backends) must agree completely
-    — results or exceptions."""
-    make_c, make_f = machines
-    kind_c, payload_c = _run_one(make_c, program, cfg, lmem, max_cycles)
-    kind_f, payload_f = _run_one(make_f, program, cfg, lmem, max_cycles)
-    assert kind_c == kind_f, (payload_c, payload_f)
-    if kind_c == "raise":
-        assert payload_c == payload_f
-    else:
-        stats_c, arch_c = payload_c
-        stats_f, arch_f = payload_f
-        assert stats_f == stats_c
-        assert arch_f == arch_c
 
 
 # ---------------------------------------------------------------------------
@@ -117,95 +76,22 @@ def test_kernels_parity(name, variant):
 
 
 # ---------------------------------------------------------------------------
-# generated parity: hypothesis multithreaded programs
+# generated parity: the shared generator on the shared axis
 # ---------------------------------------------------------------------------
 
-SCALAR_OPS = ("add", "sub", "xor", "and", "or", "sll", "srl", "slt",
-              "smul")
-
-
-@st.composite
-def mt_programs(draw):
-    """Spawn/join/tput-heavy sources in the shape real MT code takes."""
-    workers = draw(st.integers(1, 3))
-    lines = [".text", "main:"]
-    for w in range(workers):
-        lines.append(f"    tspawn s{10 + w}, worker{w}")
-    if draw(st.booleans()):
-        slot = draw(st.integers(0, 3))
-        lines.append(f"    addi s2, s0, {draw(st.integers(1, 60))}")
-        lines.append(f"    tput s10, s2, {slot}")
-    count = draw(st.integers(2, 12))
-    lines += [
-        f"    addi s1, s0, {count}",
-        "mloop:",
-    ]
-    for _ in range(draw(st.integers(1, 3))):
-        # rd avoids s1 (limit) and s9 (counter) for guaranteed exit.
-        op = draw(st.sampled_from(SCALAR_OPS))
-        rd = draw(st.integers(2, 7))
-        lines.append(f"    {op} s{rd}, s{draw(st.integers(1, 7))}, "
-                     f"s{draw(st.integers(1, 7))}")
-    if draw(st.booleans()):
-        lines.append("    paddi p1, p1, 1")
-    if draw(st.booleans()):
-        lines.append("    rsum s8, p1")
-    lines += [
-        "    addi s9, s9, 1",
-        "    blt s9, s1, mloop",
-    ]
-    for w in range(workers):
-        lines.append(f"    tjoin s{10 + w}")
-    lines.append("    halt")
-    for w in range(workers):
-        wcount = draw(st.integers(1, 10))
-        lines += [
-            f"worker{w}:",
-            f"    addi s1, s0, {wcount}",
-            f"wloop{w}:",
-        ]
-        for _ in range(draw(st.integers(1, 2))):
-            # rd stays off s1/s2 so the loop counter is never clobbered
-            # and the generated program terminates on its own.
-            op = draw(st.sampled_from(SCALAR_OPS))
-            lines.append(f"    {op} s{draw(st.integers(3, 7))}, "
-                         f"s{draw(st.integers(1, 7))}, "
-                         f"s{draw(st.integers(1, 7))}")
-        lines += [
-            "    addi s2, s2, 1",
-            f"    blt s2, s1, wloop{w}",
-            "    texit",
-        ]
-    return "\n".join(lines) + "\n"
-
-
-mt_variants = st.sampled_from(
-    ["fine-rot", "fine-fixed", "coarse-rot", "coarse-fixed", "smt2",
-     "seq-muldiv"])
-
-
-@settings(max_examples=60, deadline=None)
-@given(source=mt_programs(), variant=mt_variants,
-       threads=st.sampled_from([4, 8]))
-def test_mt_differential(source, variant, threads):
-    cfg = ProcessorConfig(num_pes=8, num_threads=threads,
-                          **VARIANTS[variant])
-    program = assemble(source, word_width=cfg.word_width)
+@PROPERTY
+@given(program=programs(), cfg=machines(threads=(4, 8)))
+def test_mt_differential(program, cfg):
     # Generous enough for every generated program; bounds the rare
     # pathological schedule so a single example can never stall CI.
-    assert_parity(program, cfg, max_cycles=20_000,
-                  machines=(recomputing_core, Processor))
+    check_backends(program, cfg, max_cycles=20_000)
 
 
-@settings(max_examples=25, deadline=None)
-@given(source=mt_programs(), variant=mt_variants,
-       limit=st.integers(1, 120))
-def test_mt_timeout_parity(source, variant, limit):
+@PROPERTY
+@given(program=programs(), cfg=machines(), limit=st.integers(1, 120))
+def test_mt_timeout_parity(program, cfg, limit):
     """Tight cycle limits: SimTimeout type *and message* must match."""
-    cfg = ProcessorConfig(num_pes=8, num_threads=4, **VARIANTS[variant])
-    program = assemble(source, word_width=cfg.word_width)
-    assert_parity(program, cfg, max_cycles=limit,
-                  machines=(recomputing_core, Processor))
+    check_backends(program, cfg, max_cycles=limit)
 
 
 def test_join_wake_drops_cached_readiness():
@@ -314,36 +200,10 @@ def test_run_fast_convenience():
 # static soundness: the path-free bound and the lint checks
 # ---------------------------------------------------------------------------
 
-@st.composite
-def acyclic_programs(draw):
-    """Straight-line scalar code with only-forward branches."""
-    lines = [".text", "main:"]
-    n = draw(st.integers(3, 12))
-    for i in range(n):
-        if draw(st.integers(0, 3)) == 0 and i < n - 1:
-            lines.append(f"    beq s{draw(st.integers(0, 3))}, "
-                         f"s{draw(st.integers(0, 3))}, skip{i}")
-            lines.append(f"    addi s{draw(st.integers(1, 5))}, s0, "
-                         f"{draw(st.integers(0, 50))}")
-            lines.append(f"skip{i}:")
-        else:
-            op = draw(st.sampled_from(SCALAR_OPS))
-            lines.append(f"    {op} s{draw(st.integers(1, 5))}, "
-                         f"s{draw(st.integers(1, 5))}, "
-                         f"s{draw(st.integers(1, 5))}")
-    lines.append("    halt")
-    return "\n".join(lines) + "\n"
-
-
-@settings(max_examples=50, deadline=None)
-@given(source=acyclic_programs())
-def test_static_bound_dominates_exact_count(source):
-    cfg = ProcessorConfig(num_pes=4)
-    program = assemble(source, word_width=cfg.word_width)
-    bound = static_cycle_bound(program, cfg)
-    assert bound is not None
-    result = Processor(cfg).run(program)
-    assert bound >= result.stats.cycles
+@PROPERTY
+@given(program=programs(spawn=False, control="acyclic"), cfg=machines())
+def test_static_bound_dominates_exact_count(program, cfg):
+    check_static_bound(program, cfg)
 
 
 def test_static_bound_declines_loops_and_spawns():
