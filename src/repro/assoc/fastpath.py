@@ -52,6 +52,10 @@ from repro.core.timing import (
 
 FusedRuns = list[tuple[Callable[[ThreadContext], None], int] | None]
 
+#: The trace's kind for a pc whose op the machine lacks: the functional
+#: run stops there and the fold raises the core's error.
+_K_STOP = -1
+
 __all__ = [
     "FastMachine",
     "FastPathError",
@@ -76,6 +80,7 @@ class FastMachine:
         self._analysis: TimingAnalysis | None = None
         self._analysis_program: Program | None = None
         self._fused: FusedRuns = []
+        self._kinds: list[int] = []
 
     # Architectural state lives in the engine; the accessors mirror
     # Processor's attributes for snapshot/tooling code.
@@ -105,10 +110,20 @@ class FastMachine:
             if self._core is None:
                 self._core = Processor(self.cfg)
             self._machine = self._core
-        else:
-            self._machine = self._fm
-            self._fused = fuse_scalar_runs(program, self.cfg.word_width)
-        self._machine.load(program)
+            self._machine.load(program)
+            return
+        self._machine = self._fm
+        self._fm.load(program)
+        self._fused = fuse_scalar_runs(program, self.cfg.word_width)
+        self._kinds = self._fm.kinds
+        stops = self._timing(program).model.raising_pcs()
+        if stops:
+            self._kinds = list(self._kinds)
+            for pc in stops:
+                self._kinds[pc] = _K_STOP
+            self._fused = [None if run is not None and any(
+                start <= pc < start + run[1] for pc in stops) else run
+                for start, run in enumerate(self._fused)]
 
     def _timing(self, program: Program) -> TimingAnalysis:
         if self._analysis is None or self._analysis_program is not program:
@@ -154,7 +169,7 @@ class FastMachine:
         fm = self._fm
         thread = fm.threads[0]
         instructions = prog.instructions
-        ops, kinds = fm.ops, fm.kinds
+        ops, kinds = fm.ops, self._kinds
         fused = self._fused
         events: list[int] = []
         append = events.append
@@ -187,6 +202,8 @@ class FastMachine:
                     append(1)
                     pc = next_pc
                 continue
+            if kind == _K_STOP:
+                break
             if kind == K_TJOIN:
                 target = fm.threads[
                     thread.read_sreg(instructions[pc].rs) % num_threads]

@@ -321,6 +321,16 @@ class TimingModel:
             it = self.table[pc] = self._build(pc)
         return it
 
+    def raising_pcs(self) -> list[int]:
+        """Every pc whose entry raises (an op needing a unit the machine
+        lacks); on a machine with both units, none without a look."""
+        cfg = self.config
+        if (cfg.multiplier is not MultiplierKind.NONE
+                and cfg.divider is not DividerKind.NONE):
+            return []
+        return [pc for pc in range(len(self.table))
+                if self.entry(pc).raises is not None]
+
     def _build(self, pc: int) -> InstrTiming:
         instr = self.program.instructions[pc]
         op = self._ops.get(instr.mnemonic)

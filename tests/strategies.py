@@ -12,7 +12,12 @@ import itertools
 from hypothesis import strategies as st
 
 from repro.asm.program import Program
-from repro.core.config import MTMode, ProcessorConfig
+from repro.core.config import (
+    DividerKind,
+    MTMode,
+    MultiplierKind,
+    ProcessorConfig,
+)
 from repro.isa import registers as regs
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import (
@@ -264,25 +269,33 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
 
 # -- the machine axis ---------------------------------------------------------
 
-def machine(variant="fine-rot", *, threads=4, pes=4, width=16, **extra):
+def machine(variant="fine-rot", *, threads=4, pes=4, width=16,
+            unitless=False, **extra):
     """One point of the axis: a ``tests/golden.py`` variant (on one
-    thread, the single-threaded machine with that variant's units)."""
+    thread, the single-threaded machine with that variant's units), or
+    that variant without a multiplier and a divider."""
     overrides = dict(VARIANTS[variant], **extra)
     if threads == 1:
         overrides.update(mt_mode=MTMode.SINGLE)
+    if unitless:
+        overrides.update(multiplier=MultiplierKind.NONE,
+                         divider=DividerKind.NONE)
     return ProcessorConfig(num_pes=pes, num_threads=threads,
                            word_width=width, **overrides)
 
 
-def machines(*, variants=tuple(VARIANTS), threads=(1, 4, 8), fetch=False):
+def machines(*, variants=tuple(VARIANTS), threads=(1, 4, 8), fetch=False,
+             unitless=False):
     """Small machines over the variants, thread and PE counts, widths and
-    broadcast arities; ``fetch`` adds fetch-modelling machines."""
+    broadcast arities; ``fetch`` adds fetch-modelling machines and
+    ``unitless`` machines without a multiplier and a divider."""
     return st.builds(
         machine, st.sampled_from(variants),
         threads=st.sampled_from(threads),
         pes=st.sampled_from((1, 3, 8, 16)), width=st.sampled_from((8, 16)),
         broadcast_arity=st.sampled_from((2, 4)),
         model_fetch=st.sampled_from((False, False, False, fetch)),
+        unitless=st.sampled_from((False, False, False, unitless)),
         lmem_words=st.just(16), scalar_mem_words=st.just(64))
 
 

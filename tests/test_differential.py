@@ -25,7 +25,8 @@ from tests.strategies import machine, machines, programs
 
 class TestRandomProgramEquivalence:
     @PROPERTY
-    @given(program=programs(spawn=False), cfg=machines(fetch=True))
+    @given(program=programs(spawn=False),
+           cfg=machines(fetch=True, unitless=True))
     def test_all_backends_agree(self, program, cfg):
         check_backends(program, cfg)
         check_functional(program, cfg)

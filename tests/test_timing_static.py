@@ -25,6 +25,7 @@ to that promise three ways:
 """
 
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,7 +81,7 @@ def test_kernels_parity(name, variant):
 # ---------------------------------------------------------------------------
 
 @PROPERTY
-@given(program=programs(), cfg=machines(threads=(4, 8)))
+@given(program=programs(), cfg=machines(threads=(4, 8), unitless=True))
 def test_mt_differential(program, cfg):
     # Generous enough for every generated program; bounds the rare
     # pathological schedule so a single example can never stall CI.
@@ -88,7 +89,8 @@ def test_mt_differential(program, cfg):
 
 
 @PROPERTY
-@given(program=programs(), cfg=machines(), limit=st.integers(1, 120))
+@given(program=programs(), cfg=machines(unitless=True),
+       limit=st.integers(1, 120))
 def test_mt_timeout_parity(program, cfg, limit):
     """Tight cycle limits: SimTimeout type *and message* must match."""
     check_backends(program, cfg, max_cycles=limit)
@@ -170,6 +172,35 @@ def test_missing_unit_is_a_located_simulation_error(mnemonic, in_flight,
         f"{mnemonic} needs a {unit} but none is configured, at "
         f"{program.location_of(1)}")
     assert "pc=1" in str(exc.value)
+
+
+def test_missing_unit_stops_the_fast_run():
+    """The fast backend raises the core's error for an op the machine
+    lacks, not a fault of a later instruction it ran past it; and the
+    watchdog still fires first when it would on the core."""
+    cfg = ProcessorConfig(num_pes=4, divider=DividerKind.NONE)
+    program = assemble(".text\nmain:\n    pdiv p1, p1, p1\n"
+                       "    sw s1, -1(s0)\n    halt\n",
+                       word_width=cfg.word_width)
+    with pytest.raises(SimulationError, match="needs a divider"):
+        FastMachine(cfg).run(program)
+    assert_parity(program, cfg)
+    late = assemble(".text\nmain:\n" + "    addi s1, s1, 1\n" * 10
+                    + "    pdiv p1, p1, p1\n    halt\n",
+                    word_width=cfg.word_width)
+    for limit in (5, 10, 11, 12, None):
+        assert_parity(late, cfg, max_cycles=limit)
+
+
+def test_missing_unit_in_a_loop_fails_at_once():
+    """Under the default watchdog, not after 10,000,000 cycles of it."""
+    cfg = ProcessorConfig(num_pes=4, divider=DividerKind.NONE)
+    program = assemble("main: pdiv p1, p1, p1\n    j main\n",
+                       word_width=cfg.word_width)
+    started = time.perf_counter()
+    with pytest.raises(SimulationError, match="needs a divider"):
+        FastMachine(cfg).run(program)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_deadlock_parity():
