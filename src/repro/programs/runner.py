@@ -15,7 +15,8 @@ class KernelSetupError(ValueError):
     """Configuration cannot host the kernel (too few PEs / memory)."""
 
 
-def _check(kernel: Kernel, cfg: ProcessorConfig) -> None:
+def check_fit(kernel: Kernel, cfg: ProcessorConfig) -> None:
+    """Raise :class:`KernelSetupError` unless ``cfg`` can host ``kernel``."""
     if cfg.word_width != kernel.word_width:
         raise KernelSetupError(
             f"{kernel.name} is built for W={kernel.word_width}, "
@@ -69,7 +70,7 @@ def kernel_norm(value):
 def run_kernel(kernel: Kernel, cfg: ProcessorConfig,
                trace: bool = False) -> KernelRun:
     """Run a kernel cycle-accurately and extract its outputs."""
-    _check(kernel, cfg)
+    check_fit(kernel, cfg)
     program = assemble(kernel.source, word_width=cfg.word_width)
     proc = Processor(cfg, trace=trace)
     proc.load(program)
@@ -81,7 +82,7 @@ def run_kernel(kernel: Kernel, cfg: ProcessorConfig,
 def run_kernel_functional(kernel: Kernel, cfg: ProcessorConfig,
                           ) -> dict[str, object]:
     """Run a kernel on the untimed backend; returns extracted outputs."""
-    _check(kernel, cfg)
+    check_fit(kernel, cfg)
     program = assemble(kernel.source, word_width=cfg.word_width)
     machine = FunctionalMachine(cfg)
     machine.load(program)

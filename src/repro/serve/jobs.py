@@ -57,6 +57,7 @@ from repro.core.config import ProcessorConfig
 from repro.faults.spec import FaultSpec
 from repro.pe.pe_array import PEArray
 from repro.programs.kernels import ALL_KERNEL_BUILDERS, KERNEL_ARG_RULES
+from repro.programs.runner import check_fit
 from repro.serve.identity import job_key
 from repro.util.fields import check, from_json, rule
 
@@ -234,6 +235,7 @@ class Job:
                 kern = ALL_KERNEL_BUILDERS[self.kernel](
                     cfg.num_pes, **self.kernel_args)
                 cfg = dataclasses.replace(cfg, word_width=kern.word_width)
+                check_fit(kern, cfg)
             except (TypeError, OverflowError) as exc:
                 raise JobError(f"{bad_args}: {exc}") from exc
             except ValueError as exc:

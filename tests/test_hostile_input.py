@@ -59,6 +59,10 @@ EXPECTED = {
     25: "lmem column '0' must be a list of 64-bit integers, got [1e+300]",
     26: "lmem column '0' must be a list of 64-bit integers, got [True, 2]",
     27: "'lmem' columns must be below the config's lmem_words=1024",
+    28: "cannot build kernel 'image_threshold' at 16 PEs: image_threshold "
+        "needs >= 2000 local words",
+    29: "cannot build kernel 'mst_prim' at 16 PEs: mst_prim needs >= 14 "
+        "local words",
 }
 
 
