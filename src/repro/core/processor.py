@@ -395,9 +395,14 @@ class Processor:
             chosen = self.scheduler.select(candidates, cycle, ready_of,
                                            self.program)
             # Issue uses the readiness known at the round's start, even
-            # when an earlier issue this round (SMT-2) invalidates it.
+            # when an earlier issue this round (SMT-2) invalidates it --
+            # except a structural unit that issue just took: a scalar and
+            # a parallel op sharing a sequential unit cannot both start.
             issued = 0
             for thread, info in [(t, t.ready) for t in chosen]:
+                if issued and info[3] >= 0 \
+                        and self._unit_busy[info[3]] > cycle:
+                    continue
                 if self._issue(thread, cycle, info[2], info[1]):
                     issued += 1
                 if self.halted:

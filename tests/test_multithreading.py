@@ -300,6 +300,28 @@ worker:
         # SMT2 has two issue slots per cycle.
         assert res.stats.issue_slots == 2 * res.stats.cycles
 
+    def test_smt2_never_dual_issues_one_sequential_unit(self):
+        """A scalar and a parallel divide ready in the same cycle share
+        the sequential divider: SMT-2 issues one and the other waits."""
+        src = """
+.text
+main:
+    tspawn s10, worker
+    pdiv   p1, p2, p3
+    tjoin  s10
+    halt
+worker:
+    sdiv   s1, s2, s3
+    texit
+"""
+        cycles = {}
+        for mode in (MTMode.FINE, MTMode.SMT2):
+            res = run_program(src, ProcessorConfig(
+                num_pes=1, num_threads=4, mt_mode=mode))
+            assert res.stats.wait_cycles["structural"] > 0
+            cycles[mode] = res.cycles
+        assert cycles[MTMode.SMT2] <= cycles[MTMode.FINE]
+
     def test_smt2_not_slower_than_fine(self):
         fine = run_program(self.STORM, ProcessorConfig(
             num_pes=64, num_threads=4, word_width=16, mt_mode=MTMode.FINE))
