@@ -49,8 +49,9 @@ from repro.opt.scheduler import schedule_program_verified
 from repro.pe.pe_array import MemoryFault
 from tests.golden import KERNEL_VARIANTS, VARIANTS
 
-#: Settings of every oracle property: a quarter of the active profile's
-#: examples (each runs a program on several machines), no deadline.
+#: Settings of every oracle and fuzz property: a quarter of the active
+#: profile's examples (an oracle example runs a program on several
+#: machines), no deadline.
 PROPERTY = settings(deadline=None,
                     max_examples=max(1, settings.default.max_examples // 4),
                     suppress_health_check=[HealthCheck.too_slow])

@@ -27,6 +27,7 @@ from repro.isa.opcodes import (
     Format,
     ImmKind,
 )
+from repro.util.fields import table
 from tests.golden import VARIANTS
 
 
@@ -304,6 +305,55 @@ MODE_GRID = [machine(v) for v in
              ("fine-rot", "fine-fixed", "coarse-rot", "coarse-fixed")]
 MODE_IDS = [f"{cfg.mt_mode.value}-{cfg.scheduler.value}"
             for cfg in MODE_GRID]
+
+
+# -- outside documents --------------------------------------------------------
+
+#: Any JSON value: what a field gets when it gets the wrong type.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(1 << 70), 1 << 70)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _field(r, fields):
+    """A rule's in-range values, values at and past its bounds, and any
+    JSON (wrong types and null)."""
+    if r.name in fields:
+        good = fields[r.name]
+    elif r.enum is not None or r.choices is not None:
+        good = st.sampled_from(list(r.choices or r.enum))
+    elif r.type in (int, float):
+        edges = [bound + step for bound in (r.lo, r.hi) if bound is not None
+                 for step in (-1, 0, 1)]
+        good = (st.integers(r.lo, r.hi) if r.type is int else
+                st.floats(r.lo, r.hi, allow_nan=False, allow_infinity=False))
+        good |= st.sampled_from(edges) if edges else st.nothing()
+    elif r.type is bool:
+        good = st.booleans()
+    elif r.type is str:
+        good = st.text(max_size=12)
+    elif r.item is not None:
+        good = st.lists(_field(r.item, {}), max_size=3)
+    elif dataclasses.is_dataclass(r.type):
+        good = documents(r.type)
+    else:
+        good = JSON
+    return st.one_of(good, good, JSON)
+
+
+def documents(cls, **fields):
+    """JSON documents for ``cls``, from its rule table
+    (:func:`repro.util.fields.table`): each field absent, in range, at or
+    past a bound, of the wrong type or null, plus unknown fields and
+    non-objects.  ``fields`` gives a field's in-range values where its
+    rule has no structure (a dict of axes, a device name)."""
+    rules = table(cls).rules.values()
+    return st.one_of(JSON, st.fixed_dictionaries(
+        {}, optional={r.name: _field(r, fields) for r in rules}
+        | {"unknown": JSON}))
 
 
 # -- design-space exploration -------------------------------------------------
