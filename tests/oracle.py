@@ -6,6 +6,7 @@ one check per promise:
 
 * :func:`check_backends` — the cycle core and the fast backend give the
   same ``Stats`` and final state, or raise the same error;
+  :func:`check_watchdog` also at the cycle limit a run just fits;
 * :func:`check_functional` — on race-free programs the functional
   machine reaches the cycle core's state in every thread;
 * :func:`check_disciplines` — the multithreading disciplines agree per
@@ -140,6 +141,16 @@ def check_backends(program, cfg, max_cycles=None):
     assert_parity(program, cfg, max_cycles=max_cycles,
                   machines=((recomputing_core, Processor) if spawns(program)
                             else (Processor, FastMachine)))
+
+
+def check_watchdog(program, cfg):
+    """At a run's own cycle count C the backends agree on both sides of
+    the watchdog: both finish under ``max_cycles=C`` and both time out,
+    with one message, under ``C - 1``."""
+    kind, payload = outcome(Processor, program, cfg)
+    if kind == "ok":
+        for limit in {payload[0].cycles, max(1, payload[0].cycles - 1)}:
+            check_backends(program, cfg, max_cycles=limit)
 
 
 def check_functional(program, cfg, threads=None):

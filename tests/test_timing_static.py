@@ -45,6 +45,7 @@ from tests.oracle import (
     assert_parity,
     check_backends,
     check_static_bound,
+    check_watchdog,
     recomputing_core,
 )
 from tests.strategies import machines, programs
@@ -89,11 +90,13 @@ def test_mt_differential(program, cfg):
 
 
 @PROPERTY
-@given(program=programs(), cfg=machines(unitless=True),
+@given(program=programs(), cfg=machines(threads=(4, 8), unitless=True),
        limit=st.integers(1, 120))
 def test_mt_timeout_parity(program, cfg, limit):
-    """Tight cycle limits: SimTimeout type *and message* must match."""
+    """Tight cycle limits: SimTimeout type *and message* must match,
+    also at and just below the cycles the run takes."""
     check_backends(program, cfg, max_cycles=limit)
+    check_watchdog(program, cfg)
 
 
 def test_join_wake_drops_cached_readiness():
