@@ -59,7 +59,7 @@ def _operands(mnemonic, registers):
         fields.append(("target", 1 << 26))
     elif spec.imm_kind is not None:
         fields.append(("imm", _imm_values(spec)))
-    return fields
+    return tuple(fields)
 
 
 def decode(chunk: bytes, mnemonics=ALL_MNEMONICS, registers=ALL_REGS,
@@ -418,24 +418,3 @@ def keyed_metric_points(draw, arity, max_points=10):
     extra = draw(st.lists(st.sampled_from(sorted(by_key)), max_size=5)) \
         if by_key else []
     return items + [(k, by_key[k]) for k in extra]
-
-
-@st.composite
-def machine_configs(draw, max_pes=16):
-    """Small but shape-diverse machine configurations.
-
-    Keeps PE counts and local memories tiny so property tests that run
-    whole programs per example stay fast.
-    """
-    num_threads = draw(st.sampled_from([1, 2, 4]))
-    return ProcessorConfig(
-        num_pes=draw(st.integers(1, max_pes)),
-        num_threads=num_threads,
-        word_width=draw(st.sampled_from([8, 16])),
-        mt_mode=MTMode.SINGLE if num_threads == 1 else MTMode.FINE,
-        broadcast_arity=draw(st.sampled_from([2, 4])),
-        pipelined_broadcast=draw(st.booleans()),
-        pipelined_reduction=draw(st.booleans()),
-        lmem_words=64,
-        scalar_mem_words=256,
-    )

@@ -33,7 +33,7 @@ from repro.faults import (
 from repro.network.tree import PipelinedBroadcastTree, PipelinedReductionTree
 from repro.programs import ALL_KERNEL_BUILDERS
 
-from .strategies import machine_configs
+from .strategies import machines
 
 CFG16 = ProcessorConfig(num_pes=16, word_width=16)
 
@@ -136,7 +136,7 @@ def _run_identity(cfg, faults):
 
 class TestEmptyPlaneIdentity:
     @settings(max_examples=30, deadline=None)
-    @given(cfg=machine_configs())
+    @given(cfg=machines())
     def test_bit_for_bit_identical(self, cfg):
         base_proc, base = _run_identity(cfg, None)
         for parity in (False, True):

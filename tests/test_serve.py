@@ -43,7 +43,7 @@ from repro.serve import (
     job_key,
     jobs_from_json,
 )
-from tests.strategies import machine_configs
+from tests.strategies import machines
 
 DEMO = """
 .text
@@ -290,7 +290,7 @@ class TestSnapshot:
             assert view(result) == expected, type(result).__name__
 
     @settings(max_examples=15, deadline=None)
-    @given(cfg=machine_configs(max_pes=8))
+    @given(cfg=machines())
     def test_run_result_snapshot_round_trip_property(self, cfg):
         """Snapshots of real runs survive pickling on any machine shape."""
         result = run_program(DEMO, cfg)
@@ -301,7 +301,7 @@ class TestSnapshot:
         assert clone.to_json() == snap.to_json()
 
     @settings(max_examples=25, deadline=None)
-    @given(cfg=machine_configs())
+    @given(cfg=machines())
     def test_processor_config_pickle_round_trip(self, cfg):
         clone = pickle.loads(pickle.dumps(cfg))
         assert clone == cfg
