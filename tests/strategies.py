@@ -91,6 +91,10 @@ def instructions():
 BODY_MNEMONICS = tuple(m for m in ALL_MNEMONICS if not (
     OPCODES[m].is_branch or OPCODES[m].is_jump or OPCODES[m].is_halt
     or OPCODES[m].is_thread_op))
+#: Scalar ALU ops: a run of them in a loop is what the fast backend fuses.
+SCALAR_MNEMONICS = tuple(
+    m for m in BODY_MNEMONICS if OPCODES[m].exec_class is ExecClass.SCALAR
+    and OPCODES[m].dest == ("s", "rd") and not OPCODES[m].is_load)
 #: Small register pools keep bodies dependence-dense.  The skeleton owns
 #: s9 (loop trips), s10-s12 (worker handles) and s14 (the link register):
 #: no body instruction writes them, so every loop and call ends.
@@ -108,8 +112,10 @@ _REG = st.integers(1, dict(BODY_REGS)["s"] - 1)  # a body register
 _INDEX = st.integers(0, 63)         # a position or a pick, modulo a size
 _BRANCH = st.sampled_from(("beq", "bne", "blt", "bge"))
 _TRIPS = st.integers(1, 4)
-_KINDS = {"straight": ("plain",), "acyclic": ("plain", "branch"),
-          "any": ("plain", "branch", "loop", "call")}
+_SEED = st.binary(min_size=8, max_size=8)
+_KINDS = {"straight": ("plain", "scalar"),
+          "acyclic": ("plain", "scalar", "branch"),
+          "any": ("plain", "scalar", "branch", "loop", "call")}
 
 
 def _body(mnemonics, wild, data: bytes, salt: int) -> list[Instruction]:
@@ -130,6 +136,15 @@ def _body(mnemonics, wild, data: bytes, salt: int) -> list[Instruction]:
                 imm=slots[data[i + 6] % len(slots)])
         out.append(ins)
     return out
+
+
+def _seed(data: bytes) -> list[Instruction]:
+    """A thread's first lines: nonzero values in s1-s5 and p1-p3, so an
+    op that reads a wrong operand shows in the final state."""
+    return ([Instruction("addi", rd=r, imm=data[r - 1] - 128 or 1)
+             for r in range(1, 6)]
+            + [Instruction("paddi", rd=r, imm=data[r + 4] - 128 or 1)
+               for r in range(1, 4)])
 
 
 def _link(lines) -> Program:
@@ -192,7 +207,7 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
                  ("top", top),
                  ("loop", tuple(k for k in top if k != "loop")),
                  ("function", tuple(k for k in top
-                                    if k in ("plain", "branch"))))}
+                                    if k not in ("loop", "call"))))}
     accesses = st.lists(st.tuples(_COIN, _ADDRESS), max_size=2)
     workers = (st.just(0) if spawn is False else
                st.integers(1 if spawn else 0, 3))
@@ -203,14 +218,19 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
         for kind in draw(kinds[where]):
             if kind == "plain":
                 out += run(6)
+            elif kind == "scalar":
+                out += run(6, SCALAR_MNEMONICS)
             elif kind == "branch":
                 skip = fresh("skip")
                 out += [(draw(_BRANCH), draw(cond), draw(cond), skip),
                         *run(3), skip]
             elif kind == "loop":
                 top = fresh("loop")
+                # Scalar ops and the count down end the body: a run the
+                # fast backend fuses.
                 out += [Instruction("addi", rd=LOOP_REG, imm=draw(_TRIPS)),
                         top, *items(draw, "loop", fresh, run, functions),
+                        *run(3, SCALAR_MNEMONICS),
                         Instruction("addi", rd=LOOP_REG, rs=LOOP_REG,
                                     imm=-1),
                         ("bne", LOOP_REG, 0, top)]
@@ -230,13 +250,14 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
         def fresh(kind):
             return f"{kind}{next(names)}"
 
-        def run(size):
-            return _body(mnemonics, wild, draw(runs[size]), next(salts))
+        def run(size, pool=mnemonics):
+            return _body(pool, wild, draw(runs[size]), next(salts))
 
         functions = ([fresh("fn") for _ in range(1 + draw(_COIN))]
                      if control == "any" else [])
         handles = HANDLE_REGS[:draw(workers)]
         lines = [("tspawn", h, f"worker{w}") for w, h in enumerate(handles)]
+        lines += _seed(draw(_SEED))
         if handles and not race_free and draw(_COIN):
             lines.append(Instruction(
                 "tput", rd=handles[draw(_INDEX) % len(handles)], rs=draw(_REG),
@@ -249,12 +270,12 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
         lines += [Instruction("tjoin", rs=h) for h in handles
                   if race_free or draw(_QUARTER)]
         lines.append(Instruction("halt"))
-        # A race-free worker outlives the spawns (nops first): a context
-        # freed before the last tspawn goes to another worker on some
-        # schedules, and each context's final state must not depend on it.
-        pad = [Instruction("add")] * (2 * len(handles) if race_free else 0)
+        # A worker's eight seed lines outlast the other spawns, so no
+        # context is freed before the last tspawn: a freed context goes to
+        # another worker on some schedules, and a race-free program's
+        # final state per context must not depend on the schedule.
         for w in range(len(handles)):
-            lines += [f"worker{w}", *pad,
+            lines += [f"worker{w}", *_seed(draw(_SEED)),
                       *items(draw, "top", fresh, run, functions)]
             if not race_free and draw(_COIN):
                 lines.append(Instruction("tput", rs=draw(_REG),

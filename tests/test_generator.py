@@ -13,12 +13,13 @@ from hypothesis import Phase, given, settings
 
 from repro.core import Processor
 from repro.core import stats as stx
+from repro.core.execute import fuse_scalar_runs
 from tests.strategies import BODY_MNEMONICS, MODE_GRID, programs
 
 SAMPLE = 300
 SKELETON = ("tspawn", "tjoin", "tput", "tget", "texit", "halt", "jal", "jr")
 SHAPES = ("spawn-free", "spawning", "loop", "forward-branch",
-          "taken-forward-branch", "masked")
+          "taken-forward-branch", "masked", "fused-run")
 #: Every cause but the coarse switch penalty, which no machine counts.
 WAIT_CAUSES = tuple(c for c in stx.ALL_STALL_CAUSES if c != stx.STALL_SWITCH)
 
@@ -35,6 +36,8 @@ def constructs(program):
                 out.add("taken-forward-branch")
         if ins.spec.masked and ins.mf:
             out.add("masked")
+    if any(fuse_scalar_runs(program, 16)):
+        out.add("fused-run")
     return out
 
 

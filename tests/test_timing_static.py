@@ -206,6 +206,18 @@ def test_missing_unit_in_a_loop_fails_at_once():
     assert time.perf_counter() - started < 1.0
 
 
+def test_load_use_across_a_block_boundary():
+    """A load issued last in a block still stalls its consumer at the
+    start of the next: the fold keeps the load's scoreboard entry."""
+    cfg = ProcessorConfig(num_pes=4)
+    program = assemble(".text\nmain:\n    li   s9, 3\nloop:\n"
+                       "    beq  s9, s0, join\n    lw   s1, 16(s0)\n"
+                       "join:\n    add  s2, s1, s1\n    addi s9, s9, -1\n"
+                       "    bne  s9, s0, loop\n    halt\n",
+                       word_width=cfg.word_width)
+    assert_parity(program, cfg)
+
+
 def test_deadlock_parity():
     src = ".text\nmain:\n    tjoin s1\n    halt\n"
     cfg = ProcessorConfig(num_pes=4, num_threads=4)
