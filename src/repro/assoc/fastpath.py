@@ -121,9 +121,11 @@ class FastMachine:
             self._kinds = list(self._kinds)
             for pc in stops:
                 self._kinds[pc] = _K_STOP
-            self._fused = [None if run is not None and any(
-                start <= pc < start + run[1] for pc in stops) else run
-                for start, run in enumerate(self._fused)]
+            for start, run in enumerate(self._fused):
+                if run is not None:
+                    end = start + run[1]
+                    if any(start <= pc < end for pc in stops):
+                        self._fused[start] = None
 
     def _timing(self, program: Program) -> TimingAnalysis:
         if self._analysis is None or self._analysis_program is not program:
