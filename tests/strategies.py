@@ -105,17 +105,19 @@ HANDLE_REGS = (10, 11, 12)
 #: words plw/psw use.
 ADDRESSES = (16, 20, 24)
 LMEM_SLOTS = tuple(range(8))
-_ADDRESS = st.sampled_from(ADDRESSES)
 _QUARTER = st.integers(0, 3)
 _COIN = st.booleans()
 _REG = st.integers(1, dict(BODY_REGS)["s"] - 1)  # a body register
 _INDEX = st.integers(0, 63)         # a position or a pick, modulo a size
-_BRANCH = st.sampled_from(("beq", "bne", "blt", "bge"))
+BRANCHES = ("beq", "bne", "blt", "bge")
+#: Compact draws: a byte picks each of one to three items, two bytes
+#: place one shared access (up to two).
+_KIND_BYTES = st.binary(min_size=1, max_size=3)
+_ACCESS_BYTES = st.binary(max_size=4)
 _TRIPS = st.integers(1, 4)
 _SEED = st.binary(min_size=8, max_size=8)
-_KINDS = {"straight": ("plain", "scalar"),
-          "acyclic": ("plain", "scalar", "branch"),
-          "any": ("plain", "scalar", "branch", "loop", "call")}
+_KINDS = {"straight": ("plain",), "acyclic": ("plain", "branch"),
+          "any": ("plain", "branch", "loop", "call")}
 
 
 def _body(mnemonics, wild, data: bytes, salt: int) -> list[Instruction]:
@@ -200,29 +202,26 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
     mnemonics = tuple(m for m in BODY_MNEMONICS
                       if not (race_free and OPCODES[m].is_store))
     runs = {n: st.binary(min_size=7, max_size=7 * n) for n in (3, 6)}
-    cond = st.sampled_from((0, 1, 2, LOOP_REG) if wild else (0, LOOP_REG))
+    conds = (0, 1, 2, LOOP_REG) if wild else (0, LOOP_REG)
     top = _KINDS[control]
-    kinds = {where: st.lists(st.sampled_from(pool), min_size=1, max_size=3)
-             for where, pool in (
-                 ("top", top),
-                 ("loop", tuple(k for k in top if k != "loop")),
-                 ("function", tuple(k for k in top
-                                    if k not in ("loop", "call"))))}
-    accesses = st.lists(st.tuples(_COIN, _ADDRESS), max_size=2)
+    pools = {"top": top, "loop": tuple(k for k in top if k != "loop"),
+             "function": tuple(k for k in top if k not in ("loop", "call"))}
     workers = (st.just(0) if spawn is False else
                st.integers(1 if spawn else 0, 3))
 
     def items(draw, where, fresh, run, functions):
         """One thread's (or function's) code between its skeleton lines."""
         out = []
-        for kind in draw(kinds[where]):
+        pool = pools[where]
+        for i, byte in enumerate(draw(_KIND_BYTES)):
+            kind = pool[(byte + i) % len(pool)]
             if kind == "plain":
                 out += run(6)
-            elif kind == "scalar":
-                out += run(6, SCALAR_MNEMONICS)
             elif kind == "branch":
                 skip = fresh("skip")
-                out += [(draw(_BRANCH), draw(cond), draw(cond), skip),
+                code = draw(_INDEX)
+                out += [(BRANCHES[code % 4], conds[code // 4 % len(conds)],
+                         conds[code // 16 % len(conds)], skip),
                         *run(3), skip]
             elif kind == "loop":
                 top = fresh("loop")
@@ -237,9 +236,11 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
             else:
                 out.append(("jal", functions[draw(_INDEX) % len(functions)]))
         if shared and where != "function":
-            for store, addr in draw(accesses):
-                out.insert(draw(_INDEX) % (len(out) + 1), Instruction(
-                    "sw" if store else "lw", rd=draw(_REG), imm=addr))
+            data = draw(_ACCESS_BYTES)
+            for at, how in zip(data[::2], data[1::2]):
+                out.insert(at % (len(out) + 1), Instruction(
+                    ("lw", "sw")[how & 1], rd=1 + how // 2 % 5,
+                    imm=ADDRESSES[how // 16 % len(ADDRESSES)]))
         return out
 
     @st.composite
