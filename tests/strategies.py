@@ -105,19 +105,20 @@ HANDLE_REGS = (10, 11, 12)
 #: words plw/psw use.
 ADDRESSES = (16, 20, 24)
 LMEM_SLOTS = tuple(range(8))
+BRANCHES = ("beq", "bne", "blt", "bge")
+_KINDS = {"straight": ("plain",), "acyclic": ("plain", "branch"),
+          "any": ("plain", "branch", "loop", "call")}
+_SCALAR_REGS = dict(BODY_REGS)["s"]
 _QUARTER = st.integers(0, 3)
 _COIN = st.booleans()
-_REG = st.integers(1, dict(BODY_REGS)["s"] - 1)  # a body register
+_REG = st.integers(1, _SCALAR_REGS - 1)     # a body register but s0
 _INDEX = st.integers(0, 63)         # a position or a pick, modulo a size
-BRANCHES = ("beq", "bne", "blt", "bge")
+_TRIPS = st.integers(1, 4)
+_SEED = st.binary(min_size=8, max_size=8)
 #: Compact draws: a byte picks each of one to three items, two bytes
 #: place one shared access (up to two).
 _KIND_BYTES = st.binary(min_size=1, max_size=3)
 _ACCESS_BYTES = st.binary(max_size=4)
-_TRIPS = st.integers(1, 4)
-_SEED = st.binary(min_size=8, max_size=8)
-_KINDS = {"straight": ("plain",), "acyclic": ("plain", "branch"),
-          "any": ("plain", "branch", "loop", "call")}
 
 
 def _body(mnemonics, wild, data: bytes, salt: int) -> list[Instruction]:
@@ -239,7 +240,8 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
             data = draw(_ACCESS_BYTES)
             for at, how in zip(data[::2], data[1::2]):
                 out.insert(at % (len(out) + 1), Instruction(
-                    ("lw", "sw")[how & 1], rd=1 + how // 2 % 5,
+                    ("lw", "sw")[how & 1],
+                    rd=1 + how // 2 % (_SCALAR_REGS - 1),
                     imm=ADDRESSES[how // 16 % len(ADDRESSES)]))
         return out
 
