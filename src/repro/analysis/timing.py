@@ -202,12 +202,12 @@ class TimingAnalysis:
         pc = start
         while pc < end:
             it = table[pc] or model.entry(pc)
+            if it.raises is not None:
+                raise SimulationError(it.raises)
             base = min_issue if min_issue > last + 1 else last + 1
             cycle, cause, binding = ready_cycle(it, score, base, units)
             if detail is not None:
                 detail.append((pc, cycle, cause, cycle - base, binding))
-            if it.raises is not None:
-                raise SimulationError(it.raises)
             if cause is not None and cycle > base:
                 waits[cause] = waits.get(cause, 0) + (cycle - base)
             if it.unit >= 0:
@@ -281,23 +281,6 @@ class TimingAnalysis:
         return (tuple(keep), busy)
 
     # -- the path fold -------------------------------------------------------
-
-    def _watchdog(self, start: int, event: EventKey, entry: PipelineState,
-                  t: int, limit: int) -> None:
-        """Raise the core's :class:`SimTimeout` if an issue of the block
-        entered at absolute cycle ``t`` (up to an op that raises) lands
-        past ``limit``.  Issue cycles within a block do not depend on the
-        terminator event, so a detail replay pinpoints it even on a
-        truncated (runaway) event stream."""
-        detail: list[IssueDetail] = []
-        try:
-            self._transfer(start, event, entry, detail)
-        except SimulationError:
-            pass                     # the detail ends at the raising op
-        for ipc, rel, *_ in detail:
-            if t + rel > limit:
-                raise SimTimeout(f"exceeded max_cycles={limit}; "
-                                 f"live threads at {[ipc]}")
 
     def fold(self, events: list[int],
              max_cycles: int | None = None) -> Stats:
@@ -376,17 +359,21 @@ class TimingAnalysis:
                         raise AssertionError(
                             "tspawn reached the single-thread fold; "
                             "spawning programs run on the cycle core")
-                    try:
-                        s = self.block_summary(pc, state, event)
-                    except SimulationError:
-                        # An op the machine lacks raises when it issues,
-                        # unless the watchdog fires first.
-                        self._watchdog(pc, event, state, t, limit)
-                        raise
+                    s = self.block_summary(pc, state, event)
                 link = links[(prev, event)] = [s, 0]
             s = link[0]
             if t + s.last_rel > limit:
-                self._watchdog(pc, event, state, t, limit)
+                # Some issue in this block lands past the watchdog; the
+                # issue cycles within a block do not depend on the
+                # terminator event, so a detail replay pinpoints it even
+                # on a truncated (runaway) event stream.
+                detail: list[IssueDetail] = []
+                self._transfer(pc, event, state, detail)
+                for ipc, rel, *_ in detail:
+                    if t + rel > limit:
+                        raise SimTimeout(
+                            f"exceeded max_cycles={limit}; "
+                            f"live threads at {[ipc]}")
                 raise AssertionError("unreachable: last_rel past limit")
             if consumes:
                 idx += 1

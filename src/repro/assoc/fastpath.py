@@ -20,7 +20,9 @@ and statistics:
   (:class:`repro.core.processor.Processor`), whose issue loop caches
   each context's ready time and recomputes it only on the events that
   can move it.  There is one issue loop to keep exact, and it is exact
-  even for racy programs.
+  even for racy programs.  So does a program holding an op its machine
+  lacks (:meth:`repro.core.timing.TimingModel.raising_pcs`): the core
+  raises the located error when that op issues, or times out first.
 
 Unsupported in this backend: ``model_fetch`` machines, pipeline traces,
 the race sanitizer, the cycle profiler, and fault injection.  Callers
@@ -52,10 +54,6 @@ from repro.core.timing import (
 
 FusedRuns = list[tuple[Callable[[ThreadContext], None], int] | None]
 
-#: The trace's kind for a pc whose op the machine lacks: the functional
-#: run stops there and the fold raises the core's error.
-_K_STOP = -1
-
 __all__ = [
     "FastMachine",
     "FastPathError",
@@ -80,7 +78,6 @@ class FastMachine:
         self._analysis: TimingAnalysis | None = None
         self._analysis_program: Program | None = None
         self._fused: FusedRuns = []
-        self._kinds: list[int] = []
 
     # Architectural state lives in the engine; the accessors mirror
     # Processor's attributes for snapshot/tooling code.
@@ -106,26 +103,15 @@ class FastMachine:
         return self._machine.halted
 
     def load(self, program: Program) -> None:
-        if any(ins.mnemonic == "tspawn" for ins in program.instructions):
+        spawns = any(ins.mnemonic == "tspawn" for ins in program.instructions)
+        if spawns or self._timing(program).model.raising_pcs():
             if self._core is None:
                 self._core = Processor(self.cfg)
             self._machine = self._core
-            self._machine.load(program)
-            return
-        self._machine = self._fm
-        self._fm.load(program)
-        self._fused = fuse_scalar_runs(program, self.cfg.word_width)
-        self._kinds = self._fm.kinds
-        stops = self._timing(program).model.raising_pcs()
-        if stops:
-            self._kinds = list(self._kinds)
-            for pc in stops:
-                self._kinds[pc] = _K_STOP
-            for start, run in enumerate(self._fused):
-                if run is not None:
-                    end = start + run[1]
-                    if any(start <= pc < end for pc in stops):
-                        self._fused[start] = None
+        else:
+            self._machine = self._fm
+            self._fused = fuse_scalar_runs(program, self.cfg.word_width)
+        self._machine.load(program)
 
     def _timing(self, program: Program) -> TimingAnalysis:
         if self._analysis is None or self._analysis_program is not program:
@@ -171,7 +157,7 @@ class FastMachine:
         fm = self._fm
         thread = fm.threads[0]
         instructions = prog.instructions
-        ops, kinds = fm.ops, self._kinds
+        ops, kinds = fm.ops, fm.kinds
         fused = self._fused
         events: list[int] = []
         append = events.append
@@ -204,8 +190,6 @@ class FastMachine:
                     append(1)
                     pc = next_pc
                 continue
-            if kind == _K_STOP:
-                break
             if kind == K_TJOIN:
                 target = fm.threads[
                     thread.read_sreg(instructions[pc].rs) % num_threads]
