@@ -39,7 +39,7 @@ from repro.fpga.power import ActivityProfile, PowerReport, power_report
 from repro.fpga.resource_model import total_resources
 from repro.fpga.timing_model import fmax_mhz
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.batch import BatchRunner
+from repro.serve.batch import ORIGIN_REFUSED, BatchRunner
 from repro.serve.jobs import Job
 from repro.util.tables import format_table
 
@@ -253,7 +253,7 @@ class DseRunner:
             retry = [self._job(outcomes[name.split("/", 1)[0]].point,
                                name.split("/", 1)[1], "cycle", spec)
                      for name, res in results.items()
-                     if res.status != "ok"]
+                     if res.status != "ok" and res.origin != ORIGIN_REFUSED]
             if retry:
                 fallbacks = len(retry)
                 self._fallbacks.inc(fallbacks)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import ResultCache
-from repro.serve.jobs import Job
+from repro.serve.jobs import Job, UnfitJobError
 from repro.serve.pool import DEGRADED_STATUSES, JobOutcome, run_prepared
 from repro.serve.resilience import BackoffPolicy, Quarantine
 from repro.serve.snapshot import ResultSnapshot
@@ -31,6 +31,7 @@ ORIGIN_MEMORY = "memory-cache"
 ORIGIN_DISK = "disk-cache"
 ORIGIN_COMPUTED = "computed"
 ORIGIN_DEDUP = "coalesced"     # duplicate of an earlier job in the batch
+ORIGIN_REFUSED = "refused"     # its machine cannot host its kernel
 
 
 @dataclass
@@ -105,7 +106,9 @@ class BatchReport:
         """Fraction of requested jobs served without simulating."""
         if not self.results:
             return 0.0
-        return (len(self.results) - self.computed) / len(self.results)
+        served = (len(self.results) - self.computed
+                  - self.origin_count(ORIGIN_REFUSED))
+        return served / len(self.results)
 
     def to_json(self, full: bool = False) -> dict:
         """``results`` is stable run-to-run; ``metrics`` is operational."""
@@ -190,7 +193,15 @@ class BatchRunner:
     def run(self, jobs: list[Job]) -> BatchReport:
         """Execute a batch; results are ordered like the request."""
         started = time.perf_counter()
-        prepared = [job.prepare() for job in jobs]
+        # A job whose machine cannot host its kernel fails on its own,
+        # unkeyed: a batch (or a sweep's grid) over machines runs the
+        # others.  Any other JobError is a malformed request.
+        prepared: list = []
+        for job in jobs:
+            try:
+                prepared.append(job.prepare())
+            except UnfitJobError as exc:
+                prepared.append(exc)
 
         # Cache pass + in-batch coalescing: each unique key simulates at
         # most once, and only if neither cache tier has it.
@@ -199,6 +210,9 @@ class BatchRunner:
         to_compute: list = []
         seen: set[str] = set()
         for item in prepared:
+            if isinstance(item, UnfitJobError):
+                origins.append(ORIGIN_REFUSED)
+                continue
             if item.key in seen:
                 origins.append(ORIGIN_DEDUP)
                 continue
@@ -227,8 +241,11 @@ class BatchRunner:
 
         report = BatchReport(unique_jobs=len(seen),
                              computed=len(to_compute))
-        for item, origin in zip(prepared, origins):
-            if origin == ORIGIN_DEDUP:
+        for job, item, origin in zip(jobs, prepared, origins):
+            if origin == ORIGIN_REFUSED:
+                report.results.append(JobResult(
+                    job.name, "", "error", origin, error=str(item)))
+            elif origin == ORIGIN_DEDUP:
                 base = next(r for r in report.results if r.key == item.key)
                 report.results.append(JobResult(
                     item.name, item.key, base.status, ORIGIN_DEDUP,

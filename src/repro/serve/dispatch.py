@@ -37,7 +37,7 @@ import time
 from collections import deque
 
 from repro.asm.assembler import PROGRAM_MEMO
-from repro.serve.batch import BatchRunner
+from repro.serve.batch import ORIGIN_REFUSED, BatchRunner
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobError, job_name, jobs_from_json
 
@@ -459,6 +459,10 @@ class Dispatcher:
             report = self.runner.run(jobs)
         except JobError as exc:
             return {"ok": False, "error": str(exc)}
+        if single and report.results[0].origin == ORIGIN_REFUSED:
+            # A run request is its one job: failing before keying, it
+            # fails like any other job the request could not prepare.
+            return {"ok": False, "error": report.results[0].error}
         self._tenant_jobs.inc(len(raw_jobs), tenant=tenant)
         payload = report.to_json(full=self.full_results)
         if single:

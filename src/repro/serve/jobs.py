@@ -57,7 +57,7 @@ from repro.core.config import ProcessorConfig
 from repro.faults.spec import FaultSpec
 from repro.pe.pe_array import PEArray
 from repro.programs.kernels import ALL_KERNEL_BUILDERS, KERNEL_ARG_RULES
-from repro.programs.runner import check_fit
+from repro.programs.runner import KernelSetupError, check_fit
 from repro.serve.identity import job_key
 from repro.util.fields import check, from_json, rule
 
@@ -70,6 +70,11 @@ MAX_JOB_BYTES = 256 << 20
 
 class JobError(ValueError):
     """A job description is malformed or names unknown entities."""
+
+
+class UnfitJobError(JobError):
+    """A job's kernel builds but its machine cannot host it (too few PEs
+    or local words): a batch fails that job alone."""
 
 
 def config_from_json(spec: dict | None) -> ProcessorConfig:
@@ -239,7 +244,9 @@ class Job:
             except (TypeError, OverflowError) as exc:
                 raise JobError(f"{bad_args}: {exc}") from exc
             except ValueError as exc:
-                raise JobError(
+                error = (UnfitJobError if isinstance(exc, KernelSetupError)
+                         else JobError)
+                raise error(
                     f"job {self.name!r}: cannot build kernel "
                     f"{self.kernel!r} at {cfg.num_pes} PEs: {exc}") from exc
             source = kern.source

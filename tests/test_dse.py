@@ -394,6 +394,23 @@ class TestDseRunner:
         assert "vector_mac" in outcome.errors
         assert report.frontier_ids == []
 
+    def test_a_point_too_small_for_a_kernel_errors_alone(self):
+        """image_threshold needs 8 local words: the 4-word point errors
+        with that reason, unsimulated, and the 64-word point still runs
+        and makes the frontier."""
+        spec = SweepSpec.from_json(
+            {"axes": {"lmem_words": [4, 64]},
+             "kernels": ["image_threshold", "vector_mac"]})
+        report = make_runner().sweep(spec)
+        assert report.statuses == {STATUS_OK: 1, STATUS_ERROR: 1}
+        small = report.outcome("m4")
+        assert list(small.errors) == ["image_threshold"]
+        assert small.errors["image_threshold"].endswith(
+            "image_threshold needs >= 8 local words")
+        assert report.frontier_ids == ["m64"]
+        assert report.ops["computed"] == 3
+        assert report.ops["backend_fallbacks"] == 0
+
     def test_cycle_and_fast_backends_agree_on_cycles(self):
         base = {"axes": {"num_pes": [4, 8]}, "kernels": ["vector_mac",
                                                          "count_matches"]}

@@ -435,6 +435,24 @@ class TestBatchRunner:
         report = BatchRunner(cache=ResultCache.disabled()).run(jobs)
         assert [r.name for r in report.results] == ["n8", "n4", "n8b"]
 
+    def test_a_kernel_its_machine_cannot_host_fails_alone(self):
+        """image_threshold needs 8 local words: on 4 that job errors,
+        unkeyed and unsimulated, and the batch runs the others."""
+        def kernel(name, lmem_words):
+            return Job.from_json({"name": name, "kernel": "image_threshold",
+                                  "config": {"lmem_words": lmem_words}})
+        jobs = [kernel("fits", 64), kernel("small", 4), demo_job("demo")]
+        report = BatchRunner(cache=ResultCache.disabled()).run(jobs)
+        assert [(r.name, r.status, r.origin) for r in report.results] == [
+            ("fits", "ok", "computed"), ("small", "error", "refused"),
+            ("demo", "ok", "computed")]
+        small = report.results[1]
+        assert small.key == "" and small.snapshot is None
+        assert small.error == ("job 'small': cannot build kernel "
+                               "'image_threshold' at 16 PEs: image_threshold "
+                               "needs >= 8 local words")
+        assert report.computed == 2 and report.cache_hit_rate == 0.0
+
     def test_parallel_batch_matches_serial(self, tmp_path):
         jobs = [demo_job(f"j{i}", num_pes=2 * (i + 1)) for i in range(4)]
         serial = BatchRunner(cache=ResultCache.disabled(), jobs=1).run(jobs)
@@ -587,6 +605,20 @@ class TestServeSession:
         assert reply["ok"]
         assert [r["name"] for r in reply["results"]] == ["a", "b"]
         assert reply["origins"] == ["computed", "coalesced"]
+
+    def test_unfit_job_fails_alone_in_a_batch_not_in_a_run(self):
+        ses = self.session()
+        small = {"name": "small", "kernel": "image_threshold",
+                 "config": {"lmem_words": 4}}
+        batch = ses.handle_line(json.dumps(
+            {"op": "batch", "jobs": [self.job_obj("a"), small]}))
+        assert batch["ok"] is False
+        assert batch["origins"] == ["computed", "refused"]
+        assert [r["status"] for r in batch["results"]] == ["ok", "error"]
+        error = batch["results"][1]["error"]
+        assert error.endswith("image_threshold needs >= 8 local words")
+        run = ses.handle_line(json.dumps({"op": "run", "job": small}))
+        assert run == {"ok": False, "error": error}
 
     def test_overload_reply(self):
         ses = self.session(max_pending=2)
