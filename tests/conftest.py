@@ -4,8 +4,9 @@ Choose one with hypothesis's own pytest option::
 
     python -m pytest tests/test_differential.py --hypothesis-profile deep
 
-The oracle properties (:data:`tests.oracle.PROPERTY`) run a quarter of
-the profile's examples; a test without settings of its own runs all.
+The oracle and fuzz properties (:func:`tests.oracle.examples`) state
+their example counts under ``ci`` and scale with the active profile; a
+test without settings of its own runs the profile's count.
 """
 
 from hypothesis import settings

@@ -25,7 +25,8 @@ one check per promise:
 * :func:`check_absint` — every concrete state lies in the abstract one.
 
 To add a promise, write its ``check_*`` here and a short ``@given`` test
-over the generator and the axis, decorated with :data:`PROPERTY`.
+over the generator and the axis, decorated with :data:`PROPERTY` or
+:func:`examples`.
 """
 
 import dataclasses
@@ -50,12 +51,19 @@ from repro.opt.scheduler import schedule_program_verified
 from repro.pe.pe_array import MemoryFault
 from tests.golden import KERNEL_VARIANTS, VARIANTS
 
-#: Settings of every oracle and fuzz property: a quarter of the active
-#: profile's examples (an oracle example runs a program on several
-#: machines), no deadline.
-PROPERTY = settings(deadline=None,
-                    max_examples=max(1, settings.default.max_examples // 4),
+
+def examples(n: int) -> settings:
+    """Settings of an oracle or fuzz property: ``n`` examples under the
+    ``ci`` profile, scaled with the active one (10x under ``deep``), and
+    no deadline."""
+    scale = settings.default.max_examples / settings.get_profile(
+        "ci").max_examples
+    return settings(deadline=None, max_examples=max(1, round(n * scale)),
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+#: The settings of a property with no count of its own.
+PROPERTY = examples(25)
 
 #: The faults a generated program may raise, the same on every backend.
 FAULTS = (MemoryFault, ScalarMemoryFault, ExecutionError)

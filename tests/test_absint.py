@@ -31,7 +31,7 @@ from repro.asm.assembler import assemble
 from repro.core.config import ProcessorConfig
 from repro.core.processor import Processor
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
-from tests.oracle import PROPERTY, check_absint, check_static_bound
+from tests.oracle import check_absint, check_static_bound, examples
 from tests.strategies import machines, programs
 
 
@@ -231,7 +231,7 @@ class TestStaticCycleBound:
 STRAIGHT = programs(spawn=False, control="straight")
 
 
-@PROPERTY
+@examples(150)
 @given(program=STRAIGHT, cfg=machines())
 def test_absint_is_sound_on_straight_line_programs(program, cfg):
     """Zero false negatives: at every executed pc the concrete machine
@@ -239,7 +239,7 @@ def test_absint_is_sound_on_straight_line_programs(program, cfg):
     check_absint(program, cfg)
 
 
-@PROPERTY
+@examples(50)
 @given(program=STRAIGHT, cfg=machines())
 def test_static_cycle_bound_is_sound(program, cfg):
     """For straight-line programs the proven bound dominates reality,
@@ -248,7 +248,7 @@ def test_static_cycle_bound_is_sound(program, cfg):
     check_static_bound(program, cfg)
 
 
-@PROPERTY
+@examples(50)
 @given(program=STRAIGHT, cfg=machines())
 def test_static_cycle_bound_is_exact_on_straight_line_programs(program,
                                                                cfg):

@@ -512,7 +512,7 @@ def test_fixed_programs_cross_validate(name):
         assemble(FIXED_PROGRAMS[name], word_width=MT.word_width), MT)
 
 
-@oracle.PROPERTY
+@oracle.examples(60)
 @given(program=programs(control="straight", wild=False, shared=True),
        cfg=machines(threads=(4, 8)))
 def test_sanitizer_reports_are_statically_covered(program, cfg):
@@ -520,7 +520,7 @@ def test_sanitizer_reports_are_statically_covered(program, cfg):
     oracle.check_sanitizer(program, cfg)
 
 
-@oracle.PROPERTY
+@oracle.examples(60)
 @given(program=programs(control="straight", wild=False, shared=True))
 def test_statically_clean_programs_are_schedule_independent(program):
     """Property B: no concurrency findings -> the scalar-memory image is

@@ -18,18 +18,21 @@ from tests.oracle import (
     check_backends,
     check_functional,
     check_schedule,
+    examples,
     outcome,
 )
 from tests.strategies import machine, machines, programs
 
 
 class TestRandomProgramEquivalence:
-    @PROPERTY
+    @examples(40)
     @given(program=programs(spawn=False),
-           cfg=machines(fetch=True, unitless=True))
-    def test_all_backends_agree(self, program, cfg):
-        check_backends(program, cfg)
-        check_functional(program, cfg)
+           cfgs=st.lists(machines(fetch=True, unitless=True),
+                         min_size=5, max_size=5))
+    def test_all_backends_agree(self, program, cfgs):
+        for cfg in cfgs:
+            check_backends(program, cfg)
+            check_functional(program, cfg)
 
     @PROPERTY
     @given(program=programs(spawn=False), cfg=machines())

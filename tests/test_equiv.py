@@ -29,7 +29,7 @@ from repro.core.config import ProcessorConfig
 from repro.core.processor import Processor
 from repro.opt.scheduler import schedule_program_verified
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
-from tests.oracle import PROPERTY, check_schedule, outcome
+from tests.oracle import check_schedule, examples, outcome
 from tests.strategies import machines, programs
 
 # A RAW chain: any reorder of the first three instructions is illegal.
@@ -163,7 +163,7 @@ class TestValidator:
 STRAIGHT = programs(spawn=False, control="straight")
 
 
-@PROPERTY
+@examples(150)
 @given(program=STRAIGHT, cfg=machines())
 def test_scheduler_output_is_always_proved(program, cfg):
     """Completeness under fuzz: the validator never refutes a legal
@@ -171,7 +171,7 @@ def test_scheduler_output_is_always_proved(program, cfg):
     check_schedule(program, cfg)
 
 
-@PROPERTY
+@examples(60)
 @given(program=STRAIGHT.filter(lambda p: len(p) >= 4), cfg=machines())
 def test_broken_scheduler_never_proves_a_semantic_change(program, cfg):
     """Soundness under fuzz: force an arbitrary first-two swap; if the

@@ -46,6 +46,7 @@ from tests.oracle import (
     check_backends,
     check_static_bound,
     check_watchdog,
+    examples,
     recomputing_core,
 )
 from tests.strategies import machines, programs
@@ -81,7 +82,7 @@ def test_kernels_parity(name, variant):
 # generated parity: the shared generator on the shared axis
 # ---------------------------------------------------------------------------
 
-@PROPERTY
+@examples(60)
 @given(program=programs(), cfg=machines(threads=(4, 8), unitless=True))
 def test_mt_differential(program, cfg):
     # Generous enough for every generated program; bounds the rare
@@ -246,7 +247,7 @@ def test_run_fast_convenience():
 # static soundness: the path-free bound and the lint checks
 # ---------------------------------------------------------------------------
 
-@PROPERTY
+@examples(50)
 @given(program=programs(spawn=False, control="acyclic"), cfg=machines())
 def test_static_bound_dominates_exact_count(program, cfg):
     check_static_bound(program, cfg)
