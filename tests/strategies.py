@@ -333,12 +333,25 @@ MODE_IDS = [f"{cfg.mt_mode.value}-{cfg.scheduler.value}"
 
 # -- outside documents --------------------------------------------------------
 
+#: Any character but a surrogate, half of them ASCII.  Drawn as code
+#: points: ``st.text()``'s own alphabet builds a unicode table on first
+#: use, about 2 s in a fresh checkout.
+CHARACTERS = st.one_of(
+    st.integers(0, 0x7F),
+    st.integers(0x80, 0x10FFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF),
+).map(chr)
+
+
+def text(max_size):
+    return st.text(CHARACTERS, max_size=max_size)
+
+
 #: Any JSON value: what a field gets when it gets the wrong type.
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-(1 << 70), 1 << 70)
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    | st.floats(allow_nan=False, allow_infinity=False) | text(8),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    | st.dictionaries(text(6), inner, max_size=3),
     max_leaves=6)
 
 
@@ -358,7 +371,7 @@ def _field(r, fields):
     elif r.type is bool:
         good = st.booleans()
     elif r.type is str:
-        good = st.text(max_size=12)
+        good = text(12)
     elif r.item is not None:
         good = st.lists(_field(r.item, {}), max_size=3)
     elif dataclasses.is_dataclass(r.type):

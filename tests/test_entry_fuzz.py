@@ -24,7 +24,7 @@ from repro.serve.chaos import ChaosSpec
 from repro.serve.dispatch import Dispatcher, LineAssembler
 from repro.serve.jobs import Job, JobError, config_from_json
 from tests.oracle import PROPERTY
-from tests.strategies import JSON, documents, sweep_axes
+from tests.strategies import JSON, documents, sweep_axes, text
 
 SIZES = st.sampled_from([1, 2, 7, 64, 1 << 20])
 
@@ -49,7 +49,7 @@ def test_split_feeds_frame_like_one_feed(data, cuts, limit):
 
 
 LINES = st.one_of(
-    st.text(max_size=60),
+    text(60),
     JSON.map(json.dumps),
     st.fixed_dictionaries(
         {"op": st.sampled_from(["ping", "stats", "health", "run", "batch",
