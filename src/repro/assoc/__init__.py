@@ -3,7 +3,6 @@
 from repro.assoc.context import AscContext, AscError, FieldExpr, Responders
 from repro.assoc.fastpath import (
     FastMachine,
-    FastPathError,
     run_fast,
 )
 from repro.assoc.functional import (
@@ -20,7 +19,6 @@ __all__ = [
     "FieldExpr",
     "Responders",
     "FastMachine",
-    "FastPathError",
     "FunctionalDeadlock",
     "FunctionalError",
     "FunctionalMachine",

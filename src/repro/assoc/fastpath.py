@@ -1,14 +1,15 @@
 """The fast-path execution backend: functional semantics + static timing.
 
 ``repro run --backend fast`` (and the serve tier's ``"backend": "fast"``
-job flag) executes programs without stepping the cycle-accurate
-pipeline wherever it can, while producing **bit-identical** cycle counts
-and statistics:
+job flag) gives the cycle core's result, **bit-identical** cycle counts
+and statistics included, and skips stepping the pipeline where that is
+exact.  :meth:`FastMachine.load` holds the whole routing rule:
 
-* **Spawn-free programs** run once through a single-thread functional
-  interpreter that records the dynamic control events (branch outcomes,
-  ``jr`` targets, ``tput``/``tjoin`` targets); the recorded block path
-  is then folded through the compositional block summaries of
+* **Spawn-free programs** on a machine with no fetch model and no hook
+  attached run once through a single-thread functional interpreter that
+  records the dynamic control events (branch outcomes, ``jr`` targets,
+  ``tput``/``tjoin`` targets); the recorded block path is then folded
+  through the compositional block summaries of
   :class:`repro.analysis.timing.TimingAnalysis` — timing is recovered
   per *block* (memoized on pipeline state), not per instruction.  The
   interpreter calls the same compiled ops as the cycle core
@@ -16,24 +17,19 @@ and statistics:
   run of scalar register writes in a loop runs as one generated function
   (:func:`repro.core.execute.fuse_scalar_runs`).
 
-* **Spawning programs** run on the cycle core itself
-  (:class:`repro.core.processor.Processor`), whose issue loop caches
-  each context's ready time and recomputes it only on the events that
-  can move it.  There is one issue loop to keep exact, and it is exact
-  even for racy programs.  So does a program holding an op its machine
-  lacks (:meth:`repro.core.timing.TimingModel.raising_pcs`): the core
-  raises the located error when that op issues, or times out first.
-
-Unsupported in this backend: ``model_fetch`` machines, pipeline traces,
-the race sanitizer, the cycle profiler, and fault injection.  Callers
-get :class:`FastPathError` for the former and should route the latter to
-the cycle backend, which runs them at the same speed as this backend
-runs spawning programs.
+* **Everything else** runs on the machine's own cycle core
+  (:class:`repro.core.processor.Processor`): spawning programs, programs
+  holding an op the machine lacks
+  (:meth:`repro.core.timing.TimingModel.raising_pcs`; the core raises
+  the located error when that op issues, or times out first),
+  fetch-modelling machines, and machines with a pipeline trace, fault
+  plane, race sanitizer or cycle profiler attached.  There is one issue
+  loop to keep exact, and it is exact even for racy programs.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.timing import TimingAnalysis
 from repro.asm.program import Program
@@ -52,28 +48,36 @@ from repro.core.timing import (
     K_TPUT,
 )
 
+if TYPE_CHECKING:
+    from repro.core.sanitizer import RaceSanitizer
+    from repro.faults.plane import FaultPlane
+    from repro.obs.profiler import CycleProfiler
+
 FusedRuns = list[tuple[Callable[[ThreadContext], None], int] | None]
 
 __all__ = [
     "FastMachine",
-    "FastPathError",
     "run_fast",
 ]
-
-
-class FastPathError(SimulationError):
-    """The fast backend cannot honour this configuration or feature."""
 
 
 class FastMachine:
     """One configured fast-path machine.  Reusable across programs."""
 
-    def __init__(self, config: ProcessorConfig | None = None) -> None:
+    def __init__(self, config: ProcessorConfig | None = None,
+                 trace: bool = False, faults: FaultPlane | None = None,
+                 sanitizer: RaceSanitizer | None = None,
+                 profiler: CycleProfiler | None = None) -> None:
         self.cfg = config or ProcessorConfig()
+        self._hooks = dict(trace=trace, faults=faults, sanitizer=sanitizer,
+                           profiler=profiler)
+        # The fold times only a machine with no fetch model and no hook.
+        self._folds = not (self.cfg.model_fetch or trace or any(
+            hook is not None for hook in (faults, sanitizer, profiler)))
         self._fm = FunctionalMachine(self.cfg)
         self._core: Processor | None = None
         # Whichever engine holds the loaded program's state: the
-        # functional machine, or the cycle core for spawning programs.
+        # functional machine, or the cycle core (see load).
         self._machine: FunctionalMachine | Processor = self._fm
         self._analysis: TimingAnalysis | None = None
         self._analysis_program: Program | None = None
@@ -98,19 +102,17 @@ class FastMachine:
     def program(self) -> Program | None:
         return self._machine.program
 
-    @property
-    def halted(self) -> bool:
-        return self._machine.halted
-
     def load(self, program: Program) -> None:
-        spawns = any(ins.mnemonic == "tspawn" for ins in program.instructions)
-        if spawns or self._timing(program).model.raising_pcs():
-            if self._core is None:
-                self._core = Processor(self.cfg)
-            self._machine = self._core
-        else:
+        if (self._folds
+                and not any(ins.mnemonic == "tspawn"
+                            for ins in program.instructions)
+                and not self._timing(program).model.raising_pcs()):
             self._machine = self._fm
             self._fused = fuse_scalar_runs(program, self.cfg.word_width)
+        else:
+            if self._core is None:
+                self._core = Processor(self.cfg, **self._hooks)
+            self._machine = self._core
         self._machine.load(program)
 
     def _timing(self, program: Program) -> TimingAnalysis:
@@ -123,20 +125,14 @@ class FastMachine:
             max_cycles: int | None = None) -> RunResult:
         if program is not None:
             self.load(program)
-        prog = self._machine.program
+        core = self._core
+        if core is not None and self._machine is core:
+            return core.run(max_cycles=max_cycles)
+        prog = self._fm.program
         if prog is None:
             raise SimulationError("no program loaded")
-        if self.cfg.model_fetch:
-            raise FastPathError(
-                "the fast backend does not model the fetch stage; run "
-                "model_fetch configurations on the cycle backend")
-        if self._machine is self._core:
-            stats = self._core.run(max_cycles=max_cycles).stats
-        else:
-            limit = (max_cycles if max_cycles is not None
-                     else self.cfg.max_cycles)
-            stats = self._run_folded(prog, limit)
-        return RunResult(stats, self)
+        limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
+        return RunResult(self._run_folded(prog, limit), self)
 
     def _run_folded(self, prog: Program, limit: int) -> Stats:
         """Spawn-free path: functional run + compositional timing fold."""

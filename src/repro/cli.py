@@ -52,6 +52,7 @@ import sys
 
 from repro.asm.assembler import AsmError, assemble
 from repro.asm.disassembler import disassemble
+from repro.assoc.fastpath import FastMachine
 from repro.core.config import (
     MTMode,
     ProcessorConfig,
@@ -188,34 +189,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     except AsmError as exc:
         print(f"assembly error: {exc}", file=sys.stderr)
         return 1
-    backend = getattr(args, "backend", "cycle")
-    if backend == "fast":
-        conflicts = [flag for flag, on in (
-            ("--trace", args.trace), ("--sanitize", args.sanitize),
-            ("--profile", getattr(args, "profile", False))) if on]
-        if conflicts:
-            print(f"--backend fast does not support "
-                  f"{', '.join(conflicts)}: these observe per-cycle "
-                  f"pipeline state the fast path never materializes",
-                  file=sys.stderr)
-            return 2
     sanitizer = None
     if args.sanitize:
         from repro.core.sanitizer import RaceSanitizer
 
         sanitizer = RaceSanitizer()
     profiler = None
-    if getattr(args, "profile", False):
+    if args.profile:
         from repro.obs import CycleProfiler
 
         profiler = CycleProfiler()
-    if backend == "fast":
-        from repro.assoc.fastpath import FastMachine
-
-        proc: Processor | FastMachine = FastMachine(cfg)
-    else:
-        proc = Processor(cfg, trace=args.trace, sanitizer=sanitizer,
-                         profiler=profiler)
+    machine = FastMachine if args.backend == "fast" else Processor
+    proc = machine(cfg, trace=args.trace, sanitizer=sanitizer,
+                   profiler=profiler)
     proc.load(program)
     _load_lmem_args(proc, args)
     try:
@@ -230,7 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         snap = ResultSnapshot.from_result(
             result,
             profile=profiler.to_json() if profiler is not None else None,
-            backend=backend)
+            backend=args.backend)
         payload = {"machine": cfg.describe(), "file": args.file,
                    **snap.to_json()}
         if sanitizer is not None:
@@ -825,11 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--backend", choices=("cycle", "fast"),
                        default="cycle",
                        help="execution backend: 'cycle' steps the "
-                            "cycle-accurate pipeline; 'fast' runs the "
-                            "functional backend and recovers bit-identical "
-                            "cycle counts from compositional static timing "
-                            "summaries (incompatible with --trace, "
-                            "--sanitize, and --profile)")
+                            "cycle-accurate pipeline; 'fast' gives the same "
+                            "output, running the functional backend and "
+                            "recovering cycle counts from compositional "
+                            "static timing summaries where that is exact")
     p_run.set_defaults(func=cmd_run)
 
     p_prof = sub.add_parser(

@@ -3,7 +3,7 @@
 ``repro dse`` sweeps the paper's architectural axes — PEs, thread
 contexts, word width, broadcast-tree arity, local-memory depth — runs
 representative kernels at every feasible grid point through the batch
-runner (content-addressed cache, fast backend with cycle fallback),
+runner (content-addressed cache, fast backend),
 fits each point against an FPGA device, prices it with the
 activity-weighted power/thermal model, and reports the Pareto frontier
 over cycles x fmax x LEs x RAM x power.

@@ -8,10 +8,10 @@ into one :class:`SweepReport`:
    ``status: "unfit"`` (with the overflowing resource named) and never
    simulated;
 2. fitting points run their representative kernels through the shared
-   :class:`~repro.serve.batch.BatchRunner` — the fast backend where the
-   policy allows (``auto``), with per-job fallback to the cycle core if
-   a fast job fails, and the content-addressed cache making warm
-   re-sweeps nearly free;
+   :class:`~repro.serve.batch.BatchRunner` — on the fast backend
+   unless the policy is ``cycle`` (both give the same ``Stats``; the
+   fast machine runs on its own cycle core whatever it cannot fold),
+   with the content-addressed cache making warm re-sweeps nearly free;
 3. each surviving point gets its frontier metrics — total cycles across
    kernels, the timing model's fmax, LEs/RAM from the resource model,
    and total power from the activity-weighted power model (the measured
@@ -39,7 +39,7 @@ from repro.fpga.power import ActivityProfile, PowerReport, power_report
 from repro.fpga.resource_model import total_resources
 from repro.fpga.timing_model import fmax_mhz
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.batch import ORIGIN_REFUSED, BatchRunner
+from repro.serve.batch import BatchRunner
 from repro.serve.jobs import Job
 from repro.util.tables import format_table
 
@@ -205,9 +205,6 @@ class DseRunner:
         self._points = self.registry.counter(
             "dse_points_total", "sweep points evaluated, by status",
             labels=("status",))
-        self._fallbacks = self.registry.counter(
-            "dse_backend_fallbacks_total",
-            "sweep jobs re-run on the cycle core after a fast-path failure")
         self._progress = self.registry.gauge(
             "dse_sweep_progress", "phase progress of the current sweep",
             labels=("phase",))
@@ -237,28 +234,10 @@ class DseRunner:
             outcomes[point.point_id] = outcome
         self._progress.set(len(fit_points), phase="fitted")
 
-        backend = "fast" if spec.backend in ("auto", "fast") else "cycle"
-        jobs = [self._job(point, kernel, backend, spec)
+        jobs = [self._job(point, kernel, spec)
                 for point in fit_points for kernel in spec.kernels]
         report = self.runner.run(jobs) if jobs else None
         results = {r.name: r for r in report.results} if report else {}
-
-        # Fast-path fallback: under the "auto" policy a failed fast job
-        # is retried once on the cycle core before the point is declared
-        # errored (the fast backend refuses fault/sanitize/profile jobs
-        # and is bit-identical otherwise, so this is belt-and-braces —
-        # but a sweep must degrade per job, not die).
-        fallbacks = 0
-        if spec.backend == "auto" and report is not None:
-            retry = [self._job(outcomes[name.split("/", 1)[0]].point,
-                               name.split("/", 1)[1], "cycle", spec)
-                     for name, res in results.items()
-                     if res.status != "ok" and res.origin != ORIGIN_REFUSED]
-            if retry:
-                fallbacks = len(retry)
-                self._fallbacks.inc(fallbacks)
-                for res in self.runner.run(retry).results:
-                    results[res.name] = res
 
         for point in fit_points:
             outcome = outcomes[point.point_id]
@@ -300,11 +279,10 @@ class DseRunner:
         result.ops = {
             "elapsed_s": round(elapsed, 4),
             "jobs": jobs_total,
-            "computed": (report.computed if report else 0) + fallbacks,
+            "computed": report.computed if report else 0,
             "cache_served": cache_served,
             "cache_served_rate": round(cache_served / jobs_total, 6)
             if jobs_total else 0.0,
-            "backend_fallbacks": fallbacks,
             "cache": batch_metrics.get("cache", {}),
         }
         self._sweeps.inc()
@@ -315,14 +293,13 @@ class DseRunner:
         return result
 
     @staticmethod
-    def _job(point: DesignPoint, kernel: str, backend: str,
-             spec: SweepSpec) -> Job:
+    def _job(point: DesignPoint, kernel: str, spec: SweepSpec) -> Job:
         # The width kwarg carries the word-width axis into the kernel
         # build; every library kernel accepts it.
         return Job(name=f"{point.point_id}/{kernel}", kernel=kernel,
                    kernel_args={"width": point.config.word_width},
                    config=point.config, max_cycles=spec.max_cycles,
-                   backend=backend)
+                   backend="cycle" if spec.backend == "cycle" else "fast")
 
     @staticmethod
     def _unfit_reason(usage, device) -> str:

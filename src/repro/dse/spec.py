@@ -85,8 +85,9 @@ class SweepSpec:
                           "against", factory=lambda: device_by_name("EP2C35"))
     base: dict = rule("non-swept config fields (a job's `config`)",
                       factory=dict)
-    backend: str = rule("`auto` is the fast path with a cycle-core "
-                        "fallback per job", "auto", choices=BACKEND_POLICIES)
+    backend: str = rule("`auto` and `fast` both run jobs on the fast "
+                        "backend; `cycle` on the cycle core", "auto",
+                        choices=BACKEND_POLICIES)
     max_cycles: int | None = rule("per-job cycle limit", None, lo=1,
                                   hi=MAX_JOB_CYCLES)
     name: str = rule("sweep name", "sweep")

@@ -37,10 +37,10 @@ The design-space sweeper uses this to carry its word-width axis into
 kernel programs.  The arguments shape the assembled program and the
 inherited config, so they are captured by the content key automatically.
 ``"backend": "fast"`` executes on the fast-path backend
-(:mod:`repro.assoc.fastpath`): functional execution plus compositional
-static timing, bit-identical counters at a fraction of the cost.
-Incompatible with ``fault``, ``sanitize``, and ``profile`` (all observe
-or perturb per-cycle pipeline state); ``verify`` composes fine.
+(:mod:`repro.assoc.fastpath`): the cycle backend's result, computed by
+functional execution plus compositional static timing where that is
+exact, and by the fast machine's own cycle core otherwise (a ``fault``,
+``sanitize`` or ``profile`` job among them).
 Kernel jobs inherit the kernel's word width and local-memory image, same
 as ``repro faultsim`` does.
 """
@@ -162,16 +162,6 @@ class Job:
             raise JobError(
                 f"job {self.name!r}: the config's machine state needs "
                 f"{state} bytes, more than the {MAX_JOB_BYTES} a job may use")
-        if self.backend == "fast":
-            incompatible = [flag for flag, on in (
-                ("fault", self.fault is not None),
-                ("sanitize", self.sanitize),
-                ("profile", self.profile)) if on]
-            if incompatible:
-                raise JobError(
-                    f"job {self.name!r}: backend 'fast' does not support "
-                    f"{', '.join(incompatible)} (they observe per-cycle "
-                    f"pipeline state the fast path never materializes)")
 
     @classmethod
     def from_json(cls, obj: dict, base_dir: str | pathlib.Path | None = None,

@@ -49,6 +49,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
+from repro.assoc.fastpath import FastMachine
 from repro.core.processor import Processor, SimTimeout, SimulationError
 from repro.serve.chaos import ChaosError, ChaosKind
 from repro.serve.jobs import PreparedJob
@@ -128,15 +129,9 @@ def execute_prepared(item: PreparedJob) -> JobOutcome:
             from repro.obs.profiler import CycleProfiler
 
             profiler = CycleProfiler()
-        if item.backend == "fast":
-            # Job validation already rejected fault/sanitize/profile for
-            # this backend, so the observability hooks above are all None.
-            from repro.assoc.fastpath import FastMachine
-
-            proc = FastMachine(item.config)
-        else:
-            proc = Processor(item.config, faults=plane, sanitizer=sanitizer,
-                             profiler=profiler)
+        machine = FastMachine if item.backend == "fast" else Processor
+        proc = machine(item.config, faults=plane, sanitizer=sanitizer,
+                       profiler=profiler)
         proc.load(program)
         proc.pe.load_lmem(sorted(item.lmem.items()))
         result = proc.run(max_cycles=item.max_cycles)

@@ -1,6 +1,7 @@
 """CLI tests (python -m repro ...)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -118,6 +119,34 @@ class TestRun:
         assert main(["run", demo_file, "--pes", "8", "--threads", "1",
                      "--width", "16"]) == 0
         assert "fairness (Jain)" in capsys.readouterr().out
+
+
+ASM_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "asm"
+
+
+class TestFastBackend:
+    @pytest.mark.parametrize("flags", [
+        ["--trace"], ["--sanitize"], ["--sanitize", "--json"],
+        ["--profile"], ["--profile", "--json"]],
+        ids=["trace", "sanitize", "sanitize-json", "profile", "profile-json"])
+    @pytest.mark.parametrize("example", ["race_demo.s", "hazard_demo.s"])
+    def test_hooked_fast_run_prints_the_cycle_run(self, example, flags,
+                                                  capsys):
+        """``--backend fast`` takes every flag ``cycle`` does: the same
+        exit code and output, apart from the JSON ``backend`` field, on a
+        spawning and a spawn-free program."""
+        runs = []
+        for backend in ("cycle", "fast"):
+            code = main(["run", str(ASM_DIR / example), "--backend",
+                         backend, *flags])
+            out, err = capsys.readouterr()
+            if "--json" in flags:
+                out = json.loads(out)
+                assert out.pop("backend") == backend
+            runs.append((code, out, err))
+        assert runs[1] == runs[0]
+        races = example == "race_demo.s" and "--sanitize" in flags
+        assert runs[0][0] == (3 if races else 0)
 
 
 class TestProfile:

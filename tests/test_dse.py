@@ -409,7 +409,6 @@ class TestDseRunner:
             "image_threshold needs >= 8 local words")
         assert report.frontier_ids == ["m64"]
         assert report.ops["computed"] == 3
-        assert report.ops["backend_fallbacks"] == 0
 
     def test_cycle_and_fast_backends_agree_on_cycles(self):
         base = {"axes": {"num_pes": [4, 8]}, "kernels": ["vector_mac",
@@ -421,6 +420,23 @@ class TestDseRunner:
         for out in fast.outcomes:
             assert out.cycles_by_kernel == \
                 cycle.outcome(out.point_id).cycles_by_kernel
+
+    def test_a_fetch_modelling_sweep_computes_each_job_once(self):
+        """The fast backend runs fetch-modelling machines on its own core:
+        an ``auto`` sweep computes each job once and reports what a
+        ``cycle`` sweep does."""
+        base = {"axes": {"num_pes": [4, 8]},
+                "kernels": ["vector_mac", "count_matches"],
+                "base": {"model_fetch": True}}
+        auto = make_runner().sweep(SweepSpec.from_json(base))
+        cycle = make_runner().sweep(
+            SweepSpec.from_json(dict(base, backend="cycle")))
+        assert auto.ok
+        assert auto.ops["computed"] == auto.ops["jobs"] == 4
+        payload, expected = auto.to_json(), cycle.to_json()
+        assert payload["spec"].pop("backend") == "auto"
+        assert expected["spec"].pop("backend") == "cycle"
+        assert payload == expected
 
     def test_metrics_published(self):
         runner = make_runner()

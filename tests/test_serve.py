@@ -13,6 +13,7 @@ The load-bearing guarantees under test:
 
 import dataclasses
 import json
+import pathlib
 import pickle
 
 import numpy as np
@@ -631,6 +632,30 @@ class TestServeSession:
         reply = self.session().handle_line(
             '{"op": "run", "job": {"kernel": "nope"}}')
         assert reply["ok"] is False and "unknown kernel" in reply["error"]
+
+    @pytest.mark.parametrize("hook", [
+        {"profile": True}, {"sanitize": True},
+        {"fault": {"site": "pe_reg", "kind": "stuck_at", "cycle": 3,
+                   "reg": 1, "bit": 0, "stuck_value": 1}}],
+        ids=["profile", "sanitize", "fault"])
+    @pytest.mark.parametrize("program", [
+        {"kernel": "vector_mac"},
+        {"source": (pathlib.Path(__file__).resolve().parent.parent
+                    / "examples" / "asm" / "race_demo.s").read_text()}],
+        ids=["spawn-free-kernel", "spawning-program"])
+    def test_fast_run_replies_the_cycle_reply(self, program, hook):
+        """A fast job with a hook attached runs: its full reply is the
+        cycle job's but for the key and the backend it names."""
+        ses = self.session(full_results=True)
+        replies = []
+        for backend in ("cycle", "fast"):
+            reply = ses.handle_line(json.dumps(
+                {"op": "run", "job": dict(program, backend=backend, **hook)}))
+            assert reply["ok"], reply
+            assert reply.pop("key")
+            assert reply["result"].pop("backend") == backend
+            replies.append(reply)
+        assert replies[1] == replies[0]
 
     def test_stats_and_shutdown(self):
         ses = self.session()

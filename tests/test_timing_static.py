@@ -33,7 +33,7 @@ from hypothesis import given, strategies as st
 from repro.analysis.lint import lint_program
 from repro.analysis.timing import static_cycle_bound
 from repro.asm import assemble
-from repro.assoc.fastpath import FastMachine, FastPathError, run_fast
+from repro.assoc.fastpath import FastMachine, run_fast
 from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.config import DividerKind, MultiplierKind
 from repro.core.processor import SimulationError
@@ -227,12 +227,22 @@ def test_deadlock_parity():
 
 
 def test_fast_rejects_model_fetch():
-    cfg = ProcessorConfig(model_fetch=True)
-    program = assemble(".text\nmain:\n    halt\n", word_width=cfg.word_width)
-    machine = FastMachine(cfg)
-    machine.load(program)
-    with pytest.raises(FastPathError):
-        machine.run()
+    """The fast backend refuses no fetch-modelling machine: it runs the
+    program on its own cycle core, fetch unit included, and gives the
+    core's ``Stats`` and state."""
+    cfg = ProcessorConfig(num_pes=4, model_fetch=True, fetch_width=1)
+    spawn_free = ".text\nmain:\n    li s1, 5\nloop:\n    addi s2, s2, 3\n" \
+        "    paddi p1, p1, 1\n    addi s1, s1, -1\n    bne s1, s0, loop\n" \
+        "    halt\n"
+    spawning = ".text\nmain:\n    tspawn s4, w\n    tspawn s4, w\nw:\n" \
+        "    li s5, 3\nloop:\n    paddi p1, p1, 1\n    addi s5, s5, -1\n" \
+        "    bne s5, s0, loop\n    texit\n"
+    for source in (spawn_free, spawning):
+        program = assemble(source, word_width=cfg.word_width)
+        assert_parity(program, cfg)
+        result = FastMachine(cfg).run(program)
+        assert result.processor.fetch.total_fetched >= \
+            result.stats.instructions
 
 
 def test_run_fast_convenience():
