@@ -19,10 +19,17 @@ from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
 from repro.core.execute import Op, compile_ops
 from repro.core.memory import ScalarMemory
-from repro.core.processor import RunResult
+from repro.core.processor import RunResult, SimulationError
 from repro.core.stats import Stats
-from repro.core.thread import ThreadState, ThreadStatusTable
-from repro.core.timing import K_HALT, K_TJOIN, K_TSPAWN, KINDS
+from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
+from repro.core.timing import (
+    K_HALT,
+    K_TJOIN,
+    K_TSPAWN,
+    KINDS,
+    TimingModel,
+    lacks_a_unit,
+)
 from repro.pe.pe_array import PEArray
 
 
@@ -36,6 +43,12 @@ class FunctionalRunaway(FunctionalError):
 
 class FunctionalDeadlock(FunctionalError):
     """Every live thread is blocked in ``tjoin``."""
+
+
+def _raising_op(message: str) -> Op:
+    def op(thread: ThreadContext) -> None:
+        raise SimulationError(message)
+    return op
 
 
 class FunctionalMachine:
@@ -61,6 +74,11 @@ class FunctionalMachine:
         self.mem.load_image(program.data)
         self.threads = ThreadStatusTable(self.cfg.num_threads)
         self.ops = compile_ops(program, self.pe, self.mem, self.threads)
+        if lacks_a_unit(self.cfg):
+            # An op the machine lacks raises the core's located error.
+            model = TimingModel(program, self.cfg)
+            for pc in model.raising_pcs():
+                self.ops[pc] = _raising_op(model.entry(pc).raises)
         self.kinds = [KINDS[ins.mnemonic] for ins in program.instructions]
         self.halted = False
         self.threads.allocate(program.entry, start_cycle=0)

@@ -296,6 +296,13 @@ def _op_timing(spec: OpSpec, cfg: ProcessorConfig) -> tuple:
             spec.reduction_unit, missing)
 
 
+def lacks_a_unit(cfg: ProcessorConfig) -> bool:
+    """Whether the machine has no multiplier or no divider: only then can
+    an op need a unit it lacks."""
+    return (cfg.multiplier is MultiplierKind.NONE
+            or cfg.divider is DividerKind.NONE)
+
+
 class TimingModel:
     """The per-pc timing table of one (program, machine) pair.
 
@@ -324,9 +331,7 @@ class TimingModel:
     def raising_pcs(self) -> list[int]:
         """Every pc whose entry raises (an op needing a unit the machine
         lacks); on a machine with both units, none without a look."""
-        cfg = self.config
-        if (cfg.multiplier is not MultiplierKind.NONE
-                and cfg.divider is not DividerKind.NONE):
+        if not lacks_a_unit(self.config):
             return []
         return [pc for pc in range(len(self.table))
                 if self.entry(pc).raises is not None]

@@ -41,7 +41,6 @@ from repro.assoc.fastpath import FastMachine
 from repro.core import Processor, RaceSanitizer
 from repro.core.execute import ExecutionError
 from repro.core.memory import ScalarMemoryFault
-from repro.core.timing import TimingModel
 from repro.faults import FaultPlane
 from repro.isa import registers
 from repro.obs import ALL_KINDS, CycleProfiler
@@ -159,10 +158,8 @@ def check_watchdog(program, cfg):
 
 def check_functional(program, cfg, threads=None):
     """The functional machine reaches the cycle core's final state, or
-    raises its fault (race-free programs).  It has no units to lack, so
-    a program using an op its machine lacks has no functional run."""
-    if TimingModel(program, cfg).raising_pcs():
-        return
+    raises its fault (race-free programs), an op its machine lacks
+    included."""
     kind_c, payload_c = outcome(Processor, program, cfg, threads=threads)
     kind_f, payload_f = outcome(FunctionalMachine, program, cfg,
                                 threads=threads)

@@ -15,7 +15,8 @@ from repro.baselines import (
     pipelined_asc_2005,
     single_threaded_pipelined_asc,
 )
-from repro.core import MTMode, ProcessorConfig
+from repro.core import MTMode, ProcessorConfig, SimulationError
+from repro.core.config import DividerKind
 from repro.isa.opcodes import OPCODES
 from repro.programs import assoc_max_extract, run_kernel
 from repro.programs.runner import extract_outputs
@@ -105,6 +106,15 @@ class TestNonPipelinedMachine:
         result = machine.run(assemble(".text\nli s1, 1\nhalt\n", 8))
         assert result.stats.instructions == 2
         assert result.cycles == 8
+
+    def test_an_op_the_machine_lacks_raises_the_cores_error(self):
+        cfg = nonpipelined_config(4, divider=DividerKind.NONE)
+        program = assemble(".text\nli s1, 7\nli s2, 2\nsdiv s3, s1, s2\n"
+                           "halt\n", 8)
+        with pytest.raises(SimulationError) as exc:
+            NonPipelinedMachine(cfg).run(program)
+        assert str(exc.value) == ("sdiv needs a divider but none is "
+                                  f"configured, at {program.location_of(2)}")
 
 
 class TestGenerationOrdering:

@@ -33,6 +33,7 @@ from hypothesis import given, strategies as st
 from repro.analysis.lint import lint_program
 from repro.analysis.timing import static_cycle_bound
 from repro.asm import assemble
+from repro.assoc import FunctionalMachine
 from repro.assoc.fastpath import FastMachine, run_fast
 from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.config import DividerKind, MultiplierKind
@@ -153,8 +154,9 @@ MISSING_UNIT = {
 }
 
 
-@pytest.mark.parametrize("machine", [Processor, FastMachine],
-                         ids=["cycle", "fast"])
+@pytest.mark.parametrize("machine", [Processor, FastMachine,
+                                     FunctionalMachine],
+                         ids=["cycle", "fast", "functional"])
 @pytest.mark.parametrize("in_flight", [True, False],
                          ids=["dest-in-flight", "dest-idle"])
 @pytest.mark.parametrize("mnemonic", sorted(MISSING_UNIT))
