@@ -203,6 +203,9 @@ class Assembler:
         if m:
             mask = m.group(1).lower()
             line = line[: m.start()].strip()
+            if not line:
+                raise AsmError("execution mask without an instruction",
+                               lineno, raw)
         parts = line.split(None, 1)
         mnemonic = parts[0].lower()
         opstring = parts[1] if len(parts) > 1 else ""

@@ -7,23 +7,28 @@ crash.
 * **documents** — :func:`tests.strategies.documents` draws each outside
   document from its rule table: in range, at and past each bound, of the
   wrong type, null, unknown fields and non-objects.  Every parser returns
-  or raises its own typed error.
+  or raises its own typed error;
+* **assembly source** — text drawn from the ISA's own tokens assembles
+  or raises :class:`~repro.asm.AsmError` at every word width.
 """
 
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from repro.asm import AsmError, Assembler
 from repro.core.config import ProcessorConfig
 from repro.dse.spec import DseSpecError, SweepSpec
 from repro.faults.spec import FaultSpec
 from repro.fpga import ALL_DEVICES
+from repro.isa.opcodes import OPCODES
+from repro.isa.registers import SCALAR_ALIASES
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
 from repro.serve.chaos import ChaosSpec
 from repro.serve.dispatch import Dispatcher, LineAssembler
 from repro.serve.jobs import Job, JobError, config_from_json
-from tests.oracle import PROPERTY
+from tests.oracle import PROPERTY, examples
 from tests.strategies import JSON, documents, sweep_axes, text
 
 SIZES = st.sampled_from([1, 2, 7, 64, 1 << 20])
@@ -96,3 +101,43 @@ def test_documents_parse_or_raise_a_typed_error(name, data):
         parse(data.draw(docs))
     except error:
         pass
+
+
+PSEUDO_OPS = ("nop", "li", "la", "move", "not", "neg", "b", "beqz", "bnez",
+              "bgt", "ble", "call", "ret", "pli", "pmov", "rnone")
+#: Operand pieces: registers in and out of range, aliases, labels and
+#: numbers of every literal form, at and past the immediate bounds.
+OPERAND_TOKENS = st.sampled_from(
+    [f"{rf}{i}" for rf, n in (("s", 17), ("p", 17), ("f", 9))
+     for i in range(n)] + sorted(SCALAR_ALIASES) + ["$s1", "x", "main", "loop"]
+    + ["0", "1", "-1", "7", "255", "0x7fff", "0xFFFF", "65536", "-32769",
+       "0b101", "'a'", "'\\n'", "4294967296"]
+    + ["+", "-", "(", ")"])
+OPERAND = st.lists(OPERAND_TOKENS, min_size=1, max_size=3).map("".join)
+MNEMONICS = st.sampled_from(sorted(OPCODES) + list(PSEUDO_OPS))
+MASKS = st.sampled_from(["", " [f1]", " [F7]", " [ f0 ]", " [f8]", " ["])
+LABELS = st.sampled_from(["", "main: ", "loop: ", "x: ", "main: x: "])
+DIRECTIVES = st.sampled_from([".text", ".data", ".equ x, 3", ".equ", ".word",
+                              ".word 1, x", ".space 2", ".space -1", ".bogus"])
+#: Any of these tokens in any order: the punctuation a parser may split
+#: on, in places it does not expect it.
+TOKEN_SOUP = st.lists(
+    st.one_of(MNEMONICS, OPERAND_TOKENS, MASKS.map(str.strip), DIRECTIVES,
+              st.sampled_from([",", ":", "[", "]", "#", ";", "main:"])),
+    max_size=8).map(" ".join)
+STATEMENTS = st.builds(
+    lambda label, op, args, mask: f"{label}{op} {', '.join(args)}{mask}",
+    LABELS, MNEMONICS, st.lists(OPERAND, max_size=4), MASKS)
+SOURCES = st.lists(st.one_of(STATEMENTS, DIRECTIVES, TOKEN_SOUP),
+                   max_size=8).map("\n".join)
+
+
+@examples(300)
+@example(source="[f1]")
+@given(source=SOURCES)
+def test_assembly_source_assembles_or_raises_asm_error(source):
+    for width in (8, 16, 32):
+        try:
+            Assembler(width).assemble(source)
+        except AsmError:
+            pass
