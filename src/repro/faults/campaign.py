@@ -40,7 +40,6 @@ from repro.faults.spec import FaultKind, FaultSite, FaultSpec, random_fault_spec
 from repro.pe.pe_array import MemoryFault
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
 from repro.programs.runner import extract_outputs, run_kernel
-from repro.serve.pool import map_ordered
 from repro.util.tables import format_table
 
 OUTCOMES = ("masked", "detected", "sdc", "crash", "hang")
@@ -235,6 +234,8 @@ def run_campaign(kernel_name: str,
         config={"num_pes": cfg.num_pes, "word_width": cfg.word_width,
                 "num_threads": cfg.num_threads,
                 "parity": parity, "watchdog_factor": watchdog_factor})
+
+    from repro.serve.pool import map_ordered
 
     tasks = [_FaultTask(spec, program, cfg, kernel, parity, watchdog,
                         golden_out) for spec in specs]

@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +47,21 @@ class TestPublicSurface:
                     undocumented.append(name)
         assert not undocumented, (
             f"{package}: missing docstrings on {undocumented}")
+
+
+def test_import_repro_leaves_the_serve_stack_unloaded():
+    """``import repro``, and so ``repro run``, ``asm`` and ``lint``, does
+    not pay for ``repro.serve``: the commands that use it load it."""
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print(sorted("
+         "m for m in sys.modules if m.startswith('repro.serve')))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.strip() == "[]"
 
 
 class TestVersioning:
