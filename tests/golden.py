@@ -2,8 +2,9 @@
 
 ``tests/data/golden_stats.json`` maps a case id to the full
 :class:`~repro.core.stats.Stats`, a digest of the final architectural
-state and a digest of the result-snapshot JSON (the ``result`` of a
-``--full`` reply, and the body of ``repro run --json``) of one
+state, a digest of the issue order (cycle, thread, pc and fetch cycle of
+every issue) and a digest of the result-snapshot JSON (the ``result`` of
+a ``--full`` reply, and the body of ``repro run --json``) of one
 cycle-core run, plus a digest of ``lint_program``'s whole output for
 the same program and machine.  The cases cover
 
@@ -176,14 +177,23 @@ def lint_digest(program, config) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def issue_digest(trace) -> str:
+    """sha256 over the issue order: one ``cycle,thread,pc,fetch_cycle``
+    line per issued instruction."""
+    text = "".join(f"{r.cycle},{r.thread},{r.pc},{r.fetch_cycle}\n"
+                   for r in trace)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def record(case: Case) -> dict:
     """Run one case on the cycle core: its golden record."""
     program = assemble(case.source, word_width=case.config.word_width)
-    proc = Processor(case.config)
+    proc = Processor(case.config, trace=True)
     proc.load(program)
     proc.pe.load_lmem(sorted(case.lmem.items()))
     result = proc.run()
     return {"stats": stats_record(result.stats), "arch": arch_digest(proc),
+            "issues": issue_digest(result.trace),
             "snapshot_json": snapshot_json_digest(result),
             "lint": lint_digest(program, case.config)}
 

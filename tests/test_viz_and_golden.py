@@ -1,10 +1,11 @@
 """ASCII viz tests + golden Stats regression net.
 
 The golden records freeze the cycle core's full statistics, final
-architectural state and result-snapshot JSON over the kernel suite and
-the parity matrices, and the lint report of every case.  If a core change shifts any of them, the test
-fails and the new numbers must be reviewed (and EXPERIMENTS.md
-re-measured) deliberately rather than silently drifting.
+architectural state, issue order and result-snapshot JSON over the
+kernel suite and the parity matrices, and the lint report of every
+case.  If a core change shifts any of them, the test fails and the new
+numbers must be reviewed (and EXPERIMENTS.md re-measured) deliberately
+rather than silently drifting.
 """
 
 import functools
@@ -65,9 +66,9 @@ class TestSparkline:
 
 
 # The golden net (tests/golden.py): full Stats, an architectural-state
-# digest, a snapshot-JSON digest and a lint-report digest per case,
-# frozen in tests/data/golden_stats.json.  Regenerate with
-# tools/update_golden.py after an intentional timing-model change.
+# digest, an issue-order digest, a snapshot-JSON digest and a lint-report
+# digest per case, frozen in tests/data/golden_stats.json.  Regenerate
+# with tools/update_golden.py after an intentional timing-model change.
 GOLDEN = load_golden()
 CASES = cases()
 
@@ -106,6 +107,16 @@ class TestGoldenCycles:
         assert set(GOLDEN) == set(CASES)
         assert {c.split("/")[1] for c in CASES
                 if c.startswith("reference/")} == set(ALL_KERNEL_BUILDERS)
+
+
+class TestGoldenIssueOrder:
+    @pytest.mark.parametrize("case_id", sorted(CASES))
+    def test_issue_order_frozen(self, case_id):
+        """Which thread issues which pc at which cycle is frozen: a
+        different interleaving can leave Stats and final state alone."""
+        assert measure(case_id)["issues"] == GOLDEN[case_id]["issues"], (
+            f"{case_id}: issue order changed (cycle, thread, pc or fetch "
+            f"cycle of some issue)")
 
 
 class TestGoldenSnapshots:
