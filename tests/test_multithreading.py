@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.asm import assemble
 from repro.core import (
     MTMode,
+    Processor,
     ProcessorConfig,
     SchedulerPolicy,
     SimulationError,
@@ -256,6 +258,24 @@ loop:
         src = self.WORKER_PROGRAM.format(workers=3)
         res = run_program(src, mt_cfg(threads=4))
         assert len(res.stats.per_thread_issued) == 4
+
+    def test_every_runnable_thread_is_looked_at_each_round(self):
+        """Thread 2 runs off the end of the program at cycle 11, while
+        thread 0 waits on a reduction; from cycle 12 on, thread 0 is ready
+        every cycle and wins every round under fixed priority.  The round
+        at cycle 12 still evaluates thread 2's next instruction, so the
+        run stops there, after 11 issues, not when thread 0 halts."""
+        src = (".text\nmain:\n    tspawn s4, worker\n"
+               "    tspawn s5, tail\n    rsum  s6, p0\n"
+               "    add   s7, s6, s6\n" + "    addi  s1, s1, 1\n" * 30
+               + "    halt\nworker:\n    texit\ntail:\n"
+               + "    addi  s2, s2, 1\n" * 7)
+        proc = Processor(mt_cfg(threads=4, scheduler=SchedulerPolicy.FIXED))
+        with pytest.raises(SimulationError) as exc:
+            proc.run(assemble(src, word_width=16))
+        assert str(exc.value) == \
+            "thread 2: PC 43 outside the program (0..42)"
+        assert proc.stats.instructions == 11
 
 
 class TestMTModes:

@@ -31,13 +31,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.lint import lint_program
-from repro.analysis.timing import static_cycle_bound
+from repro.analysis.timing import TimingAnalysis, static_cycle_bound
 from repro.asm import assemble
 from repro.assoc import FunctionalMachine
 from repro.assoc.fastpath import FastMachine, run_fast
 from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.config import DividerKind, MultiplierKind
-from repro.core.processor import SimulationError
+from repro.core.processor import SimTimeout, SimulationError
 from repro.faults import FaultKind, FaultPlane, FaultSite, FaultSpec
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
 from tests.golden import KERNEL_VARIANTS, VARIANTS
@@ -99,6 +99,54 @@ def test_mt_timeout_parity(program, cfg, limit):
     also at and just below the cycles the run takes."""
     check_backends(program, cfg, max_cycles=limit)
     check_watchdog(program, cfg)
+
+
+# One-block counted loops: the scalar-heavy program of
+# benchmarks/bench_sim_throughput.py, and a countdown with a parallel op
+# in its body.  Each window of cycle limits cuts a loop mid-run.
+SELF_LOOPS = {
+    "scalar_heavy": (
+        ".text\nmain:\n    li   s1, 150\nouter:\n    li   s2, 100\n"
+        "inner:\n    addi s3, s3, 1\n    add  s4, s4, s3\n"
+        "    xor  s5, s5, s4\n    slt  s6, s3, s2\n    addi s2, s2, -1\n"
+        "    bne  s2, s0, inner\n    addi s1, s1, -1\n"
+        "    bne  s1, s0, outer\n    halt\n",
+        (range(300, 340), range(795, 835))),
+    "parallel_countdown": (
+        ".text\nmain:\n    li    s1, 40\nloop:\n    paddi p1, p1, 1\n"
+        "    addi  s1, s1, -1\n    bne   s1, s0, loop\n    halt\n",
+        (range(60, 90), range(185, 202))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_LOOPS))
+def test_watchdog_inside_a_self_loop(name):
+    """The fast backend and the fold raise the core's SimTimeout text for
+    every limit that cuts a self-loop mid-run: from the functional run's
+    own event stream, from the whole run's stream, and from one truncated
+    right after the last event the core consumes before the limit."""
+    source, windows = SELF_LOOPS[name]
+    cfg = ProcessorConfig(num_pes=16, num_threads=1, mt_mode=MTMode.SINGLE,
+                          word_width=16)
+    program = assemble(source, word_width=cfg.word_width)
+    whole = Processor(cfg, trace=True).run(program).trace
+    # A branch's event is 1 when the next issue is not the next pc.
+    events = [int(nxt.pc != rec.pc + 1)
+              for rec, nxt in zip(whole, whole[1:])
+              if rec.instr.spec.is_branch]
+    analysis = TimingAnalysis(program, cfg)
+    for limit in (limit for window in windows for limit in window):
+        core = Processor(cfg, trace=True)
+        with pytest.raises(SimTimeout) as want:
+            core.run(program, max_cycles=limit)
+        consumed = sum(rec.instr.spec.is_branch for rec in core.trace)
+        with pytest.raises(SimTimeout) as fast:
+            run_fast(program, config=cfg, max_cycles=limit)
+        assert str(fast.value) == str(want.value), limit
+        for stream in (events, events[:consumed]):
+            with pytest.raises(SimTimeout) as folded:
+                analysis.fold(stream, max_cycles=limit)
+            assert str(folded.value) == str(want.value), (limit, len(stream))
 
 
 def test_join_wake_drops_cached_readiness():
