@@ -24,22 +24,39 @@ each round instead.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.asm.program import Program
 from repro.core.archstate import LiveState
 from repro.core.config import ProcessorConfig
-from repro.core import stats as st
 from repro.core.execute import Op, compile_ops
 from repro.core.fetch import FetchUnit
 from repro.core.memory import ScalarMemory
 from repro.core.scheduler import ThreadScheduler
-from repro.core.stats import Stats
+from repro.core.stats import STALL_CONTROL, STALL_JOIN, Stats
 from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
 from repro.core import timing
+from repro.core.timing import (
+    K_HALT,
+    K_TJOIN,
+    K_TPUT,
+    K_TSPAWN,
+    InstrTiming,
+)
 from repro.isa.instruction import Instruction
 from repro.pe.pe_array import PEArray
+
+
+# A ready cycle no thread ever reaches: the round's "none pending" mark.
+_NEVER = sys.maxsize
+# Thread states as plain names: an enum member lookup costs about 0.13 us
+# on CPython 3.11, and the issue loop checks states every round.
+_FREE = ThreadState.FREE
+_RUNNABLE = ThreadState.RUNNABLE
+_JOINING = ThreadState.JOINING
+_EXITED = ThreadState.EXITED
 
 
 class SimulationError(RuntimeError):
@@ -168,18 +185,17 @@ class Processor:
     # -- hazard / readiness evaluation ------------------------------------------
 
     def _ready_cycle(self, thread: ThreadContext,
-                     cycle: int) -> tuple[int, str | None, int, int]:
-        """(earliest issue cycle, binding wait cause, base cycle,
-        structural unit the answer depends on or -1) for the thread's
-        next instruction."""
-        assert self.program is not None and self.timing_model is not None
+                     cycle: int) -> tuple[int, str | None, int, InstrTiming]:
+        """(earliest issue cycle, binding wait cause, base cycle, timing
+        entry) for the thread's next instruction."""
+        model = self.timing_model
+        table = model.table
         pc = thread.pc
-        if not 0 <= pc < len(self.program.instructions):
+        if not 0 <= pc < len(table):
             raise SimulationError(
                 f"thread {thread.tid}: PC {pc} outside the program "
-                f"(0..{len(self.program.instructions) - 1})")
-        model = self.timing_model
-        it = model.table[pc] or model.entry(pc)
+                f"(0..{len(table) - 1})")
+        it = table[pc] or model.entry(pc)
         base = thread.min_issue
         if thread.last_issue >= base:
             base = thread.last_issue + 1
@@ -187,35 +203,34 @@ class Processor:
             base = max(base, self.fetch.earliest_issue(thread.tid, cycle))
         ready, cause, _ = timing.ready_cycle(it, thread.score, base,
                                              self._unit_busy)
-        return ready, cause, base, it.unit
+        return ready, cause, base, it
 
     # -- issue -------------------------------------------------------------------
 
-    def _issue(self, thread: ThreadContext, cycle: int, base: int,
-               cause: str | None) -> bool:
-        """Issue the thread's next instruction; returns False if the
-        instruction turned out to block (tjoin on a live thread)."""
-        assert self.program is not None and self.timing_model is not None
+    def _issue(self, thread: ThreadContext, cycle: int,
+               info: tuple[int, str | None, int, InstrTiming]) -> int:
+        """Issue the thread's next instruction, whose readiness ``info``
+        (:meth:`_ready_cycle`) the round read; returns the number of
+        instructions issued, 0 if it turned out to block (tjoin on a live
+        thread)."""
+        _, cause, base, it = info
         pc = thread.pc
-        instr = self.program.instructions[pc]
-        model = self.timing_model
-        it = model.table[pc] or model.entry(pc)
         kind = it.kind
-        cfg = self.cfg
         stats = self.stats
 
         # tjoin gates at issue: the joining thread sleeps until the target
         # context is released, then the join completes as a plain issue.
-        if kind == timing.K_TJOIN:
+        if kind == K_TJOIN:
             target = self.threads[
-                thread.read_sreg(instr.rs) % cfg.num_threads]
-            if target.state is not ThreadState.FREE:
-                thread.state = ThreadState.JOINING
+                thread.read_sreg(self.program.instructions[pc].rs)
+                % self.cfg.num_threads]
+            if target.state is not _FREE:
+                thread.state = _JOINING
                 thread.join_target = target.tid
                 if self.profiler is not None:
                     self.profiler.on_join_block(thread.tid, cycle, base,
                                                 cause)
-                return False
+                return 0
 
         if it.raises is not None:
             raise SimulationError(it.raises)
@@ -227,15 +242,15 @@ class Processor:
             # Past the tjoin gate: the instruction definitely issues
             # this cycle, so register-consumption and join edges are
             # recorded exactly once.
-            self.sanitizer.on_issue(thread, instr, cfg.num_threads)
+            self.sanitizer.on_issue(thread, self.program.instructions[pc],
+                                    self.cfg.num_threads)
 
         spawned = None
-        if kind == timing.K_TSPAWN:
+        if kind == K_TSPAWN:
             spawned = self.ops[pc](thread, cycle)
             next_pc = None
         else:
             next_pc = self.ops[pc](thread)
-        taken = next_pc is not None
 
         # Structural occupancy: every context whose cached readiness
         # waited on this unit must look again.
@@ -248,38 +263,43 @@ class Processor:
                     f"busy until {busy}")
             self._unit_busy[unit] = cycle + it.occupancy
             for ctx in self.threads:
-                if ctx.ready is not None and ctx.ready[3] == unit:
+                if ctx.ready is not None and ctx.ready[3].unit == unit:
                     ctx.ready = None
 
         # Scoreboard updates for the destination register.
         if it.dest >= 0:
             thread.score[it.dest] = (cycle + it.roff, cycle + it.wb,
                                      it.klass)
-        if kind == timing.K_TPUT:
+        if kind == K_TPUT:
             target = self.threads[
-                thread.read_sreg(instr.rd) % cfg.num_threads]
-            target.score[instr.imm] = (cycle + 2, cycle + 3, it.klass)
+                thread.read_sreg(self.program.instructions[pc].rd)
+                % self.cfg.num_threads]
+            target.score[it.imm] = (cycle + 2, cycle + 3, it.klass)
             target.ready = None
 
         # Control flow and thread state.
-        resolve = it.resolve_taken if taken else it.resolve_not_taken
+        if next_pc is None:
+            resolve = it.resolve_not_taken
+            next_pc = pc + 1
+        else:
+            resolve = it.resolve_taken
         thread.min_issue = cycle + resolve
         if resolve > 1:
-            stats.wait_cycles[st.STALL_CONTROL] += resolve - 1
+            stats.wait_cycles[STALL_CONTROL] += resolve - 1
         if self.fetch is not None:
             self.fetch.consume(thread.tid)
             if resolve > 1:
                 # Squash wrong-path/sequential entries; the refetch delay
                 # is covered by min_issue (the control bubble).
                 self.fetch.redirect(thread.tid, cycle + resolve - 1)
-        thread.pc = next_pc if taken else pc + 1
+        thread.pc = next_pc
         thread.last_issue = cycle
         thread.instructions_issued += 1
         thread.ready = None
 
-        if kind == timing.K_HALT:
+        if kind == K_HALT:
             self.halted = True
-        if thread.state is ThreadState.EXITED:
+        if thread.state is _EXITED:
             if self.sanitizer is not None:
                 self.sanitizer.on_exit(thread.tid)
             self.threads.release(thread.tid)
@@ -301,19 +321,19 @@ class Processor:
         if it.runit is not None:
             stats.reduction_unit_uses[it.runit] += 1
         if self.trace_enabled:
-            self.trace.append(IssueRecord(cycle, thread.tid, pc, instr,
+            self.trace.append(IssueRecord(cycle, thread.tid, pc,
+                                          self.program.instructions[pc],
                                           fetch_cycle=base - 1))
-        return True
+        return 1
 
     def _wake_joiners(self, exited_tid: int, cycle: int) -> None:
         for ctx in self.threads:
-            if (ctx.state is ThreadState.JOINING
-                    and ctx.join_target == exited_tid):
-                ctx.state = ThreadState.RUNNABLE
+            if ctx.state is _JOINING and ctx.join_target == exited_tid:
+                ctx.state = _RUNNABLE
                 ctx.join_target = None
                 ctx.min_issue = max(ctx.min_issue, cycle + 1)
                 ctx.ready = None
-                self.stats.wait_cycles[st.STALL_JOIN] += 1
+                self.stats.wait_cycles[STALL_JOIN] += 1
                 if self.profiler is not None:
                     self.profiler.on_join_wake(ctx.tid, cycle)
 
@@ -339,16 +359,21 @@ class Processor:
         cycle = self._cycle
         self.paused = False
 
+        stats = self.stats
+        live = self.threads.live
+        sched = self.scheduler
+        dual = sched.dual
+        unit_busy = self._unit_busy
+        ready_cycle = self._ready_cycle
         faults = self.faults
+        fetch = self.fetch
         # Readiness that can move without an issue event is recomputed
         # every round (see the module docstring).
-        recompute = faults is not None or self.fetch is not None
-        runnable = ThreadState.RUNNABLE
+        recompute = faults is not None or fetch is not None
         while not self.halted:
             if stop_when is not None and stop_when(self, cycle):
                 self.paused = True
                 break
-            live = self.threads.live
             if not live:
                 break
             if cycle > limit:
@@ -357,65 +382,71 @@ class Processor:
                     f"live threads at {[t.pc for t in live]}")
             if faults is not None:
                 faults.begin_cycle(cycle)
+            if fetch is not None:
+                fetch.advance_to(
+                    cycle, [t.tid for t in live if t.state is _RUNNABLE])
 
-            if self.fetch is not None:
-                self.fetch.advance_to(
-                    cycle, [t.tid for t in live
-                            if t.state is ThreadState.RUNNABLE])
-
-            ready_of: dict[int, int] = {}
-            candidates: list[ThreadContext] = []
-            next_ready = None
+            # One pass in tid order: the readiness of every runnable
+            # thread, the earliest cycle one becomes ready, and per issue
+            # port the ready thread the priority order ranks first (the
+            # first above ``start``, else the first).
+            start = sched.start
+            first = partner = None
+            next_ready = _NEVER
             for thread in live:
-                if thread.state is not runnable:
+                if thread.state is not _RUNNABLE:
                     continue
                 info = thread.ready
                 if info is None or recompute:
-                    info = thread.ready = self._ready_cycle(thread, cycle)
-                rc = info[0]
-                ready_of[thread.tid] = rc
-                if rc <= cycle:
-                    candidates.append(thread)
-                elif next_ready is None or rc < next_ready:
-                    next_ready = rc
+                    info = thread.ready = ready_cycle(thread, cycle)
+                ready = info[0]
+                if ready > cycle:
+                    if ready < next_ready:
+                        next_ready = ready
+                elif dual and info[3].klass:
+                    if partner is None or partner.tid <= start < thread.tid:
+                        partner = thread
+                elif first is None or first.tid <= start < thread.tid:
+                    first = thread
 
-            if not candidates:
-                if next_ready is None:
-                    joining = [t.tid for t in live
-                               if t.state is ThreadState.JOINING]
-                    raise SimulationError(
-                        f"deadlock: threads {joining} blocked in tjoin "
-                        f"with no runnable thread")
-                skip_to = max(next_ready,
-                              self.scheduler.switch_until, cycle + 1)
-                self.stats.idle_slots += (skip_to - cycle) * width
-                cycle = skip_to
-                continue
+            if first is None:
+                if partner is None:
+                    if next_ready == _NEVER:
+                        joining = [t.tid for t in live
+                                   if t.state is _JOINING]
+                        raise SimulationError(
+                            f"deadlock: threads {joining} blocked in tjoin "
+                            f"with no runnable thread")
+                    skip_to = max(next_ready, sched.switch_until, cycle + 1)
+                    stats.idle_slots += (skip_to - cycle) * width
+                    cycle = skip_to
+                    continue
+                first, partner = partner, None
+            elif partner is not None and sched.ranks_before(partner, first):
+                first, partner = partner, first
 
-            chosen = self.scheduler.select(candidates, cycle, ready_of,
-                                           self.program)
-            # Issue uses the readiness known at the round's start, even
-            # when an earlier issue this round (SMT-2) invalidates it --
+            # SMT-2's partner issues with the readiness known at the
+            # round's start, even when the first issue invalidates it --
             # except a structural unit that issue just took: a scalar and
             # a parallel op sharing a sequential unit cannot both start.
             issued = 0
-            for thread, info in [(t, t.ready) for t in chosen]:
-                if issued and info[3] >= 0 \
-                        and self._unit_busy[info[3]] > cycle:
-                    continue
-                if self._issue(thread, cycle, info[2], info[1]):
-                    issued += 1
-                if self.halted:
-                    break
-            self.stats.idle_slots += width - issued
+            thread = sched.grant(first, cycle)
+            if thread is not None:
+                later = partner.ready if partner is not None else None
+                issued = self._issue(thread, cycle, thread.ready)
+                if later is not None and not self.halted:
+                    unit = later[3].unit
+                    if not (issued and unit >= 0 and unit_busy[unit] > cycle):
+                        issued += self._issue(partner, cycle, later)
+            stats.idle_slots += width - issued
             cycle += 1
 
         self._cycle = cycle
-        self.stats.cycles = cycle - 1
-        self.stats.issue_slots = self.stats.cycles * width
+        stats.cycles = cycle - 1
+        stats.issue_slots = stats.cycles * width
         if self.profiler is not None and not self.paused:
             self.profiler.finalize(self)
-        return RunResult(self.stats, self, self.trace, paused=self.paused)
+        return RunResult(stats, self, self.trace, paused=self.paused)
 
 
 def run_program(source_or_program, config: ProcessorConfig | None = None,

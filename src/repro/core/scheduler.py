@@ -17,17 +17,22 @@ Four disciplines are implemented (DESIGN.md experiment E8):
 * **smt2** — extension: dual issue, at most one scalar-path and one
   parallel/reduction-path instruction per cycle from (possibly) two
   different threads, exploiting the split pipeline's two issue ports.
+
+Every discipline ranks ready threads by one priority order: the lowest
+tid above :attr:`ThreadScheduler.start`, then the lowest tid from 0.  The
+issue loop's round (:meth:`repro.core.processor.Processor.run`) finds, in
+its one pass over the live threads in tid order, the ready thread the
+order ranks first on each issue port; :meth:`ThreadScheduler.grant`
+then applies the discipline.  :meth:`ThreadScheduler.select` does both
+for a list of ready threads in any order.
 """
 
 from __future__ import annotations
 
-import operator
-
 from repro.core.config import MTMode, ProcessorConfig, SchedulerPolicy
-from repro.core.thread import ThreadContext
-from repro.isa.opcodes import ExecClass
+from repro.core.thread import ThreadContext, ThreadState
 
-_TID = operator.attrgetter("tid")
+_RUNNABLE = ThreadState.RUNNABLE
 
 
 class ThreadScheduler:
@@ -36,86 +41,82 @@ class ThreadScheduler:
     def __init__(self, cfg: ProcessorConfig) -> None:
         self.cfg = cfg
         self._rotating = cfg.scheduler is SchedulerPolicy.ROTATING
-        self._one = cfg.mt_mode in (MTMode.SINGLE, MTMode.FINE)
+        self._coarse = cfg.mt_mode is MTMode.COARSE
+        # SMT-2 has a second issue port: a scalar instruction (class 0)
+        # and a parallel or reduction one may issue in the same cycle.
+        self.dual = cfg.mt_mode is MTMode.SMT2
         self._pointer = -1          # last thread granted (rotating priority)
-        self._current: int | None = None   # coarse-grain resident thread
+        # Coarse grain: the resident context, whose cached readiness
+        # (ThreadContext.ready) the policy reads.
+        self._current: ThreadContext | None = None
         self.switch_until = 0       # coarse-grain: no issue before this cycle
         self.switches = 0
 
-    # -- priority orders -----------------------------------------------------
+    @property
+    def start(self) -> int:
+        """Priority goes to the lowest ready tid above this one, then to
+        the lowest ready tid: the last thread granted under rotating
+        priority, -1 (plain tid order) under fixed priority."""
+        return self._pointer if self._rotating else -1
 
-    def _first(self, candidates: list[ThreadContext]) -> ThreadContext:
-        """The candidate the priority order ranks first: the lowest tid,
-        after the last one granted when the priority rotates."""
-        if self._rotating:
-            pointer = self._pointer
-            candidates = [t for t in candidates if t.tid > pointer] or candidates
-        return min(candidates, key=_TID)
+    def ranks_before(self, a: ThreadContext, b: ThreadContext) -> bool:
+        """Whether the priority order ranks thread ``a`` before ``b``."""
+        start, n = self.start, self.cfg.num_threads
+        return (a.tid - start - 1) % n < (b.tid - start - 1) % n
 
-    # -- selection -------------------------------------------------------------
+    def grant(self, first: ThreadContext, cycle: int) -> ThreadContext | None:
+        """The thread to issue at ``cycle``, given ``first``, the ready
+        thread the priority order ranks first (of the two SMT-2 issues,
+        the one that issues first), or None when none issues.
 
-    def select(self, candidates: list[ThreadContext], cycle: int,
-               ready_of: dict[int, int], program) -> list[ThreadContext]:
-        """Return the thread(s) to issue at ``cycle``.
-
-        ``candidates`` are RUNNABLE threads whose next instruction is
-        ready now; ``ready_of`` maps *every* runnable thread id to its
-        earliest-ready cycle (consulted by the coarse-grain policy).
+        Under coarse grain the resident thread issues when it is ready
+        (its cached readiness says so) and keeps the pipeline through a
+        stall shorter than the switch threshold; a longer stall, or its
+        exit or join, hands the machine to ``first`` after the switch
+        penalty.
         """
-        if not candidates:
+        if self._coarse:
+            if cycle < self.switch_until:
+                return None                 # pipeline flush in progress
+            current = self._current
+            if current is not None:
+                if current.state is _RUNNABLE:
+                    assert current.ready is not None
+                    ready = current.ready[0]
+                    if ready <= cycle:
+                        return current
+                    if ready - cycle < self.cfg.coarse_switch_threshold:
+                        return None         # ride out the short stall
+                # The switch itself costs the penalty cycles.
+                self.switches += 1
+                self.switch_until = cycle + self.cfg.coarse_switch_penalty
+                self._current = first
+                self._pointer = first.tid
+                return None
+            self._current = first
+        self._pointer = first.tid
+        return first
+
+    def select(self, candidates: list[ThreadContext],
+               cycle: int) -> list[ThreadContext]:
+        """The thread(s) to issue at ``cycle`` from ``candidates``, the
+        threads whose next instruction is ready, in any order: the pick
+        the issue loop's round makes from the same threads.  Under SMT-2
+        a candidate's issue port comes from its cached readiness."""
+        first = partner = None
+        for thread in candidates:
+            if self.dual and thread.ready[3].klass:  # type: ignore[index]
+                if partner is None or self.ranks_before(thread, partner):
+                    partner = thread
+            elif first is None or self.ranks_before(thread, first):
+                first = thread
+        if first is None or (partner is not None
+                             and self.ranks_before(partner, first)):
+            first, partner = partner, first
+        chosen = None if first is None else self.grant(first, cycle)
+        if chosen is None:
             return []
-        if self._one:
-            chosen = self._first(candidates)
-            self._pointer = chosen.tid
-            return [chosen]
-        if self.cfg.mt_mode is MTMode.COARSE:
-            return self._select_coarse(candidates, cycle, ready_of)
-        return self._select_smt2(candidates, program)
-
-    def _select_coarse(self, candidates: list[ThreadContext], cycle: int,
-                       ready_of: dict[int, int]) -> list[ThreadContext]:
-        if cycle < self.switch_until:
-            return []          # pipeline flush in progress
-        by_tid = {t.tid: t for t in candidates}
-        if self._current is not None and self._current in by_tid:
-            return [by_tid[self._current]]
-        if self._current is not None and self._current in ready_of:
-            # Resident thread is stalled; switch only for long stalls.
-            stall = ready_of[self._current] - cycle
-            if stall < self.cfg.coarse_switch_threshold:
-                return []      # ride out the short stall
-        chosen = self._first(candidates)
-        if self._current is not None and chosen.tid != self._current:
-            self.switches += 1
-            self.switch_until = cycle + self.cfg.coarse_switch_penalty
-            self._current = chosen.tid
-            self._pointer = chosen.tid
-            return []          # the switch itself costs the penalty cycles
-        self._current = chosen.tid
-        self._pointer = chosen.tid
-        return [chosen]
-
-    def _select_smt2(self, candidates: list[ThreadContext],
-                     program) -> list[ThreadContext]:
-        ordered = sorted(candidates, key=_TID)
-        if self._rotating:
-            later = [t for t in ordered if t.tid > self._pointer]
-            ordered = later + [t for t in ordered if t.tid <= self._pointer]
-        chosen: list[ThreadContext] = []
-        ports_used: set[str] = set()
-        for thread in ordered:
-            spec = program.instructions[thread.pc].spec
-            port = ("scalar" if spec.exec_class is ExecClass.SCALAR
-                    else "parallel")
-            if port in ports_used:
-                continue
-            chosen.append(thread)
-            ports_used.add(port)
-            if len(chosen) == 2:
-                break
-        if chosen:
-            self._pointer = chosen[0].tid
-        return chosen
+        return [chosen] if partner is None else [chosen, partner]
 
     def reset(self) -> None:
         self._pointer = -1

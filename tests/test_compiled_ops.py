@@ -411,5 +411,5 @@ def test_select_picks_what_sorting_picked(policy):
             else:
                 want = sorted(candidates,
                               key=lambda t: (t.tid - pointer - 1) % n)[0]
-            assert sched.select(candidates, 0, {}, None) == [want]
+            assert sched.select(candidates, 0) == [want]
             assert sched._pointer == want.tid

@@ -199,7 +199,7 @@ class TestSchedulerUnit:
         cfg = ProcessorConfig(num_threads=4, num_pes=4)
         sched = ThreadScheduler(cfg)
         threads = self._threads(4)
-        order = [sched.select(threads, cycle, {}, None)[0].tid
+        order = [sched.select(threads, cycle)[0].tid
                  for cycle in range(8)]
         assert order == [0, 1, 2, 3, 0, 1, 2, 3]
 
@@ -207,8 +207,8 @@ class TestSchedulerUnit:
         cfg = ProcessorConfig(num_threads=4, num_pes=4)
         sched = ThreadScheduler(cfg)
         threads = self._threads(4)
-        sched.select(threads, 0, {}, None)          # granted 0
-        picked = sched.select([threads[2], threads[3]], 1, {}, None)
+        sched.select(threads, 0)          # granted 0
+        picked = sched.select([threads[2], threads[3]], 1)
         assert picked[0].tid == 2
 
     def test_fixed_always_lowest(self):
@@ -217,17 +217,17 @@ class TestSchedulerUnit:
         sched = ThreadScheduler(cfg)
         threads = self._threads(4)
         for cycle in range(4):
-            assert sched.select(threads, cycle, {}, None)[0].tid == 0
+            assert sched.select(threads, cycle)[0].tid == 0
 
     def test_empty_candidates(self):
         cfg = ProcessorConfig(num_threads=4, num_pes=4)
         sched = ThreadScheduler(cfg)
-        assert sched.select([], 0, {}, None) == []
+        assert sched.select([], 0) == []
 
     def test_reset(self):
         cfg = ProcessorConfig(num_threads=4, num_pes=4)
         sched = ThreadScheduler(cfg)
         threads = self._threads(4)
-        sched.select(threads, 0, {}, None)
+        sched.select(threads, 0)
         sched.reset()
-        assert sched.select(threads, 1, {}, None)[0].tid == 0
+        assert sched.select(threads, 1)[0].tid == 0

@@ -22,55 +22,69 @@ def threads(n):
     return list(table)
 
 
+def ready_at(ts, ready):
+    """Cache each listed thread's earliest issue cycle in its context, as
+    the issue loop's round leaves it for the coarse-grain policy."""
+    for tid, cycle in ready.items():
+        ts[tid].ready = (cycle, None, cycle, None)
+
+
 class TestCoarseGrainScheduler:
     def test_sticks_with_current_thread(self):
         sched = ThreadScheduler(coarse_cfg())
         ts = threads(4)
-        first = sched.select(ts, 0, {t.tid: 0 for t in ts}, None)
+        ready_at(ts, {t.tid: 0 for t in ts})
+        first = sched.select(ts, 0)
         assert [t.tid for t in first] == [0]
-        again = sched.select(ts, 1, {t.tid: 1 for t in ts}, None)
+        ready_at(ts, {t.tid: 1 for t in ts})
+        again = sched.select(ts, 1)
         assert [t.tid for t in again] == [0]
 
     def test_rides_out_short_stall(self):
         sched = ThreadScheduler(coarse_cfg(threshold=5))
         ts = threads(4)
-        sched.select(ts, 0, {t.tid: 0 for t in ts}, None)
+        ready_at(ts, {t.tid: 0 for t in ts})
+        sched.select(ts, 0)
         # Thread 0 stalled for 2 cycles (< threshold): no switch, no issue.
-        ready = {0: 3, 1: 1, 2: 1, 3: 1}
-        out = sched.select([ts[1], ts[2], ts[3]], 1, ready, None)
+        ready_at(ts, {0: 3, 1: 1, 2: 1, 3: 1})
+        out = sched.select([ts[1], ts[2], ts[3]], 1)
         assert out == []
         assert sched.switches == 0
 
     def test_switches_on_long_stall_with_penalty(self):
         sched = ThreadScheduler(coarse_cfg(threshold=3, penalty=4))
         ts = threads(4)
-        sched.select(ts, 0, {t.tid: 0 for t in ts}, None)
-        ready = {0: 20, 1: 1, 2: 1, 3: 1}
-        out = sched.select([ts[1], ts[2], ts[3]], 1, ready, None)
+        ready_at(ts, {t.tid: 0 for t in ts})
+        sched.select(ts, 0)
+        ready_at(ts, {0: 20, 1: 1, 2: 1, 3: 1})
+        out = sched.select([ts[1], ts[2], ts[3]], 1)
         assert out == []                      # pays the flush
         assert sched.switches == 1
         assert sched.switch_until == 1 + 4
         # During the penalty window nothing issues.
-        assert sched.select([ts[1]], 3, ready, None) == []
+        assert sched.select([ts[1]], 3) == []
         # After it, the new resident thread runs.
-        out = sched.select([ts[1]], 5, ready, None)
+        out = sched.select([ts[1]], 5)
         assert [t.tid for t in out] == [1]
 
     def test_switch_target_not_stalled_thread(self):
         sched = ThreadScheduler(coarse_cfg(penalty=0))
         ts = threads(4)
-        sched.select(ts, 0, {t.tid: 0 for t in ts}, None)
-        ready = {0: 50, 2: 1}
-        sched.select([ts[2]], 1, ready, None)      # triggers switch to 2
-        out = sched.select([ts[2]], 2, ready, None)
+        ready_at(ts, {t.tid: 0 for t in ts})
+        sched.select(ts, 0)
+        ready_at(ts, {0: 50, 2: 1})
+        sched.select([ts[2]], 1)      # triggers switch to 2
+        out = sched.select([ts[2]], 2)
         assert [t.tid for t in out] == [2]
 
     def test_reset_clears_residency(self):
         sched = ThreadScheduler(coarse_cfg())
         ts = threads(4)
-        sched.select(ts, 0, {t.tid: 0 for t in ts}, None)
+        ready_at(ts, {t.tid: 0 for t in ts})
+        sched.select(ts, 0)
         sched.reset()
-        out = sched.select([ts[3]], 0, {3: 0}, None)
+        ready_at(ts, {3: 0})
+        out = sched.select([ts[3]], 0)
         assert [t.tid for t in out] == [3]
         assert sched.switches == 0
 
