@@ -378,12 +378,28 @@ class TimingAnalysis:
             if consumes:
                 idx += 1
             link[1] += 1
-            prev = id(s)
             last_abs = t + s.last_rel
             t += s.advance
             state = s.exit_state
             if s.end != END_NONE:
                 break
+            if prev == id(s) and event is True:
+                # A one-block self-loop whose link led back to its own
+                # summary: every further taken outcome repeats that link.
+                # Take the run of them at once, but only the iterations
+                # whose last issue fits under the watchdog, so the one
+                # that crosses it is replayed (and raises) as usual.
+                try:
+                    run = events.index(0, idx) - idx
+                except ValueError:
+                    run = len(events) - idx
+                k = min(run, (limit - t - s.last_rel) // s.advance + 1)
+                if k > 0:
+                    idx += k
+                    link[1] += k
+                    last_abs = t + (k - 1) * s.advance + s.last_rel
+                    t += k * s.advance
+            prev = id(s)
             pc = s.next_pc
         issued_total = 0
         counts = [0, 0, 0]
