@@ -74,11 +74,12 @@ class FastMachine:
         # The fold times only a machine with no fetch model and no hook.
         self._folds = not (self.cfg.model_fetch or trace or any(
             hook is not None for hook in (faults, sanitizer, profiler)))
-        self._fm = FunctionalMachine(self.cfg)
+        # Each engine is built by the first load that picks it.
+        self._fm: FunctionalMachine | None = None
         self._core: Processor | None = None
         # Whichever engine holds the loaded program's state: the
         # functional machine, or the cycle core (see load).
-        self._machine: FunctionalMachine | Processor = self._fm
+        self._machine: FunctionalMachine | Processor | None = None
         self._analysis: TimingAnalysis | None = None
         self._analysis_program: Program | None = None
         self._fused: FusedRuns = []
@@ -88,32 +89,41 @@ class FastMachine:
 
     @property
     def pe(self):  # type: ignore[no-untyped-def]
-        return self._machine.pe
+        return self._engine().pe
 
     @property
     def mem(self):  # type: ignore[no-untyped-def]
-        return self._machine.mem
+        return self._engine().mem
 
     @property
     def threads(self) -> ThreadStatusTable:
-        return self._machine.threads
+        return self._engine().threads
 
     @property
     def program(self) -> Program | None:
-        return self._machine.program
+        return None if self._machine is None else self._machine.program
+
+    def _engine(self) -> FunctionalMachine | Processor:
+        if self._machine is None:
+            raise SimulationError("no program loaded")
+        return self._machine
 
     def load(self, program: Program) -> None:
+        machine: FunctionalMachine | Processor
         if (self._folds
                 and not any(ins.mnemonic == "tspawn"
                             for ins in program.instructions)
                 and not self._timing(program).model.raising_pcs()):
-            self._machine = self._fm
+            if self._fm is None:
+                self._fm = FunctionalMachine(self.cfg)
+            machine = self._fm
             self._fused = fuse_scalar_runs(program, self.cfg.word_width)
         else:
             if self._core is None:
                 self._core = Processor(self.cfg, **self._hooks)
-            self._machine = self._core
-        self._machine.load(program)
+            machine = self._core
+        self._machine = machine
+        machine.load(program)
 
     def _timing(self, program: Program) -> TimingAnalysis:
         if self._analysis is None or self._analysis_program is not program:
@@ -125,21 +135,22 @@ class FastMachine:
             max_cycles: int | None = None) -> RunResult:
         if program is not None:
             self.load(program)
-        core = self._core
-        if core is not None and self._machine is core:
-            return core.run(max_cycles=max_cycles)
-        prog = self._fm.program
-        if prog is None:
-            raise SimulationError("no program loaded")
+        machine = self._engine()
+        if isinstance(machine, Processor):
+            return machine.run(max_cycles=max_cycles)
+        prog = machine.program
+        assert prog is not None
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
-        return RunResult(self._run_folded(prog, limit), self)
+        return RunResult(self._run_folded(machine, prog, limit), self)
 
-    def _run_folded(self, prog: Program, limit: int) -> Stats:
+    def _run_folded(self, fm: FunctionalMachine, prog: Program,
+                    limit: int) -> Stats:
         """Spawn-free path: functional run + compositional timing fold."""
-        events = self._trace_single(prog, limit)
+        events = self._trace_single(fm, prog, limit)
         return self._timing(prog).fold(events, max_cycles=limit)
 
-    def _trace_single(self, prog: Program, limit: int) -> list[int]:
+    def _trace_single(self, fm: FunctionalMachine, prog: Program,
+                      limit: int) -> list[int]:
         """Single-thread functional execution, recording fold events.
 
         A spawn-free program has exactly one live thread forever, so
@@ -150,7 +161,6 @@ class FastMachine:
         (watchdog) is fine because the fold re-raises the core's timeout
         exactly.
         """
-        fm = self._fm
         thread = fm.threads[0]
         instructions = prog.instructions
         ops, kinds = fm.ops, fm.kinds

@@ -39,6 +39,7 @@ from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.config import DividerKind, MultiplierKind
 from repro.core.processor import SimTimeout, SimulationError
 from repro.faults import FaultKind, FaultPlane, FaultSite, FaultSpec
+from repro.pe import PEArray
 from repro.programs.kernels import ALL_KERNEL_BUILDERS
 from tests.golden import KERNEL_VARIANTS, VARIANTS
 from tests.oracle import (
@@ -293,6 +294,30 @@ def test_fast_rejects_model_fetch():
         result = FastMachine(cfg).run(program)
         assert result.processor.fetch.total_fetched >= \
             result.stats.instructions
+
+
+def test_each_engine_is_built_by_the_load_that_picks_it(monkeypatch):
+    """A spawning program runs on the fast machine's core and allocates
+    that core's PE array only; a spawn-free one, the functional
+    machine's."""
+    built = []
+    init = PEArray.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PEArray, "__init__", counting_init)
+    cfg = ProcessorConfig(num_pes=4, num_threads=2)
+    machine = FastMachine(cfg)
+    assert built == []
+    machine.load(assemble(".text\nmain:\n    tspawn s1, w\n"
+                          "    tjoin s1\n    halt\nw:\n    texit\n",
+                          word_width=cfg.word_width))
+    assert built == [machine.pe]
+    machine.load(assemble(".text\nmain:\n    halt\n",
+                          word_width=cfg.word_width))
+    assert len(built) == 2 and machine.pe is built[1]
 
 
 def test_run_fast_convenience():
