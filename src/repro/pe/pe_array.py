@@ -59,12 +59,12 @@ class PEArray:
         self.word_width = word_width
         self.lmem_words = lmem_words
         self.word_mask = mask_for_width(word_width)
-        self.regs = np.zeros(
+        self._regs = np.zeros(
             (num_threads, registers.NUM_PARALLEL_REGS, num_pes),
             dtype=np.int64)
-        self.flags = np.zeros(
+        self._flags = np.zeros(
             (num_threads, registers.NUM_FLAG_REGS, num_pes), dtype=bool)
-        self.lmem = np.zeros((num_pes, lmem_words), dtype=np.int64)
+        self._lmem = np.zeros((num_pes, lmem_words), dtype=np.int64)
         # Fault-tolerance hooks (see repro.faults).  ``fault_mask`` marks
         # PEs whose writes and memory accesses are suppressed (dead or
         # masked-out); ``parity`` is the per-word parity plane updated on
@@ -73,12 +73,34 @@ class PEArray:
         self.fault_mask: np.ndarray | None = None
         self.parity: np.ndarray | None = None
         self._pin_constants()
+        # True while every plane holds its reset value and nothing could
+        # have written one since: no plane or view of one handed out, no
+        # write method called.  reset() then has nothing to refill, and a
+        # fresh machine's untouched pages stay unfaulted.
+        self._pristine = True
+
+    # -- the planes: handing one out may let its holder write it ---------------
+
+    @property
+    def regs(self) -> np.ndarray:
+        self._pristine = False
+        return self._regs
+
+    @property
+    def flags(self) -> np.ndarray:
+        self._pristine = False
+        return self._flags
+
+    @property
+    def lmem(self) -> np.ndarray:
+        self._pristine = False
+        return self._lmem
 
     # -- constants -----------------------------------------------------------
 
     def _pin_constants(self) -> None:
-        self.regs[:, registers.ZERO_REG, :] = 0
-        self.flags[:, registers.ALWAYS_FLAG, :] = True
+        self._regs[:, registers.ZERO_REG, :] = 0
+        self._flags[:, registers.ALWAYS_FLAG, :] = True
 
     # -- fault-tolerance hooks -------------------------------------------------
 
@@ -98,28 +120,30 @@ class PEArray:
         upsets.
         """
         if self.parity is None:
-            self.parity = bitops.np_parity(self.regs, self.word_width)
+            self.parity = bitops.np_parity(self._regs, self.word_width)
 
     def parity_mismatch(self, thread: int, reg: int) -> np.ndarray:
         """Per-PE parity check of one register row (False when clean)."""
         if self.parity is None:
             return np.zeros(self.num_pes, dtype=bool)
-        fresh = bitops.np_parity(self.regs[thread, reg], self.word_width)
+        fresh = bitops.np_parity(self._regs[thread, reg], self.word_width)
         return fresh != self.parity[thread, reg]
 
     # -- register access -------------------------------------------------------
 
     def read_reg(self, thread: int, reg: int) -> np.ndarray:
         """Value vector (one element per PE) of parallel register ``reg``."""
-        return self.regs[thread, reg]
+        self._pristine = False          # a view its caller may write
+        return self._regs[thread, reg]
 
     def write_reg(self, thread: int, reg: int, values: np.ndarray,
                   mask: np.ndarray) -> None:
         """Masked write: only PEs where ``mask`` is True take the value."""
         if reg == registers.ZERO_REG:
             return
+        self._pristine = False
         mask = self._effective(mask)
-        row = self.regs[thread, reg]
+        row = self._regs[thread, reg]
         wrapped = np.bitwise_and(values.astype(np.int64), self.word_mask)
         np.copyto(row, wrapped, where=mask)
         if self.parity is not None:
@@ -128,14 +152,16 @@ class PEArray:
 
     def read_flag(self, thread: int, flag: int) -> np.ndarray:
         """Boolean vector (one element per PE) of flag register ``flag``."""
-        return self.flags[thread, flag]
+        self._pristine = False          # a view its caller may write
+        return self._flags[thread, flag]
 
     def write_flag(self, thread: int, flag: int, values: np.ndarray,
                    mask: np.ndarray) -> None:
         """Masked flag write."""
         if flag == registers.ALWAYS_FLAG:
             return
-        np.copyto(self.flags[thread, flag], values.astype(bool),
+        self._pristine = False
+        np.copyto(self._flags[thread, flag], values.astype(bool),
                   where=self._effective(mask))
 
     # -- local memory -----------------------------------------------------------
@@ -157,7 +183,7 @@ class PEArray:
         mask = self._effective(mask)
         self._check_addresses(addresses, mask, "load")
         safe = np.where(mask, addresses, 0)
-        values = self.lmem[np.arange(self.num_pes), safe]
+        values = self._lmem[np.arange(self.num_pes), safe]
         return np.where(mask, values, 0)
 
     def store(self, addresses: np.ndarray, values: np.ndarray,
@@ -165,8 +191,9 @@ class PEArray:
         """Per-PE local-memory store (masked)."""
         mask = self._effective(mask)
         self._check_addresses(addresses, mask, "store")
+        self._pristine = False
         pes = np.arange(self.num_pes)[mask]
-        self.lmem[pes, addresses[mask]] = (
+        self._lmem[pes, addresses[mask]] = (
             values[mask].astype(np.int64) & self.word_mask)
 
     # -- bulk initialization (used by loaders / examples) ------------------------
@@ -179,7 +206,8 @@ class PEArray:
         if vals.shape != (self.num_pes,):
             raise ValueError(
                 f"expected {self.num_pes} values, got shape {vals.shape}")
-        self.lmem[:, word_addr] = vals & self.word_mask
+        self._pristine = False
+        self._lmem[:, word_addr] = vals & self.word_mask
 
     def load_lmem(self, columns: Iterable[tuple[int, Sequence[int]]]
                   ) -> None:
@@ -196,13 +224,15 @@ class PEArray:
         """Read the same local address from every PE."""
         if not 0 <= word_addr < self.lmem_words:
             raise MemoryFault(f"local address {word_addr} out of range")
-        return self.lmem[:, word_addr].copy()
+        return self._lmem[:, word_addr].copy()
 
     def reset(self) -> None:
         """Zero all architectural state (between program runs)."""
-        self.regs.fill(0)
-        self.flags.fill(False)
-        self.lmem.fill(0)
+        if not self._pristine:
+            self._regs.fill(0)
+            self._flags.fill(False)
+            self._lmem.fill(0)
+            self._pin_constants()
+            self._pristine = True
         if self.parity is not None:
             self.parity.fill(False)
-        self._pin_constants()

@@ -6,6 +6,7 @@ from repro.asm import assemble
 from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.debugger import Debugger, DebuggerError
 from tests.golden import ASM_DIR, VARIANTS, arch_digest
+from tests.test_processor import DIRTY, READ_BACK
 
 PROGRAM = """
 .text
@@ -73,6 +74,17 @@ class TestBreakpoints:
         result = db.run_to("after")
         assert result.paused
         assert db.scalar(1) == 0
+
+
+class TestReload:
+    def test_reload_starts_from_zeroed_state(self):
+        """Loading a program again after a run zeroes what the run wrote."""
+        db = make_db()
+        db.load(DIRTY)
+        db.run()
+        db.load(READ_BACK)
+        db.run()
+        assert [db.scalar(r) for r in (1, 2, 3, 4)] == [0, 0, 0, 0]
 
 
 class TestStepping:

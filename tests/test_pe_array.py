@@ -136,6 +136,37 @@ class TestLocalMemory:
 
 
 class TestReset:
+    def test_a_fresh_array_is_not_refilled(self):
+        """Until a plane, a view of one or a write method is used, the
+        planes still hold what np.zeros gave them: reset writes nothing."""
+        pe = make(pes=4)
+        for plane in (pe._regs, pe._flags, pe._lmem):
+            plane.setflags(write=False)
+        pe.reset()
+        pe.reset()
+        pe.read_reg(0, 1)                   # a view its caller may write
+        with pytest.raises(ValueError, match="read-only"):
+            pe.reset()
+
+    @pytest.mark.parametrize("write", [
+        lambda pe: pe.read_reg(0, 1).fill(5),
+        lambda pe: pe.read_flag(0, 1).fill(True),
+        lambda pe: pe.regs.__setitem__((0, 1), 5),
+        lambda pe: pe.flags.__setitem__((0, 1), True),
+        lambda pe: pe.lmem.__setitem__((slice(None), 0), 9),
+        lambda pe: pe.set_lmem_column(0, np.full(4, 9)),
+        lambda pe: pe.store(np.zeros(4, np.int64), np.full(4, 9),
+                            np.ones(4, bool)),
+    ], ids=["read_reg", "read_flag", "regs", "flags", "lmem",
+            "set_lmem_column", "store"])
+    def test_reset_after_any_write_path_zeroes(self, write):
+        pe = make(pes=4)
+        write(pe)
+        pe.reset()
+        assert not pe.regs[:, 1].any() and not pe.flags[:, 1].any()
+        assert not pe.lmem.any()
+        assert pe.read_flag(0, regs.ALWAYS_FLAG).all()
+
     def test_reset_clears_everything_but_constants(self):
         pe = make(pes=4)
         pe.write_reg(0, 1, np.full(4, 5), np.ones(4, bool))

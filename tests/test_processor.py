@@ -24,6 +24,32 @@ def run1(src, **cfg_kw):
     return run_program(".text\n" + src, single_cfg(**cfg_kw), trace=True)
 
 
+# Writes p1, f1, local word 3 and scalar word 5 in every PE; READ_BACK
+# sums them back into s1..s4.
+DIRTY = """
+.text
+    paddi p1, p0, 7
+    pceqi f1, p1, 7
+    li    s1, 3
+    pbcast p2, s1
+    psw   p1, 0(p2)
+    li    s2, 9
+    sw    s2, 5(s0)
+    halt
+"""
+READ_BACK = """
+.text
+    rsum  s1, p1
+    rcount s2, f1
+    li    s5, 3
+    pbcast p2, s5
+    plw   p3, 0(p2)
+    rsum  s3, p3
+    lw    s4, 5(s0)
+    halt
+"""
+
+
 class TestScalarSemantics:
     def test_arithmetic_chain(self):
         res = run1("""
@@ -403,6 +429,15 @@ class TestMachineLifecycle:
         r2 = proc.run(assemble(".text\nli s1, 2\nhalt\n"))
         assert r2.scalar(1) == 2
         assert r2.stats.instructions == 2
+
+    def test_reused_processor_starts_from_zeroed_state(self):
+        """The second load zeroes the PE registers, flags and local memory
+        and the scalar memory the first program wrote."""
+        cfg = single_cfg(word_width=16)
+        proc = Processor(cfg)
+        proc.run(assemble(DIRTY, word_width=16))
+        result = proc.run(assemble(READ_BACK, word_width=16))
+        assert [result.scalar(r) for r in (1, 2, 3, 4)] == [0, 0, 0, 0]
 
     def test_no_program_loaded(self):
         with pytest.raises(SimulationError):
