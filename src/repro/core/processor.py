@@ -14,12 +14,23 @@ values the real pipeline would forward.
 
 Every timing fact about an instruction comes from the program's per-pc
 table (:class:`repro.core.timing.TimingModel`).  Each context caches its
-next instruction's readiness and recomputes it only after an event that
-can move it: the context issues, a ``tput`` delivers to it, a join wakes
-it, it is spawned, or the structural unit it waits for becomes occupied.
-With a fetch model (readiness then depends on the cycle) or a fault plane
-(a fault can move a PC) attached, every runnable context is recomputed
-each round instead.
+next instruction's readiness (with the instruction's timing entry, which
+the issue then uses) and recomputes it only after an event that can move
+it: the context issues, a ``tput`` delivers to it, a join wakes it, it is
+spawned, or the structural unit it waits for becomes occupied.  With a
+fetch model (readiness then depends on the cycle) or a fault plane (a
+fault can move a PC) attached, every runnable context is recomputed each
+round instead.
+
+A scheduling round is one pass over the live threads in tid order, the
+same for every discipline, that allocates nothing when one thread
+issues.  It evaluates the readiness of every runnable thread, keeps the
+earliest cycle one becomes ready (the clock jumps there when none is
+ready now), and keeps per issue port the ready thread the priority order
+ranks first: the first tid above :attr:`ThreadScheduler.start`, else the
+first.  SMT-2 has a scalar and a parallel port, the other disciplines
+one.  :meth:`ThreadScheduler.grant` applies the discipline (coarse grain
+reads the resident context's cached readiness) and moves the rotation.
 """
 
 from __future__ import annotations
