@@ -105,7 +105,7 @@ class ThreadScheduler:
         a candidate's issue port comes from its cached readiness."""
         first = partner = None
         for thread in candidates:
-            if self.dual and thread.ready[3].klass:  # type: ignore[index]
+            if self.dual and thread.ready[3].klass:
                 if partner is None or self.ranks_before(thread, partner):
                     partner = thread
             elif first is None or self.ranks_before(thread, first):
