@@ -400,7 +400,10 @@ class Processor:
             # One pass in tid order: the readiness of every runnable
             # thread, the earliest cycle one becomes ready, and per issue
             # port the ready thread the priority order ranks first (the
-            # first above ``start``, else the first).
+            # first above ``start``, else the first): ``first`` on the
+            # scalar port, the only one outside SMT-2, ``partner`` on
+            # SMT-2's parallel port.  Of the two, the higher-ranked one
+            # issues first.
             start = sched.start
             first = partner = None
             next_ready = _NEVER
