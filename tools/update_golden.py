@@ -4,8 +4,8 @@
 Each case (see tests/golden.py) records the full Stats, a digest of the
 final architectural state, a digest of the issue order and a digest of
 the result-snapshot JSON of one cycle-core run, and a digest of the lint
-report for the same program and machine.  Run after an *intentional* timing-model change,
-review the diff, and re-measure EXPERIMENTS.md:
+report for the same program and machine.  Run after an *intentional*
+timing-model change, review the diff, and re-measure EXPERIMENTS.md:
 python tools/update_golden.py
 """
 
