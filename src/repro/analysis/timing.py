@@ -298,13 +298,15 @@ class TimingAnalysis:
           reads the handle again to note the delivery in the receiver's
           scoreboard (a self-delivery into ``rd`` changes the answer);
         * ``tjoin`` — the target tid, recorded only when the join
-          actually executes.
+          actually executes.  A stream that ends before a join's event
+          (and not at the watchdog) ends at a join of a live context,
+          the thread itself: a deadlock.
 
         Everything else needs no event: the block path is fully
         determined by these plus the program text.  Raises
         :class:`SimTimeout` / :class:`SimulationError` with
         byte-identical messages to the cycle core when the watchdog would
-        fire or the PC escapes the program.
+        fire, the PC escapes the program or the thread deadlocks.
         """
         program = self.program
         n = len(program.instructions)
@@ -375,6 +377,14 @@ class TimingAnalysis:
                             f"exceeded max_cycles={limit}; "
                             f"live threads at {[ipc]}")
                 raise AssertionError("unreachable: last_rel past limit")
+            if term.kind == K_TJOIN and idx == len(events):
+                # The core tries the join at its issue cycle and reports
+                # the deadlock the next round, after the watchdog check.
+                if t + s.last_rel + 1 > limit:
+                    raise SimTimeout(f"exceeded max_cycles={limit}; "
+                                     f"live threads at {[end]}")
+                raise SimulationError("deadlock: threads [0] blocked in "
+                                      "tjoin with no runnable thread")
             if consumes:
                 idx += 1
             link[1] += 1

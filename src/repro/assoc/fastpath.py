@@ -1,44 +1,44 @@
-"""The fast-path execution backend: functional semantics + static timing.
+"""The fast-path execution backend: the cycle core that folds.
 
 ``repro run --backend fast`` (and the serve tier's ``"backend": "fast"``
 job flag) gives the cycle core's result, **bit-identical** cycle counts
 and statistics included, and skips stepping the pipeline where that is
-exact.  :meth:`FastMachine.load` holds the whole routing rule:
+exact.  :class:`FastMachine` *is* the cycle core
+(:class:`repro.core.processor.Processor`): one PE array, one memory,
+one thread table and one set of compiled ops, which its
+:meth:`FastMachine.load` builds as the core's does.  That load also
+holds the whole routing rule:
 
 * **Spawn-free programs** on a machine with no fetch model and no hook
-  attached run once through a single-thread functional interpreter that
-  records the dynamic control events (branch outcomes, ``jr`` targets,
-  ``tput``/``tjoin`` targets); the recorded block path is then folded
-  through the compositional block summaries of
+  attached run once through a single-thread interpreter of the core's
+  own ops and state that records the dynamic control events (branch
+  outcomes, ``jr`` targets, ``tput``/``tjoin`` targets); the recorded
+  block path is then folded through the compositional block summaries of
   :class:`repro.analysis.timing.TimingAnalysis` — timing is recovered
-  per *block* (memoized on pipeline state), not per instruction.  The
-  interpreter calls the same compiled ops as the cycle core
-  (:func:`repro.core.execute.compile_ops`), except that each straight-line
-  run of scalar register writes in a loop runs as one generated function
-  (:func:`repro.core.execute.fuse_scalar_runs`).
+  per *block* (memoized on pipeline state), not per instruction.  Each
+  straight-line run of scalar register writes in a loop runs as one
+  generated function (:func:`repro.core.execute.fuse_scalar_runs`).
 
-* **Everything else** runs on the machine's own cycle core
-  (:class:`repro.core.processor.Processor`): spawning programs, programs
-  holding an op the machine lacks
+* **Everything else** runs on the core's issue loop: spawning programs,
+  programs holding an op the machine lacks
   (:meth:`repro.core.timing.TimingModel.raising_pcs`; the core raises
   the located error when that op issues, or times out first),
-  fetch-modelling machines, and machines with a pipeline trace, fault
-  plane, race sanitizer or cycle profiler attached.  There is one issue
-  loop to keep exact, and it is exact even for racy programs.
+  fetch-modelling machines, machines with a pipeline trace, fault plane,
+  race sanitizer or cycle profiler attached, and runs with a
+  ``stop_when`` predicate.  There is one issue loop to keep exact, and
+  it is exact even for racy programs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Any, Callable
 
 from repro.analysis.timing import TimingAnalysis
 from repro.asm.program import Program
-from repro.assoc.functional import FunctionalMachine
 from repro.core.config import ProcessorConfig
 from repro.core.execute import fuse_scalar_runs
-from repro.core.processor import Processor, RunResult, SimulationError
-from repro.core.stats import Stats
-from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
+from repro.core.processor import Processor, RunResult
+from repro.core.thread import FREE, RUNNABLE, ThreadContext
 from repro.core.timing import (
     K_BRANCH,
     K_HALT,
@@ -46,12 +46,8 @@ from repro.core.timing import (
     K_PLAIN,
     K_TJOIN,
     K_TPUT,
+    KINDS,
 )
-
-if TYPE_CHECKING:
-    from repro.core.sanitizer import RaceSanitizer
-    from repro.faults.plane import FaultPlane
-    from repro.obs.profiler import CycleProfiler
 
 FusedRuns = list[tuple[Callable[[ThreadContext], None], int] | None]
 
@@ -61,109 +57,70 @@ __all__ = [
 ]
 
 
-class FastMachine:
-    """One configured fast-path machine.  Reusable across programs."""
+class FastMachine(Processor):  # type: ignore[misc]
+    """The cycle core that folds spawn-free runs.  Reusable across
+    programs."""
 
-    def __init__(self, config: ProcessorConfig | None = None,
-                 trace: bool = False, faults: FaultPlane | None = None,
-                 sanitizer: RaceSanitizer | None = None,
-                 profiler: CycleProfiler | None = None) -> None:
-        self.cfg = config or ProcessorConfig()
-        self._hooks = dict(trace=trace, faults=faults, sanitizer=sanitizer,
-                           profiler=profiler)
-        # The fold times only a machine with no fetch model and no hook.
-        self._folds = not (self.cfg.model_fetch or trace or any(
-            hook is not None for hook in (faults, sanitizer, profiler)))
-        # Each engine is built by the first load that picks it.
-        self._fm: FunctionalMachine | None = None
-        self._core: Processor | None = None
-        # Whichever engine holds the loaded program's state: the
-        # functional machine, or the cycle core (see load).
-        self._machine: FunctionalMachine | Processor | None = None
-        self._analysis: TimingAnalysis | None = None
-        self._analysis_program: Program | None = None
-        self._fused: FusedRuns = []
-
-    # Architectural state lives in the engine; the accessors mirror
-    # Processor's attributes for snapshot/tooling code.
-
-    @property
-    def pe(self):  # type: ignore[no-untyped-def]
-        return self._engine().pe
-
-    @property
-    def mem(self):  # type: ignore[no-untyped-def]
-        return self._engine().mem
-
-    @property
-    def threads(self) -> ThreadStatusTable:
-        return self._engine().threads
-
-    @property
-    def program(self) -> Program | None:
-        return None if self._machine is None else self._machine.program
-
-    def _engine(self) -> FunctionalMachine | Processor:
-        if self._machine is None:
-            raise SimulationError("no program loaded")
-        return self._machine
+    # The analysis of the last program that folded, kept across loads;
+    # the loaded program's until its run folds, or None when the run
+    # goes to the issue loop; and the folding program's fused runs and
+    # kind (timing.KINDS) per pc.
+    _analysis: TimingAnalysis | None = None
+    _fold: TimingAnalysis | None = None
+    _fused: FusedRuns
+    _kinds: list[int]
 
     def load(self, program: Program) -> None:
-        machine: FunctionalMachine | Processor
-        if (self._folds
+        super().load(program)
+        self._fold = None
+        # The fold times only a machine with no fetch model and no hook.
+        if (self.fetch is None and not self.trace_enabled
+                and self.faults is None and self.sanitizer is None
+                and self.profiler is None
                 and not any(ins.mnemonic == "tspawn"
                             for ins in program.instructions)
-                and not self._timing(program).model.raising_pcs()):
-            if self._fm is None:
-                self._fm = FunctionalMachine(self.cfg)
-            machine = self._fm
+                and not self.timing_model.raising_pcs()):
+            analysis = self._analysis
+            if analysis is None or analysis.program is not program:
+                analysis = self._analysis = TimingAnalysis(program,
+                                                           self.cfg)
+            self._fold = analysis
             self._fused = fuse_scalar_runs(program, self.cfg.word_width)
-        else:
-            if self._core is None:
-                self._core = Processor(self.cfg, **self._hooks)
-            machine = self._core
-        self._machine = machine
-        machine.load(program)
-
-    def _timing(self, program: Program) -> TimingAnalysis:
-        if self._analysis is None or self._analysis_program is not program:
-            self._analysis = TimingAnalysis(program, self.cfg)
-            self._analysis_program = program
-        return self._analysis
+            self._kinds = [KINDS[ins.mnemonic]
+                           for ins in program.instructions]
 
     def run(self, program: Program | None = None,
-            max_cycles: int | None = None) -> RunResult:
+            max_cycles: int | None = None,
+            stop_when: Callable[[Any, int], bool] | None = None
+            ) -> RunResult:
         if program is not None:
             self.load(program)
-        machine = self._engine()
-        if isinstance(machine, Processor):
-            return machine.run(max_cycles=max_cycles)
-        prog = machine.program
-        assert prog is not None
+        analysis = self._fold
+        if analysis is None or stop_when is not None:
+            return super().run(max_cycles=max_cycles, stop_when=stop_when)
+        # One fold per load: a later run finds the core finished.
+        self._fold = None
         limit = max_cycles if max_cycles is not None else self.cfg.max_cycles
-        return RunResult(self._run_folded(machine, prog, limit), self)
+        stats = self.stats = analysis.fold(self._trace_single(limit),
+                                           max_cycles=limit)
+        self._cycle = stats.cycles + 1
+        return RunResult(stats, self)
 
-    def _run_folded(self, fm: FunctionalMachine, prog: Program,
-                    limit: int) -> Stats:
-        """Spawn-free path: functional run + compositional timing fold."""
-        events = self._trace_single(fm, prog, limit)
-        return self._timing(prog).fold(events, max_cycles=limit)
-
-    def _trace_single(self, fm: FunctionalMachine, prog: Program,
-                      limit: int) -> list[int]:
-        """Single-thread functional execution, recording fold events.
+    def _trace_single(self, limit: int) -> list[int]:
+        """Single-thread execution of the loaded program on the core's
+        state, recording fold events.
 
         A spawn-free program has exactly one live thread forever, so
-        the round-robin scheduler collapses to straight interpretation:
-        fused scalar runs where one starts, the compiled op of the pc
-        everywhere else.  Returns the main thread's event stream in the
-        format :meth:`TimingAnalysis.fold` reads; a truncated stream
-        (watchdog) is fine because the fold re-raises the core's timeout
-        exactly.
+        the scheduler collapses to straight interpretation: fused scalar
+        runs where one starts, the compiled op of the pc everywhere
+        else.  Returns the main thread's event stream in the format
+        :meth:`TimingAnalysis.fold` reads; a truncated stream (watchdog)
+        is fine because the fold re-raises the core's timeout exactly.
         """
-        thread = fm.threads[0]
-        instructions = prog.instructions
-        ops, kinds = fm.ops, fm.kinds
+        threads = self.threads
+        thread = threads[0]
+        instructions = self.program.instructions
+        ops, kinds = self.ops, self._kinds
         fused = self._fused
         events: list[int] = []
         append = events.append
@@ -197,14 +154,13 @@ class FastMachine:
                     pc = next_pc
                 continue
             if kind == K_TJOIN:
-                target = fm.threads[
+                target = threads[
                     thread.read_sreg(instructions[pc].rs) % num_threads]
-                if target.state is not ThreadState.FREE:
-                    # The only live thread is joining a live handle:
-                    # the core reports deadlock the next round.
-                    raise SimulationError(
-                        f"deadlock: threads [{thread.tid}] blocked in "
-                        f"tjoin with no runnable thread")
+                if target.state is not FREE:
+                    # The only live thread joins itself: the stream ends
+                    # without the join's event, and the fold reports the
+                    # deadlock (or the watchdog) as the core does.
+                    break
                 append(target.tid)
             next_pc = ops[pc](thread)
             if kind == K_TPUT:
@@ -213,11 +169,11 @@ class FastMachine:
             if kind == K_JR:
                 append(pc)
             elif kind == K_HALT:
-                fm.halted = True
+                self.halted = True
                 break
-            if thread.state is not ThreadState.RUNNABLE:
+            if thread.state is not RUNNABLE:
                 # texit on the main thread: no live threads remain.
-                fm.threads.release(thread.tid)
+                threads.release(thread.tid)
                 break
         thread.pc = pc
         return events

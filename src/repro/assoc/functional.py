@@ -9,8 +9,10 @@ identical architectural results for any data-race-free program; the
 integration tests assert exactly that (timing-independence of results).
 
 Also useful on its own as a fast interpreter when only results matter,
-and as the state holder of the fast-path backend
-(:mod:`repro.assoc.fastpath`) for spawn-free programs.
+and as the base of the non-pipelined cost model
+(:mod:`repro.baselines.nonpipelined`).  The fast backend
+(:mod:`repro.assoc.fastpath`) does not use it: it is the cycle core,
+which folds a single-thread run of its own ops.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from repro.core.execute import Op, compile_ops
 from repro.core.memory import ScalarMemory
 from repro.core.processor import RunResult, SimulationError
 from repro.core.stats import Stats
-from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
+from repro.core.thread import (
+    EXITED,
+    FREE,
+    JOINING,
+    RUNNABLE,
+    ThreadContext,
+    ThreadStatusTable,
+)
 from repro.core.timing import (
     K_HALT,
     K_TJOIN,
@@ -42,7 +51,7 @@ class FunctionalRunaway(FunctionalError):
 
 
 class FunctionalDeadlock(FunctionalError):
-    """Every live thread is blocked in ``tjoin``."""
+    """Every live thread is blocked in ``tjoin`` (the core's message)."""
 
 
 def _raising_op(message: str) -> Op:
@@ -101,23 +110,23 @@ class FunctionalMachine:
             for thread in tuple(threads.live):
                 if self.halted:
                     break
-                if thread.state is ThreadState.JOINING:
+                if thread.state is JOINING:
                     assert thread.join_target is not None
                     target = threads[thread.join_target]
-                    if target.state is ThreadState.FREE:
-                        thread.state = ThreadState.RUNNABLE
+                    if target.state is FREE:
+                        thread.state = RUNNABLE
                         thread.join_target = None
                     else:
                         continue
-                if thread.state is not ThreadState.RUNNABLE:
+                if thread.state is not RUNNABLE:
                     continue
                 pc = thread.pc
                 kind = kinds[pc]
                 if kind == K_TJOIN:
                     target = threads[thread.read_sreg(instructions[pc].rs)
                                      % self.cfg.num_threads]
-                    if target.state is not ThreadState.FREE:
-                        thread.state = ThreadState.JOINING
+                    if target.state is not FREE:
+                        thread.state = JOINING
                         thread.join_target = target.tid
                         continue
                 if kind == K_TSPAWN:
@@ -128,7 +137,7 @@ class FunctionalMachine:
                     thread.pc = pc + 1 if next_pc is None else next_pc
                 if kind == K_HALT:
                     self.halted = True
-                if thread.state is ThreadState.EXITED:
+                if thread.state is EXITED:
                     threads.release(thread.tid)
                 progressed = True
                 steps += 1
@@ -139,7 +148,8 @@ class FunctionalMachine:
             if not progressed and not self.halted:
                 blocked = [t.tid for t in threads.live_threads()]
                 raise FunctionalDeadlock(
-                    f"deadlock: threads {blocked} all blocked in tjoin")
+                    f"deadlock: threads {blocked} blocked in tjoin with "
+                    f"no runnable thread")
         return RunResult(Stats(instructions=steps), self)
 
 

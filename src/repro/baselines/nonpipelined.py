@@ -30,7 +30,7 @@ from repro.assoc.functional import FunctionalMachine
 from repro.core.config import MTMode, MultiplierKind, ProcessorConfig
 from repro.core.processor import RunResult
 from repro.core.stats import Stats
-from repro.core.thread import ThreadState
+from repro.core.thread import EXITED, RUNNABLE
 from repro.core.timing import K_HALT, K_TSPAWN
 from repro.isa.opcodes import ExecClass
 from repro.network.falkoff import falkoff_cycles
@@ -75,48 +75,41 @@ def instruction_cost(spec, cfg: ProcessorConfig, taken: bool) -> int:
     return cost
 
 
-class NonPipelinedMachine:
+class NonPipelinedMachine(FunctionalMachine):
     """Multi-cycle single-threaded ASC machine (cost model + interpreter)."""
 
     def __init__(self, config: ProcessorConfig | None = None) -> None:
-        self.cfg = config or nonpipelined_config()
-        if self.cfg.num_threads != 1:
+        config = config or nonpipelined_config()
+        if config.num_threads != 1:
             raise ValueError("the non-pipelined ASC Processor is "
                              "single-threaded")
-        self._fm = FunctionalMachine(self.cfg)
-
-    def load(self, program: Program) -> None:
-        self._fm.load(program)
-
-    @property
-    def pe(self):
-        return self._fm.pe
+        super().__init__(config)
 
     def run(self, program: Program | None = None,
             max_steps: int = 10_000_000) -> RunResult:
         if program is not None:
             self.load(program)
-        fm = self._fm
-        thread = fm.threads[0]
+        thread = self.threads[0]
         cycles = 0
         instructions = 0
-        while not fm.halted and thread.state is ThreadState.RUNNABLE:
+        while not self.halted and thread.state is RUNNABLE:
             pc = thread.pc
-            kind = fm.kinds[pc]
+            kind = self.kinds[pc]
             next_pc = None
             if kind == K_TSPAWN:
-                fm.ops[pc](thread, cycles)
+                self.ops[pc](thread, cycles)
             else:
-                next_pc = fm.ops[pc](thread)
-            cycles += instruction_cost(fm.program.instructions[pc].spec,
+                next_pc = self.ops[pc](thread)
+            cycles += instruction_cost(self.program.instructions[pc].spec,
                                        self.cfg, next_pc is not None)
             instructions += 1
             thread.pc = pc + 1 if next_pc is None else next_pc
             if kind == K_HALT:
-                fm.halted = True
-            if thread.state is ThreadState.EXITED:
-                fm.threads.release(thread.tid)
+                self.halted = True
+            if thread.state is EXITED:
+                self.threads.release(thread.tid)
             if instructions > max_steps:
                 raise RuntimeError(
                     f"non-pipelined run exceeded {max_steps} instructions")
-        return RunResult(Stats(cycles=cycles, instructions=instructions), fm)
+        return RunResult(Stats(cycles=cycles, instructions=instructions),
+                         self)

@@ -48,9 +48,9 @@ class ArchState:
 
 
 class LiveState(ArchState):
-    """The planes of ``self.processor``: any engine with ``threads``,
-    ``pe`` and ``mem`` (the cycle core, the functional machine, the fast
-    backend)."""
+    """The planes of ``self.processor``: any machine with ``threads``,
+    ``pe`` and ``mem`` (the cycle core, which the fast backend is, or the
+    functional machine)."""
 
     processor: Any
 

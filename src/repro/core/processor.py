@@ -47,7 +47,14 @@ from repro.core.fetch import FetchUnit
 from repro.core.memory import ScalarMemory
 from repro.core.scheduler import ThreadScheduler
 from repro.core.stats import STALL_CONTROL, STALL_JOIN, Stats
-from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
+from repro.core.thread import (
+    EXITED,
+    FREE,
+    JOINING,
+    RUNNABLE,
+    ThreadContext,
+    ThreadStatusTable,
+)
 from repro.core import timing
 from repro.core.timing import (
     K_HALT,
@@ -62,12 +69,6 @@ from repro.pe.pe_array import PEArray
 
 # A ready cycle no thread ever reaches: the round's "none pending" mark.
 _NEVER = sys.maxsize
-# Thread states as plain names: an enum member lookup costs about 0.13 us
-# on CPython 3.11, and the issue loop checks states every round.
-_FREE = ThreadState.FREE
-_RUNNABLE = ThreadState.RUNNABLE
-_JOINING = ThreadState.JOINING
-_EXITED = ThreadState.EXITED
 
 
 class SimulationError(RuntimeError):
@@ -98,8 +99,9 @@ class IssueRecord:
 class RunResult(LiveState):
     """Outcome of one program run, on any backend.
 
-    ``processor`` is the machine that holds the final state: the cycle
-    core, or the engine of the fast, functional or non-pipelined model.
+    ``processor`` is the machine that ran and holds the final state: the
+    cycle core (the fast backend is the core that folds), or the
+    functional or non-pipelined machine.
     """
 
     stats: Stats
@@ -235,8 +237,8 @@ class Processor:
             target = self.threads[
                 thread.read_sreg(self.program.instructions[pc].rs)
                 % self.cfg.num_threads]
-            if target.state is not _FREE:
-                thread.state = _JOINING
+            if target.state is not FREE:
+                thread.state = JOINING
                 thread.join_target = target.tid
                 if self.profiler is not None:
                     self.profiler.on_join_block(thread.tid, cycle, base,
@@ -310,7 +312,7 @@ class Processor:
 
         if kind == K_HALT:
             self.halted = True
-        if thread.state is _EXITED:
+        if thread.state is EXITED:
             if self.sanitizer is not None:
                 self.sanitizer.on_exit(thread.tid)
             self.threads.release(thread.tid)
@@ -339,8 +341,8 @@ class Processor:
 
     def _wake_joiners(self, exited_tid: int, cycle: int) -> None:
         for ctx in self.threads:
-            if ctx.state is _JOINING and ctx.join_target == exited_tid:
-                ctx.state = _RUNNABLE
+            if ctx.state is JOINING and ctx.join_target == exited_tid:
+                ctx.state = RUNNABLE
                 ctx.join_target = None
                 ctx.min_issue = max(ctx.min_issue, cycle + 1)
                 ctx.ready = None
@@ -395,7 +397,7 @@ class Processor:
                 faults.begin_cycle(cycle)
             if fetch is not None:
                 fetch.advance_to(
-                    cycle, [t.tid for t in live if t.state is _RUNNABLE])
+                    cycle, [t.tid for t in live if t.state is RUNNABLE])
 
             # One pass in tid order: the readiness of every runnable
             # thread, the earliest cycle one becomes ready, and per issue
@@ -408,7 +410,7 @@ class Processor:
             first = partner = None
             next_ready = _NEVER
             for thread in live:
-                if thread.state is not _RUNNABLE:
+                if thread.state is not RUNNABLE:
                     continue
                 info = thread.ready
                 if info is None or recompute:
@@ -427,7 +429,7 @@ class Processor:
                 if partner is None:
                     if next_ready == _NEVER:
                         joining = [t.tid for t in live
-                                   if t.state is _JOINING]
+                                   if t.state is JOINING]
                         raise SimulationError(
                             f"deadlock: threads {joining} blocked in tjoin "
                             f"with no runnable thread")

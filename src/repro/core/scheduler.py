@@ -30,9 +30,7 @@ for a list of ready threads in any order.
 from __future__ import annotations
 
 from repro.core.config import MTMode, ProcessorConfig, SchedulerPolicy
-from repro.core.thread import ThreadContext, ThreadState
-
-_RUNNABLE = ThreadState.RUNNABLE
+from repro.core.thread import RUNNABLE, ThreadContext
 
 
 class ThreadScheduler:
@@ -80,7 +78,7 @@ class ThreadScheduler:
                 return None                 # pipeline flush in progress
             current = self._current
             if current is not None:
-                if current.state is _RUNNABLE:
+                if current.state is RUNNABLE:
                     assert current.ready is not None
                     ready = current.ready[0]
                     if ready <= cycle:

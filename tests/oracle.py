@@ -159,7 +159,8 @@ def check_watchdog(program, cfg):
 def check_functional(program, cfg, threads=None):
     """The functional machine reaches the cycle core's final state, or
     raises its fault (race-free programs), an op its machine lacks
-    included."""
+    included; a deadlock raises ``FunctionalDeadlock`` with the core's
+    message."""
     kind_c, payload_c = outcome(Processor, program, cfg, threads=threads)
     kind_f, payload_f = outcome(FunctionalMachine, program, cfg,
                                 threads=threads)
@@ -167,6 +168,8 @@ def check_functional(program, cfg, threads=None):
     if kind_c == "ok":
         assert payload_f[1] == payload_c[1], listing(program)
     else:
+        if payload_f[0] == "FunctionalDeadlock":
+            payload_f = ("SimulationError", payload_f[1])
         assert payload_f == payload_c, listing(program)
 
 

@@ -183,7 +183,10 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
     * ``spawn`` — None for either, False for spawn-free, True for a main
       thread that spawns one to three workers (``tspawn``/``texit``),
       may deliver to them and read back (``tput``/``tget``) and joins
-      them (``tjoin``);
+      them (``tjoin``).  Outside ``race_free``, under ``control="any"``,
+      a spawn-free thread may deliver to itself and read back (handle
+      s0), and join a handle register set to 1: a free context, or on a
+      one-thread machine the thread itself, a deadlock;
     * ``control`` — ``"straight"`` (straight-line threads),
       ``"acyclic"`` (plus forward branches) or ``"any"`` (plus counted
       loops and ``jal``/``jr ra`` calls);
@@ -261,17 +264,24 @@ def programs(*, spawn=None, control="any", wild=True, race_free=False,
         handles = HANDLE_REGS[:draw(workers)]
         lines = [("tspawn", h, f"worker{w}") for w, h in enumerate(handles)]
         lines += _seed(draw(_SEED))
-        if handles and not race_free and draw(_COIN):
+        # A spawn-free thread delivers to itself (handle s0), and only
+        # under control "any": the static bound declines thread ops.
+        deliver = not race_free and (handles or control == "any")
+        targets = handles or (0,)
+        if deliver and draw(_COIN):
             lines.append(Instruction(
-                "tput", rd=handles[draw(_INDEX) % len(handles)], rs=draw(_REG),
+                "tput", rd=targets[draw(_INDEX) % len(targets)], rs=draw(_REG),
                 imm=draw(_REG)))
         lines += items(draw, "top", fresh, run, functions)
-        if handles and not race_free and draw(_COIN):
+        if deliver and draw(_COIN):
             lines.append(Instruction(
-                "tget", rd=draw(_REG), rs=handles[draw(_INDEX) % len(handles)],
+                "tget", rd=draw(_REG), rs=targets[draw(_INDEX) % len(targets)],
                 imm=draw(_REG)))
         lines += [Instruction("tjoin", rs=h) for h in handles
                   if race_free or draw(_QUARTER)]
+        if deliver and not handles and draw(_QUARTER) == 3:
+            lines += [Instruction("addi", rd=HANDLE_REGS[0], imm=1),
+                      Instruction("tjoin", rs=HANDLE_REGS[0])]
         lines.append(Instruction("halt"))
         # A worker's eight seed lines outlast the other spawns, so no
         # context is freed before the last tspawn: a freed context goes to

@@ -2,7 +2,8 @@
 
 A fixed sample of the shape :func:`tests.strategies.programs` draws for
 the conservation test (derandomized, so the same draws every run) must
-hold every body opcode, every skeleton construct and, run across
+hold every body opcode, every skeleton construct (the fold's delivery
+and join events in spawn-free programs included) and, run across
 ``MODE_GRID`` as the conservation test runs them, the common wait causes.
 """
 
@@ -18,7 +19,8 @@ from tests.strategies import BODY_MNEMONICS, MODE_GRID, programs
 SAMPLE = 300
 SKELETON = ("tspawn", "tjoin", "tput", "tget", "texit", "halt", "jal", "jr")
 SHAPES = ("spawn-free", "spawning", "loop", "forward-branch",
-          "taken-forward-branch", "masked", "fused-run")
+          "taken-forward-branch", "masked", "fused-run", "self-tput",
+          "self-tget", "spawn-free-tjoin")
 #: The waits every 300-program sample reached over eight seeds here.
 #: Broadcast, broadcast-reduction and parallel RAW waits come from rarer
 #: pairs and reach most samples, not all; the coarse switch penalty is
@@ -39,6 +41,13 @@ def constructs(program):
                 out.add("taken-forward-branch")
         if ins.spec.masked and ins.mf:
             out.add("masked")
+        # The fold's delivery and join events in a spawn-free program.
+        if ins.mnemonic == "tput" and ins.rd == 0:
+            out.add("self-tput")
+        if ins.mnemonic == "tget" and ins.rs == 0:
+            out.add("self-tget")
+    if "tjoin" in out and "spawn-free" in out:
+        out.add("spawn-free-tjoin")
     if any(fuse_scalar_runs(program, 16)):
         out.add("fused-run")
     return out

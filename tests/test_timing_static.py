@@ -49,6 +49,7 @@ from tests.oracle import (
     check_static_bound,
     check_watchdog,
     examples,
+    outcome,
     recomputing_core,
 )
 from tests.strategies import machines, programs
@@ -277,6 +278,25 @@ def test_deadlock_parity():
     assert_parity(program, cfg)
 
 
+@pytest.mark.parametrize("threads", [1, 4])
+def test_deadlock_under_the_watchdog(threads):
+    """A thread that joins itself after a load-use stall: under every
+    limit the fast backend raises what the core raises, the watchdog's
+    SimTimeout while the join's try or the round after it lies past the
+    limit, else the deadlock."""
+    cfg = ProcessorConfig(num_pes=4, num_threads=threads,
+                          mt_mode=MTMode.SINGLE if threads == 1
+                          else MTMode.FINE)
+    program = assemble(".text\nmain:\n    lw s1, 16(s0)\n"
+                       "    add s2, s1, s1\n    tjoin s0\n    halt\n",
+                       word_width=cfg.word_width)
+    raised = set()
+    for limit in range(1, 12):
+        assert_parity(program, cfg, max_cycles=limit)
+        raised.add(outcome(Processor, program, cfg, max_cycles=limit)[1][0])
+    assert raised == {"SimTimeout", "SimulationError"}
+
+
 def test_fast_rejects_model_fetch():
     """The fast backend refuses no fetch-modelling machine: it runs the
     program on its own cycle core, fetch unit included, and gives the
@@ -296,10 +316,18 @@ def test_fast_rejects_model_fetch():
             result.stats.instructions
 
 
-def test_each_engine_is_built_by_the_load_that_picks_it(monkeypatch):
-    """A spawning program runs on the fast machine's core and allocates
-    that core's PE array only; a spawn-free one, the functional
-    machine's."""
+#: A spawning program (core), a spawn-free one (fold) and one holding an
+#: op a machine without a divider lacks (core).
+ROUTES = (".text\nmain:\n    tspawn s1, w\n    tjoin s1\n    halt\n"
+          "w:\n    texit\n",
+          ".text\nmain:\n    halt\n",
+          ".text\nmain:\n    sdiv s1, s1, s1\n    halt\n")
+
+
+def test_one_pe_array_across_every_route(monkeypatch):
+    """A fast machine builds one PE array, at construction, and every
+    load keeps it, whichever route the program takes; the last load
+    alone picks the route."""
     built = []
     init = PEArray.__init__
 
@@ -308,16 +336,64 @@ def test_each_engine_is_built_by_the_load_that_picks_it(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PEArray, "__init__", counting_init)
-    cfg = ProcessorConfig(num_pes=4, num_threads=2)
+    cfg = ProcessorConfig(num_pes=4, num_threads=2, divider=DividerKind.NONE)
     machine = FastMachine(cfg)
-    assert built == []
-    machine.load(assemble(".text\nmain:\n    tspawn s1, w\n"
-                          "    tjoin s1\n    halt\nw:\n    texit\n",
-                          word_width=cfg.word_width))
     assert built == [machine.pe]
-    machine.load(assemble(".text\nmain:\n    halt\n",
-                          word_width=cfg.word_width))
-    assert len(built) == 2 and machine.pe is built[1]
+    for source in ROUTES + ROUTES[:1]:
+        program = assemble(source, word_width=cfg.word_width)
+        machine.load(program)
+        assert built == [machine.pe]
+    assert machine.run().stats == Processor(cfg).run(program).stats
+
+
+#: Four runs of one machine without a divider, each reading its own local
+#: memory: a folded run, a spawning run on the core, a fold the watchdog
+#: stops (limit 40) and an op the machine lacks.
+REUSED = (
+    (".text\nmain:\n    plw p1, 0(p0)\n    paddi p1, p1, 1\n"
+     "    psw p1, 1(p0)\n    li s1, 3\nloop:\n    addi s2, s2, 5\n"
+     "    addi s1, s1, -1\n    bne s1, s0, loop\n    halt\n", None),
+    (".text\nmain:\n    tspawn s1, w\n    plw p2, 1(p0)\n    tjoin s1\n"
+     "    halt\nw:\n    plw p1, 0(p0)\n    psw p1, 2(p0)\n    texit\n",
+     None),
+    (".text\nmain:\n    plw p1, 2(p0)\n    li s1, 50\nloop:\n"
+     "    paddi p1, p1, 1\n    addi s1, s1, -1\n    bne s1, s0, loop\n"
+     "    halt\n", 40),
+    (".text\nmain:\n    plw p1, 0(p0)\n    pdiv p2, p1, p1\n    halt\n",
+     None),
+)
+
+
+def test_one_machine_reused_across_routes(monkeypatch):
+    """One fast machine, reused, gives a fresh core's outcome on each run
+    of ``REUSED``: the fold and the core share one state, so a load that
+    resets too little shows here."""
+    folds = []
+    fold = TimingAnalysis.fold
+
+    def counting_fold(self, *args, **kwargs):
+        folds.append(self.program)
+        return fold(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimingAnalysis, "fold", counting_fold)
+    cfg = ProcessorConfig(num_pes=4, num_threads=2, divider=DividerKind.NONE)
+    machine = FastMachine(cfg)
+    kinds = []
+    for run, (source, limit) in enumerate(REUSED):
+        program = assemble(source, word_width=cfg.word_width)
+        lmem = {col: [10 * run + col + pe for pe in range(4)]
+                for col in range(3)}
+        expected = outcome(Processor, program, cfg, lmem, limit)
+        folds.clear()
+        assert outcome(lambda _: machine, program, cfg, lmem,
+                       limit) == expected, run
+        assert len(folds) == (run % 2 == 0), run
+        if expected[0] == "ok":
+            # A second run finds the machine finished, as the core does.
+            assert machine.run().stats == expected[1][0], run
+        kinds.append(expected[0] if expected[0] == "ok"
+                     else expected[1][0])
+    assert kinds == ["ok", "ok", "SimTimeout", "SimulationError"]
 
 
 def test_run_fast_convenience():
