@@ -114,9 +114,11 @@ def test_backend_throughput():
     fast path's design target) must clear a 10x throughput bar.  The
     mixed row is reported for honesty: its cost is genuine numpy
     datapath work, so the speedup is real but smaller.  The
-    multithreaded row compares the cycle core with itself: the fast
-    backend runs spawning programs on the core, so its "speedup" is
-    about 1x by construction and only measures noise.
+    multithreaded row folds only up to its first ``tspawn`` and hands
+    the rest of the run to the cycle core, so its "speedup" stays about
+    1x and mostly measures noise.  Each fast row's best of 2 is a run
+    that reuses the memoized timing analysis: only the first run of a
+    (program, machine) pair in the process builds it.
     """
     workloads = []
     for name, source, pes, threads in (
@@ -152,13 +154,15 @@ def test_backend_throughput():
         "fast backend is cycle-exact on every workload; scalar-heavy "
         f"speedup {speedups['scalar_heavy'][1]:.1f}x, mixed "
         f"{speedups['mixed_parallel'][1]:.1f}x, multithreaded (the cycle "
-        f"core on both backends) {speedups['reduction_storm_mt'][1]:.1f}x")
+        f"core after the first tspawn) "
+        f"{speedups['reduction_storm_mt'][1]:.1f}x")
     exp.report()
 
     # Exactness is the hard guarantee: every row, full Stats equality.
     assert all(exact for exact, _ in speedups.values()), speedups
     # Throughput bar on the design-target workload.  The measured value
-    # is ~40x on an idle machine; 10x leaves headroom for CI noise.
+    # was 11.8-23.6x on a 2-vCPU VM (2026-10, six runs), so 10x leaves
+    # little headroom for CI noise.
     assert speedups["scalar_heavy"][1] >= 10, speedups
 
 

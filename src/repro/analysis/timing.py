@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.analysis.cfg import CFG, build_cfg
 from repro.asm.program import Program
@@ -75,7 +75,7 @@ from repro.core.timing import (
     K_TEXIT,
     K_TJOIN,
     K_TPUT,
-    K_TSPAWN,
+    ScoreEntry,
     TimingModel,
     UNIT_NAMES,
     ready_cycle,
@@ -88,6 +88,7 @@ __all__ = [
     "BlockSummary",
     "EMPTY_STATE",
     "PipelineState",
+    "Prefix",
     "TimingAnalysis",
     "check_static_cycle_bound",
     "check_static_timing_bound",
@@ -124,6 +125,25 @@ class BlockSummary:
     waits: tuple[tuple[str, int], ...]
     runits: tuple[tuple[str, int], ...]
     exit_state: PipelineState
+
+
+class Prefix(NamedTuple):
+    """A folded run, or the prefix of one, in absolute cycles: what the
+    cycle core's state holds once the last folded instruction issued.
+
+    ``stats`` are the core's counters at that point (``cycles`` and
+    ``issue_slots`` are set only when the run ended); ``last_issue`` is
+    the cycle of the last issue (0 before any), ``base`` thread 0's
+    earliest next issue, ``score`` its scoreboard and ``units`` the busy
+    window of each structural unit, less what cannot bind an issue at or
+    after ``base``.
+    """
+
+    stats: Stats
+    last_issue: int
+    base: int
+    score: dict[int, ScoreEntry]
+    units: list[int]
 
 
 EventKey = bool | int | None
@@ -168,24 +188,26 @@ class TimingAnalysis:
         key = (start, event, entry)
         cached = self._memo.get(key)
         if cached is None:
-            cached = self._transfer(start, event, entry)
-            self._memo[key] = cached
+            # One summary per key even when threads fold at once.
+            cached = self._memo.setdefault(
+                key, self._transfer(start, event, entry))
         return cached
 
     def _transfer(self, start: int, event: EventKey, entry: PipelineState,
-                  detail: list[IssueDetail] | None = None
-                  ) -> BlockSummary:
+                  detail: list[IssueDetail] | None = None,
+                  stop: int | None = None) -> BlockSummary:
         """Replay the block's issue schedule from a relative clock of 0.
 
         The core's issue loop (:meth:`repro.core.processor.Processor.run`)
         for a single runnable thread whose entry issue base is cycle 0:
         the same per-pc table, the same readiness rule, the same wait
         accounting.  When ``detail`` is given, one :data:`IssueDetail`
-        per issued instruction is appended to it.
+        per issued instruction is appended to it.  With ``stop`` the
+        replay ends before that pc, ahead of the block's terminator.
         """
         model = self.model
         table = model.table
-        end = self._block_end[start]
+        end = self._block_end[start] if stop is None else stop
         score: dict[int, tuple[int, int, int]] = {
             k: (res, wb, pk) for (k, res, wb, pk) in entry[0]}
         units = [0] * len(UNIT_NAMES)
@@ -282,12 +304,13 @@ class TimingAnalysis:
 
     # -- the path fold -------------------------------------------------------
 
-    def fold(self, events: list[int],
-             max_cycles: int | None = None) -> Stats:
-        """Cycle-exact whole-run statistics from a recorded block path.
+    def fold(self, events: list[int], max_cycles: int | None = None,
+             stop: int | None = None) -> Prefix:
+        """Cycle-exact statistics and pipeline state from a recorded block
+        path.
 
-        ``events`` is the main thread's event stream from a functional
-        run of a program that never spawns: one plain ``int`` per
+        ``events`` is the main thread's event stream from a single-thread
+        run while it is the only live thread: one plain ``int`` per
         executed event instruction, in program order, whose meaning the
         instruction kind at that pc fixes:
 
@@ -297,16 +320,18 @@ class TimingAnalysis:
           the delivery executes, because that is when the cycle core
           reads the handle again to note the delivery in the receiver's
           scoreboard (a self-delivery into ``rd`` changes the answer);
-        * ``tjoin`` — the target tid, recorded only when the join
-          actually executes.  A stream that ends before a join's event
-          (and not at the watchdog) ends at a join of a live context,
-          the thread itself: a deadlock.
+        * ``tjoin`` — the target tid, a free context: the join completes.
 
         Everything else needs no event: the block path is fully
-        determined by these plus the program text.  Raises
-        :class:`SimTimeout` / :class:`SimulationError` with
-        byte-identical messages to the cycle core when the watchdog would
-        fire, the PC escapes the program or the thread deadlocks.
+        determined by these plus the program text.  ``stop`` is the pc
+        the run stopped before, at an event only the issue loop handles
+        (a ``tspawn``, an op the machine lacks, a join of a live context,
+        a pc outside the program): the fold then ends there, replaying
+        the last block up to ``stop``, and the core carries on from the
+        returned :class:`Prefix`.  Without ``stop`` the run ended
+        (``halt`` or ``texit``), or its stream was cut at the watchdog.
+        Raises :class:`SimTimeout` with the cycle core's message when an
+        issue of the folded path lands past ``max_cycles``.
         """
         program = self.program
         n = len(program.instructions)
@@ -317,6 +342,7 @@ class TimingAnalysis:
         pc = program.entry
         state = EMPTY_STATE
         idx = 0
+        ended = False
         # The previous block's summary fixes the next block's pc and
         # entry state, so (id of the previous summary, event) names the
         # next summary without hashing the state again.  Each link counts
@@ -327,71 +353,56 @@ class TimingAnalysis:
         table = model.table
         memo = self._memo
         block_end = self._block_end
-        while True:
-            if not 0 <= pc < n:
-                # The core's scheduling round at last_abs + 1 checks the
-                # watchdog before evaluating readiness (and the PC).
-                if last_abs + 1 > limit:
-                    raise SimTimeout(
-                        f"exceeded max_cycles={limit}; "
-                        f"live threads at {[pc]}")
-                raise SimulationError(
-                    f"thread 0: PC {pc} outside the program "
-                    f"(0..{n - 1})")
+        while 0 <= pc < n:
             end = block_end[pc] - 1
-            term = table[end] or model.entry(end)
             event: EventKey = None
             consumes = False
-            if term.kind == K_BRANCH:
-                consumes = True
-                event = idx < len(events) and bool(events[idx])
-            elif term.kind == K_JR:
-                consumes = True
-                event = events[idx] if idx < len(events) else 0
-            elif term.kind == K_TPUT:
-                consumes = True
-                event = idx < len(events) and events[idx] == 0
-            elif term.kind == K_TJOIN:
-                consumes = True
-            link = links.get((prev, event))
-            if link is None:
-                s = memo.get((pc, event, state))
-                if s is None:
-                    if term.kind == K_TSPAWN:
-                        raise AssertionError(
-                            "tspawn reached the single-thread fold; "
-                            "spawning programs run on the cycle core")
-                    s = self.block_summary(pc, state, event)
-                link = links[(prev, event)] = [s, 0]
+            upto: int | None = None
+            if idx == len(events) and stop is not None and pc <= stop <= end:
+                # The last block: the run stopped before ``stop``.
+                if stop == pc:
+                    break
+                upto = stop
+                link = links[(-1, None)] = [
+                    self._transfer(pc, None, state, stop=stop), 0]
+            else:
+                term = table[end] or model.entry(end)
+                if term.kind == K_BRANCH:
+                    consumes = True
+                    event = idx < len(events) and bool(events[idx])
+                elif term.kind == K_JR:
+                    consumes = True
+                    event = events[idx] if idx < len(events) else 0
+                elif term.kind == K_TPUT:
+                    consumes = True
+                    event = idx < len(events) and events[idx] == 0
+                elif term.kind == K_TJOIN:
+                    consumes = True
+                link = links.get((prev, event))
+                if link is None:
+                    s = memo.get((pc, event, state))
+                    if s is None:
+                        try:
+                            s = self.block_summary(pc, state, event)
+                        except SimulationError:
+                            # An op the machine lacks, beyond where the
+                            # watchdog cut the stream.
+                            raise self._timeout(pc, event, state, t,
+                                                limit) from None
+                    link = links[(prev, event)] = [s, 0]
             s = link[0]
             if t + s.last_rel > limit:
-                # Some issue in this block lands past the watchdog; the
-                # issue cycles within a block do not depend on the
-                # terminator event, so a detail replay pinpoints it even
-                # on a truncated (runaway) event stream.
-                detail: list[IssueDetail] = []
-                self._transfer(pc, event, state, detail)
-                for ipc, rel, *_ in detail:
-                    if t + rel > limit:
-                        raise SimTimeout(
-                            f"exceeded max_cycles={limit}; "
-                            f"live threads at {[ipc]}")
-                raise AssertionError("unreachable: last_rel past limit")
-            if term.kind == K_TJOIN and idx == len(events):
-                # The core tries the join at its issue cycle and reports
-                # the deadlock the next round, after the watchdog check.
-                if t + s.last_rel + 1 > limit:
-                    raise SimTimeout(f"exceeded max_cycles={limit}; "
-                                     f"live threads at {[end]}")
-                raise SimulationError("deadlock: threads [0] blocked in "
-                                      "tjoin with no runnable thread")
+                raise self._timeout(pc, event, state, t, limit, upto)
             if consumes:
                 idx += 1
             link[1] += 1
             last_abs = t + s.last_rel
             t += s.advance
             state = s.exit_state
+            if upto is not None:
+                break
             if s.end != END_NONE:
+                ended = True
                 break
             if prev == id(s) and event is True:
                 # A one-block self-loop whose link led back to its own
@@ -424,19 +435,43 @@ class TimingAnalysis:
             for name, cnt in s.runits:
                 runits[name] += cnt * times
         stats = Stats()
-        stats.cycles = last_abs
+        width = self.config.issue_width
+        if ended:
+            stats.cycles = last_abs
+            stats.issue_slots = last_abs * width
         stats.instructions = issued_total
         stats.scalar_instructions = counts[0]
         stats.parallel_instructions = counts[1]
         stats.reduction_instructions = counts[2]
-        width = self.config.issue_width
-        stats.issue_slots = last_abs * width
         stats.idle_slots = last_abs * width - issued_total
         if issued_total:
             stats.per_thread_issued[0] = issued_total
         stats.wait_cycles = waits
         stats.reduction_unit_uses = runits
-        return stats
+        units = [0] * len(UNIT_NAMES)
+        for uid, until in state[1]:
+            units[uid] = t + until
+        return Prefix(stats, last_abs, t,
+                      {key: (t + res, t + wb, pk)
+                       for key, res, wb, pk in state[0]}, units)
+
+    def _timeout(self, pc: int, event: EventKey, state: PipelineState,
+                 t: int, limit: int, stop: int | None = None) -> SimTimeout:
+        """The core's watchdog error for the block from ``pc``, entered at
+        issue base ``t``, some issue of which lands past ``limit``.
+
+        The issue cycles within a block do not depend on the terminator
+        event, so a detail replay pinpoints the first such issue even on
+        a stream cut at the watchdog, ahead of any op the machine lacks.
+        """
+        detail: list[IssueDetail] = []
+        try:
+            self._transfer(pc, event, state, detail, stop)
+        except SimulationError:
+            pass
+        ipc = next(ipc for ipc, rel, *_ in detail if t + rel > limit)
+        return SimTimeout(f"exceeded max_cycles={limit}; "
+                          f"live threads at {[ipc]}")
 
 
 # ---------------------------------------------------------------------------

@@ -166,13 +166,16 @@ class Processor:
         self.mem.reset()
         if self.program is not None:
             self.mem.load_image(self.program.data)
-        self.threads = ThreadStatusTable(self.cfg.num_threads)
+        if self._cycle:
+            # The clock is 0 only until the first reset: the thread table,
+            # busy list and counters __init__ built are still untouched.
+            self.threads = ThreadStatusTable(self.cfg.num_threads)
+            self._unit_busy = [0] * len(timing.UNIT_NAMES)
+            self.stats = Stats()
         if self.program is not None:
             self.ops = compile_ops(self.program, self.pe, self.mem,
                                    self.threads, self.faults, self.sanitizer)
         self.scheduler.reset()
-        self._unit_busy = [0] * len(timing.UNIT_NAMES)
-        self.stats = Stats()
         self.trace = []
         self.halted = False
         self.paused = False

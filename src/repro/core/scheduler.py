@@ -23,8 +23,7 @@ tid above :attr:`ThreadScheduler.start`, then the lowest tid from 0.  The
 issue loop's round (:meth:`repro.core.processor.Processor.run`) finds, in
 its one pass over the live threads in tid order, the ready thread the
 order ranks first on each issue port; :meth:`ThreadScheduler.grant`
-then applies the discipline.  :meth:`ThreadScheduler.select` does both
-for a list of ready threads in any order.
+then applies the discipline.
 """
 
 from __future__ import annotations
@@ -94,27 +93,6 @@ class ThreadScheduler:
             self._current = first
         self._pointer = first.tid
         return first
-
-    def select(self, candidates: list[ThreadContext],
-               cycle: int) -> list[ThreadContext]:
-        """The thread(s) to issue at ``cycle`` from ``candidates``, the
-        threads whose next instruction is ready, in any order: the pick
-        the issue loop's round makes from the same threads.  Under SMT-2
-        a candidate's issue port comes from its cached readiness."""
-        first = partner = None
-        for thread in candidates:
-            if self.dual and thread.ready[3].klass:
-                if partner is None or self.ranks_before(thread, partner):
-                    partner = thread
-            elif first is None or self.ranks_before(thread, first):
-                first = thread
-        if first is None or (partner is not None
-                             and self.ranks_before(partner, first)):
-            first, partner = partner, first
-        chosen = None if first is None else self.grant(first, cycle)
-        if chosen is None:
-            return []
-        return [chosen] if partner is None else [chosen, partner]
 
     def reset(self) -> None:
         self._pointer = -1

@@ -16,8 +16,12 @@ from __future__ import annotations
 import bisect
 import enum
 import operator
+from typing import TYPE_CHECKING
 
 from repro.isa import registers
+
+if TYPE_CHECKING:
+    from repro.core.timing import InstrTiming
 
 
 class ThreadState(enum.Enum):
@@ -55,9 +59,10 @@ class ThreadContext:
         # (result cycle, writeback cycle, producer class) of the last
         # write, kept for hazard detection.
         self.score: dict[int, tuple[int, int, int]] = {}
-        # The issue loop's cached (ready, cause, base, unit) for the next
-        # instruction, or None once an event may have moved it.
-        self.ready: tuple[int, str | None, int, int] | None = None
+        # The issue loop's cached readiness of the next instruction:
+        # (earliest issue cycle, binding wait cause, base cycle, timing
+        # entry), or None once an event may have moved it.
+        self.ready: tuple[int, str | None, int, InstrTiming] | None = None
         self.instructions_issued = 0
 
     def activate(self, pc: int, start_cycle: int) -> None:

@@ -34,7 +34,6 @@ from repro.core.execute import (
     fuse_scalar_runs,
 )
 from repro.core.memory import ScalarMemory
-from repro.core.scheduler import ThreadScheduler
 from repro.core.thread import ThreadState, ThreadStatusTable
 from repro.faults import FaultPlane
 from repro.isa import registers
@@ -44,6 +43,7 @@ from repro.network import reduction as red
 from repro.pe.alu import CMP_OPS, FLAG_OPS, INT_OPS
 from repro.pe.pe_array import MemoryFault, PEArray
 from repro.util.bitops import to_unsigned
+from tests.rounds import round_at, spinning_core
 
 WIDTHS = (8, 16, 32)
 DRAWS = 1500
@@ -395,21 +395,21 @@ def test_live_list_follows_allocate_and_release():
                                     SchedulerPolicy.ROTATING],
                          ids=["fixed", "rotating"])
 def test_select_picks_what_sorting_picked(policy):
+    """The round issues the ready thread the priority order ranks first,
+    and the rotation moves to it."""
     rng = np.random.default_rng(len(policy.value))
     for n in (2, 3, 8):
         cfg = ProcessorConfig(num_pes=4, num_threads=n,
                               mt_mode=MTMode.FINE, scheduler=policy)
-        contexts = list(_thread_table(n))
+        proc = spinning_core(cfg)
         for _ in range(200):
             k = int(rng.integers(1, n + 1))
-            candidates = [contexts[i] for i in rng.permutation(n)[:k]]
+            candidates = [int(i) for i in rng.permutation(n)[:k]]
             pointer = int(rng.integers(-1, n))
-            sched = ThreadScheduler(cfg)
-            sched._pointer = pointer
+            proc.scheduler._pointer = pointer
             if policy is SchedulerPolicy.FIXED:
-                want = sorted(candidates, key=lambda t: t.tid)[0]
+                want = min(candidates)
             else:
-                want = sorted(candidates,
-                              key=lambda t: (t.tid - pointer - 1) % n)[0]
-            assert sched.select(candidates, 0) == [want]
-            assert sched._pointer == want.tid
+                want = min(candidates, key=lambda t: (t - pointer - 1) % n)
+            assert round_at(proc, 0, dict.fromkeys(candidates, 0)) == [want]
+            assert proc.scheduler._pointer == want

@@ -9,9 +9,9 @@ from repro.core.config import (
     SchedulerPolicy,
 )
 from repro.core.memory import ScalarMemory, ScalarMemoryFault
-from repro.core.scheduler import ThreadScheduler
 from repro.core.stats import Stats
 from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
+from tests.rounds import round_at, spinning_core
 
 
 class TestConfigValidation:
@@ -189,45 +189,32 @@ class TestThreadStatusTable:
 
 
 class TestSchedulerUnit:
-    def _threads(self, n):
-        table = ThreadStatusTable(n)
-        for _ in range(n):
-            table.allocate(0, 0)
-        return list(table)
+    ALL_READY = {0: 0, 1: 0, 2: 0, 3: 0}
 
     def test_rotating_cycles_through(self):
-        cfg = ProcessorConfig(num_threads=4, num_pes=4)
-        sched = ThreadScheduler(cfg)
-        threads = self._threads(4)
-        order = [sched.select(threads, cycle)[0].tid
+        proc = spinning_core(ProcessorConfig(num_threads=4, num_pes=4))
+        order = [round_at(proc, cycle, self.ALL_READY)[0]
                  for cycle in range(8)]
         assert order == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_rotating_skips_missing(self):
-        cfg = ProcessorConfig(num_threads=4, num_pes=4)
-        sched = ThreadScheduler(cfg)
-        threads = self._threads(4)
-        sched.select(threads, 0)          # granted 0
-        picked = sched.select([threads[2], threads[3]], 1)
-        assert picked[0].tid == 2
+        proc = spinning_core(ProcessorConfig(num_threads=4, num_pes=4))
+        round_at(proc, 0, self.ALL_READY)          # granted 0
+        assert round_at(proc, 1, {2: 0, 3: 0}) == [2]
 
     def test_fixed_always_lowest(self):
         cfg = ProcessorConfig(num_threads=4, num_pes=4,
                               scheduler=SchedulerPolicy.FIXED)
-        sched = ThreadScheduler(cfg)
-        threads = self._threads(4)
+        proc = spinning_core(cfg)
         for cycle in range(4):
-            assert sched.select(threads, cycle)[0].tid == 0
+            assert round_at(proc, cycle, self.ALL_READY) == [0]
 
     def test_empty_candidates(self):
-        cfg = ProcessorConfig(num_threads=4, num_pes=4)
-        sched = ThreadScheduler(cfg)
-        assert sched.select([], 0) == []
+        proc = spinning_core(ProcessorConfig(num_threads=4, num_pes=4))
+        assert round_at(proc, 0, {}) == []
 
     def test_reset(self):
-        cfg = ProcessorConfig(num_threads=4, num_pes=4)
-        sched = ThreadScheduler(cfg)
-        threads = self._threads(4)
-        sched.select(threads, 0)
-        sched.reset()
-        assert sched.select(threads, 1)[0].tid == 0
+        proc = spinning_core(ProcessorConfig(num_threads=4, num_pes=4))
+        round_at(proc, 0, self.ALL_READY)
+        proc.scheduler.reset()
+        assert round_at(proc, 1, self.ALL_READY) == [0]

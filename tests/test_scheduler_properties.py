@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.core import MTMode, ProcessorConfig
-from repro.core.scheduler import ThreadScheduler
-from repro.core.thread import ThreadStatusTable
 from repro.opt import basic_blocks, build_dag, schedule_block
+from tests.rounds import round_at, spinning_core
 
 
 def coarse_cfg(threshold=3, penalty=3):
@@ -15,78 +14,47 @@ def coarse_cfg(threshold=3, penalty=3):
                            coarse_switch_penalty=penalty)
 
 
-def threads(n):
-    table = ThreadStatusTable(n)
-    for _ in range(n):
-        table.allocate(0, 0)
-    return list(table)
-
-
-def ready_at(ts, ready):
-    """Cache each listed thread's earliest issue cycle in its context, as
-    the issue loop's round leaves it for the coarse-grain policy."""
-    for tid, cycle in ready.items():
-        ts[tid].ready = (cycle, None, cycle, None)
+ALL_READY = {0: 0, 1: 0, 2: 0, 3: 0}
 
 
 class TestCoarseGrainScheduler:
     def test_sticks_with_current_thread(self):
-        sched = ThreadScheduler(coarse_cfg())
-        ts = threads(4)
-        ready_at(ts, {t.tid: 0 for t in ts})
-        first = sched.select(ts, 0)
-        assert [t.tid for t in first] == [0]
-        ready_at(ts, {t.tid: 1 for t in ts})
-        again = sched.select(ts, 1)
-        assert [t.tid for t in again] == [0]
+        proc = spinning_core(coarse_cfg())
+        assert round_at(proc, 0, ALL_READY) == [0]
+        assert round_at(proc, 1, {0: 1, 1: 1, 2: 1, 3: 1}) == [0]
 
     def test_rides_out_short_stall(self):
-        sched = ThreadScheduler(coarse_cfg(threshold=5))
-        ts = threads(4)
-        ready_at(ts, {t.tid: 0 for t in ts})
-        sched.select(ts, 0)
+        proc = spinning_core(coarse_cfg(threshold=5))
+        round_at(proc, 0, ALL_READY)
         # Thread 0 stalled for 2 cycles (< threshold): no switch, no issue.
-        ready_at(ts, {0: 3, 1: 1, 2: 1, 3: 1})
-        out = sched.select([ts[1], ts[2], ts[3]], 1)
-        assert out == []
-        assert sched.switches == 0
+        assert round_at(proc, 1, {0: 3, 1: 1, 2: 1, 3: 1}) == []
+        assert proc.scheduler.switches == 0
 
     def test_switches_on_long_stall_with_penalty(self):
-        sched = ThreadScheduler(coarse_cfg(threshold=3, penalty=4))
-        ts = threads(4)
-        ready_at(ts, {t.tid: 0 for t in ts})
-        sched.select(ts, 0)
-        ready_at(ts, {0: 20, 1: 1, 2: 1, 3: 1})
-        out = sched.select([ts[1], ts[2], ts[3]], 1)
-        assert out == []                      # pays the flush
+        proc = spinning_core(coarse_cfg(threshold=3, penalty=4))
+        sched = proc.scheduler
+        round_at(proc, 0, ALL_READY)
+        # Pays the flush.
+        assert round_at(proc, 1, {0: 20, 1: 1, 2: 1, 3: 1}) == []
         assert sched.switches == 1
         assert sched.switch_until == 1 + 4
         # During the penalty window nothing issues.
-        assert sched.select([ts[1]], 3) == []
+        assert round_at(proc, 3, {0: 20, 1: 1}) == []
         # After it, the new resident thread runs.
-        out = sched.select([ts[1]], 5)
-        assert [t.tid for t in out] == [1]
+        assert round_at(proc, 5, {0: 20, 1: 1}) == [1]
 
     def test_switch_target_not_stalled_thread(self):
-        sched = ThreadScheduler(coarse_cfg(penalty=0))
-        ts = threads(4)
-        ready_at(ts, {t.tid: 0 for t in ts})
-        sched.select(ts, 0)
-        ready_at(ts, {0: 50, 2: 1})
-        sched.select([ts[2]], 1)      # triggers switch to 2
-        out = sched.select([ts[2]], 2)
-        assert [t.tid for t in out] == [2]
+        proc = spinning_core(coarse_cfg(penalty=0))
+        round_at(proc, 0, ALL_READY)
+        round_at(proc, 1, {0: 50, 2: 1})      # triggers switch to 2
+        assert round_at(proc, 2, {0: 50, 2: 1}) == [2]
 
     def test_reset_clears_residency(self):
-        sched = ThreadScheduler(coarse_cfg())
-        ts = threads(4)
-        ready_at(ts, {t.tid: 0 for t in ts})
-        sched.select(ts, 0)
-        sched.reset()
-        ready_at(ts, {3: 0})
-        out = sched.select([ts[3]], 0)
-        assert [t.tid for t in out] == [3]
-        assert sched.switches == 0
+        proc = spinning_core(coarse_cfg())
+        round_at(proc, 0, ALL_READY)
+        proc.scheduler.reset()
+        assert round_at(proc, 0, {3: 0}) == [3]
+        assert proc.scheduler.switches == 0
 
 
 LINES = st.sampled_from([

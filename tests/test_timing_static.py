@@ -12,11 +12,11 @@ to that promise three ways:
   architectural state (registers, PE array, memory, thread states);
 * **generated parity** — programs from the shared generator on the
   shared machine axis, through :func:`tests.oracle.check_backends`,
-  plus error/timeout parity under tight cycle limits.  Spawn-free
-  programs take the fast backend's functional run and timing fold;
-  spawning programs run on the cycle core on both backends, so they
-  compare the core's cached ready times against the same loop
-  recomputing every context's readiness each round;
+  plus error/timeout parity under tight cycle limits.  The fast
+  backend folds a run up to its first ``tspawn`` (or other event only
+  the issue loop handles) and hands the rest to its cycle core, so
+  spawning programs also compare the core's cached ready times against
+  the same loop recomputing every context's readiness each round;
 * **static soundness** — ``static_cycle_bound`` is a true upper bound
   on acyclic programs and declines to answer (None) when no finite
   bound exists, and the two timing-powered lint checks
@@ -24,16 +24,23 @@ to that promise three ways:
   cycle core can be made to confirm.
 """
 
+import contextlib
+import dataclasses
+import gc
+import itertools
 import pathlib
+import sys
+import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.lint import lint_program
 from repro.analysis.timing import TimingAnalysis, static_cycle_bound
-from repro.asm import assemble
-from repro.assoc import FunctionalMachine
+from repro.asm import Assembler, assemble
+from repro.assoc import FunctionalMachine, fastpath
 from repro.assoc.fastpath import FastMachine, run_fast
 from repro.core import MTMode, Processor, ProcessorConfig
 from repro.core.config import DividerKind, MultiplierKind
@@ -298,9 +305,11 @@ def test_deadlock_under_the_watchdog(threads):
 
 
 def test_fast_rejects_model_fetch():
-    """The fast backend refuses no fetch-modelling machine: it runs the
-    program on its own cycle core, fetch unit included, and gives the
-    core's ``Stats`` and state."""
+    """The fast backend refuses no fetch-modelling machine: a fetch model
+    is one of the three things that keep a run off the fold, so the
+    program, spawning or not, runs whole on the machine's own cycle
+    core, fetch unit included, and gives the core's ``Stats`` and
+    state."""
     cfg = ProcessorConfig(num_pes=4, model_fetch=True, fetch_width=1)
     spawn_free = ".text\nmain:\n    li s1, 5\nloop:\n    addi s2, s2, 3\n" \
         "    paddi p1, p1, 1\n    addi s1, s1, -1\n    bne s1, s0, loop\n" \
@@ -316,8 +325,9 @@ def test_fast_rejects_model_fetch():
             result.stats.instructions
 
 
-#: A spawning program (core), a spawn-free one (fold) and one holding an
-#: op a machine without a divider lacks (core).
+#: A spawning program, a spawn-free one and one holding an op a machine
+#: without a divider lacks: each folds, the first and last only up to
+#: the ``tspawn`` or the ``sdiv``, where the core takes over.
 ROUTES = (".text\nmain:\n    tspawn s1, w\n    tjoin s1\n    halt\n"
           "w:\n    texit\n",
           ".text\nmain:\n    halt\n",
@@ -347,8 +357,9 @@ def test_one_pe_array_across_every_route(monkeypatch):
 
 
 #: Four runs of one machine without a divider, each reading its own local
-#: memory: a folded run, a spawning run on the core, a fold the watchdog
-#: stops (limit 40) and an op the machine lacks.
+#: memory: a folded run, a spawning run the core takes over at the
+#: ``tspawn``, a fold the watchdog stops (limit 40) and a run the core
+#: takes over at an op the machine lacks.
 REUSED = (
     (".text\nmain:\n    plw p1, 0(p0)\n    paddi p1, p1, 1\n"
      "    psw p1, 1(p0)\n    li s1, 3\nloop:\n    addi s2, s2, 5\n"
@@ -387,13 +398,212 @@ def test_one_machine_reused_across_routes(monkeypatch):
         folds.clear()
         assert outcome(lambda _: machine, program, cfg, lmem,
                        limit) == expected, run
-        assert len(folds) == (run % 2 == 0), run
+        assert len(folds) == 1, run
         if expected[0] == "ok":
             # A second run finds the machine finished, as the core does.
             assert machine.run().stats == expected[1][0], run
         kinds.append(expected[0] if expected[0] == "ok"
                      else expected[1][0])
     assert kinds == ["ok", "ok", "SimTimeout", "SimulationError"]
+
+
+def test_run_after_a_pause_resumes_on_the_core():
+    """A ``stop_when`` run goes to the core, so the run after its pause
+    resumes there, as on the core, instead of folding from the entry."""
+    cfg = ProcessorConfig(num_pes=4)
+    program = assemble(".text\nmain:\n    li s1, 30\nloop:\n"
+                       "    addi s2, s2, 1\n    addi s1, s1, -1\n"
+                       "    bne s1, s0, loop\n    halt\n",
+                       word_width=cfg.word_width)
+    resumed = []
+    for make in (Processor, FastMachine):
+        machine = make(cfg)
+        machine.load(program)
+        assert machine.run(stop_when=lambda _, cycle: cycle >= 20).paused
+        resumed.append(machine.run().stats)
+    assert resumed[1] == resumed[0]
+
+
+# One program per cause of a hand-off, the mnemonic of its event (none
+# for a pc escape) and the machine fields it needs.  Each loops, starts a
+# sequential divide and a reduction, and meets its event while both are
+# in flight.  The tspawn follows a jump's bubble at a block start, and
+# another divide waits for the divider right after it; the smul and the
+# tjoin sit mid-block; the jr jumps to the reduction's sum, 48, past the
+# program's end.
+_PREFIX = (".text\nmain:\n    li s1, 3\nloop:\n    paddi p1, p1, 1\n"
+           "    addi s1, s1, -1\n    bne s1, s0, loop\n"
+           "    sdiv s2, s1, s1\n    rsum s5, p1\n")
+HAND_OFFS = {
+    "tspawn": (_PREFIX + "    j spawn\nspawn:\n    tspawn s4, worker\n"
+               "    sdiv s3, s1, s1\n    add s6, s5, s5\n    tjoin s4\n"
+               "    halt\nworker:\n    paddi p2, p2, 2\n    texit\n",
+               "tspawn", {}),
+    "missing-unit": (_PREFIX + "    smul s3, s5, s5\n    halt\n", "smul",
+                     dict(multiplier=MultiplierKind.NONE)),
+    "self-join": (_PREFIX + "    tjoin s5\n    halt\n", "tjoin", {}),
+    "pc-escape": (_PREFIX + "    jr s5\n", None, {}),
+}
+DISCIPLINES = {
+    "single": dict(mt_mode=MTMode.SINGLE, num_threads=1),
+    **{name: dict(VARIANTS[name], num_threads=4)
+       for name in ("fine-rot", "fine-fixed", "coarse-rot", "smt2")},
+}
+
+
+@pytest.mark.parametrize("discipline", sorted(DISCIPLINES))
+@pytest.mark.parametrize("cause", sorted(HAND_OFFS))
+def test_hand_off_at_each_cause(cause, discipline, monkeypatch):
+    """The fold stops before each event only the issue loop handles and
+    hands its prefix to the core, which starts at the cycle after the
+    prefix's last issue; under cycle limits on both sides of that cycle
+    and at the run's own length the fast backend gives a fresh core's
+    ``Stats`` and state, or its error, and an unlimited run leaves the
+    same counters even where the core raises."""
+    source, mnemonic, fields = HAND_OFFS[cause]
+    cfg = ProcessorConfig(num_pes=16, **DISCIPLINES[discipline], **fields)
+    program = assemble(source, word_width=cfg.word_width)
+    core = Processor(cfg, trace=True)
+    try:
+        length = core.run(program).stats.cycles
+    except SimulationError:
+        length = None
+    prefix = [rec.cycle for rec in itertools.takewhile(
+        lambda rec: rec.instr.mnemonic != mnemonic, core.trace)]
+    hand_off = 1 + max(prefix, default=0)
+    entered = []
+    run = Processor.run
+
+    def recording_run(self, *args, **kwargs):
+        if isinstance(self, FastMachine):
+            entered.append(self._cycle)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Processor, "run", recording_run)
+    limits = {hand_off - 2, hand_off - 1, hand_off, hand_off + 1}
+    if length is not None:
+        limits |= {length - 1, length}
+    for limit in sorted(limit for limit in limits if limit >= 1) + [None]:
+        entered.clear()
+        assert_parity(program, cfg, max_cycles=limit)
+        fits = limit is None or limit >= hand_off - 1
+        assert entered == ([hand_off] if fits else []), limit
+    counters = []
+    for machine in (Processor(cfg), FastMachine(cfg)):
+        with contextlib.suppress(SimulationError):
+            machine.run(program)
+        counters.append((machine.stats, machine.scheduler._pointer, [
+            (ctx.min_issue, ctx.last_issue, ctx.instructions_issued)
+            for ctx in machine.threads]))
+    assert counters[1] == counters[0]
+
+
+def _fresh(source, cfg):
+    """A program no memo has seen: assembled anew, not interned."""
+    return Assembler(cfg.word_width).assemble(source)
+
+
+def _count_analyses(monkeypatch):
+    built = []
+    real = fastpath.TimingAnalysis
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(fastpath, "TimingAnalysis", counting)
+    return built
+
+
+MEMO_LOOP = (".text\nmain:\n    li s1, 20\nloop:\n    paddi p1, p1, 1\n"
+             "    rsum s2, p1\n    addi s1, s1, -1\n    bne s1, s0, loop\n"
+             "    halt\n")
+
+
+def test_fold_memo_serves_every_machine_of_a_pair(monkeypatch):
+    """A second fresh machine folding the same (program, config values)
+    builds no analysis and gives the same ``Stats``; a config one timing
+    field apart builds its own."""
+    built = _count_analyses(monkeypatch)
+    cfg = ProcessorConfig(num_pes=16, num_threads=2)
+    program = _fresh(MEMO_LOOP, cfg)
+    miss = FastMachine(cfg).run(program).stats
+    assert len(built) == 1
+    same = ProcessorConfig(num_pes=16, num_threads=2)
+    assert FastMachine(same).run(program).stats == miss
+    assert len(built) == 1
+    assert miss == Processor(cfg).run(program).stats
+    wide = dataclasses.replace(cfg, broadcast_arity=4)
+    assert wide.broadcast_depth != cfg.broadcast_depth
+    assert FastMachine(wide).run(program).stats == \
+        Processor(wide).run(program).stats
+    assert len(built) == 2
+
+
+def test_fold_memo_releases_evicted_programs():
+    """The memo is bounded: past its cap the least recently folded
+    program is dropped, and nothing else keeps it alive."""
+    cfg = ProcessorConfig(num_pes=4)
+    first = _fresh(".text\nmain:\n    halt\n", cfg)
+    FastMachine(cfg).run(first)
+    held = weakref.ref(first)
+    del first
+    gc.collect()
+    assert held() is not None
+    for i in range(fastpath.FOLD_MEMO_ENTRIES):
+        FastMachine(cfg).run(_fresh(
+            f".text\nmain:\n    addi s1, s0, {i}\n    halt\n", cfg))
+    gc.collect()
+    assert held() is None
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["kept", "evicting"])
+def test_fold_memo_under_threads(cap, monkeypatch):
+    """Four threads fold three fresh programs at once, switching every
+    microsecond, under the memo's own cap or one of 2 that evicts all
+    the time: no thread fails, every run gives the core's ``Stats``, the
+    memo stays bounded and, with room for all three, each program keeps
+    one set of fold artifacts."""
+    if cap is not None:
+        monkeypatch.setattr(fastpath, "FOLD_MEMO_ENTRIES", cap)
+    cfg = ProcessorConfig(num_pes=16, num_threads=2)
+    programs = [_fresh(MEMO_LOOP.replace("20", str(n)), cfg)
+                for n in (5, 6, 7)]
+    want = [Processor(cfg).run(program).stats for program in programs]
+    folds, runs, errors = [], [], []
+    start = threading.Barrier(4)
+
+    def work(shift):
+        try:
+            start.wait(timeout=60)
+            for k in range(1200):
+                # Each program twice in a row: a hit, unless another
+                # thread evicted it in between.
+                i = (k // 2 + shift) % 3
+                folds.append((i, fastpath._fold_for(programs[i], cfg)))
+                if k % 20 == 0:
+                    runs.append(FastMachine(cfg).run(programs[i]).stats
+                                == want[i])
+        except Exception as exc:     # reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,))
+                   for shift in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(runs) == 4 * 60 and all(runs)
+    assert len(fastpath._folds) <= fastpath.FOLD_MEMO_ENTRIES
+    if cap is None:
+        assert len({(i, id(fold)) for i, fold in folds}) == 3
 
 
 def test_run_fast_convenience():
