@@ -16,8 +16,8 @@ a generous wall-clock bound.  The idle
 hooks are per-job constant work, but an armed deadline also costs one
 worker start per batch: jobs with a deadline always run in worker
 processes, one under ``jobs=1``, because SIGALRM reaches only a main
-thread (12–19 ms per batch on a 2-vCPU VM).  Archived as
-``BENCH_resilience.json`` when ``REPRO_RESULTS_DIR`` is set.
+thread (14–29 ms per batch, medians 19–24 ms, on a 2-vCPU VM).
+Archived as ``BENCH_resilience.json`` when ``REPRO_RESULTS_DIR`` is set.
 """
 
 from repro.bench import Experiment

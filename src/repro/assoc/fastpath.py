@@ -158,7 +158,6 @@ class FastMachine(Processor):  # type: ignore[misc]
         thread.score = prefix.score
         thread.min_issue = prefix.base
         thread.last_issue = prefix.last_issue
-        thread.instructions_issued = prefix.stats.instructions
         self._unit_busy[:] = prefix.units
         if prefix.last_issue:
             # Every issue so far was a grant to thread 0.

@@ -8,20 +8,22 @@ effects at issue in program order, the two backends must produce
 identical architectural results for any data-race-free program; the
 integration tests assert exactly that (timing-independence of results).
 
-Also useful on its own as a fast interpreter when only results matter,
-and as the base of the non-pipelined cost model
-(:mod:`repro.baselines.nonpipelined`).  The fast backend
-(:mod:`repro.assoc.fastpath`) does not use it: it is the cycle core,
-which folds a single-thread run of its own ops.
+:class:`FunctionalMachine` is the cycle core
+(:class:`repro.core.processor.Processor`) with a round-robin ``run``:
+the core's ``load`` builds its state and ops, and its timing table
+names the ops a machine lacks.  Also useful on its own as a fast
+interpreter when only results matter, and as the base of the
+non-pipelined cost model (:mod:`repro.baselines.nonpipelined`).  The
+fast backend (:mod:`repro.assoc.fastpath`) does not use it: it is the
+cycle core, which folds a single-thread run of its own ops.
 """
 
 from __future__ import annotations
 
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
-from repro.core.execute import Op, compile_ops
-from repro.core.memory import ScalarMemory
-from repro.core.processor import RunResult, SimulationError
+from repro.core.execute import Op
+from repro.core.processor import Processor, RunResult, SimulationError
 from repro.core.stats import Stats
 from repro.core.thread import (
     EXITED,
@@ -29,17 +31,8 @@ from repro.core.thread import (
     JOINING,
     RUNNABLE,
     ThreadContext,
-    ThreadStatusTable,
 )
-from repro.core.timing import (
-    K_HALT,
-    K_TJOIN,
-    K_TSPAWN,
-    KINDS,
-    TimingModel,
-    lacks_a_unit,
-)
-from repro.pe.pe_array import PEArray
+from repro.core.timing import K_HALT, K_TJOIN, K_TSPAWN, KINDS
 
 
 class FunctionalError(RuntimeError):
@@ -60,37 +53,19 @@ def _raising_op(message: str) -> Op:
     return op
 
 
-class FunctionalMachine:
-    """Untimed interpreter sharing the core's execution semantics."""
+class FunctionalMachine(Processor):  # type: ignore[misc]
+    """The cycle core's state and ops under an untimed round-robin run."""
 
-    def __init__(self, config: ProcessorConfig | None = None) -> None:
-        self.cfg = config or ProcessorConfig()
-        cfg = self.cfg
-        self.pe = PEArray(cfg.num_pes, cfg.num_threads, cfg.word_width,
-                          cfg.lmem_words)
-        self.mem = ScalarMemory(cfg.scalar_mem_words, cfg.word_width)
-        self.threads = ThreadStatusTable(cfg.num_threads)
-        # The loaded program's compiled op and kind (timing.KINDS) per pc.
-        self.ops: list[Op] = []
-        self.kinds: list[int] = []
-        self.halted = False
-        self.program: Program | None = None
+    # The loaded program's kind (timing.KINDS) per pc.
+    kinds: list[int]
 
     def load(self, program: Program) -> None:
-        self.program = program
-        self.pe.reset()
-        self.mem.reset()
-        self.mem.load_image(program.data)
-        self.threads = ThreadStatusTable(self.cfg.num_threads)
-        self.ops = compile_ops(program, self.pe, self.mem, self.threads)
-        if lacks_a_unit(self.cfg):
-            # An op the machine lacks raises the core's located error.
-            model = TimingModel(program, self.cfg)
-            for pc in model.raising_pcs():
-                self.ops[pc] = _raising_op(model.entry(pc).raises)
+        super().load(program)
+        # An op the machine lacks raises the core's located error.
+        model = self.timing_model
+        for pc in model.raising_pcs():
+            self.ops[pc] = _raising_op(model.entry(pc).raises)
         self.kinds = [KINDS[ins.mnemonic] for ins in program.instructions]
-        self.halted = False
-        self.threads.allocate(program.entry, start_cycle=0)
 
     def run(self, program: Program | None = None,
             max_steps: int = 10_000_000) -> RunResult:

@@ -459,7 +459,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_faultsim(args: argparse.Namespace) -> int:
-    from repro.faults import FaultSite, run_campaign
+    from repro.faults import CampaignError, FaultSite, run_campaign
 
     cfg = _config_from_args(args)
     sites = None
@@ -480,7 +480,7 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
             sites=sites, parity=not args.no_parity,
             watchdog_factor=args.watchdog, jobs=args.jobs,
             registry=DEFAULT_REGISTRY)
-    except ValueError as exc:
+    except (ValueError, CampaignError) as exc:
         print(f"faultsim: {exc}", file=sys.stderr)
         return 1
     text = report.to_json() if args.json else report.render()

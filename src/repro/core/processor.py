@@ -100,8 +100,9 @@ class RunResult(LiveState):
     """Outcome of one program run, on any backend.
 
     ``processor`` is the machine that ran and holds the final state: the
-    cycle core (the fast backend is the core that folds), or the
-    functional or non-pipelined machine.
+    cycle core or a subclass of it (the fast backend, which is the core
+    that folds, and the functional and non-pipelined machines, which run
+    the core's ops untimed).
     """
 
     stats: Stats
@@ -310,7 +311,6 @@ class Processor:
                 self.fetch.redirect(thread.tid, cycle + resolve - 1)
         thread.pc = next_pc
         thread.last_issue = cycle
-        thread.instructions_issued += 1
         thread.ready = None
 
         if kind == K_HALT:

@@ -45,7 +45,7 @@ class ThreadContext:
     """One hardware thread: PC, scalar registers, scoreboard, status."""
 
     __slots__ = ("tid", "state", "pc", "sregs", "min_issue", "last_issue",
-                 "join_target", "score", "ready", "instructions_issued")
+                 "join_target", "score", "ready")
 
     def __init__(self, tid: int) -> None:
         self.tid = tid
@@ -63,7 +63,6 @@ class ThreadContext:
         # (earliest issue cycle, binding wait cause, base cycle, timing
         # entry), or None once an event may have moved it.
         self.ready: tuple[int, str | None, int, InstrTiming] | None = None
-        self.instructions_issued = 0
 
     def activate(self, pc: int, start_cycle: int) -> None:
         """(Re)initialize the context for a newly spawned thread."""

@@ -16,6 +16,7 @@ Public surface:
 
 from repro.faults.campaign import (
     OUTCOMES,
+    CampaignError,
     CampaignReport,
     FaultResult,
     run_campaign,
@@ -33,6 +34,7 @@ from repro.faults.spec import (
 
 __all__ = [
     "OUTCOMES",
+    "CampaignError",
     "CampaignReport",
     "DEFAULT_SITE_WEIGHTS",
     "DegradedRun",

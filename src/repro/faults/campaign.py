@@ -47,6 +47,11 @@ OUTCOMES = ("masked", "detected", "sdc", "crash", "hang")
 _CRASHES = (ExecutionError, MemoryFault, ScalarMemoryFault)
 
 
+class CampaignError(RuntimeError):
+    """A fault's run failed outside the simulated machine: its runner
+    raised, or the pool quarantined it for killing its workers."""
+
+
 @dataclass
 class FaultResult:
     """Classification of one injected fault."""
@@ -204,15 +209,19 @@ def run_campaign(kernel_name: str,
                  registry=None) -> CampaignReport:
     """Run a seeded fault-injection campaign over one library kernel.
 
-    ``jobs`` > 1 fans the per-fault runs out over a process pool
-    (``repro.serve.pool``); each fault is an independent simulation and
-    results are reassembled in spec order, so the report — including its
-    JSON rendering — is byte-identical to the serial campaign.
+    ``jobs`` > 1 fans the per-fault runs out over the job pool
+    (:func:`repro.serve.pool.run_prepared`); each fault is an
+    independent simulation and results are reassembled in spec order, so
+    the report — including its JSON rendering — is byte-identical to the
+    serial campaign.  A fault whose run raises, or that the pool
+    quarantines, fails the campaign with a :class:`CampaignError` that
+    names the fault.
 
     ``registry`` (a :class:`~repro.obs.MetricsRegistry`) receives
-    ``fault_campaigns_total``, ``fault_runs_total{outcome}``, and the
-    ``fault_campaign_coverage`` gauge when given; the report itself is
-    unaffected, so metrics never perturb reproducibility.
+    ``fault_campaigns_total``, ``fault_runs_total{outcome}``, the
+    ``fault_campaign_coverage`` gauge and the pool's ``pool_*`` counters
+    when given; the report itself is unaffected, so metrics never
+    perturb reproducibility.
     """
     if kernel_name not in ALL_KERNEL_BUILDERS:
         raise ValueError(f"unknown kernel {kernel_name!r}; choose from "
@@ -235,12 +244,16 @@ def run_campaign(kernel_name: str,
                 "num_threads": cfg.num_threads,
                 "parity": parity, "watchdog_factor": watchdog_factor})
 
-    from repro.serve.pool import map_ordered
+    from repro.serve.pool import JobOutcome, run_prepared
 
     tasks = [_FaultTask(spec, program, cfg, kernel, parity, watchdog,
                         golden_out) for spec in specs]
-    report.results.extend(map_ordered(_run_one_fault, tasks, jobs=jobs,
-                                      registry=registry))
+    results = run_prepared(tasks, jobs=jobs, registry=registry,
+                           fn=_run_one_fault)
+    for task, result in zip(tasks, results):
+        if isinstance(result, JobOutcome):   # raised, or quarantined
+            raise CampaignError(f"fault {task.spec.label}: {result.error}")
+    report.results.extend(results)
     if registry is not None:
         registry.counter("fault_campaigns_total",
                          "fault-injection campaigns executed").inc()

@@ -67,7 +67,6 @@ from repro.serve.pool import (
     STATUS_TIMEOUT,
     JobOutcome,
     execute_prepared,
-    map_ordered,
     run_prepared,
 )
 from repro.serve.resilience import (
@@ -130,7 +129,6 @@ __all__ = [
     "STATUS_TIMEOUT",
     "JobOutcome",
     "execute_prepared",
-    "map_ordered",
     "run_prepared",
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",

@@ -22,14 +22,14 @@ Guarantees, in order of importance:
   ``deadline`` outcome instead of a stalled campaign);
 * **bounded, backed-off retries** — if the pool breaks (a worker is
   OOM-killed or segfaults), missing keys are retried on fresh pools with
-  exponential seeded-jitter backoff; whatever still fails is probed in
-  **solo** one-worker pools, where a crash unambiguously convicts the
-  job: repeat offenders are quarantined with a diagnostic
-  ``quarantined`` outcome instead of being retried forever or handed to
-  the in-process serial fallback (which a poison job would take down);
-* **must-not-raise hardening** — an executor that raises anyway (a bug,
-  or ``raise_exc`` chaos) becomes a per-job ``error`` outcome, never a
-  crashed batch.
+  exponential seeded-jitter backoff; whatever still fails is probed
+  **solo**, in a round of one job on one worker, where a crash
+  unambiguously convicts the job: repeat offenders are quarantined with
+  a diagnostic ``quarantined`` outcome instead of being retried forever.
+  Jobs run in-process only when no worker can be spawned at all;
+* **must-not-raise hardening** — a fn that raises anyway (a bug, or
+  ``raise`` chaos) becomes a per-job ``error`` outcome, never a crashed
+  batch.
 
 Without a deadline, ``jobs <= 1`` runs in-process with no executor,
 the reference path the parallel paths must match.  A deadline is a
@@ -42,6 +42,7 @@ checks — a pool built without chaos pays nothing.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 
 from repro.assoc.fastpath import FastMachine
 from repro.core.processor import Processor, SimTimeout, SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.chaos import ChaosError, ChaosKind
 from repro.serve.jobs import PreparedJob
 from repro.serve.resilience import (
@@ -160,21 +162,26 @@ def execute_prepared(item: PreparedJob) -> JobOutcome:
 class _ExecEnv:
     """One submission's complete, picklable execution context."""
 
-    fn: object                 # module-level callable item -> JobOutcome
+    fn: object                 # module-level callable, item -> result
     item: object
     key: str
     deadline_s: float | None
     actions: tuple             # resolved ChaosSpec actions for this attempt
 
 
-def _execute_env(env: _ExecEnv) -> JobOutcome:
-    """Run one envelope (worker side; also the serial reference path).
+def _error_outcome(key: str, exc: Exception) -> JobOutcome:
+    return JobOutcome(key, STATUS_ERROR,
+                      error=f"executor raised {type(exc).__name__}: {exc}")
+
+
+def _execute_env(env: _ExecEnv):
+    """Run one envelope (worker side; also the in-process path).
 
     A kill action pre-empts the job entirely (it models the worker
     dying, not the job misbehaving), after its optional ``delay_s``;
     slow and raise actions run *inside* the deadline guard, so a
     chaos-slowed worker trips ``deadline_s`` exactly like a genuinely
-    hung one.
+    hung one.  A fn that raises anyway becomes an ``error`` outcome.
     """
     slow_s = 0.0
     raising = False
@@ -187,8 +194,8 @@ def _execute_env(env: _ExecEnv) -> JobOutcome:
         elif act.kind is ChaosKind.RAISE:
             raising = True
     if kill is not None:
-        # Only reached inside a real worker process: the serial paths
-        # convert kill actions into strikes without executing.
+        # Only reached inside a real worker process: the in-process
+        # path converts kill actions into strikes without executing.
         if slow_s or kill.delay_s:
             time.sleep(slow_s + kill.delay_s)
         os._exit(CHAOS_KILL_EXIT)
@@ -201,126 +208,13 @@ def _execute_env(env: _ExecEnv) -> JobOutcome:
             return env.fn(env.item)
     except DeadlineExceeded as exc:
         return JobOutcome(env.key, STATUS_DEADLINE, error=str(exc))
-
-
-def _pool_counter(registry):
-    return registry.counter(
-        "pool_tasks_total",
-        "tasks executed by the job pool, labelled by execution path",
-        labels=("path",))
-
-
-class _Metrics:
-    """Pool-side resilience counters (no-ops without a registry)."""
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
-        if registry is None:
-            return
-        self.tasks = _pool_counter(registry)
-        self.rebuilds = registry.counter(
-            "pool_broken_retries_total",
-            "fresh-executor retries after a broken process pool")
-        self.outcomes = registry.counter(
-            "pool_outcomes_total", "job outcomes by status",
-            labels=("status",))
-        self.quarantined = registry.counter(
-            "pool_quarantined_total", "jobs quarantined as poison")
-        self.backoff_s = registry.counter(
-            "pool_backoff_seconds_total",
-            "total seconds slept in retry backoff")
-
-    def count_tasks(self, n: int, path: str) -> None:
-        if self.registry is not None and n:
-            self.tasks.inc(n, path=path)
-
-    def count_rebuild(self) -> None:
-        if self.registry is not None:
-            self.rebuilds.inc()
-
-    def count_outcome(self, outcome: JobOutcome) -> None:
-        if self.registry is not None:
-            self.outcomes.inc(status=outcome.status)
-            if outcome.status == STATUS_QUARANTINED:
-                self.quarantined.inc()
-
-    def count_backoff(self, seconds: float) -> None:
-        if self.registry is not None and seconds:
-            self.backoff_s.inc(seconds)
-
-
-def map_ordered(fn, items: list, jobs: int = 1, retries: int = 1,
-                registry=None) -> list:
-    """Apply picklable ``fn`` to every item, preserving input order.
-
-    ``jobs <= 1`` is a plain serial loop.  With workers, pool breakage
-    (crashed worker processes) is retried on a fresh executor up to
-    ``retries`` times; whatever is still missing after that is computed
-    serially in-process.  ``fn`` itself must not raise for ordinary
-    per-item failures — encode those in its return value.
-
-    Exactly-once: futures that completed before a pool broke keep their
-    results — including futures collected before a *submission* failure
-    mid-round — so no item is recorded twice.
-
-    ``registry`` (a :class:`~repro.obs.MetricsRegistry`) receives
-    ``pool_tasks_total{path=serial|pool|fallback}`` and
-    ``pool_broken_retries_total`` when given.
-    """
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs <= 1 or len(items) <= 1:
-        if registry is not None and items:
-            _pool_counter(registry).inc(len(items), path="serial")
-        return [fn(item) for item in items]
-
-    results: dict[int, object] = {}
-    pending = list(range(len(items)))
-    for attempt in range(max(retries, 0) + 1):
-        if not pending:
-            break
-        if attempt and registry is not None:
-            registry.counter(
-                "pool_broken_retries_total",
-                "fresh-executor retries after a broken process pool",
-            ).inc()
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-        except OSError:       # cannot spawn workers at all
-            break
-        with pool:
-            futures: dict[int, object] = {}
-            for i in pending:
-                try:
-                    futures[i] = pool.submit(fn, items[i])
-                except BrokenProcessPool:
-                    break     # pool died mid-submission; drain what we have
-            still_pending = [i for i in pending if i not in futures]
-            for i, future in futures.items():
-                try:
-                    results[i] = future.result()
-                except BrokenProcessPool:
-                    still_pending.append(i)
-            pending = sorted(still_pending)
-    if registry is not None:
-        done = len(items) - len(pending)
-        if done:
-            _pool_counter(registry).inc(done, path="pool")
-        if pending:
-            _pool_counter(registry).inc(len(pending), path="fallback")
-    for i in pending:   # last resort: serial, in-process
-        results[i] = fn(items[i])
-    return [results[i] for i in range(len(items))]
+    except Exception as exc:   # fn must not raise; harden
+        return _error_outcome(env.key, exc)
 
 
 # ---------------------------------------------------------------------------
-# the resilient JobOutcome engine
+# the engine
 # ---------------------------------------------------------------------------
-
-def _quarantined_outcome(key: str, reason: str) -> JobOutcome:
-    return JobOutcome(key, STATUS_QUARANTINED,
-                      error=f"quarantined as poison job: {reason}")
-
 
 class _Engine:
     """One ``run_prepared`` invocation's mutable state."""
@@ -338,21 +232,24 @@ class _Engine:
         self.fn = fn
         self.sleep = sleep
         self.stall_timeout_s = stall_timeout_s
-        self.metrics = _Metrics(registry)
-        self.outcomes: dict[int, JobOutcome] = {}
+        registry = registry if registry is not None else MetricsRegistry()
+        self.tasks = registry.counter(
+            "pool_tasks_total",
+            "tasks executed by the job pool, labelled by execution path",
+            labels=("path",))
+        self.rebuilds = registry.counter(
+            "pool_broken_retries_total",
+            "fresh-executor retries after a broken process pool")
+        self.statuses = registry.counter(
+            "pool_outcomes_total", "job outcomes by status",
+            labels=("status",))
+        self.quarantines = registry.counter(
+            "pool_quarantined_total", "jobs quarantined as poison")
+        self.backoff_s = registry.counter(
+            "pool_backoff_seconds_total",
+            "total seconds slept in retry backoff")
+        self.outcomes: dict[int, object] = {}
         self.attempts: dict[int, int] = {}
-
-    def executor(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=workers)
-
-    @staticmethod
-    def kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Force a stalled pool's workers down so shutdown can't hang."""
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except (OSError, AttributeError):
-                pass
 
     def key_of(self, i: int) -> str:
         return getattr(self.items[i], "key", f"item{i}")
@@ -365,61 +262,67 @@ class _Engine:
         return _ExecEnv(self.fn, self.items[i], self.key_of(i),
                         self.deadline_s, actions)
 
-    def record(self, i: int, outcome: JobOutcome) -> None:
+    def record(self, i: int, outcome) -> None:
         self.outcomes[i] = outcome
-        self.metrics.count_outcome(outcome)
+        # A caller's fn may return anything picklable, without a status.
+        if isinstance(outcome, JobOutcome):
+            self.statuses.inc(status=outcome.status)
+            if outcome.status == STATUS_QUARANTINED:
+                self.quarantines.inc()
 
     def back_off(self, attempt: int, token: str) -> None:
         delay = self.backoff.delay(attempt, token)
         if delay > 0:
-            self.metrics.count_backoff(delay)
+            self.backoff_s.inc(delay)
             self.sleep(delay)
 
-    # -- serial (and fallback) path ------------------------------------------
+    def in_quarantine(self, i: int) -> bool:
+        """Whether job ``i``'s key is quarantined; records its outcome."""
+        key = self.key_of(i)
+        if not self.quarantine.is_quarantined(key):
+            return False
+        self.record(i, JobOutcome(key, STATUS_QUARANTINED,
+                                  error="quarantined as poison job: "
+                                        + self.quarantine.reason(key)))
+        return True
+
+    def strike(self, i: int) -> bool:
+        """One authoritative strike against job ``i`` for killing its
+        worker: True when it quarantines the job, else it backs off
+        before the job's next attempt."""
+        key = self.key_of(i)
+        self.quarantine.strike(key, "job kills its worker")
+        if self.in_quarantine(i):
+            return True
+        self.back_off(self.quarantine.strikes[key], key)
+        return False
 
     def run_serial_one(self, i: int, path: str) -> None:
         """In-process execution; chaos kills become strikes, not exits."""
-        key = self.key_of(i)
         while True:
             env = self.env_for(i)
-            kills = [a for a in env.actions
-                     if a.kind is ChaosKind.WORKER_KILL]
-            if kills:
-                # A kill would take this very process down; treat it as
-                # an (authoritative) strike and retry with backoff.
-                strikes = self.quarantine.strikes.get(key, 0) + 1
-                if self.quarantine.strike(key, "job kills its worker"):
-                    self.record(i, _quarantined_outcome(
-                        key, self.quarantine.reason(key)))
-                    return
-                self.back_off(strikes, key)
-                continue
-            self.metrics.count_tasks(1, path)
-            try:
+            if not any(a.kind is ChaosKind.WORKER_KILL for a in env.actions):
+                self.tasks.inc(path=path)
                 self.record(i, _execute_env(env))
-            except Exception as exc:   # executor must not raise; harden
-                self.record(i, JobOutcome(
-                    key, STATUS_ERROR,
-                    error=f"executor raised "
-                          f"{type(exc).__name__}: {exc}"))
-            return
+                return
+            # A kill would take this very process down: strike instead.
+            if self.strike(i):
+                return
 
-    # -- pool path -----------------------------------------------------------
-
-    def run_pool_round(self, pending: list[int]) -> list[int] | None:
+    def run_round(self, pending: list[int], path: str) -> list[int] | None:
         """One fresh-executor round; returns unresolved indices.
 
         ``None`` means no executor could be spawned at all (the caller
-        falls back to serial).  Futures that completed before a break
+        falls back to in-process).  Futures that completed before a break
         keep their results (exactly-once); broken futures are *not*
-        struck here — in a shared pool the breaker's identity is
-        ambiguous, so conviction is deferred to the solo probes.
+        struck here, since in a shared pool the breaker's identity is
+        ambiguous: conviction is left to the solo probes.
         """
         try:
-            pool = self.executor(max(1, min(self.jobs, len(pending))))
+            pool = ProcessPoolExecutor(
+                max_workers=max(1, min(self.jobs, len(pending))))
         except OSError:
             return None
-        completed = 0
         with pool:
             futures: dict[int, object] = {}
             for i in pending:
@@ -434,128 +337,86 @@ class _Engine:
             for i, future in futures.items():
                 try:
                     self.record(i, future.result(self.stall_timeout_s))
-                    completed += 1
                 except BrokenProcessPool:
                     unresolved.append(i)
                 except FutureTimeout:
                     # The pool itself has stalled (not a slow job — the
-                    # per-job deadline handles those): kill it and let
-                    # the remaining futures resolve as broken.
+                    # per-job deadline handles those): kill its workers,
+                    # so shutdown can't hang, and let the remaining
+                    # futures resolve as broken.
                     unresolved.append(i)
-                    self.kill_pool(pool)
-                except Exception as exc:
-                    self.record(i, JobOutcome(
-                        self.key_of(i), STATUS_ERROR,
-                        error=f"executor raised "
-                              f"{type(exc).__name__}: {exc}"))
-                    completed += 1
-        self.metrics.count_tasks(completed, "pool")
+                    for proc in list(getattr(pool, "_processes",
+                                             {}).values()):
+                        with contextlib.suppress(OSError, AttributeError):
+                            proc.kill()
+                except Exception as exc:   # the result could not cross back
+                    self.record(i, _error_outcome(self.key_of(i), exc))
+        if len(unresolved) < len(pending):
+            self.tasks.inc(len(pending) - len(unresolved), path=path)
         return sorted(unresolved)
 
-    def run_probe(self, i: int) -> bool:
-        """Solo one-worker probes for a job that survived every round.
-
-        In a pool of one, a broken pool convicts this job alone, so
-        strikes here are authoritative.  Returns False only when no
-        executor can be spawned (fall back to serial).
-        """
-        key = self.key_of(i)
-        while True:
-            try:
-                pool = self.executor(1)
-            except OSError:
-                return False
-            broken = False
-            with pool:
-                env = self.env_for(i)
-                try:
-                    self.record(i, pool.submit(_execute_env, env)
-                                .result(self.stall_timeout_s))
-                except BrokenProcessPool:
-                    broken = True
-                except FutureTimeout:
-                    broken = True
-                    self.kill_pool(pool)
-                except Exception as exc:
-                    self.record(i, JobOutcome(
-                        key, STATUS_ERROR,
-                        error=f"executor raised "
-                              f"{type(exc).__name__}: {exc}"))
-            if not broken:
-                self.metrics.count_tasks(1, "probe")
-                return True
-            strikes = self.quarantine.strikes.get(key, 0) + 1
-            if self.quarantine.strike(key, "job kills its worker"):
-                self.record(i, _quarantined_outcome(
-                    key, self.quarantine.reason(key)))
-                return True
-            self.back_off(strikes, key)
-
-    def run(self) -> list[JobOutcome]:
+    def run(self) -> list:
         n = len(self.items)
-        pending = []
-        for i in range(n):
-            key = self.key_of(i)
-            if self.quarantine.is_quarantined(key):
-                self.record(i, _quarantined_outcome(
-                    key, self.quarantine.reason(key)))
-            else:
-                pending.append(i)
-
-        if self.deadline_s is None and (self.jobs <= 1 or len(pending) <= 1):
-            for i in pending:
-                self.run_serial_one(i, "serial")
-            return [self.outcomes[i] for i in range(n)]
-
-        round_idx = 0
-        fallback = False
-        while pending and round_idx <= self.retries:
-            if round_idx:
-                self.metrics.count_rebuild()
-                self.back_off(round_idx, "pool")
-            unresolved = self.run_pool_round(pending)
-            if unresolved is None:
-                fallback = True
-                break
-            pending = unresolved
-            round_idx += 1
-
-        if not fallback:
-            for i in list(pending):
-                if not self.run_probe(i):
-                    fallback = True
+        pending = [i for i in range(n) if not self.in_quarantine(i)]
+        path = "serial"
+        if self.deadline_s is not None or (self.jobs > 1 and len(pending) > 1):
+            path = "fallback"
+            rounds = 0
+            while pending and rounds <= self.retries:
+                if rounds:
+                    self.rebuilds.inc()
+                    self.back_off(rounds, "pool")
+                unresolved = self.run_round(pending, "pool")
+                if unresolved is None:
                     break
-                pending.remove(i)
-
-        for i in pending:   # last resort: serial, in-process
-            self.run_serial_one(i, "fallback")
+                pending = unresolved
+                rounds += 1
+            else:
+                # Every round spawned: probe each survivor in a round of
+                # its own, where a break convicts it alone (a strike).
+                while pending:
+                    unresolved = self.run_round(pending[:1], "probe")
+                    if unresolved is None:
+                        break
+                    if not unresolved or self.strike(pending[0]):
+                        pending.pop(0)
+        # In-process: the reference path, and the last resort when no
+        # worker can be spawned.
+        for i in pending:
+            self.run_serial_one(i, path)
         return [self.outcomes[i] for i in range(n)]
 
 
-def run_prepared(items: list[PreparedJob], jobs: int = 1,
+def run_prepared(items: list, jobs: int = 1,
                  retries: int = 1, registry=None, *,
                  deadline_s: float | None = None, chaos=None,
                  backoff: BackoffPolicy | None = None,
                  quarantine: Quarantine | None = None,
                  fn=None, sleep=None,
                  stall_timeout_s: float | None = None,
-                 ) -> list[JobOutcome]:
-    """Execute prepared jobs (unique keys) and return ordered outcomes.
+                 ) -> list:
+    """Execute items (unique keys) and return their results in order.
 
-    The resilient engine: per-job wall-clock ``deadline_s`` (on top of
-    the simulator's cycle watchdog; jobs with one always run in worker
+    The one pool engine, behind every batch, sweep, chaos drill and
+    fault campaign: per-job wall-clock ``deadline_s`` (on top of the
+    simulator's cycle watchdog; jobs with one always run in worker
     processes, so it holds on any calling thread), seeded-jitter
     ``backoff`` between pool rebuilds, ``quarantine`` for jobs that
     keep killing workers (strikes are only awarded by solo isolation
     probes, where the conviction is unambiguous and hence
-    deterministic), and optional ``chaos`` injection.  ``fn`` must be
-    a picklable module-level callable returning a :class:`JobOutcome`
-    (default: :func:`execute_prepared`); a fn that raises anyway yields
-    an ``error`` outcome rather than a crashed batch.  ``sleep``
-    (default ``time.sleep``) is injectable so tests never wait on real
-    backoff.  ``stall_timeout_s`` is a parent-side backstop against a
-    pool that hangs without breaking (None, the default, trusts the
-    pool — production jobs may legitimately run long).
+    deterministic), and optional ``chaos`` injection.  ``fn`` is a
+    picklable module-level callable (default:
+    :func:`execute_prepared`) and may return any picklable value; a
+    job it raises on, or that the engine quarantines, yields an
+    ``error`` or ``quarantined`` :class:`JobOutcome` in its place.
+    ``registry`` (a private :class:`~repro.obs.MetricsRegistry` when
+    omitted) receives the five ``pool_*`` counters; the outcome count
+    by status counts only JobOutcomes.
+    ``sleep`` (default ``time.sleep``) is injectable so tests never
+    wait on real backoff.  ``stall_timeout_s`` is a parent-side
+    backstop against a pool that hangs without breaking (None, the
+    default, trusts the pool — production jobs may legitimately run
+    long).
     """
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")

@@ -64,9 +64,9 @@ class ResultSnapshot(ArchState):
     # when the job did not demand a validated schedule.
     verify: dict | None = None
     # Which execution backend produced this snapshot: "cycle" (the
-    # cycle-accurate core) or "fast" (functional + static timing).  The
-    # fast path is validated bit-identical, so this is provenance, not a
-    # semantic difference.
+    # cycle-accurate core) or "fast" (the cycle core that folds
+    # single-thread runs).  The fast path is validated bit-identical, so
+    # this is provenance, not a semantic difference.
     backend: str = "cycle"
     schema: int = 5
 

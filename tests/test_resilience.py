@@ -91,6 +91,11 @@ def fake_execute(item: FakeItem) -> JobOutcome:
     return JobOutcome(item.key, STATUS_OK, error=str(item.value))
 
 
+def square(value: int) -> int:
+    """Module-level (picklable) fn whose results carry no status."""
+    return value * value
+
+
 def executions(marker_dir, key) -> int:
     return len(list(pathlib.Path(marker_dir).glob(f"{key}.*")))
 
@@ -466,6 +471,14 @@ class TestResilientPool:
         assert [o.status for o in out] == [STATUS_OK, STATUS_OK]
         tasks = registry.get("pool_tasks_total")
         assert (tasks.value(path=path), tasks.value(path=other)) == (2, 0)
+
+    @pytest.mark.parametrize("jobs, path", [(1, "serial"), (2, "pool")])
+    def test_fn_may_return_plain_values(self, jobs, path):
+        registry = MetricsRegistry()
+        out = self.run([3, 1, 2], jobs=jobs, fn=square, registry=registry)
+        assert out == [9, 1, 4]
+        assert registry.get("pool_tasks_total").value(path=path) == 3
+        assert registry.get("pool_outcomes_total").total == 0
 
     def test_chaos_slow_worker_trips_deadline(self):
         chaos = ChaosPlane([ChaosSpec(ChaosKind.SLOW_WORKER, job=0,

@@ -13,6 +13,7 @@ The load-bearing guarantees under test:
 
 import dataclasses
 import json
+import os
 import pathlib
 import pickle
 
@@ -25,7 +26,13 @@ from repro.assoc.fastpath import run_fast
 from repro.core import MTMode, ProcessorConfig, Stats, run_program
 from repro.core.memory import ScalarMemoryFault
 from repro.core.stats import ALL_STALL_CAUSES
-from repro.faults import FaultKind, FaultSite, FaultSpec, run_campaign
+from repro.faults import (
+    FaultKind,
+    FaultSite,
+    FaultSpec,
+    campaign,
+    run_campaign,
+)
 from repro.isa.registers import (
     LINK_REG,
     NUM_FLAG_REGS,
@@ -563,6 +570,56 @@ class TestParallelFaultCampaign:
                                 jobs=2)
         assert parallel.to_json() == serial.to_json()
         assert parallel.render() == serial.render()
+
+
+_CAMPAIGN_PID = os.getpid()
+_RUN_ONE_FAULT = campaign._run_one_fault
+_IN_PROCESS_RUNS: list[str] = []
+
+
+def _raising_fault_run(task):
+    raise RuntimeError("boom")
+
+
+def _worker_killing_fault_run(task):
+    """Kills any worker process that runs a fault; runs it anywhere else."""
+    if os.getpid() != _CAMPAIGN_PID:
+        os._exit(113)
+    _IN_PROCESS_RUNS.append(task.spec.label)
+    return _RUN_ONE_FAULT(task)
+
+
+class TestCampaignFailures:
+    CFG = ProcessorConfig(num_pes=8, num_threads=4)
+
+    def test_a_raising_run_fails_the_campaign_naming_its_fault(
+            self, monkeypatch):
+        monkeypatch.setattr(campaign, "_run_one_fault", _raising_fault_run)
+        with pytest.raises(RuntimeError, match="boom") as info:
+            run_campaign("count_matches", self.CFG, faults=3, seed=1)
+        assert type(info.value).__name__ == "CampaignError"
+        assert str(info.value).startswith("fault f0000:")
+
+    def test_faultsim_reports_a_raising_run_in_one_line(self, monkeypatch,
+                                                         capsys):
+        from repro.cli import main
+
+        monkeypatch.setattr(campaign, "_run_one_fault", _raising_fault_run)
+        assert main(["faultsim", "--kernel", "count_matches", "--pes", "8",
+                     "--threads", "4", "--faults", "3", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("faultsim: fault f0000:")
+        assert "RuntimeError: boom" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_a_quarantined_run_fails_without_running_in_process(
+            self, monkeypatch):
+        monkeypatch.setattr(campaign, "_run_one_fault",
+                            _worker_killing_fault_run)
+        _IN_PROCESS_RUNS.clear()
+        with pytest.raises(RuntimeError, match="quarantined as poison job"):
+            run_campaign("count_matches", self.CFG, faults=2, seed=1, jobs=2)
+        assert _IN_PROCESS_RUNS == []
 
 
 # ---------------------------------------------------------------------------
