@@ -28,8 +28,8 @@ the fast backend's functional run (see :meth:`TimingAnalysis.fold` for
 the event format).  The fold reproduces the core's counters bit-for-bit:
 cycles, issue/idle slots, per-bucket wait cycles, and reduction-unit
 uses.  Every per-instruction fact comes from the core's own per-pc
-timing table (:class:`repro.core.timing.TimingModel`) and readiness rule
-(:func:`repro.core.timing.ready_cycle`).
+timing table (:class:`repro.core.timing.TimingModel`) and the readiness
+rule its entries carry compiled (``InstrTiming.ready``).
 
 The block transfer is the only static replay of the pipeline.  Three
 more consumers read it besides the fold:
@@ -78,7 +78,6 @@ from repro.core.timing import (
     ScoreEntry,
     TimingModel,
     UNIT_NAMES,
-    ready_cycle,
 )
 
 if TYPE_CHECKING:
@@ -227,7 +226,7 @@ class TimingAnalysis:
             if it.raises is not None:
                 raise SimulationError(it.raises)
             base = min_issue if min_issue > last + 1 else last + 1
-            cycle, cause, binding = ready_cycle(it, score, base, units)
+            cycle, cause, _, _, binding = it.ready(score, base, units)
             if detail is not None:
                 detail.append((pc, cycle, cause, cycle - base, binding))
             if cause is not None and cycle > base:

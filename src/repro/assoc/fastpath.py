@@ -16,7 +16,8 @@ folds:
   of the core's own ops and state runs the program and records the
   dynamic control events (branch outcomes, ``jr`` targets,
   ``tput``/``tjoin`` targets).  Each straight-line run of scalar
-  register writes in a loop runs as one generated function
+  register writes in a loop runs as one generated function, and a run
+  closed by a branch back to its start as one generated loop
   (:func:`repro.core.execute.fuse_scalar_runs`).
 * :meth:`repro.analysis.timing.TimingAnalysis.fold` folds the recorded
   block path through the compositional block summaries — timing is
@@ -48,7 +49,7 @@ from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
 from repro.core.execute import fuse_scalar_runs
 from repro.core.processor import Processor, RunResult
-from repro.core.thread import FREE, RUNNABLE, ThreadContext
+from repro.core.thread import FREE, RUNNABLE
 from repro.core.timing import (
     K_BRANCH,
     K_HALT,
@@ -60,7 +61,7 @@ from repro.core.timing import (
     KINDS,
 )
 
-FusedRuns = list[tuple[Callable[[ThreadContext], None], int] | None]
+FusedRuns = list[tuple[Callable[..., Any], int] | None]
 
 __all__ = [
     "FastMachine",
@@ -81,6 +82,7 @@ class _Fold(NamedTuple):
 
     analysis: TimingAnalysis
     fused: FusedRuns
+    loops: FusedRuns        # one-block scalar self-loops, by start pc
     kinds: list[int]        # timing.KINDS per pc, or _HAND_OFF
 
 
@@ -102,14 +104,16 @@ def _fold_for(program: Program, cfg: ProcessorConfig) -> _Fold:
     analysis = TimingAnalysis(program, cfg)
     lacking = set(analysis.model.raising_pcs())
     fused = fuse_scalar_runs(program, cfg.word_width)
-    for pc, run in enumerate(fused):
-        if run and not lacking.isdisjoint(range(pc, pc + run[1])):
-            fused[pc] = None
+    loops = fuse_scalar_runs(program, cfg.word_width, self_loops=True)
+    for runs in (fused, loops):
+        for pc, run in enumerate(runs):
+            if run and not lacking.isdisjoint(range(pc, pc + run[1])):
+                runs[pc] = None
     kinds = [KINDS[ins.mnemonic] for ins in program.instructions]
     kinds = [_HAND_OFF if kind == K_TSPAWN or pc in lacking else kind
              for pc, kind in enumerate(kinds)]
     with _folds_lock:
-        fold = _folds.setdefault(key, _Fold(analysis, fused, kinds))
+        fold = _folds.setdefault(key, _Fold(analysis, fused, loops, kinds))
         while len(_folds) > FOLD_MEMO_ENTRIES:
             _folds.popitem(last=False)
     return fold
@@ -170,9 +174,10 @@ class FastMachine(Processor):  # type: ignore[misc]
         state, recording fold events.
 
         While thread 0 is the only live thread the scheduler collapses to
-        straight interpretation: fused scalar runs where one starts, the
-        compiled op of the pc everywhere else.  Returns the event stream
-        in the format :meth:`TimingAnalysis.fold` reads, and the pc the
+        straight interpretation: a scalar self-loop or fused scalar run
+        where one starts, the compiled op of the pc everywhere else.
+        Returns the event stream in the format
+        :meth:`TimingAnalysis.fold` reads, and the pc the
         run stopped before: a ``tspawn``, an op the machine lacks, a join
         of a live context (the thread itself) or a pc outside the
         program.  The pc is None when the program ended, or when the
@@ -183,7 +188,7 @@ class FastMachine(Processor):  # type: ignore[misc]
         thread = threads[0]
         instructions = self.program.instructions
         ops = self.ops
-        fused, kinds = fold.fused, fold.kinds
+        fused, loops, kinds = fold.fused, fold.loops, fold.kinds
         events: list[int] = []
         append = events.append
         num_threads = self.cfg.num_threads
@@ -198,6 +203,10 @@ class FastMachine(Processor):  # type: ignore[misc]
             if not 0 <= pc < n:
                 stop = pc
                 break
+            loop = loops[pc]
+            if loop is not None:
+                pc, steps = loop[0](thread, events, steps, max_steps)
+                continue
             run = fused[pc]
             if run is not None:
                 run[0](thread)

@@ -3,9 +3,12 @@
 The cycle core applies an instruction's *effects* at issue (timing is
 the scoreboard's job, DESIGN.md Section 5).  :func:`compile_ops` turns
 every pc of a loaded program into an *op*, a closure holding its
-operands, masks and word width.  The core, the functional and
-non-pipelined interpreters and the fast path's trace call the same ops,
-so no issue looks a mnemonic up and the backends cannot drift apart.
+operands, masks and word width.  An op that binds no machine state
+(:func:`machine_free_op`) is built once per instruction and
+configuration, by the decode of :mod:`repro.core.timing`; the others
+once per machine.  The core, the functional and non-pipelined
+interpreters and the fast path's trace call the same ops, so no issue
+looks a mnemonic up and the backends cannot drift apart.
 
 ``op(thread)`` applies the effects and returns the next pc when control
 transfers (taken branch, ``j``, ``jal``, ``jr``), else None; a taken
@@ -15,8 +18,9 @@ The loops handle ``halt``, ``texit``, the ``tjoin`` gate and ``tput``'s
 scoreboard entry by kind (:data:`repro.core.timing.KINDS`).
 
 Scalar semantics are written once, in :data:`SCALAR_EXPR`; the per-pc
-ops and the fast path's fused runs (:func:`fuse_scalar_runs`) are both
-generated from it.  On a healthy machine the hot parallel and reduction
+ops, the core's issue steps for scalar writes and branches, and the fast
+path's fused runs and one-block self-loops (:func:`fuse_scalar_runs`)
+are all generated from it.  On a healthy machine the hot parallel and reduction
 ops are numpy kernels over register rows that write through ``out=`` or
 ``np.copyto(..., where=mask)``.  They rely on what such a machine
 guarantees: p0 reads 0, f0 reads 1, registers hold W-bit values (s14
@@ -111,6 +115,9 @@ _SCALAR_INT = {
 # Every op that writes SCALAR_EXPR(s[rs], s[rt] | imm) to s[rd].
 _SCALAR_WRITES = {**_SCALAR_INT, "lui": ("lui", "imm")}
 _BRANCHES = ("beq", "bne", "blt", "bge")
+#: The mnemonics whose op binds no machine state (:func:`machine_free_op`).
+MACHINE_FREE = frozenset((*_SCALAR_WRITES, *_BRANCHES, "halt", "tjoin",
+                          "texit", "j", "jal", "jr"))
 
 # Op factories per operand form: parameters, body, then the text of
 # operands a and b.  "br" returns T when the condition holds.
@@ -141,13 +148,82 @@ def _factory(name: str, form: str) -> Callable[..., Op]:
     return maker
 
 
+def scalar_text(ins: Instruction) -> str:
+    """The :data:`SCALAR_EXPR` text of a scalar write or branch over its
+    factory's operand names (:data:`_FORMS`), ``M`` and ``H``."""
+    m = ins.mnemonic
+    name, form = (m, "br") if m in _BRANCHES else _SCALAR_WRITES[m]
+    _params, _body, a, b = _FORMS[form]
+    return SCALAR_EXPR[name].format(a=a, b=b, M="M", H="H")
+
+
 def _nop(t: ThreadContext) -> None:
     return None
 
 
+def _texit(t: ThreadContext) -> None:
+    t.state = ThreadState.EXITED
+
+
+def machine_free_op(pc: int, ins: Instruction, width: int) -> Op | None:
+    """The op of an instruction that binds no machine state (scalar
+    writes, branches, jumps, ``texit``, ``halt`` and ``tjoin``, which the
+    loops gate), else None; the decode builds one per instruction."""
+    m, M, H = ins.mnemonic, mask_for_width(width), 1 << (width - 1)
+    if m in _SCALAR_WRITES:
+        if not ins.rd:
+            return _nop
+        name, bsrc = _SCALAR_WRITES[m]
+        return _factory(name, bsrc)(
+            ins.rd, ins.rs, ins.rt if bsrc == "rt" else ins.imm, M, H)
+    if m in _BRANCHES:
+        return _factory(m, "br")(ins.rd, ins.rs, pc + 1 + ins.imm, M, H)
+    if m in ("halt", "tjoin"):
+        return _nop
+    if m == "texit":
+        return _texit
+    target, rs = ins.target, ins.rs
+    if m == "j":
+        return lambda t: target
+    if m == "jr":
+        return lambda t: t.sregs[rs]
+    if m != "jal":
+        return None
+    # The link is a full-width PC: the control unit's address path is
+    # wider than the W-bit data path, as in the prototype.
+    link = (pc + 1) & _PC_MASK
+
+    def jal(t: ThreadContext) -> int:
+        t.sregs[registers.LINK_REG] = link
+        return target
+    return jal
+
+
+#: A one-block self-loop: a run closed by a branch back to its start.
+#: ``full`` iterations pass both budget checks; a last one may stop at
+#: the check before the branch.
+_SELF_LOOP = """\
+def run_%(start)d(t, events, steps, max_steps):
+    s = t.sregs
+    full = max(0, (max_steps - steps - %(length)d) // %(period)d + 1)
+    for i in range(full):
+%(body)s
+        if not (%(cond)s):
+            events += [1] * i
+            events.append(0)
+            return %(end)d + 1, steps + (i + 1) * %(period)d
+    events += [1] * full
+    steps += full * %(period)d
+    if steps > max_steps:
+        return %(start)d, steps
+%(tail)s
+    return %(end)d, steps + %(length)d
+"""
+
+
 def fuse_scalar_runs(program: "Program", width: int,
-                     ) -> list[tuple[Callable[[ThreadContext], None], int]
-                               | None]:
+                     self_loops: bool = False,
+                     ) -> list[tuple[Callable[..., Any], int] | None]:
     """Each straight-line run of scalar register writes in a loop as one
     function.
 
@@ -156,8 +232,12 @@ def fuse_scalar_runs(program: "Program", width: int,
     Runs break at branch and jump targets (a ``jr`` landing mid-run
     takes the per-pc ops).  Only runs inside a backward branch or jump
     are fused: generating a function costs about a hundred runs of it.
-    Only the :data:`SCALAR_EXPR` text and integers formatted with ``%d``
-    reach the generated source.
+    With ``self_loops``, entry ``pc`` is where a run of one or more is
+    closed by a branch back to ``pc``: ``run(thread, events, steps,
+    max_steps)`` iterates the run and its branch, appending each outcome
+    (1 taken) with the per-pc path's step counts and budget checks, and
+    returns the next pc and step count.  Only the :data:`SCALAR_EXPR`
+    text and integers formatted with ``%d`` reach the generated source.
     """
     M, H = mask_for_width(width), 1 << (width - 1)
     instrs = program.instructions
@@ -170,7 +250,7 @@ def fuse_scalar_runs(program: "Program", width: int,
             targets.add(target)
             if target <= pc:
                 loops.append((target, pc))
-    fused: list[tuple[Callable[[ThreadContext], None], int] | None] = (
+    fused: list[tuple[Callable[..., Any], int] | None] = (
         [None] * len(instrs))
     starts: list[tuple[int, int]] = []
     source: list[str] = []
@@ -180,19 +260,36 @@ def fuse_scalar_runs(program: "Program", width: int,
         while (end < len(instrs) and instrs[end].mnemonic in _SCALAR_WRITES
                and (end == start or end not in targets)):
             end += 1
-        if end - start > 1 and any(lo <= start and end <= hi
-                                   for lo, hi in loops):
+        if self_loops:      # closed by a branch (not a jump) to its start
+            keep = (end > start and (start, end) in loops
+                    and instrs[end].mnemonic in _BRANCHES)
+        else:
+            keep = end - start > 1 and any(lo <= start and end <= hi
+                                           for lo, hi in loops)
+        if keep:
+            indent = " " * (8 if self_loops else 4)
             body = []
             for ins in instrs[start:end]:
                 name, bsrc = _SCALAR_WRITES[ins.mnemonic]
                 b = "s[%d]" % ins.rt if bsrc == "rt" else "(%d)" % ins.imm
                 if ins.rd:
-                    body.append("    s[%d] = %s" % (ins.rd, SCALAR_EXPR[
+                    body.append("%ss[%d] = %s" % (indent, ins.rd, SCALAR_EXPR[
                         name].format(a="s[%d]" % ins.rs, b=b, M="%d" % M,
                                      H="%d" % H)))
+            text = "\n".join(body) or indent + "pass"
             starts.append((start, end - start))
-            source.append("def run_%d(t):\n    s = t.sregs\n%s\n"
-                          % (start, "\n".join(body) or "    pass"))
+            if self_loops:
+                branch = instrs[end]
+                cond = SCALAR_EXPR[branch.mnemonic].format(
+                    a="s[%d]" % branch.rd, b="s[%d]" % branch.rs,
+                    M="%d" % M, H="%d" % H)
+                source.append(_SELF_LOOP % {
+                    "start": start, "end": end, "length": end - start,
+                    "period": end - start + 1, "body": text, "cond": cond,
+                    "tail": "\n".join(line[4:] for line in text.split("\n"))})
+            else:
+                source.append("def run_%d(t):\n    s = t.sregs\n%s\n"
+                              % (start, text))
         start = max(end, start + 1)
     namespace: dict[str, Any] = {"_div": _div}
     if source:
@@ -302,13 +399,16 @@ _ROW_OPS: dict[str, tuple[Callable[..., None], str, bool, bool]] = {
 
 def compile_ops(program: "Program", pe: PEArray, mem: "ScalarMemory",
                 threads: ThreadStatusTable, faults: Any = None,
-                sanitizer: Any = None) -> list[Op]:
+                sanitizer: Any = None, model: Any = None) -> list[Op]:
     """The op of every pc of ``program`` on one machine (module
     docstring); ``faults`` is a :class:`repro.faults.FaultPlane` and
     ``sanitizer`` a :class:`repro.core.sanitizer.RaceSanitizer`, or
-    None."""
+    None.  With the program's :class:`repro.core.timing.TimingModel` as
+    ``model``, the ops that bind no machine state are its entries'."""
     compiler = _Compiler(pe, mem, threads, faults, sanitizer)
-    return [compiler.op(pc, ins)
+    return [(model.entry(pc).op if model is not None else
+             machine_free_op(pc, ins, pe.word_width))
+            if ins.mnemonic in MACHINE_FREE else compiler.op(pc, ins)
             for pc, ins in enumerate(program.instructions)]
 
 
@@ -338,48 +438,19 @@ class _Compiler:
         return rows
 
     def op(self, pc: int, ins: Instruction) -> Op:
-        m = ins.mnemonic
-        if m in _SCALAR_WRITES:
-            if not ins.rd:
-                return _nop
-            name, bsrc = _SCALAR_WRITES[m]
-            return _factory(name, bsrc)(
-                ins.rd, ins.rs, ins.rt if bsrc == "rt" else ins.imm,
-                self.M, self.H)
-        if m in _BRANCHES:
-            return _factory(m, "br")(ins.rd, ins.rs, pc + 1 + ins.imm,
-                                     self.M, self.H)
-        if self.faults is None and (m in _ROW_OPS or m in _FOLDS):
+        """The op of an instruction that binds machine state."""
+        if self.faults is None and (ins.mnemonic in _ROW_OPS
+                                    or ins.mnemonic in _FOLDS):
             return self.healthy(ins)
         if ins.spec.exec_class is ExecClass.SCALAR:
             return self.scalar(pc, ins)
         return self.reference(ins)
 
     def scalar(self, pc: int, ins: Instruction) -> Op:
-        """Memory, control and thread ops."""
+        """Memory and thread ops."""
         m, rd, rs, imm, M = ins.mnemonic, ins.rd, ins.rs, ins.imm, self.M
         threads, san = self.threads, self.sanitizer
         n = len(threads.contexts)
-        if m in ("halt", "tjoin"):      # the loops gate tjoin
-            return _nop
-        if m == "j":
-            target = ins.target
-            return lambda t: target
-        if m == "jal":
-            # The link is a full-width PC: the control unit's address
-            # path is wider than the W-bit data path, as in the prototype.
-            link, target = (pc + 1) & _PC_MASK, ins.target
-
-            def jal(t: ThreadContext) -> int:
-                t.sregs[registers.LINK_REG] = link
-                return target
-            return jal
-        if m == "jr":
-            return lambda t: t.sregs[rs]
-        if m == "texit":
-            def texit(t: ThreadContext) -> None:
-                t.state = ThreadState.EXITED
-            return texit
         if m == "tspawn":
             def tspawn(t: ThreadContext, cycle: int) -> int | None:
                 # The child becomes fetchable the cycle after the spawn.

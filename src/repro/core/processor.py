@@ -12,25 +12,25 @@ in-order and the scoreboard blocks issue until every source is
 forwardable, reading architectural state at issue yields exactly the
 values the real pipeline would forward.
 
-Every timing fact about an instruction comes from the program's per-pc
-table (:class:`repro.core.timing.TimingModel`).  Each context caches its
-next instruction's readiness (with the instruction's timing entry, which
-the issue then uses) and recomputes it only after an event that can move
-it: the context issues, a ``tput`` delivers to it, a join wakes it, it is
+Each instruction is decoded once per configuration, as in the control
+unit's decode stage (Sections 5-6): its per-pc entry
+(:class:`repro.core.timing.TimingModel`) holds a compiled readiness and
+an issue function with the entry's facts and attached hooks compiled
+in.  Each context caches its next instruction's readiness (the entry
+included) and recomputes it only after an event that can move it: the
+context issues, a ``tput`` delivers to it, a join wakes it, it is
 spawned, or the structural unit it waits for becomes occupied.  With a
-fetch model (readiness then depends on the cycle) or a fault plane (a
-fault can move a PC) attached, every runnable context is recomputed each
-round instead.
+fetch model or a fault plane (a fault can move a PC) attached, every
+runnable context is recomputed each round instead.
 
 A scheduling round is one pass over the live threads in tid order, the
-same for every discipline, that allocates nothing when one thread
-issues.  It evaluates the readiness of every runnable thread, keeps the
-earliest cycle one becomes ready (the clock jumps there when none is
-ready now), and keeps per issue port the ready thread the priority order
-ranks first: the first tid above :attr:`ThreadScheduler.start`, else the
-first.  SMT-2 has a scalar and a parallel port, the other disciplines
-one.  :meth:`ThreadScheduler.grant` applies the discipline (coarse grain
-reads the resident context's cached readiness) and moves the rotation.
+same for every discipline.  It evaluates the readiness of every runnable
+thread, keeps the earliest cycle one becomes ready (the clock jumps there
+when none is ready now), and keeps per issue port the ready thread the
+priority order ranks first: the first tid above
+:attr:`ThreadScheduler.start`, else the first.  SMT-2 has a scalar and a
+parallel port, the other disciplines one.  Coarse grain's
+:meth:`ThreadScheduler.grant` may hold the resident thread or switch.
 """
 
 from __future__ import annotations
@@ -46,23 +46,9 @@ from repro.core.execute import Op, compile_ops
 from repro.core.fetch import FetchUnit
 from repro.core.memory import ScalarMemory
 from repro.core.scheduler import ThreadScheduler
-from repro.core.stats import STALL_CONTROL, STALL_JOIN, Stats
-from repro.core.thread import (
-    EXITED,
-    FREE,
-    JOINING,
-    RUNNABLE,
-    ThreadContext,
-    ThreadStatusTable,
-)
+from repro.core.stats import STALL_JOIN, Stats
+from repro.core.thread import JOINING, RUNNABLE, ThreadStatusTable
 from repro.core import timing
-from repro.core.timing import (
-    K_HALT,
-    K_TJOIN,
-    K_TPUT,
-    K_TSPAWN,
-    InstrTiming,
-)
 from repro.isa.instruction import Instruction
 from repro.pe.pe_array import PEArray
 
@@ -125,9 +111,9 @@ class Processor:
         cfg = self.cfg
         # Optional fault-injection plane (repro.faults.FaultPlane), race
         # sanitizer (repro.core.sanitizer.RaceSanitizer), and cycle
-        # profiler (repro.obs.CycleProfiler).  All hooks hide behind
-        # "is not None" checks: a machine without them pays nothing and
-        # its cycle-level behaviour is bit-for-bit unchanged.
+        # profiler (repro.obs.CycleProfiler).  Hooks are compiled into the
+        # ops and issue steps when attached: a machine without them pays
+        # nothing and its cycle-level behaviour is bit-for-bit unchanged.
         self.faults = faults
         self.sanitizer = sanitizer
         self.profiler = profiler
@@ -158,7 +144,11 @@ class Processor:
         self.program = program
         model = self.timing_model
         if model is None or model.program is not program:
-            self.timing_model = timing.TimingModel(program, self.cfg)
+            hooks = {"trace": self.trace_enabled,
+                     "san": self.sanitizer is not None,
+                     "prof": self.profiler is not None}
+            self.timing_model = timing.TimingModel(
+                program, self.cfg, tuple(h for h, on in hooks.items() if on))
         self.reset()
 
     def reset(self) -> None:
@@ -175,7 +165,8 @@ class Processor:
             self.stats = Stats()
         if self.program is not None:
             self.ops = compile_ops(self.program, self.pe, self.mem,
-                                   self.threads, self.faults, self.sanitizer)
+                                   self.threads, self.faults, self.sanitizer,
+                                   self.timing_model)
         self.scheduler.reset()
         self.trace = []
         self.halted = False
@@ -198,149 +189,6 @@ class Processor:
             self.profiler.attach(self)
             if self.program is not None:
                 self.profiler.on_activate(0, 1)
-
-    # -- hazard / readiness evaluation ------------------------------------------
-
-    def _ready_cycle(self, thread: ThreadContext,
-                     cycle: int) -> tuple[int, str | None, int, InstrTiming]:
-        """(earliest issue cycle, binding wait cause, base cycle, timing
-        entry) for the thread's next instruction."""
-        model = self.timing_model
-        table = model.table
-        pc = thread.pc
-        if not 0 <= pc < len(table):
-            raise SimulationError(
-                f"thread {thread.tid}: PC {pc} outside the program "
-                f"(0..{len(table) - 1})")
-        it = table[pc] or model.entry(pc)
-        base = thread.min_issue
-        if thread.last_issue >= base:
-            base = thread.last_issue + 1
-        if self.fetch is not None:
-            base = max(base, self.fetch.earliest_issue(thread.tid, cycle))
-        ready, cause, _ = timing.ready_cycle(it, thread.score, base,
-                                             self._unit_busy)
-        return ready, cause, base, it
-
-    # -- issue -------------------------------------------------------------------
-
-    def _issue(self, thread: ThreadContext, cycle: int,
-               info: tuple[int, str | None, int, InstrTiming]) -> int:
-        """Issue the thread's next instruction, whose readiness ``info``
-        (:meth:`_ready_cycle`) the round read; returns the number of
-        instructions issued, 0 if it turned out to block (tjoin on a live
-        thread)."""
-        _, cause, base, it = info
-        pc = thread.pc
-        kind = it.kind
-        stats = self.stats
-
-        # tjoin gates at issue: the joining thread sleeps until the target
-        # context is released, then the join completes as a plain issue.
-        if kind == K_TJOIN:
-            target = self.threads[
-                thread.read_sreg(self.program.instructions[pc].rs)
-                % self.cfg.num_threads]
-            if target.state is not FREE:
-                thread.state = JOINING
-                thread.join_target = target.tid
-                if self.profiler is not None:
-                    self.profiler.on_join_block(thread.tid, cycle, base,
-                                                cause)
-                return 0
-
-        if it.raises is not None:
-            raise SimulationError(it.raises)
-
-        if cause is not None and cycle > base:
-            stats.wait_cycles[cause] += cycle - base
-
-        if self.sanitizer is not None:
-            # Past the tjoin gate: the instruction definitely issues
-            # this cycle, so register-consumption and join edges are
-            # recorded exactly once.
-            self.sanitizer.on_issue(thread, self.program.instructions[pc],
-                                    self.cfg.num_threads)
-
-        spawned = None
-        if kind == K_TSPAWN:
-            spawned = self.ops[pc](thread, cycle)
-            next_pc = None
-        else:
-            next_pc = self.ops[pc](thread)
-
-        # Structural occupancy: every context whose cached readiness
-        # waited on this unit must look again.
-        unit = it.unit
-        if unit >= 0:
-            busy = self._unit_busy[unit]
-            if cycle < busy:
-                raise RuntimeError(
-                    f"{timing.UNIT_NAMES[unit]} issued at {cycle} while "
-                    f"busy until {busy}")
-            self._unit_busy[unit] = cycle + it.occupancy
-            for ctx in self.threads:
-                if ctx.ready is not None and ctx.ready[3].unit == unit:
-                    ctx.ready = None
-
-        # Scoreboard updates for the destination register.
-        if it.dest >= 0:
-            thread.score[it.dest] = (cycle + it.roff, cycle + it.wb,
-                                     it.klass)
-        if kind == K_TPUT:
-            target = self.threads[
-                thread.read_sreg(self.program.instructions[pc].rd)
-                % self.cfg.num_threads]
-            target.score[it.imm] = (cycle + 2, cycle + 3, it.klass)
-            target.ready = None
-
-        # Control flow and thread state.
-        if next_pc is None:
-            resolve = it.resolve_not_taken
-            next_pc = pc + 1
-        else:
-            resolve = it.resolve_taken
-        thread.min_issue = cycle + resolve
-        if resolve > 1:
-            stats.wait_cycles[STALL_CONTROL] += resolve - 1
-        if self.fetch is not None:
-            self.fetch.consume(thread.tid)
-            if resolve > 1:
-                # Squash wrong-path/sequential entries; the refetch delay
-                # is covered by min_issue (the control bubble).
-                self.fetch.redirect(thread.tid, cycle + resolve - 1)
-        thread.pc = next_pc
-        thread.last_issue = cycle
-        thread.ready = None
-
-        if kind == K_HALT:
-            self.halted = True
-        if thread.state is EXITED:
-            if self.sanitizer is not None:
-                self.sanitizer.on_exit(thread.tid)
-            self.threads.release(thread.tid)
-            self._wake_joiners(thread.tid, cycle)
-        if spawned is not None:
-            if self.sanitizer is not None:
-                self.sanitizer.on_spawn(thread.tid, spawned, pc)
-            stats.threads_spawned += 1
-            if self.fetch is not None:
-                self.fetch.thread_started(spawned, cycle)
-            if self.profiler is not None:
-                self.profiler.on_activate(spawned, cycle + 1)
-
-        # Statistics and trace.
-        stats.count_issue(thread.tid, it.eclass)
-        if self.profiler is not None:
-            self.profiler.on_issue(thread.tid, it.mnemonic, it.eclass,
-                                   cycle, base, cause, resolve)
-        if it.runit is not None:
-            stats.reduction_unit_uses[it.runit] += 1
-        if self.trace_enabled:
-            self.trace.append(IssueRecord(cycle, thread.tid, pc,
-                                          self.program.instructions[pc],
-                                          fetch_cycle=base - 1))
-        return 1
 
     def _wake_joiners(self, exited_tid: int, cycle: int) -> None:
         for ctx in self.threads:
@@ -378,9 +226,11 @@ class Processor:
         stats = self.stats
         live = self.threads.live
         sched = self.scheduler
-        dual = sched.dual
+        dual, coarse = sched.dual, sched._coarse
         unit_busy = self._unit_busy
-        ready_cycle = self._ready_cycle
+        table = self.timing_model.table
+        entry = self.timing_model.entry
+        n = len(table)
         faults = self.faults
         fetch = self.fetch
         # Readiness that can move without an issue event is recomputed
@@ -396,11 +246,14 @@ class Processor:
                 raise SimTimeout(
                     f"exceeded max_cycles={limit}; "
                     f"live threads at {[t.pc for t in live]}")
-            if faults is not None:
-                faults.begin_cycle(cycle)
-            if fetch is not None:
-                fetch.advance_to(
-                    cycle, [t.tid for t in live if t.state is RUNNABLE])
+            if recompute:
+                if faults is not None:
+                    faults.begin_cycle(cycle)
+                if fetch is not None:
+                    fetch.advance_to(
+                        cycle, [t.tid for t in live if t.state is RUNNABLE])
+                for thread in live:
+                    thread.ready = None
 
             # One pass in tid order: the readiness of every runnable
             # thread, the earliest cycle one becomes ready, and per issue
@@ -413,11 +266,25 @@ class Processor:
             first = partner = None
             next_ready = _NEVER
             for thread in live:
-                if thread.state is not RUNNABLE:
-                    continue
+                # A context blocked in tjoin caches a readiness that is
+                # never reached until its wake-up clears it.
                 info = thread.ready
-                if info is None or recompute:
-                    info = thread.ready = ready_cycle(thread, cycle)
+                if info is None:
+                    if thread.state is not RUNNABLE:
+                        continue
+                    pc = thread.pc
+                    if not 0 <= pc < n:
+                        raise SimulationError(
+                            f"thread {thread.tid}: PC {pc} outside the "
+                            f"program (0..{n - 1})")
+                    base = thread.min_issue
+                    if thread.last_issue >= base:
+                        base = thread.last_issue + 1
+                    if fetch is not None:
+                        base = max(base,
+                                   fetch.earliest_issue(thread.tid, cycle))
+                    info = thread.ready = (table[pc] or entry(pc)).ready(
+                        thread.score, base, unit_busy)
                 ready = info[0]
                 if ready > cycle:
                     if ready < next_ready:
@@ -449,15 +316,21 @@ class Processor:
             # except a structural unit that issue just took: a scalar and
             # a parallel op sharing a sequential unit cannot both start.
             issued = 0
-            thread = sched.grant(first, cycle)
+            if coarse:
+                thread = sched.grant(first, cycle)
+            else:               # grant's rule for the other disciplines
+                sched._pointer = first.tid
+                thread = first
             if thread is not None:
                 later = partner.ready if partner is not None else None
-                issued = self._issue(thread, cycle, thread.ready)
+                info = thread.ready
+                issued = info[3].issue(self, thread, cycle, info)
                 if later is not None and not self.halted:
                     unit = later[3].unit
                     if not (issued and unit >= 0 and unit_busy[unit] > cycle):
-                        issued += self._issue(partner, cycle, later)
-            stats.idle_slots += width - issued
+                        issued += later[3].issue(self, partner, cycle, later)
+            if issued != width:
+                stats.idle_slots += width - issued
             cycle += 1
 
         self._cycle = cycle

@@ -21,9 +21,9 @@ Four disciplines are implemented (DESIGN.md experiment E8):
 Every discipline ranks ready threads by one priority order: the lowest
 tid above :attr:`ThreadScheduler.start`, then the lowest tid from 0.  The
 issue loop's round (:meth:`repro.core.processor.Processor.run`) finds, in
-its one pass over the live threads in tid order, the ready thread the
-order ranks first on each issue port; :meth:`ThreadScheduler.grant`
-then applies the discipline.
+its one pass over the live threads, the ready thread the order ranks
+first on each issue port; :meth:`ThreadScheduler.grant` then applies the
+discipline (the round inlines its rule for all but coarse grain).
 """
 
 from __future__ import annotations

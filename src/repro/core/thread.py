@@ -59,10 +59,10 @@ class ThreadContext:
         # (result cycle, writeback cycle, producer class) of the last
         # write, kept for hazard detection.
         self.score: dict[int, tuple[int, int, int]] = {}
-        # The issue loop's cached readiness of the next instruction:
-        # (earliest issue cycle, binding wait cause, base cycle, timing
-        # entry), or None once an event may have moved it.
-        self.ready: tuple[int, str | None, int, InstrTiming] | None = None
+        # The issue loop's cached readiness of the next instruction
+        # (what its InstrTiming.ready returned), or None once an event
+        # may have moved it.
+        self.ready: tuple[int, str | None, int, InstrTiming, int] | None = None
 
     def activate(self, pc: int, start_cycle: int) -> None:
         """(Re)initialize the context for a newly spawned thread."""

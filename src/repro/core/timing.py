@@ -34,8 +34,14 @@ Resulting hazard penalties relative to back-to-back issue (``d = c + 1``):
 
 from __future__ import annotations
 
+import functools
+import itertools
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from types import FunctionType
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core import stats as st
 from repro.core.config import (
@@ -44,6 +50,10 @@ from repro.core.config import (
     MultiplierKind,
     ProcessorConfig,
 )
+from repro.core.execute import MACHINE_FREE, Op, _div, _nop
+from repro.core.execute import machine_free_op, scalar_text
+from repro.core.thread import FREE, JOINING
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPCODES, ExecClass, OpSpec
 from repro.network.falkoff import falkoff_cycles
 from repro.pe.seq_units import (
@@ -234,9 +244,9 @@ ScoreEntry = tuple[int, int, int]
 
 @dataclass(slots=True)
 class InstrTiming:
-    """Every timing fact about the instruction at one pc (read-only by
-    convention: a frozen dataclass would triple the cost of building
-    one, which single-pass programs pay per instruction)."""
+    """Every timing fact about the instruction at one pc, with its
+    decoded step (read-only by convention: a frozen dataclass would
+    triple the cost of building one)."""
 
     mnemonic: str
     kind: int
@@ -252,8 +262,14 @@ class InstrTiming:
     resolve_not_taken: int           # ... untaken branch / non-branch
     runit: str | None                # reduction_unit for Stats, or None
     raises: str | None               # SimulationError message, or None
-    imm: int
+    imm: int                         # when the entry uses it, else 0
     target: int                      # branch / j / jal target pc, else 0
+    op: Op | None = None             # the op when it binds no machine state
+    # The step (:func:`compile_step`): ready(score, base, unit_busy) ->
+    # (cycle, cause, base, entry, binding register key or -1); issue(
+    # machine, thread, cycle, readiness) -> 1, or 0 for a blocked tjoin.
+    ready: Any = None
+    issue: Any = None
 
 
 def _kind(spec: OpSpec) -> int:
@@ -303,104 +319,291 @@ def lacks_a_unit(cfg: ProcessorConfig) -> bool:
             or cfg.divider is DividerKind.NONE)
 
 
+#: The decoded (instruction, configuration) pairs the process keeps; the
+#: least recently used is dropped first.
+DECODE_MEMO_ENTRIES = 4096
+
+_decoded: OrderedDict[tuple[object, ...], InstrTiming] = OrderedDict()
+_IMM_BOUND = MACHINE_FREE | {"tput"}
+_config_ids: dict[tuple[object, ...], int] = {}
+_next_config_id = itertools.count()
+_decode_lock = threading.Lock()
+
 class TimingModel:
     """The per-pc timing table of one (program, machine) pair.
 
     Entry ``pc`` holds what the issue logic needs to know about the
-    instruction there, computed once from the offsets above: the cycle
-    core (:class:`repro.core.processor.Processor`) and the block
-    summaries of :mod:`repro.analysis.timing` (the fast backend's fold,
-    lint's stall estimate and the static cycle bound) read it.  Entries
-    are built on first use, so a pc that never issues costs nothing.
+    instruction there, computed once from the offsets above, with its
+    machine-free op and compiled step: the cycle core
+    (:class:`repro.core.processor.Processor`) issues through the steps and
+    the block summaries of :mod:`repro.analysis.timing` read the facts and
+    the readiness.  Entries come on first use from one bounded decode memo
+    keyed on the instruction's fields and the configuration's values (and
+    the ``hooks`` compiled in: ``trace``, ``san``, ``prof``); an entry that
+    raises names its program's location and is not kept.
     """
 
-    def __init__(self, program: "Program", config: ProcessorConfig) -> None:
+    def __init__(self, program: "Program", config: ProcessorConfig,
+                 hooks: tuple[str, ...] = ()) -> None:
         self.program = program
         self.config = config
         self.table: list[InstrTiming | None] = (
             [None] * len(program.instructions))
-        self._ops: dict[str, tuple] = {}
-        self._parallel_read = parallel_read_offset(config)
+        self._hooks = hooks
+        self._lacks = lacks_a_unit(config)
+        values = (*vars(config).values(), *hooks)
+        with _decode_lock:
+            if (values not in _config_ids
+                    and len(_config_ids) >= DECODE_MEMO_ENTRIES):
+                _config_ids.clear()         # ids are never reused
+            self._cid = _config_ids.setdefault(values, next(_next_config_id))
 
     def entry(self, pc: int) -> InstrTiming:
         it = self.table[pc]
         if it is None:
-            it = self.table[pc] = self._build(pc)
+            it = self.table[pc] = self._decode(pc)
         return it
 
     def raising_pcs(self) -> list[int]:
         """Every pc whose entry raises (an op needing a unit the machine
         lacks); on a machine with both units, none without a look."""
-        if not lacks_a_unit(self.config):
+        if not self._lacks:
             return []
         return [pc for pc in range(len(self.table))
                 if self.entry(pc).raises is not None]
 
-    def _build(self, pc: int) -> InstrTiming:
-        instr = self.program.instructions[pc]
-        op = self._ops.get(instr.mnemonic)
-        if op is None:
-            op = self._ops[instr.mnemonic] = _op_timing(instr.spec,
-                                                        self.config)
-        (kind, klass, eclass, roff, unit, occupancy, resolve_taken,
-         resolve_not_taken, runit, missing) = op
-        p_off = self._parallel_read
-        srcs = tuple((reg_key(rf, idx), SCALAR_READ_OFFSET if rf == "s"
-                      else p_off) for rf, idx in instr.src_regs())
-        d = instr.dest_reg()
-        raises = None
-        if missing is not None:
-            raises = (f"{instr.mnemonic} needs a {missing} but none is "
-                      f"configured, at {self.program.location_of(pc)}")
-        if kind == K_BRANCH:
-            target = pc + 1 + instr.imm
-        elif kind == K_JUMP:
-            target = instr.target
-        else:
-            target = 0
-        return InstrTiming(
-            mnemonic=instr.mnemonic, kind=kind, klass=klass, eclass=eclass,
-            srcs=srcs,
-            dest=-1 if d is None or raises else reg_key(d[0], d[1]),
-            roff=roff, wb=roff + 1, unit=unit, occupancy=occupancy,
-            resolve_taken=resolve_taken,
-            resolve_not_taken=resolve_not_taken, runit=runit,
-            raises=raises, imm=instr.imm, target=target)
+    def _decode(self, pc: int) -> InstrTiming:
+        ins = self.program.instructions[pc]
+        m = ins.mnemonic
+        # A branch's target and jal's link depend on the pc; only a
+        # machine-free op's operand and tput's register on the immediate.
+        key = (m, ins.rd, ins.rs, ins.rt, ins.mf, ins.imm if m in _IMM_BOUND
+               else 0, ins.target, self._cid,
+               pc if KINDS[m] == K_BRANCH or m == "jal" else None)
+        with _decode_lock:
+            it = _decoded.get(key)
+            if it is not None:
+                _decoded.move_to_end(key)
+                return it
+        it = _build(ins, pc, self.config, self._hooks, self.program)
+        if it.raises is not None:
+            return it       # its message names this program's location
+        with _decode_lock:
+            it = _decoded.setdefault(key, it)
+            while len(_decoded) > DECODE_MEMO_ENTRIES:
+                _decoded.popitem(last=False)
+        return it
 
 
-def ready_cycle(it: InstrTiming, score: dict[int, ScoreEntry], base: int,
-                unit_busy: list[int]) -> tuple[int, str | None, int]:
-    """The readiness rule: when may ``it`` issue, at the earliest ``base``?
+def _build(ins: Instruction, pc: int, config: ProcessorConfig,
+           hooks: tuple[str, ...], program: "Program") -> InstrTiming:
+    """Decode one instruction: its entry, machine-free op and step."""
+    (kind, klass, eclass, roff, unit, occupancy, resolve_taken,
+     resolve_not_taken, runit, missing) = _op_timing(ins.spec, config)
+    p_off = parallel_read_offset(config)
+    srcs = tuple((reg_key(rf, idx), SCALAR_READ_OFFSET if rf == "s"
+                  else p_off) for rf, idx in ins.src_regs())
+    d = ins.dest_reg()
+    raises = None
+    if missing is not None:
+        raises = (f"{ins.mnemonic} needs a {missing} but none is "
+                  f"configured, at {program.location_of(pc)}")
+    if kind == K_BRANCH:
+        target = pc + 1 + ins.imm
+    elif kind == K_JUMP:
+        target = ins.target
+    else:
+        target = 0
+    it = InstrTiming(
+        mnemonic=ins.mnemonic, kind=kind, klass=klass, eclass=eclass,
+        srcs=srcs, dest=-1 if d is None or raises else reg_key(d[0], d[1]),
+        roff=roff, wb=roff + 1, unit=unit, occupancy=occupancy,
+        resolve_taken=resolve_taken, resolve_not_taken=resolve_not_taken,
+        runit=runit, raises=raises, target=target,
+        imm=ins.imm if ins.mnemonic in _IMM_BOUND else 0,
+        op=machine_free_op(pc, ins, config.word_width))
+    it.ready, it.issue = compile_step(it, ins, config, hooks)
+    return it
 
-    Returns (earliest issue cycle, binding wait cause, register key of the
-    binding scoreboard entry or -1).  A consumer waits for each source's
-    result to reach its read point (RAW), for the last write to its
-    destination to retire (WAW), and for its structural unit to free up.
-    Checks run in that order and a later check binds only if strictly
-    later — the attribution the paper's hazard taxonomy (and
-    :class:`~repro.core.stats.Stats`) uses.  The structural check binds
-    no register.
-    """
-    ready = base
-    cause: str | None = None
-    binding = -1
-    for key, read_off in it.srcs:
-        e = score.get(key)
-        if e is not None and e[0] + 1 - read_off > ready:
-            ready = e[0] + 1 - read_off
-            cause = RAW_CAUSE[e[2] * 3 + it.klass]
-            binding = key
-    if it.dest >= 0:
-        e = score.get(it.dest)
-        if e is not None and e[1] + 1 - it.wb > ready:
-            ready = e[1] + 1 - it.wb
-            cause = st.STALL_WAW
-            binding = it.dest
-    if it.unit >= 0 and unit_busy[it.unit] > ready:
-        ready = unit_busy[it.unit]
-        cause = st.STALL_STRUCTURAL
-        binding = -1
-    return ready, cause, binding
+
+# ---------------------------------------------------------------------------
+# The compiled step
+# ---------------------------------------------------------------------------
+#
+# A template line holds before ``|`` the flags it needs; a step keeps the
+# lines whose flags its entry or an attached hook sets, a run of ``src``
+# lines once per source register (``#`` its index).  Each set of flags is
+# compiled once; an entry's copy has its facts as parameter defaults.
+#
+# The readiness rule, for the core and the block summaries alike: at the
+# earliest ``base``, an entry waits for each source's result to reach its
+# read point (RAW), for the last write to its destination to retire (WAW)
+# and for its structural unit to free up.  A later check binds only if
+# strictly later, the attribution of the paper's hazard taxonomy (and of
+# Stats); ``binding`` is the register key of the binding entry, or -1.
+
+_READY = """\
+            |def ready(score, base, busy, IT, C, D, W, U, PARAMS):
+            |    r = base
+            |    cause = None
+            |    binding = -1
+src         |    e = score.get(K#)
+src         |    if e is not None and e[0] + O# > r:
+src         |        r = e[0] + O#
+src         |        cause = C[e[2]]
+src         |        binding = K#
+dest        |    e = score.get(D)
+dest        |    if e is not None and e[1] + W > r:
+dest        |        r = e[1] + W
+dest        |        cause = WAW
+dest        |        binding = D
+unit        |    if busy[U] > r:
+unit        |        r = busy[U]
+unit        |        cause = STRUCTURAL
+unit        |        binding = -1
+            |    return r, cause, base, IT, binding
+"""
+
+_ISSUE = """\
+            |def issue(m, t, cycle, info, IT, OP, N, rd, rs, rt, b, ra, rb, M, H,
+            |          T, IMM, D, ROFF, WB, KL, U, OCC, BUSY, RT, RNT, RUNIT):
+raises      |    raise SimulationError(IT.raises)
+            |    pc = t.pc
+            |    stats = m.stats
+join        |    target = m.threads[t.read_sreg(rs) % N]
+join        |    if target.state is not FREE:
+join        |        t.state = JOINING
+join        |        t.join_target = target.tid
+join        |        t.ready = (NEVER, info[1], info[2], IT, -1)
+join prof   |        m.profiler.on_join_block(t.tid, cycle, info[2], info[1])
+join        |        return 0
+            |    cause = info[1]
+            |    if cause is not None and cycle > info[2]:
+            |        stats.wait_cycles[cause] += cycle - info[2]
+san         |    m.sanitizer.on_issue(t, m.program.instructions[pc], N)
+spawn       |    spawned = m.ops[pc](t, cycle)
+call        |    OP(t)
+mop         |    m.ops[pc](t)
+jump        |    nxt = OP(t)
+write       |    s = t.sregs
+write       |    s[rd] = EXPR
+branch      |    s = t.sregs
+branch      |    taken = EXPR
+unit        |    busy = m._unit_busy
+unit        |    if cycle < busy[U]:
+unit        |        raise RuntimeError(BUSY % (cycle, busy[U]))
+unit        |    busy[U] = cycle + OCC
+unit        |    for ctx in m.threads:
+unit        |        if ctx.ready is not None and ctx.ready[3].unit == U:
+unit        |            ctx.ready = None
+dest        |    t.score[D] = (cycle + ROFF, cycle + WB, KL)
+tput        |    target = m.threads[t.read_sreg(rd) % N]
+tput        |    target.score[IMM] = (cycle + 2, cycle + 3, KL)
+tput        |    target.ready = None
+seq         |    t.pc = pc + 1
+seq         |    resolve = 1
+branch      |    if taken:
+branch      |        t.pc = T
+branch      |        resolve = RT
+branch      |    else:
+branch      |        t.pc = pc + 1
+branch      |        resolve = RNT
+jump        |    t.pc = nxt
+jump        |    resolve = RT
+            |    t.min_issue = cycle + resolve
+fetch       |    m.fetch.consume(t.tid)
+ctl         |    if resolve > 1:
+ctl         |        stats.wait_cycles[CONTROL] += resolve - 1
+ctl fetch   |        m.fetch.redirect(t.tid, cycle + resolve - 1)
+            |    t.last_issue = cycle
+            |    t.ready = None
+halt        |    m.halted = True
+exit san    |    m.sanitizer.on_exit(t.tid)
+exit        |    m.threads.release(t.tid)
+exit        |    m._wake_joiners(t.tid, cycle)
+spawn       |    if spawned is not None:
+spawn san   |        m.sanitizer.on_spawn(t.tid, spawned, pc)
+spawn       |        stats.threads_spawned += 1
+spawn fetch |        m.fetch.thread_started(spawned, cycle)
+spawn prof  |        m.profiler.on_activate(spawned, cycle + 1)
+            |    stats.instructions += 1
+            |    stats.per_thread_issued[t.tid] += 1
+scalar      |    stats.scalar_instructions += 1
+parallel    |    stats.parallel_instructions += 1
+reduction   |    stats.reduction_instructions += 1
+prof        |    m.profiler.on_issue(t.tid, IT.mnemonic, IT.eclass, cycle, info[2], cause, resolve)
+runit       |    stats.reduction_unit_uses[RUNIT] += 1
+trace       |    m.trace.append(IssueRecord(cycle, t.tid, pc,
+trace       |                               m.program.instructions[pc], info[2] - 1))
+            |    return 1
+"""
+
+# Per kind, the issue flags; a plain scalar write runs inline (none: s0).
+_KIND_FLAGS = {K_TJOIN: "join seq", K_TPUT: "mop tput seq",
+               K_TSPAWN: "spawn seq", K_TEXIT: "call seq exit",
+               K_HALT: "seq halt", K_BRANCH: "ctl branch",
+               K_JUMP: "ctl jump", K_JR: "ctl jump"}
+
+
+@functools.cache
+def _template(template: str, flags: frozenset[str], sources: int = 0,
+              expr: str = "") -> Callable[..., Callable[..., Any]]:
+    """A maker of the function of the template's lines whose flags hold,
+    with ``EXPR`` as ``expr``, compiled once per process."""
+    from repro.core.processor import IssueRecord, SimulationError
+    out: list[str] = []
+    group: list[str] = []
+    for line in template.splitlines() + ["|"]:
+        want, _, code = line.partition("|")
+        if "src" in want.split():
+            group.append(code)
+            continue
+        out += [g.replace("#", str(i)) for i in range(sources) for g in group]
+        group = []
+        if flags.issuperset(want.split()):
+            out.append(code.replace("EXPR", expr).replace(
+                ", PARAMS", "".join(f", K{i}, O{i}" for i in range(sources))))
+    namespace: dict[str, Any] = {
+        "FREE": FREE, "JOINING": JOINING, "NEVER": sys.maxsize, "_div": _div,
+        "CONTROL": st.STALL_CONTROL, "WAW": st.STALL_WAW,
+        "STRUCTURAL": st.STALL_STRUCTURAL, "IssueRecord": IssueRecord,
+        "SimulationError": SimulationError}
+    exec("\n".join(out), namespace)
+    proto = namespace[out[0][4:out[0].index("(")]]
+    # An entry's copy: its facts default the trailing parameters.
+    return lambda *facts: FunctionType(proto.__code__, namespace,
+                                       proto.__name__, facts)
+
+
+def compile_step(it: InstrTiming, ins: Instruction, config: ProcessorConfig,
+                 hooks: tuple[str, ...] = ()) -> tuple[Callable[..., Any],
+                                                       Callable[..., int]]:
+    """The (ready, issue) pair of one entry (see :class:`InstrTiming`).
+    The issue has the named hooks and the config's fetch model compiled
+    in, so a step without them tests for none, and runs a scalar write
+    or branch as its :data:`~repro.core.execute.SCALAR_EXPR` text."""
+    flags = {name for name, on in (("dest", it.dest >= 0),
+                                   ("unit", it.unit >= 0)) if on}
+    ready = _template(_READY, frozenset(flags), len(it.srcs))(
+        it, RAW_CAUSE[it.klass::3], it.dest, 1 - it.wb, it.unit,
+        *(v for key, off in it.srcs for v in (key, 1 - off)))
+    flags.update(hooks, ("fetch",) if config.model_fetch else (),
+                 _KIND_FLAGS.get(it.kind, "seq").split(), (it.eclass,))
+    if it.kind == K_PLAIN and it.op is not _nop:
+        flags.add("mop" if it.op is None else "write")
+    if it.runit is not None:
+        flags.add("runit")
+    expr = (scalar_text(ins) if "write" in flags or it.kind == K_BRANCH
+            else "")
+    width = config.word_width
+    issue = _template(_ISSUE, frozenset({"raises"} if it.raises else flags),
+                      0, expr)(
+        it, it.op, config.num_threads, ins.rd, ins.rs, ins.rt, ins.imm,
+        ins.rd, ins.rs, (1 << width) - 1, 1 << (width - 1), it.target,
+        it.imm, it.dest, it.roff, it.wb, it.klass, it.unit, it.occupancy,
+        f"{UNIT_NAMES[max(it.unit, 0)]} issued at %d while busy until %d",
+        it.resolve_taken, it.resolve_not_taken, it.runit)
+    return ready, issue
 
 
 @dataclass(frozen=True)

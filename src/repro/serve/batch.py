@@ -233,7 +233,8 @@ class BatchRunner:
                                 chaos=self.chaos,
                                 backoff=self.backoff,
                                 quarantine=self.quarantine,
-                                stall_timeout_s=self.stall_timeout_s)
+                                stall_timeout_s=self.stall_timeout_s,
+                                ) if to_compute else []
         by_key: dict[str, JobOutcome] = {o.key: o for o in outcomes}
         for outcome in outcomes:
             if outcome.ok:

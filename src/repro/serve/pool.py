@@ -313,10 +313,12 @@ class _Engine:
         """One fresh-executor round; returns unresolved indices.
 
         ``None`` means no executor could be spawned at all (the caller
-        falls back to in-process).  Futures that completed before a break
-        keep their results (exactly-once); broken futures are *not*
-        struck here, since in a shared pool the breaker's identity is
-        ambiguous: conviction is left to the solo probes.
+        falls back to in-process; workers start in a submit, and those
+        started before one that cannot are reaped).  Futures that
+        completed before a break keep their results (exactly-once);
+        broken futures are *not* struck here, since in a shared pool the
+        breaker's identity is ambiguous: conviction is left to the solo
+        probes.
         """
         try:
             pool = ProcessPoolExecutor(
@@ -333,6 +335,13 @@ class _Engine:
                     # consumed no attempt; undo the env_for bump.
                     self.attempts[i] -= 1
                     break
+                except OSError:
+                    for j in (*futures, i):
+                        self.attempts[j] -= 1
+                    for proc in list(pool._processes.values()):
+                        proc.kill()
+                        proc.join()
+                    return None
             unresolved = [i for i in pending if i not in futures]
             for i, future in futures.items():
                 try:

@@ -31,7 +31,7 @@ def round_at(proc, cycle, ready):
     instruction is ready; the other live contexts are never ready."""
     for ctx in proc.threads.live:
         at = ready.get(ctx.tid, NEVER)
-        ctx.ready = (at, None, at, proc.timing_model.entry(ctx.pc))
+        ctx.ready = (at, None, at, proc.timing_model.entry(ctx.pc), -1)
     proc._cycle = cycle
     proc.trace.clear()
     proc.run(stop_when=lambda _, now: now > cycle)

@@ -64,6 +64,22 @@ def test_import_repro_leaves_the_serve_stack_unloaded():
     assert child.stdout.strip() == "[]"
 
 
+def test_snapshot_import_leaves_the_serve_runtime_unloaded():
+    """``repro run --json`` imports ``repro.serve.snapshot``: the
+    package's re-exports are lazy, so the batch runner, cache, chaos,
+    dispatch, pool and resilience modules stay unloaded."""
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.serve.snapshot; print("
+         "sorted(m for m in sys.modules if m.startswith('repro.serve')))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.strip() == "['repro.serve', 'repro.serve.snapshot']"
+
+
 class TestVersioning:
     def test_version_matches_pyproject(self):
         import pathlib

@@ -164,7 +164,7 @@ class TestThreadStatusTable:
         ctx = table[0]
         ctx.sregs[5] = 99
         ctx.score[5] = (10, 11, 0)
-        ctx.ready = (12, None, 11, -1)
+        ctx.ready = (12, None, 11, None, -1)
         table.release(0)
         table.allocate(pc=7, start_cycle=9)
         assert ctx.pc == 7

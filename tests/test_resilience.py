@@ -17,6 +17,8 @@ The load-bearing guarantees under test:
 """
 
 import dataclasses
+import errno
+import multiprocessing.process
 import os
 import pathlib
 import pickle
@@ -471,6 +473,25 @@ class TestResilientPool:
         assert [o.status for o in out] == [STATUS_OK, STATUS_OK]
         tasks = registry.get("pool_tasks_total")
         assert (tasks.value(path=path), tasks.value(path=other)) == (2, 0)
+
+    @pytest.mark.parametrize("deadline_s", [None, 30.0])
+    def test_workers_that_cannot_start_fall_back_in_process(
+            self, monkeypatch, deadline_s):
+        """The executor starts its workers in the first submit: a start
+        that fails (here every one, so no process ever runs) leaves the
+        round to the in-process path instead of escaping."""
+        def refuse(process):
+            raise BlockingIOError(errno.EAGAIN, "no more processes")
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        registry = MetricsRegistry()
+        out = self.run([FakeItem("a", 1), FakeItem("b", 2)], jobs=2,
+                       deadline_s=deadline_s, registry=registry)
+        assert [(o.status, o.error) for o in out] == [(STATUS_OK, "1"),
+                                                      (STATUS_OK, "2")]
+        tasks = registry.get("pool_tasks_total")
+        assert (tasks.value(path="fallback"), tasks.value(path="pool")) == (
+            2, 0)
 
     @pytest.mark.parametrize("jobs, path", [(1, "serial"), (2, "pool")])
     def test_fn_may_return_plain_values(self, jobs, path):

@@ -437,6 +437,23 @@ class TestBatchRunner:
         assert report.origin_count("coalesced") == 2
         assert report.results[0].snapshot == report.results[1].snapshot
 
+    def test_an_all_hit_batch_leaves_the_pool_alone(self, monkeypatch):
+        """A batch the cache answers whole makes no pool call; the pool
+        counters appear with the first job computed."""
+        import repro.serve.batch as batch
+
+        calls = []
+        real = batch.run_prepared
+        monkeypatch.setattr(batch, "run_prepared",
+                            lambda items, **kw: calls.append(items)
+                            or real(items, **kw))
+        runner = BatchRunner(cache=ResultCache(cache_dir=None))
+        runner.run([demo_job("a")])
+        hit = runner.run([demo_job("a"), demo_job("b")])
+        assert [len(items) for items in calls] == [1]
+        assert hit.computed == 0
+        assert runner.registry.get("pool_tasks_total").total == 1
+
     def test_results_keep_request_order(self):
         jobs = [demo_job("n8", num_pes=8), demo_job("n4"),
                 demo_job("n8b", num_pes=8)]
