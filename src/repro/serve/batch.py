@@ -2,11 +2,12 @@
 
 :class:`BatchRunner` is the host-level analogue of the paper's
 multithreaded issue logic: given N requested simulations it (1) resolves
-each to its content key, (2) answers what it can from the two-tier
-cache, (3) coalesces duplicate keys so a batch with k unique jobs
-simulates only k, (4) fans the misses out over the worker pool, and
-(5) reassembles results in request order and publishes them back to the
-cache.
+each to its content key (from the key memo for a job the process has
+keyed before, else by preparing it), (2) answers what it can from the
+two-tier cache, (3) coalesces duplicate keys so a batch with k unique
+jobs simulates only k, (4) prepares and fans the misses out over the
+worker pool, and (5) reassembles results in request order and publishes
+them back to the cache.
 
 The per-batch report separates the deterministic payload (results, keyed
 by job) from operational metrics (origins, cache counters, wall time) so
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import ResultCache
-from repro.serve.jobs import Job, UnfitJobError
+from repro.serve.identity import KEY_MEMO, job_digest
+from repro.serve.jobs import Job, PreparedJob, UnfitJobError
 from repro.serve.pool import DEGRADED_STATUSES, JobOutcome, run_prepared
 from repro.serve.resilience import BackoffPolicy, Quarantine
 from repro.serve.snapshot import ResultSnapshot
@@ -193,37 +195,49 @@ class BatchRunner:
     def run(self, jobs: list[Job]) -> BatchReport:
         """Execute a batch; results are ordered like the request."""
         started = time.perf_counter()
-        # A job whose machine cannot host its kernel fails on its own,
-        # unkeyed: a batch (or a sweep's grid) over machines runs the
-        # others.  Any other JobError is a malformed request.
-        prepared: list = []
+        # Key every job: from the key memo, or by preparing it.  A job
+        # whose machine cannot host its kernel fails on its own, unkeyed:
+        # a batch (or a sweep's grid) over machines runs the others.  Any
+        # other JobError is a malformed request.
+        keys: list[str | UnfitJobError] = []
+        prepared: list[PreparedJob | None] = []
         for job in jobs:
-            try:
-                prepared.append(job.prepare())
-            except UnfitJobError as exc:
-                prepared.append(exc)
+            digest = job_digest(job)
+            key = KEY_MEMO.get(digest)
+            item = None
+            if key is None:
+                try:
+                    item = job.prepare()
+                except UnfitJobError as exc:
+                    key = exc
+                else:
+                    key = item.key
+                    KEY_MEMO.put(digest, key)
+            keys.append(key)
+            prepared.append(item)
 
         # Cache pass + in-batch coalescing: each unique key simulates at
-        # most once, and only if neither cache tier has it.
+        # most once, and only if neither cache tier has it.  A job keyed
+        # from the memo is prepared only here, to run.
         origins: list[str] = []
         hits: dict[str, ResultSnapshot] = {}
         to_compute: list = []
         seen: set[str] = set()
-        for item in prepared:
-            if isinstance(item, UnfitJobError):
+        for job, key, item in zip(jobs, keys, prepared):
+            if isinstance(key, UnfitJobError):
                 origins.append(ORIGIN_REFUSED)
                 continue
-            if item.key in seen:
+            if key in seen:
                 origins.append(ORIGIN_DEDUP)
                 continue
-            seen.add(item.key)
-            snap, tier = self.cache.lookup(item.key)
+            seen.add(key)
+            snap, tier = self.cache.lookup(key)
             if snap is not None:
-                hits[item.key] = snap
+                hits[key] = snap
                 origins.append(ORIGIN_MEMORY if tier == "memory"
                                else ORIGIN_DISK)
             else:
-                to_compute.append(item)
+                to_compute.append(item or job.prepare(key=key))
                 origins.append(ORIGIN_COMPUTED)
 
         outcomes = run_prepared(to_compute, jobs=self.jobs,
@@ -242,23 +256,22 @@ class BatchRunner:
 
         report = BatchReport(unique_jobs=len(seen),
                              computed=len(to_compute))
-        for job, item, origin in zip(jobs, prepared, origins):
+        for job, key, origin in zip(jobs, keys, origins):
             if origin == ORIGIN_REFUSED:
                 report.results.append(JobResult(
-                    job.name, "", "error", origin, error=str(item)))
+                    job.name, "", "error", origin, error=str(key)))
             elif origin == ORIGIN_DEDUP:
-                base = next(r for r in report.results if r.key == item.key)
+                base = next(r for r in report.results if r.key == key)
                 report.results.append(JobResult(
-                    item.name, item.key, base.status, ORIGIN_DEDUP,
+                    job.name, key, base.status, ORIGIN_DEDUP,
                     snapshot=base.snapshot, error=base.error))
-            elif item.key in hits:
+            elif key in hits:
                 report.results.append(JobResult(
-                    item.name, item.key, "ok", origin,
-                    snapshot=hits[item.key]))
+                    job.name, key, "ok", origin, snapshot=hits[key]))
             else:
-                outcome = by_key[item.key]
+                outcome = by_key[key]
                 report.results.append(JobResult(
-                    item.name, item.key, outcome.status, ORIGIN_COMPUTED,
+                    job.name, key, outcome.status, ORIGIN_COMPUTED,
                     snapshot=outcome.snapshot, error=outcome.error))
         report.elapsed_s = time.perf_counter() - started
         report.cache_stats = self.cache.stats.to_json()

@@ -39,6 +39,7 @@ from collections import deque
 from repro.asm.assembler import PROGRAM_MEMO
 from repro.serve.batch import ORIGIN_REFUSED, BatchRunner
 from repro.serve.cache import ResultCache
+from repro.serve.identity import KEY_MEMO
 from repro.serve.jobs import JobError, job_name, jobs_from_json
 
 #: Refuse batches larger than this many jobs (queue bound).
@@ -73,27 +74,36 @@ _PAYLOADS = {"run": "job", "batch": "jobs", "dse": "spec"}
 SLO_WINDOW = 4096
 
 
-def _publish_program_memo(registry) -> None:
-    """Copy the process-wide program memo's counters into ``registry``.
+#: The process-wide memos a registry reports: metric prefix, memo, what
+#: one lookup is, what it evicts, and its gauges with what they count.
+_MEMOS = (
+    ("program_memo", PROGRAM_MEMO, "assemble() calls", "programs",
+     {"instructions": "instructions", "programs": "programs"}),
+    ("job_key_memo", KEY_MEMO, "job keyings", "job keys",
+     {"entries": "job keys"}),
+)
+
+
+def _publish_memos(registry) -> None:
+    """Copy the process-wide memos' counters into ``registry``.
 
     A registry collector (:meth:`MetricsRegistry.add_collector`): it runs
     whenever the registry is read, so ``stats`` and ``/metrics`` see
-    current values and :func:`~repro.asm.assembler.assemble` never
-    touches a registry.
+    current values and the memos never touch a registry.
     """
-    stats = PROGRAM_MEMO.stats()
-    for outcome, what in (("hits", "assemble() calls served from"),
-                          ("misses", "assemble() calls not found in"),
-                          ("evictions", "programs evicted from")):
-        registry.counter(f"program_memo_{outcome}_total",
-                         f"{what} the process-wide program memo",
-                         ).sync(stats[outcome])
-    registry.gauge("program_memo_instructions",
-                   "instructions retained by the program memo",
-                   ).set(stats["instructions"])
-    registry.gauge("program_memo_programs",
-                   "programs retained by the program memo",
-                   ).set(stats["programs"])
+    for prefix, memo, calls, items, gauges in _MEMOS:
+        stats = memo.stats()
+        noun = prefix.replace("_", " ")
+        for outcome, what in (("hits", f"{calls} served from"),
+                              ("misses", f"{calls} not found in"),
+                              ("evictions", f"{items} evicted from")):
+            registry.counter(f"{prefix}_{outcome}_total",
+                             f"{what} the process-wide {noun}",
+                             ).sync(stats[outcome])
+        for gauge, counted in gauges.items():
+            registry.gauge(f"{prefix}_{gauge}",
+                           f"{counted} retained by the {noun}",
+                           ).set(stats[gauge])
 
 
 def canonical_reply(reply: dict) -> str:
@@ -251,7 +261,7 @@ class Dispatcher:
         self._latency = self.registry.histogram(
             "serve_request_seconds", "request handling latency, by op",
             labels=("op",))
-        self.registry.add_collector(_publish_program_memo)
+        self.registry.add_collector(_publish_memos)
         self.slo = SloTracker()
         self._dse = None        # lazy DseRunner (instruments register once)
         self.requests = 0

@@ -26,6 +26,11 @@ Every other field (``max_cycles``, ``sanitize``, ``profile``,
 ``PreparedJob`` enters the key without an edit here.  The schema version
 retires every previously cached entry at the key level when bumped —
 stale entries are simply never addressed again.
+
+Preparing a job to key it runs its kernel builder and the assembler, so
+:data:`KEY_MEMO` remembers each key by the digest of the job that gave
+it (:func:`job_digest`): a job the process has keyed before is looked
+up in the cache without being built again.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ import dataclasses
 import enum
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.asm.program import Program
@@ -41,7 +48,7 @@ from repro.core.config import ProcessorConfig
 from repro.faults.spec import FaultSpec
 
 if TYPE_CHECKING:
-    from repro.serve.jobs import PreparedJob
+    from repro.serve.jobs import Job, PreparedJob
 
 # Bump when the snapshot layout or simulator-visible semantics change in
 # a way that makes old cached results unusable.
@@ -130,3 +137,86 @@ def job_key(prepared: PreparedJob,
         payload[f.name] = fingerprint(value) if fingerprint else value
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
     return digest.hexdigest()
+
+
+#: Keys the key memo keeps; the least recently used is dropped first.  An
+#: entry holds a 32-byte digest, a 64-character key and their LRU slot,
+#: about 250 B, so a full memo holds about 1 MiB.
+KEY_MEMO_ENTRIES = 4096
+
+
+def job_digest(job: Job) -> bytes | None:
+    """SHA-256 of a validated job's identity text, or None.
+
+    The text is the canonical JSON of every ``Job`` field but ``name``:
+    the config as its list of values (enums flattened), the fault
+    through its fingerprint.  Everything :func:`job_key` hashes derives
+    from those fields, since kernel builders are pure functions of their
+    arguments, so equal digests mean equal keys.  A value JSON cannot
+    render, such as a numpy integer in ``kernel_args`` or a numpy column
+    in ``lmem``, gives None.
+    """
+    payload = dict(vars(job))
+    del payload["name"]
+    payload["config"] = [v.value if isinstance(v, enum.Enum) else v
+                         for v in vars(job.config).values()]
+    payload["fault"] = fault_fingerprint(job.fault)
+    try:
+        text = canonical_json(payload)
+    except (TypeError, ValueError):
+        return None
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+class KeyMemo:
+    """Bounded LRU from job digests (:func:`job_digest`) to job keys.
+
+    :data:`KEY_MEMO` is the process-wide instance.  A digest of None (a
+    job whose text cannot be rendered) is a miss and is never stored.
+    """
+
+    def __init__(self, entries: int = KEY_MEMO_ENTRIES) -> None:
+        self.entries = entries
+        self._keys: OrderedDict[bytes, str] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def get(self, digest: bytes | None) -> str | None:
+        """The key memoized for ``digest``, or None."""
+        with self._lock:
+            key = None if digest is None else self._keys.get(digest)
+            if key is None:
+                self.misses += 1
+                return None
+            self._keys.move_to_end(digest)
+            self.hits += 1
+            return key
+
+    def put(self, digest: bytes | None, key: str) -> None:
+        """Remember ``key`` for ``digest``; call it once the job has
+        prepared, so only a job that keys gets an entry."""
+        if digest is None:
+            return
+        with self._lock:
+            self._keys[digest] = key
+            self._keys.move_to_end(digest)
+            while len(self._keys) > self.entries:
+                self._keys.popitem(last=False)
+                self.evictions += 1
+
+    def clear(self) -> None:
+        """Forget every entry (the counters keep counting)."""
+        with self._lock:
+            self._keys.clear()
+
+    def stats(self) -> dict:
+        """Counters plus what is retained now, as a JSON-safe dict."""
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "evictions": self.evictions, "entries": len(self._keys)}
+
+
+#: The memo :class:`~repro.serve.batch.BatchRunner` keys jobs through.
+KEY_MEMO = KeyMemo()

@@ -210,8 +210,12 @@ class Job:
             doc["lmem"] = lmem
         return from_json(cls, doc, "job", bad)
 
-    def prepare(self) -> PreparedJob:
-        """Assemble and hash this job into its canonical form."""
+    def prepare(self, key: str | None = None) -> PreparedJob:
+        """Assemble and hash this job into its canonical form.
+
+        ``key`` is this job's key when the caller already knows it (from
+        :data:`~repro.serve.identity.KEY_MEMO`); it is not hashed again.
+        """
         cfg = self.config
         lmem = dict(self.lmem)
         if self.kernel is not None:
@@ -254,7 +258,7 @@ class Job:
             max_cycles=self.max_cycles, fault=self.fault,
             sanitize=self.sanitize, profile=self.profile, verify=self.verify,
             backend=self.backend)
-        prepared.key = job_key(prepared)
+        prepared.key = job_key(prepared) if key is None else key
         return prepared
 
 

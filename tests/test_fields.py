@@ -74,7 +74,8 @@ class TestJobLimits:
 
 
 class TestKernelArguments:
-    def test_rules_survive_a_wrapped_builder(self, monkeypatch):
+    def test_rules_survive_a_wrapped_builder(self, monkeypatch,
+                                             fresh_key_memo):
         original = kernels.ALL_KERNEL_BUILDERS["vector_mac"]
         monkeypatch.setitem(kernels.ALL_KERNEL_BUILDERS, "vector_mac",
                             lambda *a, **k: original(*a, **k))

@@ -6,8 +6,9 @@ an internal error, fail only after the job was keyed, or quietly accept a
 value of the wrong type.  A child process with a 1 GiB address-space
 limit feeds every line through one :class:`Dispatcher` and times each
 reply, so the test runner itself never makes an allocation a line asks
-for.  The CI job ``hostile-input-smoke`` pipes the same file into
-``repro serve``.
+for.  It then feeds every line again: a rejected line changes nothing,
+so the second pass's replies are the first's, byte for byte.  The CI
+job ``hostile-input-smoke`` pipes the same file into ``repro serve``.
 """
 
 import json
@@ -23,14 +24,16 @@ CHILD = """
 import json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 import repro.dse
-from repro.serve.dispatch import Dispatcher
+from repro.serve.dispatch import Dispatcher, canonical_reply
 dispatcher = Dispatcher()
+lines = sys.stdin.readlines()
 out = []
-for line in sys.stdin:
+for line in lines:
     started = time.perf_counter()
     reply = dispatcher.handle_line(line)
-    out.append([time.perf_counter() - started, reply])
-print(json.dumps(out))
+    out.append([time.perf_counter() - started, canonical_reply(reply)])
+again = [canonical_reply(dispatcher.handle_line(line)) for line in lines]
+print(json.dumps([out, again]))
 """
 
 #: What each reply's error names, by request id.
@@ -73,9 +76,11 @@ def test_every_hostile_line_gets_a_typed_error_fast():
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    replies = json.loads(proc.stdout)
-    assert len(replies) == len(LINES.splitlines()) == len(EXPECTED)
-    for seconds, reply in replies:
+    first, again = json.loads(proc.stdout)
+    assert len(first) == len(LINES.splitlines()) == len(EXPECTED)
+    assert again == [text for _seconds, text in first]
+    for seconds, text in first:
+        reply = json.loads(text)
         assert reply["ok"] is False and "status" not in reply, reply
         assert EXPECTED[reply["id"]] in reply["error"], reply
         assert not reply["error"].startswith("internal error"), reply

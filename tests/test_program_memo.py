@@ -256,14 +256,17 @@ class TestThreads:
 
 
 class TestCounters:
-    def test_repeated_run_is_one_miss_then_one_hit(self):
+    def test_repeated_run_is_one_miss_then_one_hit(self, fresh_key_memo):
+        """The second run line is keyed from the job key memo: one
+        key-memo miss, then one hit, and no second program-memo lookup."""
         session = Dispatcher()
         job = {"source": "# counted once\nmain: addi s1, s0, 7\nhalt\n"}
         line = json.dumps({"op": "run", "job": job})
 
         def counts():
             metrics = session.handle_line('{"op": "stats"}')["metrics"]
-            return tuple(metrics[f"program_memo_{outcome}_total"]["value"]
+            return tuple(metrics[f"{memo}_{outcome}_total"]["value"]
+                         for memo in ("program_memo", "job_key_memo")
                          for outcome in ("misses", "hits"))
 
         start = counts()
@@ -271,9 +274,13 @@ class TestCounters:
         first = counts()
         assert session.handle_line(line)["origin"] == "memory-cache"
         second = counts()
-        assert (first[0] - start[0], first[1] - start[1]) == (1, 0)
-        assert (second[0] - first[0], second[1] - first[1]) == (0, 1)
+        assert [b - a for a, b in zip(start, first)] == [1, 0, 1, 0]
+        assert [b - a for a, b in zip(first, second)] == [0, 0, 0, 1]
         text = session.registry.render_prometheus()
+        keys = fresh_key_memo.stats()
+        for outcome in ("hits", "misses", "evictions"):
+            assert f"job_key_memo_{outcome}_total {keys[outcome]}\n" in text
+        assert f"job_key_memo_entries {keys['entries']}\n" in text
         stats = PROGRAM_MEMO.stats()
         for outcome in ("hits", "misses", "evictions"):
             assert f"program_memo_{outcome}_total {stats[outcome]}\n" \
