@@ -50,7 +50,8 @@ class ArchState:
 class LiveState(ArchState):
     """The planes of ``self.processor``: any machine with ``threads``,
     ``pe`` and ``mem`` (the cycle core, which the fast backend is, or the
-    functional machine)."""
+    functional machine).  The PE planes are read-only views, so reading
+    them leaves the machine's record of written state as it is."""
 
     processor: Any
 
@@ -60,11 +61,11 @@ class LiveState(ArchState):
 
     @property
     def pe_regs(self) -> np.ndarray:
-        return self.processor.pe.regs
+        return self.processor.pe.frozen("regs")
 
     @property
     def pe_flags(self) -> np.ndarray:
-        return self.processor.pe.flags
+        return self.processor.pe.frozen("flags")
 
     @property
     def mem_words(self) -> np.ndarray:

@@ -6,9 +6,10 @@ every pc of a loaded program into an *op*, a closure holding its
 operands, masks and word width.  An op that binds no machine state
 (:func:`machine_free_op`) is built once per instruction and
 configuration, by the decode of :mod:`repro.core.timing`; the others
-once per machine.  The core, the functional and non-pipelined
-interpreters and the fast path's trace call the same ops, so no issue
-looks a mnemonic up and the backends cannot drift apart.
+once per machine and distinct operands (:class:`OpCompiler`).  The
+core, the functional and non-pipelined interpreters and the fast path's
+trace call the same ops, so no issue looks a mnemonic up and the
+backends cannot drift apart.
 
 ``op(thread)`` applies the effects and returns the next pc when control
 transfers (taken branch, ``j``, ``jal``, ``jr``), else None; a taken
@@ -37,6 +38,7 @@ when compiling: a machine without them pays nothing.
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -397,27 +399,36 @@ _ROW_OPS: dict[str, tuple[Callable[..., None], str, bool, bool]] = {
 
 # -- the compiler ----------------------------------------------------------------
 
+#: Compiled ops one machine keeps, keyed on an instruction's operands; the
+#: least recently used is dropped first.  An op is a closure over its
+#: operands and the machine's units, 0.6-1.2 KB with its cells, so a full
+#: memo holds about 0.5 MiB.
+OP_MEMO_ENTRIES = 512
+
+
 def compile_ops(program: "Program", pe: PEArray, mem: "ScalarMemory",
                 threads: ThreadStatusTable, faults: Any = None,
                 sanitizer: Any = None, model: Any = None) -> list[Op]:
     """The op of every pc of ``program`` on one machine (module
-    docstring); ``faults`` is a :class:`repro.faults.FaultPlane` and
-    ``sanitizer`` a :class:`repro.core.sanitizer.RaceSanitizer`, or
-    None.  With the program's :class:`repro.core.timing.TimingModel` as
-    ``model``, the ops that bind no machine state are its entries'."""
-    compiler = _Compiler(pe, mem, threads, faults, sanitizer)
-    return [(model.entry(pc).op if model is not None else
-             machine_free_op(pc, ins, pe.word_width))
-            if ins.mnemonic in MACHINE_FREE else compiler.op(pc, ins)
-            for pc, ins in enumerate(program.instructions)]
+    docstring), from a one-off :class:`OpCompiler`; ``faults`` is a
+    :class:`repro.faults.FaultPlane` and ``sanitizer`` a
+    :class:`repro.core.sanitizer.RaceSanitizer`, or None."""
+    return OpCompiler(pe, mem, threads, faults, sanitizer).ops(program, model)
 
 
-class _Compiler:
-    """Builds one machine's ops; see :func:`compile_ops`."""
+class OpCompiler:
+    """Builds one machine's ops and keeps them.
+
+    A machine that runs program after program holds one compiler: its
+    bounded memo maps an instruction's operands to the op compiled for
+    them, so :meth:`ops` builds only the instructions this machine has
+    not seen.  The ops bind the machine's PE array, memory and thread
+    table, which a reset clears in place, and its hooks.
+    """
 
     def __init__(self, pe: PEArray, mem: "ScalarMemory",
-                 threads: ThreadStatusTable, faults: Any,
-                 sanitizer: Any) -> None:
+                 threads: ThreadStatusTable, faults: Any = None,
+                 sanitizer: Any = None) -> None:
         self.pe, self.mem, self.threads = pe, mem, threads
         self.faults, self.sanitizer = faults, sanitizer
         self.width = pe.word_width
@@ -430,11 +441,37 @@ class _Compiler:
         self.ftmp = np.empty(pe.num_pes, bool)
         self.rows: list[tuple[list[np.ndarray], list[np.ndarray]] | None] = (
             [None] * pe.num_threads)
+        self.memo: OrderedDict[tuple[Any, ...], Op] = OrderedDict()
+
+    def ops(self, program: "Program", model: Any = None) -> list[Op]:
+        """The op of every pc of ``program``.  With the program's
+        :class:`repro.core.timing.TimingModel` as ``model``, the ops that
+        bind no machine state are its entries'."""
+        memo = self.memo
+        # A sanitizer's events name the pc.
+        located = self.sanitizer is not None
+        out: list[Op] = []
+        for pc, ins in enumerate(program.instructions):
+            if ins.mnemonic in MACHINE_FREE:
+                out.append(model.entry(pc).op if model is not None else
+                           machine_free_op(pc, ins, self.width))
+                continue
+            key = (ins.mnemonic, ins.rd, ins.rs, ins.rt, ins.mf, ins.imm,
+                   ins.target, pc if located else None)
+            op = memo.get(key)
+            if op is None:
+                op = memo[key] = self.op(pc, ins)
+                if len(memo) > OP_MEMO_ENTRIES:
+                    memo.popitem(last=False)
+            else:
+                memo.move_to_end(key)
+            out.append(op)
+        return out
 
     def thread_rows(self, tid: int,
                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        rows = self.rows[tid] = (list(self.pe.regs[tid]),
-                                 list(self.pe.flags[tid]))
+        regs, flags = self.pe.thread_planes(tid)
+        rows = self.rows[tid] = (list(regs), list(flags))
         return rows
 
     def op(self, pc: int, ins: Instruction) -> Op:

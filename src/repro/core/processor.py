@@ -35,14 +35,17 @@ parallel port, the other disciplines one.  Coarse grain's
 
 from __future__ import annotations
 
+import contextlib
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.asm.program import Program
 from repro.core.archstate import LiveState
 from repro.core.config import ProcessorConfig
-from repro.core.execute import Op, compile_ops
+from repro.core.execute import Op, OpCompiler
 from repro.core.fetch import FetchUnit
 from repro.core.memory import ScalarMemory
 from repro.core.scheduler import ThreadScheduler
@@ -121,8 +124,11 @@ class Processor:
                           cfg.lmem_words)
         self.mem = ScalarMemory(cfg.scalar_mem_words, cfg.word_width)
         self.threads = ThreadStatusTable(cfg.num_threads)
-        # The loaded program's compiled ops, one per pc.
+        # The loaded program's compiled ops, one per pc, from the
+        # machine's one compiler, which keeps the ops it has built.
         self.ops: list[Op] = []
+        self._compiler = OpCompiler(self.pe, self.mem, self.threads,
+                                    faults, sanitizer)
         self.scheduler = ThreadScheduler(cfg)
         self.trace_enabled = trace
         self.program: Program | None = None
@@ -152,21 +158,22 @@ class Processor:
         self.reset()
 
     def reset(self) -> None:
-        """Reset architectural and microarchitectural state."""
-        self.pe.reset()
+        """Reset architectural and microarchitectural state in place:
+        the PE array zeroes what a run can have written (its record, and
+        the register files of every context the run allocated), and the
+        thread table clears every context."""
+        self.pe.reset(self.threads.used)
         self.mem.reset()
         if self.program is not None:
             self.mem.load_image(self.program.data)
         if self._cycle:
             # The clock is 0 only until the first reset: the thread table,
             # busy list and counters __init__ built are still untouched.
-            self.threads = ThreadStatusTable(self.cfg.num_threads)
+            self.threads.reset()
             self._unit_busy = [0] * len(timing.UNIT_NAMES)
             self.stats = Stats()
         if self.program is not None:
-            self.ops = compile_ops(self.program, self.pe, self.mem,
-                                   self.threads, self.faults, self.sanitizer,
-                                   self.timing_model)
+            self.ops = self._compiler.ops(self.program, self.timing_model)
         self.scheduler.reset()
         self.trace = []
         self.halted = False
@@ -339,6 +346,94 @@ class Processor:
         if self.profiler is not None and not self.paused:
             self.profiler.finalize(self)
         return RunResult(stats, self, self.trace, paused=self.paused)
+
+
+#: Idle machines the process keeps for hook-free runs, and the state
+#: (:meth:`PEArray.state_bytes`) they may hold together.  A machine costs
+#: its state plus about 60 KB of objects and compiled ops (at most
+#: ``OP_MEMO_ENTRIES`` of about 1 KB), and only the pages its runs wrote
+#: are resident: 16 machines at 48 MiB of state keep a few MiB.
+KEPT_MACHINES = 16
+KEPT_MACHINE_BYTES = 48 << 20
+
+
+class MachineKeeper:
+    """Idle machines by (machine class, configuration values), at most
+    one per key, least recently used dropped first.
+
+    The paper's prototype is one configured machine that runs program
+    after program with its state reset, not rebuilt.  :meth:`machine`
+    hands a hook-free run a kept machine, whose :meth:`Processor.load`
+    resets it in place, and takes it back when the run's block exits
+    without raising.  :data:`MACHINES` is the process-wide instance.
+    """
+
+    def __init__(self, entries: int = KEPT_MACHINES,
+                 budget: int = KEPT_MACHINE_BYTES) -> None:
+        self.entries = entries
+        self.budget = budget
+        self._idle: OrderedDict[tuple[object, ...], Processor] = (
+            OrderedDict())
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    @contextlib.contextmanager
+    def machine(self, cls: type, config: ProcessorConfig, faults=None,
+                sanitizer=None, profiler=None):
+        """A ``cls`` machine on ``config`` for one run.
+
+        A run with a hook gets a fresh machine, since hooks are compiled
+        into its ops and steps; any other gets a kept idle machine (or a
+        new one), returned to the keeper when the block exits.  A block
+        that raises drops it.
+        """
+        if faults is not None or sanitizer is not None or profiler is not None:
+            yield cls(config, faults=faults, sanitizer=sanitizer,
+                      profiler=profiler)
+            return
+        key = (cls, *vars(config).values())
+        size = PEArray.state_bytes(config)
+        with self._lock:
+            machine = self._idle.pop(key, None)
+            if machine is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self._bytes -= size
+        if machine is None:
+            machine = cls(config)
+        yield machine
+        if size > self.budget:
+            return                      # too big to keep idle
+        with self._lock:
+            if key in self._idle:
+                return                  # another run returned one first
+            self._idle[key] = machine
+            self._bytes += size
+            while len(self._idle) > self.entries or self._bytes > self.budget:
+                _key, dropped = self._idle.popitem(last=False)
+                self._bytes -= PEArray.state_bytes(dropped.cfg)
+                self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop every idle machine (the counters keep counting)."""
+        with self._lock:
+            self._idle.clear()
+            self._bytes = 0
+
+    def stats(self) -> dict:
+        """Counters plus what is retained now, as a JSON-safe dict."""
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "evictions": self.evictions,
+                    "entries": len(self._idle)}
+
+
+#: The keeper every serve job without hooks runs on.
+MACHINES = MachineKeeper()
 
 
 def run_program(source_or_program, config: ProcessorConfig | None = None,

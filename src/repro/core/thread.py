@@ -49,6 +49,10 @@ class ThreadContext:
 
     def __init__(self, tid: int) -> None:
         self.tid = tid
+        self.clear()
+
+    def clear(self) -> None:
+        """Free the context and zero its state (a machine reset)."""
         self.state = FREE
         self.pc = 0
         self.sregs = [0] * registers.NUM_SCALAR_REGS
@@ -91,6 +95,18 @@ class ThreadStatusTable:
         # The allocated (runnable or joining) contexts in tid order, kept
         # on allocate and release; the issue loops read it every round.
         self.live: list[ThreadContext] = []
+        # One past the highest tid allocated since the last reset: the
+        # contexts whose PE register files a run can have written.
+        self.used = 0
+
+    def reset(self) -> None:
+        """Free and clear every context in place: the table object stays
+        the one a machine's compiled ops hold.  Every context is cleared,
+        since a ``tput`` may write one that was never allocated."""
+        for ctx in self.contexts:
+            ctx.clear()
+        self.live.clear()
+        self.used = 0
 
     def __iter__(self):
         return iter(self.contexts)
@@ -104,6 +120,8 @@ class ThreadStatusTable:
             if ctx.state is FREE:
                 ctx.activate(pc, start_cycle)
                 bisect.insort(self.live, ctx, key=_TID)
+                if ctx.tid >= self.used:
+                    self.used = ctx.tid + 1
                 return ctx.tid
         return None
 

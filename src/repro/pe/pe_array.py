@@ -14,7 +14,15 @@ the array is stored structure-of-arrays with the PE index as the last
 * ``flags`` — bool,  shape ``(threads, NUM_FLAG_REGS, pes)``.
 * ``lmem``  — int64, shape ``(pes, lmem_words)``; *not* replicated per
   thread ("The local memory is shared between threads at the hardware
-  level", Section 6.2).
+  level", Section 6.2).  It is stored word-major, one contiguous row of
+  PEs per local address, so a loaded column touches only its own pages;
+  :attr:`PEArray.lmem` is the transposed view.
+
+A machine runs program after program (:meth:`PEArray.reset` between
+them), and the array keeps a record of what may differ from the reset
+state: the register and flag files of the threads written or handed
+out, the local-memory columns loaded, and every local word after a
+``psw`` or a handed-out :attr:`PEArray.lmem`.  Reset zeroes only that.
 
 ``p0`` reads as zero and ``f0`` reads as one in every PE of every thread;
 writes to them are ignored, re-asserted by :meth:`PEArray._pin_constants`.
@@ -64,7 +72,8 @@ class PEArray:
             dtype=np.int64)
         self._flags = np.zeros(
             (num_threads, registers.NUM_FLAG_REGS, num_pes), dtype=bool)
-        self._lmem = np.zeros((num_pes, lmem_words), dtype=np.int64)
+        self._lmem = np.zeros((lmem_words, num_pes), dtype=np.int64)
+        self._pes = np.arange(num_pes)
         # Fault-tolerance hooks (see repro.faults).  ``fault_mask`` marks
         # PEs whose writes and memory accesses are suppressed (dead or
         # masked-out); ``parity`` is the per-word parity plane updated on
@@ -73,28 +82,47 @@ class PEArray:
         self.fault_mask: np.ndarray | None = None
         self.parity: np.ndarray | None = None
         self._pin_constants()
-        # True while every plane holds its reset value and nothing could
-        # have written one since: no plane or view of one handed out, no
-        # write method called.  reset() then has nothing to refill, and a
-        # fresh machine's untouched pages stay unfaulted.
-        self._pristine = True
+        # The record of written state (module docstring): the register and
+        # flag files of threads below ``_threads``, the local columns in
+        # ``_columns`` and, with ``_all_lmem``, every local word.  A fresh
+        # or reset array has the empty record, so reset() writes nothing
+        # and a fresh machine's untouched pages stay unfaulted.
+        self._threads = 0
+        self._columns: set[int] = set()
+        self._all_lmem = False
 
     # -- the planes: handing one out may let its holder write it ---------------
 
     @property
     def regs(self) -> np.ndarray:
-        self._pristine = False
+        self._threads = self.num_threads
         return self._regs
 
     @property
     def flags(self) -> np.ndarray:
-        self._pristine = False
+        self._threads = self.num_threads
         return self._flags
 
     @property
     def lmem(self) -> np.ndarray:
-        self._pristine = False
-        return self._lmem
+        """``(pes, lmem_words)``: the transposed view of the word-major
+        plane."""
+        self._all_lmem = True
+        return self._lmem.T
+
+    def frozen(self, plane: str) -> np.ndarray:
+        """A read-only view of ``"regs"``, ``"flags"`` or ``"lmem"`` (in
+        the property's shape): reading it leaves the record unchanged."""
+        view = getattr(self, "_" + plane).view()
+        view.flags.writeable = False
+        return view.T if plane == "lmem" else view
+
+    def thread_planes(self, thread: int) -> tuple[np.ndarray, np.ndarray]:
+        """The register and flag files of one thread, which its holder
+        may write."""
+        if thread >= self._threads:
+            self._threads = thread + 1
+        return self._regs[thread], self._flags[thread]
 
     # -- constants -----------------------------------------------------------
 
@@ -133,7 +161,8 @@ class PEArray:
 
     def read_reg(self, thread: int, reg: int) -> np.ndarray:
         """Value vector (one element per PE) of parallel register ``reg``."""
-        self._pristine = False          # a view its caller may write
+        if thread >= self._threads:     # a view its caller may write
+            self._threads = thread + 1
         return self._regs[thread, reg]
 
     def write_reg(self, thread: int, reg: int, values: np.ndarray,
@@ -141,7 +170,8 @@ class PEArray:
         """Masked write: only PEs where ``mask`` is True take the value."""
         if reg == registers.ZERO_REG:
             return
-        self._pristine = False
+        if thread >= self._threads:
+            self._threads = thread + 1
         mask = self._effective(mask)
         row = self._regs[thread, reg]
         wrapped = np.bitwise_and(values.astype(np.int64), self.word_mask)
@@ -152,7 +182,8 @@ class PEArray:
 
     def read_flag(self, thread: int, flag: int) -> np.ndarray:
         """Boolean vector (one element per PE) of flag register ``flag``."""
-        self._pristine = False          # a view its caller may write
+        if thread >= self._threads:     # a view its caller may write
+            self._threads = thread + 1
         return self._flags[thread, flag]
 
     def write_flag(self, thread: int, flag: int, values: np.ndarray,
@@ -160,7 +191,8 @@ class PEArray:
         """Masked flag write."""
         if flag == registers.ALWAYS_FLAG:
             return
-        self._pristine = False
+        if thread >= self._threads:
+            self._threads = thread + 1
         np.copyto(self._flags[thread, flag], values.astype(bool),
                   where=self._effective(mask))
 
@@ -183,7 +215,7 @@ class PEArray:
         mask = self._effective(mask)
         self._check_addresses(addresses, mask, "load")
         safe = np.where(mask, addresses, 0)
-        values = self._lmem[np.arange(self.num_pes), safe]
+        values = self._lmem[safe, self._pes]
         return np.where(mask, values, 0)
 
     def store(self, addresses: np.ndarray, values: np.ndarray,
@@ -191,9 +223,8 @@ class PEArray:
         """Per-PE local-memory store (masked)."""
         mask = self._effective(mask)
         self._check_addresses(addresses, mask, "store")
-        self._pristine = False
-        pes = np.arange(self.num_pes)[mask]
-        self._lmem[pes, addresses[mask]] = (
+        self._all_lmem = True
+        self._lmem[addresses[mask], self._pes[mask]] = (
             values[mask].astype(np.int64) & self.word_mask)
 
     # -- bulk initialization (used by loaders / examples) ------------------------
@@ -206,33 +237,48 @@ class PEArray:
         if vals.shape != (self.num_pes,):
             raise ValueError(
                 f"expected {self.num_pes} values, got shape {vals.shape}")
-        self._pristine = False
-        self._lmem[:, word_addr] = vals & self.word_mask
+        self._columns.add(word_addr)
+        self._lmem[word_addr] = vals & self.word_mask
 
     def load_lmem(self, columns: Iterable[tuple[int, Sequence[int]]]
                   ) -> None:
-        """Load ``(local address, values)`` columns in order, one
-        :meth:`set_lmem_column` call each: PE ``i`` gets ``values[i]``,
-        zero past the end of a short column; extra values are dropped."""
+        """Load ``(local address, values)`` columns in order (lists or
+        integer arrays): PE ``i`` gets ``values[i]``, zero past the end
+        of a short column; extra values are dropped."""
         for word_addr, values in columns:
-            padded = np.zeros(self.num_pes, dtype=np.int64)
+            word_addr = int(word_addr)
+            if not 0 <= word_addr < self.lmem_words:
+                raise MemoryFault(f"local address {word_addr} out of range")
             n = min(len(values), self.num_pes)
-            padded[:n] = values[:n]
-            self.set_lmem_column(int(word_addr), padded)
+            row = self._lmem[word_addr]
+            self._columns.add(word_addr)
+            np.bitwise_and(np.asarray(values[:n], dtype=np.int64),
+                           self.word_mask, out=row[:n])
+            row[n:] = 0
 
     def get_lmem_column(self, word_addr: int) -> np.ndarray:
         """Read the same local address from every PE."""
         if not 0 <= word_addr < self.lmem_words:
             raise MemoryFault(f"local address {word_addr} out of range")
-        return self._lmem[:, word_addr].copy()
+        return self._lmem[word_addr].copy()
 
-    def reset(self) -> None:
-        """Zero all architectural state (between program runs)."""
-        if not self._pristine:
-            self._regs.fill(0)
-            self._flags.fill(False)
+    def reset(self, threads: int = 0) -> None:
+        """Zero all architectural state (between program runs): what the
+        record names, and the register and flag files of the first
+        ``threads`` threads (the contexts a run allocated, whose ops may
+        hold views of them from an earlier run)."""
+        threads = max(threads, self._threads)
+        if threads:
+            self._regs[:threads].fill(0)
+            self._flags[:threads].fill(False)
+            self._flags[:threads, registers.ALWAYS_FLAG, :] = True
+        if self._all_lmem:
             self._lmem.fill(0)
-            self._pin_constants()
-            self._pristine = True
+        else:
+            for word_addr in self._columns:
+                self._lmem[word_addr].fill(0)
+        self._threads = 0
+        self._columns.clear()
+        self._all_lmem = False
         if self.parity is not None:
             self.parity.fill(False)

@@ -1,10 +1,13 @@
 """Assembly kernel library: the canonical ASC workloads.
 
 Each builder returns a :class:`Kernel`: assembly source, PE local-memory
-image, the *expected* architectural outputs (computed with the same
-functional reduction semantics as the hardware, so saturation/identity
-corner cases match by construction), and an output map describing where
-the program leaves its results.
+image (int64 columns), the *expected* architectural outputs (computed
+with the same functional reduction semantics as the hardware, so
+saturation/identity corner cases match by construction, on first read),
+and an output map describing where the program leaves its results.
+A builder checks its arguments and generates its data at once; each
+oracle is a module-level function bound to its inputs, so a kernel
+pickles.
 
 Kernels default to 16-bit words so data (graph weights, salaries, text
 positions) has headroom; the machine's prototype width of 8 bits is
@@ -17,8 +20,10 @@ update (Potter et al. [4]).
 
 from __future__ import annotations
 
+import functools
 import typing
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,18 +35,34 @@ from repro.util.fields import Rule
 
 @dataclass
 class Kernel:
-    """A runnable benchmark/test program plus its oracle."""
+    """A runnable benchmark/test program plus its oracle.
+
+    ``expected`` is computed on first read, by ``oracle`` (a module-level
+    function bound to its inputs with :func:`functools.partial`), and
+    kept: serving a kernel job never reads it, and the kernel runner,
+    ``faults.degrade`` and the tests do.
+    """
 
     name: str
     source: str
     word_width: int
     lmem: dict[int, np.ndarray] = field(default_factory=dict)
-    expected: dict[str, object] = field(default_factory=dict)
+    oracle: Callable[[], dict[str, object]] = field(
+        default=dict, repr=False, compare=False)
     # Output map: result name -> ("scalar", reg) | ("memory", base, count)
     outputs: dict[str, tuple] = field(default_factory=dict)
     min_pes: int = 1
     min_lmem_words: int = 0
     notes: str = ""
+    _expected: dict[str, object] | None = field(
+        default=None, init=False, repr=False)
+
+    @property
+    def expected(self) -> dict[str, object]:
+        """The architectural outputs the program must leave."""
+        if self._expected is None:
+            self._expected = self.oracle()
+        return self._expected
 
 
 def _li_count(name: str, value: int, width: int) -> None:
@@ -72,11 +93,6 @@ def vector_mac(num_pes: int, iters: int = 16, a: int = 3, b: int = 5,
     """
     _li_count("iters", iters, width)
     values = wl.random_field(num_pes, width, seed=seed, high=100)
-    mask = mask_for_width(width)
-    x = values.copy()
-    for _ in range(iters):
-        x = (x * a + b) & mask
-    checksum = red.reduce_sum(x, np.ones(num_pes, bool), width)
     source = f"""
 .text
 main:
@@ -94,10 +110,18 @@ loop:
     return Kernel(
         name="vector_mac", source=source, word_width=width,
         lmem={0: values},
-        expected={"checksum": checksum},
+        oracle=functools.partial(_vector_mac, values, iters, a, b, width),
         outputs={"checksum": ("scalar", 3)},
         min_lmem_words=1,
         notes="data-parallel MAC loop; one final reduction")
+
+
+def _vector_mac(values, iters, a, b, width) -> dict:
+    mask = mask_for_width(width)
+    x = values.copy()
+    for _ in range(iters):
+        x = (x * a + b) & mask
+    return {"checksum": red.reduce_sum(x, np.ones(len(x), bool), width)}
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +139,6 @@ def assoc_max_extract(num_pes: int, rounds: int = 8, width: int = 16,
     _li_count("rounds", rounds, width)
     values = wl.random_field(num_pes, width, seed=seed, low=1,
                              high=min(5000, mask_for_width(width)))
-    mask = mask_for_width(width)
-    sim = values.copy()
-    acc = 0
-    for _ in range(rounds):
-        mx = int(sim.max())
-        acc = (acc + mx) & mask
-        sim[int(np.argmax(sim))] = 0
     source = f"""
 .text
 main:
@@ -142,10 +159,21 @@ loop:
     return Kernel(
         name="assoc_max_extract", source=source, word_width=width,
         lmem={0: values},
-        expected={"sum_of_maxima": acc},
+        oracle=functools.partial(_assoc_max_extract, values, rounds, width),
         outputs={"sum_of_maxima": ("scalar", 3)},
         min_lmem_words=1,
         notes="max-search loop: rmaxu/pceqs/rfirst each round")
+
+
+def _assoc_max_extract(values, rounds, width) -> dict:
+    mask = mask_for_width(width)
+    sim = values.copy()
+    acc = 0
+    for _ in range(rounds):
+        mx = int(sim.max())
+        acc = (acc + mx) & mask
+        sim[int(np.argmax(sim))] = 0
+    return {"sum_of_maxima": acc}
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +187,6 @@ def count_matches(num_pes: int, key: int | None = None, width: int = 16,
     index = np.arange(num_pes, dtype=np.int64)
     if key is None:
         key = int(values[num_pes // 2])      # guarantee at least one hit
-    hits = values == key
-    ones = np.ones(num_pes, bool)
-    first = red.resolve_first(hits, ones)
-    first_idx = red.reduce_or(index, first, width)
     source = f"""
 .text
 main:
@@ -178,15 +202,19 @@ main:
     return Kernel(
         name="count_matches", source=source, word_width=width,
         lmem={0: values, 1: index},
-        expected={
-            "count": int(np.count_nonzero(hits)),
-            "any": 1 if hits.any() else 0,
-            "first_index": int(first_idx),
-        },
+        oracle=functools.partial(_count_matches, values, index, key, width),
         outputs={"count": ("scalar", 1), "any": ("scalar", 2),
                  "first_index": ("scalar", 3)},
         min_lmem_words=2,
         notes="equality search exercising count/any/resolver/rget")
+
+
+def _count_matches(values, index, key, width) -> dict:
+    hits = values == key
+    first = red.resolve_first(hits, np.ones(len(values), bool))
+    return {"count": int(np.count_nonzero(hits)),
+            "any": 1 if hits.any() else 0,
+            "first_index": int(red.reduce_or(index, first, width))}
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +246,6 @@ def string_match(num_pes: int, pattern: list[int] | None = None,
     cols[m] = valid
     cols[m + 1] = np.arange(num_pes, dtype=np.int64)
 
-    starts = np.array([np.array_equal(text[i:i + m], pat)
-                       for i in range(n - m + 1)] + [False] * (num_pes - (n - m + 1)))
-    ones = np.ones(num_pes, bool)
-    first = red.resolve_first(starts, ones)
-    first_idx = red.reduce_or(cols[m + 1], first, width)
-
     compare_lines = "\n".join(
         f"""    plw   p2, {j}(p0)
     fclr  f2
@@ -247,11 +269,21 @@ main:
     return Kernel(
         name="string_match", source=source, word_width=width,
         lmem=cols,
-        expected={"matches": int(np.count_nonzero(starts)),
-                  "first_start": int(first_idx)},
+        oracle=functools.partial(_string_match, text, pat, cols[m + 1],
+                                 width),
         outputs={"matches": ("scalar", 1), "first_start": ("scalar", 2)},
         min_lmem_words=m + 2,
         notes=f"pattern length {m}, {occurrences} planted occurrences")
+
+
+def _string_match(text, pat, index, width) -> dict:
+    n, m, num_pes = len(text), len(pat), len(index)
+    starts = np.array([np.array_equal(text[i:i + m], pat)
+                       for i in range(n - m + 1)]
+                      + [False] * (num_pes - (n - m + 1)))
+    first = red.resolve_first(starts, np.ones(num_pes, bool))
+    return {"matches": int(np.count_nonzero(starts)),
+            "first_start": int(red.reduce_or(index, first, width))}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +304,6 @@ def mst_prim(num_pes: int, n: int | None = None, width: int = 16,
     if n > num_pes:
         raise ValueError(f"need at least {n} PEs for {n} vertices")
     weights = wl.random_complete_graph(n, width, seed=seed)
-    total = wl.mst_weight_reference(weights)
 
     big = mask_for_width(width)
     cols: dict[int, np.ndarray] = {}
@@ -320,10 +351,14 @@ loop:
     return Kernel(
         name="mst_prim", source=source, word_width=width,
         lmem=cols,
-        expected={"mst_weight": total},
+        oracle=functools.partial(_mst_prim, weights),
         outputs={"mst_weight": ("scalar", 2)},
         min_pes=n, min_lmem_words=n + 2,
         notes=f"{n}-vertex complete graph; one vertex per PE")
+
+
+def _mst_prim(weights) -> dict:
+    return {"mst_weight": wl.mst_weight_reference(weights)}
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +377,6 @@ def image_threshold(num_pes: int, rows: int = 8, threshold: int = 100,
                          f"plw can address")
     image = wl.random_image(num_pes, rows, width, seed=seed)
     cols = {r: image[r] for r in range(rows)}
-    sums = []
-    ones = np.ones(num_pes, bool)
-    for r in range(rows):
-        selected = image[r] >= threshold
-        sums.append(red.reduce_sum(image[r], selected & ones, width))
     body = "\n".join(f"""    plw   p1, {r}(p0)
     fclr  f1
     pclti f1, p1, {threshold}
@@ -362,10 +392,15 @@ main:
     return Kernel(
         name="image_threshold", source=source, word_width=width,
         lmem=cols,
-        expected={"row_sums": sums},
+        oracle=functools.partial(_image_threshold, image, threshold, width),
         outputs={"row_sums": ("memory", 0, rows)},
         min_lmem_words=rows,
         notes=f"{rows} rows x {num_pes} pixel columns, threshold {threshold}")
+
+
+def _image_threshold(image, threshold, width) -> dict:
+    return {"row_sums": [red.reduce_sum(row, row >= threshold, width)
+                         for row in image]}
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +415,6 @@ def database_query(num_pes: int, age_min: int = 30, dept: int = 2,
     flag logic, then every reduction unit aggregates over the responders.
     """
     table = wl.employee_table(num_pes, seed=seed)
-    sel = (table.ages >= age_min) & (table.depts == dept)
-    ones = np.ones(num_pes, bool)
-    count = red.count_responders(sel, ones)
-    min_salary = red.reduce_min_unsigned(table.salaries, sel, width)
-    holders = sel & (table.salaries == min_salary)
-    first = red.resolve_first(holders, ones)
-    who = red.reduce_or(table.ids, first, width)
-    total = red.reduce_sum(table.salaries, sel, width)
     source = f"""
 .text
 main:
@@ -413,12 +440,23 @@ main:
         name="database_query", source=source, word_width=width,
         lmem={0: table.ids, 1: table.ages, 2: table.depts,
               3: table.salaries},
-        expected={"count": count, "min_salary": min_salary,
-                  "min_holder_id": who, "salary_sum": total},
+        oracle=functools.partial(_database_query, table, age_min, dept,
+                                 width),
         outputs={"count": ("scalar", 1), "min_salary": ("scalar", 2),
                  "min_holder_id": ("scalar", 3), "salary_sum": ("scalar", 4)},
         min_lmem_words=4,
         notes=f"SELECT WHERE age>={age_min} AND dept=={dept}")
+
+
+def _database_query(table, age_min, dept, width) -> dict:
+    sel = (table.ages >= age_min) & (table.depts == dept)
+    ones = np.ones(len(sel), bool)
+    min_salary = red.reduce_min_unsigned(table.salaries, sel, width)
+    first = red.resolve_first(sel & (table.salaries == min_salary), ones)
+    return {"count": red.count_responders(sel, ones),
+            "min_salary": min_salary,
+            "min_holder_id": red.reduce_or(table.ids, first, width),
+            "salary_sum": red.reduce_sum(table.salaries, sel, width)}
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +472,6 @@ def histogram(num_pes: int, bins: int = 8, width: int = 16,
                          f"at least one of the {hi} values")
     values = wl.random_field(num_pes, width, seed=seed, low=0, high=hi)
     step = hi // bins
-    counts = [int(np.count_nonzero((values >= b * step)
-                                   & (values < (b + 1) * step)))
-              for b in range(bins)]
     body = "\n".join(f"""    fclr  f1
     pclti f1, p1, {(b + 1) * step}
     fclr  f2
@@ -454,10 +489,16 @@ main:
     return Kernel(
         name="histogram", source=source, word_width=width,
         lmem={0: values},
-        expected={"counts": counts},
+        oracle=functools.partial(_histogram, values, bins, step),
         outputs={"counts": ("memory", 0, bins)},
         min_lmem_words=1,
         notes=f"{bins} bins over [0, {hi})")
+
+
+def _histogram(values, bins, step) -> dict:
+    return {"counts": [int(np.count_nonzero((values >= b * step)
+                                            & (values < (b + 1) * step)))
+                       for b in range(bins)]}
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +521,6 @@ def reduction_storm(num_pes: int, total_iters: int = 64, threads: int = 1,
     if iters < 1:
         raise ValueError("fewer iterations than threads")
     _li_count("iters", iters, width)
-    mask = mask_for_width(width)
-
-    def worker_checksum() -> int:
-        x = iters       # pbcast of the loop count
-        acc = 0
-        for _ in range(iters):
-            x = (x + 3) & mask
-            acc = (acc + x) & mask
-        return acc
-
-    checks = [worker_checksum()] * threads
     source = f"""
 .text
 main:
@@ -523,9 +553,19 @@ loop:
 """
     return Kernel(
         name="reduction_storm", source=source, word_width=width,
-        expected={"checksums": checks},
+        oracle=functools.partial(_reduction_storm, iters, threads, width),
         outputs={"checksums": ("memory", result_base, threads)},
         notes=f"{threads} threads x {iters} reduction-consume iterations")
+
+
+def _reduction_storm(iters, threads, width) -> dict:
+    mask = mask_for_width(width)
+    x = iters       # pbcast of the loop count
+    acc = 0
+    for _ in range(iters):
+        x = (x + 3) & mask
+        acc = (acc + x) & mask
+    return {"checksums": [acc] * threads}
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +587,6 @@ def knn_search(num_pes: int, k: int = 4, query: int | None = None,
     if query is None:
         query = int(points[0]) + 3
     index = np.arange(num_pes, dtype=np.int64)
-    dists = np.abs(points - query)
-    order = np.argsort(dists, kind="stable")
-    expected_d = [int(dists[order[i]]) for i in range(k)]
-    # Tie-break: the hardware retires the first (lowest-index) PE holding
-    # each minimum, so indices follow (distance, PE index) order.
-    order_ties = sorted(range(num_pes), key=lambda i: (dists[i], i))
-    expected_i = [int(order_ties[i]) for i in range(k)]
     big = mask_for_width(width)
 
     source = f"""
@@ -588,11 +621,21 @@ loop:
     return Kernel(
         name="knn_search", source=source, word_width=width,
         lmem={0: points, 1: index},
-        expected={"distances": expected_d, "indices": expected_i},
+        oracle=functools.partial(_knn_search, points, query, k),
         outputs={"distances": ("memory", 0, k),
                  "indices": ("memory", k, k)},
         min_lmem_words=2,
         notes=f"k={k} nearest to query {query} (1-D points)")
+
+
+def _knn_search(points, query, k) -> dict:
+    dists = np.abs(points - query)
+    order = np.argsort(dists, kind="stable")
+    # Tie-break: the hardware retires the first (lowest-index) PE holding
+    # each minimum, so indices follow (distance, PE index) order.
+    order_ties = sorted(range(len(points)), key=lambda i: (dists[i], i))
+    return {"distances": [int(dists[order[i]]) for i in range(k)],
+            "indices": [int(order_ties[i]) for i in range(k)]}
 
 
 # ---------------------------------------------------------------------------
@@ -615,26 +658,6 @@ def skyline_2d(num_pes: int, width: int = 16, seed: int = 10) -> Kernel:
     g = wl.rng(seed)
     xs = g.integers(0, 1000, size=num_pes, dtype=np.int64)
     ys = g.integers(0, 1000, size=num_pes, dtype=np.int64)
-
-    # Oracle: p is in the skyline iff no q strictly dominates it
-    # (q.x >= p.x and q.y >= p.y with at least one strict), for distinct
-    # maxima handling we use the sweep that matches the kernel: repeated
-    # max-x extraction with y-based elimination.
-    alive = np.ones(num_pes, dtype=bool)
-    members = []
-    while alive.any():
-        candidates = np.flatnonzero(alive)
-        max_x = xs[candidates].max()
-        # The kernel picks the *first* alive PE holding max x.
-        pick = candidates[np.flatnonzero(xs[candidates] == max_x)[0]]
-        members.append(int(pick))
-        alive &= ys > ys[pick]
-    ones = np.ones(num_pes, bool)
-    member_mask = np.zeros(num_pes, bool)
-    member_mask[members] = True
-    x_sum = red.reduce_sum(xs, member_mask, width)
-    y_sum = red.reduce_sum(ys, member_mask, width)
-
     source = """
 .text
 main:
@@ -667,11 +690,32 @@ done:
     return Kernel(
         name="skyline_2d", source=source, word_width=width,
         lmem={0: xs, 1: ys},
-        expected={"size": len(members), "x_sum": x_sum, "y_sum": y_sum},
+        oracle=functools.partial(_skyline_2d, xs, ys, width),
         outputs={"size": ("scalar", 1), "x_sum": ("scalar", 2),
                  "y_sum": ("scalar", 3)},
         min_lmem_words=2,
         notes="maximal-vector query; data-dependent loop via rany")
+
+
+def _skyline_2d(xs, ys, width) -> dict:
+    # p is in the skyline iff no q strictly dominates it (q.x >= p.x and
+    # q.y >= p.y with at least one strict); for distinct maxima handling
+    # the sweep matches the kernel: repeated max-x extraction with
+    # y-based elimination.
+    alive = np.ones(len(xs), dtype=bool)
+    members = []
+    while alive.any():
+        candidates = np.flatnonzero(alive)
+        max_x = xs[candidates].max()
+        # The kernel picks the *first* alive PE holding max x.
+        pick = candidates[np.flatnonzero(xs[candidates] == max_x)[0]]
+        members.append(int(pick))
+        alive &= ys > ys[pick]
+    member_mask = np.zeros(len(xs), bool)
+    member_mask[members] = True
+    return {"size": len(members),
+            "x_sum": red.reduce_sum(xs, member_mask, width),
+            "y_sum": red.reduce_sum(ys, member_mask, width)}
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +740,6 @@ def multiword_add(num_pes: int, width: int = 16, seed: int = 11) -> Kernel:
     dmask = mask_for_width(2 * width)
     a = g.integers(0, dmask + 1, size=num_pes, dtype=np.int64)
     b = g.integers(0, dmask + 1, size=num_pes, dtype=np.int64)
-    total = (a + b) & dmask
-    lo, hi = total & wmask, (total >> width) & wmask
-    carries = ((a & wmask) + (b & wmask)) >> width
 
     source = """
 .text
@@ -725,18 +766,24 @@ main:
         name="multiword_add", source=source, word_width=width,
         lmem={0: a & wmask, 1: (a >> width) & wmask,
               2: b & wmask, 3: (b >> width) & wmask},
-        expected={
-            "carries": int(carries.sum()) & wmask,
-            "max_lo": int(lo.max()),
-            "max_hi": int(hi.max()),
-            "or_lo": int(np.bitwise_or.reduce(lo)),
-            "or_hi": int(np.bitwise_or.reduce(hi)),
-        },
+        oracle=functools.partial(_multiword_add, a, b, width),
         outputs={"carries": ("scalar", 1), "max_lo": ("scalar", 2),
                  "max_hi": ("scalar", 3), "or_lo": ("scalar", 4),
                  "or_hi": ("scalar", 5)},
         min_lmem_words=6,
         notes="software double-word add on the W-bit data path (carry chain)")
+
+
+def _multiword_add(a, b, width) -> dict:
+    wmask = mask_for_width(width)
+    total = (a + b) & mask_for_width(2 * width)
+    lo, hi = total & wmask, (total >> width) & wmask
+    carries = ((a & wmask) + (b & wmask)) >> width
+    return {"carries": int(carries.sum()) & wmask,
+            "max_lo": int(lo.max()),
+            "max_hi": int(hi.max()),
+            "or_lo": int(np.bitwise_or.reduce(lo)),
+            "or_hi": int(np.bitwise_or.reduce(hi))}
 
 
 ALL_KERNEL_BUILDERS = {

@@ -17,7 +17,9 @@ callers can diff the former across runs while humans read the latter.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import ResultCache
@@ -82,8 +84,33 @@ class BatchReport:
     unique_jobs: int = 0
     computed: int = 0
     elapsed_s: float = 0.0
-    cache_stats: dict = field(default_factory=dict)
-    resilience: dict = field(default_factory=dict)
+    # The runner whose cache counters and resilience state the report
+    # renders (a ``run`` reply carries neither section): on first read,
+    # or when the runner seals it before its next batch, so the sections
+    # keep their values as of the batch's end.
+    runner: "BatchRunner | None" = field(default=None, repr=False,
+                                         compare=False)
+    _sections: tuple[dict, dict] | None = field(default=None, repr=False,
+                                                compare=False)
+
+    def seal(self) -> tuple[dict, dict]:
+        """The cache-stats and resilience sections, rendered once."""
+        if self._sections is None:
+            runner = self.runner
+            self._sections = ({}, {}) if runner is None else (
+                runner.cache.stats.to_json(),
+                {"quarantine": runner.quarantine.to_json(),
+                 "breaker": runner.cache.breaker_json()})
+            self.runner = None
+        return self._sections
+
+    @property
+    def cache_stats(self) -> dict:
+        return self.seal()[0]
+
+    @property
+    def resilience(self) -> dict:
+        return self.seal()[1]
 
     @property
     def ok(self) -> bool:
@@ -191,10 +218,16 @@ class BatchRunner:
             labels=("origin",))
         self._elapsed = self.registry.histogram(
             "batch_elapsed_seconds", "wall time of whole batches")
+        self._last: Callable[[], BatchReport | None] = lambda: None
 
     def run(self, jobs: list[Job]) -> BatchReport:
         """Execute a batch; results are ordered like the request."""
         started = time.perf_counter()
+        # The last batch's report, if still held, renders its sections
+        # before this batch moves the counters.
+        last = self._last()
+        if last is not None:
+            last.seal()
         # Key every job: from the key memo, or by preparing it.  A job
         # whose machine cannot host its kernel fails on its own, unkeyed:
         # a batch (or a sweep's grid) over machines runs the others.  Any
@@ -274,11 +307,8 @@ class BatchRunner:
                     job.name, key, outcome.status, ORIGIN_COMPUTED,
                     snapshot=outcome.snapshot, error=outcome.error))
         report.elapsed_s = time.perf_counter() - started
-        report.cache_stats = self.cache.stats.to_json()
-        report.resilience = {
-            "quarantine": self.quarantine.to_json(),
-            "breaker": self.cache.breaker_json(),
-        }
+        report.runner = self
+        self._last = weakref.ref(report)
         self._batches.inc()
         for result in report.results:
             self._jobs_by_origin.inc(origin=result.origin)

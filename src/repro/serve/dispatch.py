@@ -37,6 +37,7 @@ import time
 from collections import deque
 
 from repro.asm.assembler import PROGRAM_MEMO
+from repro.core.processor import MACHINES
 from repro.serve.batch import ORIGIN_REFUSED, BatchRunner
 from repro.serve.cache import ResultCache
 from repro.serve.identity import KEY_MEMO
@@ -81,6 +82,8 @@ _MEMOS = (
      {"instructions": "instructions", "programs": "programs"}),
     ("job_key_memo", KEY_MEMO, "job keyings", "job keys",
      {"entries": "job keys"}),
+    ("machine_memo", MACHINES, "hook-free runs", "idle machines",
+     {"entries": "idle machines"}),
 )
 
 
@@ -474,11 +477,11 @@ class Dispatcher:
             # fails like any other job the request could not prepare.
             return {"ok": False, "error": report.results[0].error}
         self._tenant_jobs.inc(len(raw_jobs), tenant=tenant)
+        if single:      # the reply carries its one result
+            result = report.results[0]
+            return {"ok": report.ok, "origin": result.origin,
+                    **result.to_json(full=self.full_results)}
         payload = report.to_json(full=self.full_results)
-        if single:
-            result = payload["results"][0]
-            origin = report.results[0].origin
-            return {"ok": report.ok, "origin": origin, **result}
         origins = (["shed"] * len(shed_replies)
                    + [r.origin for r in report.results])
         payload["results"] = shed_replies + payload["results"]

@@ -43,6 +43,8 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.asm.program import Program
 from repro.core.config import ProcessorConfig
 from repro.faults.spec import FaultSpec
@@ -97,10 +99,18 @@ def program_fingerprint(program: Program) -> dict:
 
 
 def lmem_fingerprint(lmem: dict | None) -> dict:
-    """Local-memory columns as ``{column: [values]}`` with int cells."""
+    """Local-memory columns as ``{column: [values]}`` with int cells.
+
+    A column is a list or an array (a kernel builder's int64 columns
+    arrive as they were built); a 1-D integer array renders through
+    ``tolist()``, which gives the ints ``int()`` would, so the text is
+    the same either way.
+    """
     if not lmem:
         return {}
-    return {str(int(col)): [int(v) for v in values]
+    return {str(int(col)): (values.tolist() if isinstance(values, np.ndarray)
+                            and values.ndim == 1 and values.dtype.kind in "iu"
+                            else [int(v) for v in values])
             for col, values in sorted(lmem.items(), key=lambda kv: int(kv[0]))}
 
 

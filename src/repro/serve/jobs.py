@@ -59,13 +59,19 @@ from repro.pe.pe_array import PEArray
 from repro.programs.kernels import ALL_KERNEL_BUILDERS, KERNEL_ARG_RULES
 from repro.programs.runner import KernelSetupError, check_fit
 from repro.serve.identity import job_key
-from repro.util.fields import check, from_json, rule
+from repro.util.fields import Rule, check, from_json, rule, table
 
 #: A job's cycle limit, and its config's, is at most the default watchdog.
 MAX_JOB_CYCLES = ProcessorConfig.max_cycles
 #: Bytes of simulated machine state one job may allocate
 #: (:meth:`PEArray.state_bytes`).
 MAX_JOB_BYTES = 256 << 20
+
+
+#: A local-memory column key: an integer, not a bool.
+_COLUMN = Rule("column", int)
+#: A kernel's ``width`` argument: a word width the machine can have.
+_WIDTH = table(ProcessorConfig).rules["word_width"]
 
 
 class JobError(ValueError):
@@ -152,6 +158,10 @@ class Job:
             raise JobError(
                 f"job {self.name!r}: 'config.max_cycles' must be at most "
                 f"{MAX_JOB_CYCLES}, got {self.config.max_cycles}")
+        for col in self.lmem:
+            if not _COLUMN.accepts(col):
+                raise JobError(f"job {self.name!r}: 'lmem' column keys must "
+                               f"be integers, got {col!r}")
         if any(not 0 <= col < self.config.lmem_words for col in self.lmem):
             raise JobError(
                 f"job {self.name!r}: 'lmem' columns must be below the "
@@ -230,6 +240,11 @@ class Job:
                 if arg in rules and not rules[arg].accepts(value):
                     raise JobError(f"{bad_args}: '{arg}' must be "
                                    f"{rules[arg].what}, got {value!r}")
+            # A kernel's width is its machine's: one rule for every kernel.
+            width = self.kernel_args.get("width")
+            if width is not None and not _WIDTH.accepts(width):
+                raise JobError(f"{bad_args}: 'word_width' must be "
+                               f"{_WIDTH.what}, got {width!r}")
             try:
                 kern = ALL_KERNEL_BUILDERS[self.kernel](
                     cfg.num_pes, **self.kernel_args)
@@ -245,7 +260,7 @@ class Job:
                     f"{self.kernel!r} at {cfg.num_pes} PEs: {exc}") from exc
             source = kern.source
             for col, values in kern.lmem.items():
-                lmem.setdefault(int(col), [int(v) for v in values])
+                lmem.setdefault(col, values)
         else:
             source = self.source
         try:

@@ -51,7 +51,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.assoc.fastpath import FastMachine
-from repro.core.processor import Processor, SimTimeout, SimulationError
+from repro.core.processor import (
+    MACHINES,
+    Processor,
+    SimTimeout,
+    SimulationError,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.chaos import ChaosError, ChaosKind
 from repro.serve.jobs import PreparedJob
@@ -98,7 +103,9 @@ class JobOutcome:
 
 
 def execute_prepared(item: PreparedJob) -> JobOutcome:
-    """Run one prepared job to completion on a fresh machine.
+    """Run one prepared job to completion on a machine in its reset
+    state: a kept one (:data:`~repro.core.processor.MACHINES`) unless the
+    job attaches a hook.
 
     Module-level (hence picklable) and dependent only on ``item``: this
     is the unit of work both the in-process path and pool workers run.
@@ -132,26 +139,24 @@ def execute_prepared(item: PreparedJob) -> JobOutcome:
 
             profiler = CycleProfiler()
         machine = FastMachine if item.backend == "fast" else Processor
-        proc = machine(item.config, faults=plane, sanitizer=sanitizer,
-                       profiler=profiler)
-        proc.load(program)
-        proc.pe.load_lmem(sorted(item.lmem.items()))
-        result = proc.run(max_cycles=item.max_cycles)
+        # A hook-free job runs on a kept machine, returned once its
+        # snapshot is built; a run that raises drops it.
+        with MACHINES.machine(machine, item.config, faults=plane,
+                              sanitizer=sanitizer, profiler=profiler) as proc:
+            proc.load(program)
+            proc.pe.load_lmem(sorted(item.lmem.items()))
+            result = proc.run(max_cycles=item.max_cycles)
+            snapshot = ResultSnapshot.from_result(
+                result, verify=verify_summary, backend=item.backend,
+                races=None if sanitizer is None else
+                [r.to_json() for r in sanitizer.reports],
+                profile=None if profiler is None else profiler.to_json())
     except SimTimeout as exc:
         return JobOutcome(item.key, STATUS_TIMEOUT, error=str(exc))
     except (SimulationError, RuntimeError, ValueError) as exc:
         return JobOutcome(item.key, STATUS_ERROR,
                           error=f"{type(exc).__name__}: {exc}")
-    races = None
-    if sanitizer is not None:
-        races = [r.to_json() for r in sanitizer.reports]
-    profile = None
-    if profiler is not None:
-        profile = profiler.to_json()
-    return JobOutcome(item.key, STATUS_OK,
-                      snapshot=ResultSnapshot.from_result(
-                          result, races=races, profile=profile,
-                          verify=verify_summary, backend=item.backend))
+    return JobOutcome(item.key, STATUS_OK, snapshot=snapshot)
 
 
 # ---------------------------------------------------------------------------

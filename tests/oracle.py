@@ -22,7 +22,11 @@ one check per promise:
 * :func:`check_sanitizer` and :func:`check_schedule_independent` — every
   dynamic race is covered statically, and a statically clean program is
   schedule-independent;
-* :func:`check_absint` — every concrete state lies in the abstract one.
+* :func:`check_absint` — every concrete state lies in the abstract one;
+* :func:`check_kept_machine` — a kept machine is a fresh machine: a
+  program run on a machine that just ran others (which may have stored
+  to local memory, spawned threads, hit the watchdog or raised) ends in
+  the state it reaches on a fresh machine.
 
 To add a promise, write its ``check_*`` here and a short ``@given`` test
 over the generator and the axis, decorated with :data:`PROPERTY` or
@@ -47,6 +51,7 @@ from repro.obs import ALL_KINDS, CycleProfiler
 from repro.obs.profiler import K_ISSUE
 from repro.opt.scheduler import schedule_program_verified
 from repro.pe.pe_array import MemoryFault
+from repro.serve.snapshot import ResultSnapshot
 from tests.golden import KERNEL_VARIANTS, VARIANTS
 
 
@@ -90,7 +95,7 @@ def fingerprint(result, threads=None) -> dict:
         "pe_regs": result.pe_regs[:n].tolist(),
         "pe_flags": result.pe_flags[:n].tolist(),
         "memory": result.mem_words.tolist(),
-        "lmem": machine.pe.lmem.tolist(),
+        "lmem": machine.pe.frozen("lmem").tolist(),
     }
 
 
@@ -348,3 +353,37 @@ def check_absint(program, cfg):
             return
         pc = pc + 1 if next_pc is None else next_pc
     raise AssertionError("straight-line program did not halt")
+
+
+def _kept_outcome(machine, program, lmem, max_cycles):
+    """One run on ``machine`` as the pool runs a job: load, local memory,
+    run, snapshot; errors become comparable data."""
+    machine.load(program)
+    machine.pe.load_lmem(sorted((lmem or {}).items()))
+    try:
+        result = machine.run(max_cycles=max_cycles)
+    except (RuntimeError, ValueError) as exc:
+        return ("raise", (type(exc).__name__, str(exc)))
+    return ("ok", (result.stats, fingerprint(result),
+                   ResultSnapshot.from_result(result)))
+
+
+def check_kept_machine(make_machine, before, program, cfg, lmem=None,
+                       max_cycles=None):
+    """A kept machine is a fresh machine.  ``program`` run on one machine
+    after each ``(program, lmem, max_cycles)`` run of ``before`` (twice,
+    so the second run of each reuses the ops and row views the first
+    compiled) gives the ``Stats``, final state (every context's state and
+    registers, the PE planes, scalar and local memory) and snapshot a
+    fresh machine gives, or raises the same error."""
+    kept = make_machine(cfg)
+    for run in [*before, *before]:
+        _kept_outcome(kept, *run)
+    got = _kept_outcome(kept, program, lmem, max_cycles)
+    want = _kept_outcome(make_machine(cfg), program, lmem, max_cycles)
+    assert got[0] == want[0], (got[1], want[1], listing(program))
+    if got[0] == "raise":
+        assert got[1] == want[1], listing(program)
+    else:
+        for mine, fresh in zip(got[1], want[1]):
+            assert mine == fresh, listing(program)

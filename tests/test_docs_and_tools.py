@@ -83,3 +83,35 @@ class TestProjectDocs:
         examples = sorted((REPO / "examples").glob("*.py"))
         assert len(examples) >= 3
         assert (REPO / "examples" / "quickstart.py").exists()
+
+
+class TestAbTool:
+    def test_two_directories_outside_a_git_checkout(self, tmp_path):
+        """``tools/ab.py`` compares two checkout directories without git:
+        a copy of the tool beside ``BENCHMARK.json`` in a plain directory
+        reports every workload and exits 0."""
+        import json
+        import shutil
+        import subprocess
+
+        (tmp_path / "tools").mkdir()
+        shutil.copy(REPO / "tools" / "ab.py", tmp_path / "tools")
+        shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+        spec = json.loads((REPO / "BENCHMARK.json").read_text())
+        line = json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                           "metrics": {m["name"]: {"value": 1.0,
+                                                   "unit": m["unit"]}
+                                       for m in spec["end_to_end"]}})
+        for side in ("parent", "change"):
+            bench = tmp_path / side / "perfbench"
+            bench.mkdir(parents=True)
+            (bench / "run.py").write_text(f"print({line!r})\n")
+        proc = subprocess.run(
+            [sys.executable, str(tmp_path / "tools" / "ab.py"), "parent",
+             "change", "--seeds", "1-2", "--seconds", "1"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reports = [ln for ln in proc.stdout.splitlines()
+                   if ln.startswith("== ")]
+        assert reports == [f"== {w['name']}: 2 pairs (parent -> change)"
+                           for w in spec["workloads"]]

@@ -1,6 +1,8 @@
 """Kernel library integration tests: every kernel against its oracle, on
 both backends, across machine shapes."""
 
+import pickle
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -225,6 +227,17 @@ class TestKernelMetadata:
         kernel = build(name, 32)
         assert set(kernel.outputs) == set(kernel.expected)
         assert kernel.notes
+
+    @pytest.mark.parametrize("name", sorted(ALL_KERNEL_BUILDERS))
+    def test_kernel_pickles_before_and_after_its_oracle_runs(self, name):
+        """Fault campaigns pickle the kernel into every worker task, so
+        its deferred oracle must pickle, read or unread."""
+        kernel = build(name, 32)
+        unread = pickle.loads(pickle.dumps(kernel))
+        expected = kernel.expected
+        read = pickle.loads(pickle.dumps(kernel))
+        assert unread.expected == expected == read.expected
+        assert unread.source == read.source == kernel.source
 
     def test_kernel_norm(self):
         assert kernel_norm(np.int64(5)) == 5

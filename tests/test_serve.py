@@ -39,6 +39,7 @@ from repro.isa.registers import (
     NUM_PARALLEL_REGS,
     NUM_SCALAR_REGS,
 )
+from repro.programs import ALL_KERNEL_BUILDERS
 from repro.serve import (
     BatchRunner,
     CACHE_SCHEMA_VERSION,
@@ -565,6 +566,14 @@ class TestJobParsing:
                                              scalar_mem_words=4096,
                                              ).prepare().key
 
+    @pytest.mark.parametrize("column", ["0", None, 1.5, True])
+    def test_lmem_column_keys_must_be_integers(self, column):
+        # The Python API: JSON input arrives with decimal-string keys
+        # already converted by Job.from_json.
+        with pytest.raises(JobError, match="job 'x': 'lmem' column keys "
+                                           "must be integers, got "):
+            Job(name="x", source=DEMO, config=SMALL, lmem={column: [1]})
+
     def test_jobs_document_forms(self):
         doc = {"jobs": [{"name": "x", "source": DEMO}]}
         assert len(jobs_from_json(doc)) == 1
@@ -587,6 +596,13 @@ class TestParallelFaultCampaign:
                                 jobs=2)
         assert parallel.to_json() == serial.to_json()
         assert parallel.render() == serial.render()
+
+    def test_a_kernel_with_a_deferred_oracle_runs_on_two_jobs(self):
+        # Each worker task carries the kernel, oracle and all, by pickle.
+        cfg = ProcessorConfig(num_pes=8, num_threads=4)
+        serial = run_campaign("vector_mac", cfg, faults=4, seed=3)
+        parallel = run_campaign("vector_mac", cfg, faults=4, seed=3, jobs=2)
+        assert parallel.to_json() == serial.to_json()
 
 
 _CAMPAIGN_PID = os.getpid()
@@ -833,6 +849,15 @@ class TestServeHardening:
             assert reply["error"] == f"job {name!r}: {error}"
         assert ses.registry.get("serve_line_errors_total") \
             .value(reason="internal") == 0
+
+    @pytest.mark.parametrize("kernel", sorted(ALL_KERNEL_BUILDERS))
+    def test_a_width_the_machine_cannot_have_is_one_rule(self, kernel):
+        reply = self.session().handle_line(json.dumps(
+            {"op": "run", "job": {"kernel": kernel,
+                                  "kernel_args": {"width": 64}}}))
+        assert reply == {"ok": False, "error":
+                         f"job {kernel!r}: bad kernel_args for {kernel!r}: "
+                         f"'word_width' must be one of 8, 16, 32, got 64"}
 
     @pytest.mark.parametrize("value", ["abc", -5, 0, 1.5, True])
     def test_max_cycles_must_be_null_or_a_positive_int(self, value):

@@ -137,9 +137,12 @@ def main(argv: list[str] | None = None) -> int:
                     pairs.append((got[0], got[1]))
                 report(workload, spec, pairs)
         finally:
+            # Only a side checked out here is git's to clean up: two
+            # directories need no git, nor a git checkout around the tool.
             for path in added:
                 git("worktree", "remove", "--force", path)
-            git("worktree", "prune")
+            if added:
+                git("worktree", "prune")
     return 0
 
 
